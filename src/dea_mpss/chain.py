@@ -33,8 +33,9 @@ import numpy as np
 
 from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpProblem, solve_lp
-from .network import EPS_MPSS, FIXING_BAND, _Rows, _solve
+from .lp import solve_lp
+from .network import EPS_MPSS, FIXING_BAND, _solve
+from .program import Program
 
 DOWN = "↓"
 UP = "↑"
@@ -61,8 +62,17 @@ class ChainWeights:
 
 SELF_NORMALIZED_WEIGHTS = ChainWeights(1.0, 0.5, 0.5)
 
+BLOCKS = ("operation", "research", "market")
+FACTORS = ("theta_operation", "theta_rd", "theta_market")
+RADIAL_FACTORS = ("theta1", "theta2", "theta3", "theta4", "theta_market")
 
-def _chain_parts(dataset: Dataset, topology: NetworkTopology):
+
+def _chain_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, radial: bool):
+    """Rows of the chain models: free intermediate targets, or radial ones.
+
+    Radially, the operation intermediates scale with ``theta2`` and the
+    research intermediates with ``theta4`` on both the supply and use side.
+    """
     if topology.shape_tag != SERIES_PARALLEL_CHAIN:
         raise UnsupportedTopologyError(
             f"unsupported topology: expected {SERIES_PARALLEL_CHAIN!r}, got {topology.shape_tag!r}"
@@ -70,52 +80,24 @@ def _chain_parts(dataset: Dataset, topology: NetworkTopology):
     topology.validate_against(dataset)
     operation, research = topology.stage_processes(1)
     market = topology.stage_processes(2)[0]
-    return {
-        "XO": dataset.matrix(operation.exogenous_inputs),
-        "ZO": dataset.matrix(operation.intermediate_outputs),
-        "XR": dataset.matrix(research.exogenous_inputs),
-        "ZR": dataset.matrix(research.intermediate_outputs),
-        "Y": dataset.matrix(market.final_outputs),
-        "zo_names": operation.intermediate_outputs,
-        "zr_names": research.intermediate_outputs,
-    }
-
-
-def _chain_layout(n: int, p: int, e: int):
-    tO, tR, tM = 0, 1, 2
-    lam, mu, phi = 3, 3 + n, 3 + 2 * n
-    zo, zr = 3 + 3 * n, 3 + 3 * n + p
-    return tO, tR, tM, lam, mu, phi, zo, zr, zr + e
-
-
-def _chain_rows(parts, o: int, n: int, idx) -> _Rows:
-    tO, tR, tM, lam, mu, phi, zo, zr, nv = idx
-    XO, ZO, XR, ZR, Y = parts["XO"], parts["ZO"], parts["XR"], parts["ZR"], parts["Y"]
-    rows = _Rows(nv)
-    for i in range(XO.shape[1]):
-        rows.add({tO: -XO[o, i], **{lam + j: XO[j, i] for j in range(n)}}, "<=")
-    for d in range(ZO.shape[1]):
-        rows.add({zo + d: -1.0, **{lam + j: ZO[j, d] for j in range(n)}}, ">=")
-    for k in range(XR.shape[1]):
-        rows.add({tR: -XR[o, k], **{mu + j: XR[j, k] for j in range(n)}}, "<=")
-    for d in range(ZR.shape[1]):
-        rows.add({zr + d: -1.0, **{mu + j: ZR[j, d] for j in range(n)}}, ">=")
-    for d in range(ZO.shape[1]):
-        rows.add({zo + d: -1.0, **{phi + j: ZO[j, d] for j in range(n)}}, "<=")
-    for d in range(ZR.shape[1]):
-        rows.add({zr + d: -1.0, **{phi + j: ZR[j, d] for j in range(n)}}, "<=")
-    for r in range(Y.shape[1]):
-        rows.add({tM: -Y[o, r], **{phi + j: Y[j, r] for j in range(n)}}, ">=")
-    for block in (lam, mu, phi):
-        rows.add({block + j: 1.0 for j in range(n)}, "=", 1.0)
-    return rows
-
-
-def _intermediates(parts, x, idx) -> dict:
-    _, _, _, _, _, _, zo, zr, _ = idx
-    out = {m: float(x[zo + d]) for d, m in enumerate(parts["zo_names"])}
-    out.update({m: float(x[zr + d]) for d, m in enumerate(parts["zr_names"])})
-    return out
+    zo, zr = operation.intermediate_outputs, research.intermediate_outputs
+    if radial:
+        inputs, factors, targets = ("theta1", "theta3"), RADIAL_FACTORS, ()
+        op_link, rd_link = {"factor": "theta2"}, {"factor": "theta4"}
+    else:
+        inputs, factors, targets = ("theta_operation", "theta_rd"), FACTORS, zo + zr
+        op_link, rd_link = {"targets": zo}, {"targets": zr}
+    prog = Program(dataset.n_dmus, dataset.index_of(dmu), factors, BLOCKS, targets)
+    ZO, ZR = dataset.matrix(zo), dataset.matrix(zr)
+    prog.envelope("operation", dataset.matrix(operation.exogenous_inputs), "<=", factor=inputs[0])
+    prog.envelope("operation", ZO, ">=", **op_link)
+    prog.envelope("research", dataset.matrix(research.exogenous_inputs), "<=", factor=inputs[1])
+    prog.envelope("research", ZR, ">=", **rd_link)
+    prog.envelope("market", ZO, "<=", **op_link)
+    prog.envelope("market", ZR, "<=", **rd_link)
+    prog.envelope("market", dataset.matrix(market.final_outputs), ">=", factor="theta_market")
+    prog.convexity()
+    return prog
 
 
 @dataclass(frozen=True)
@@ -148,35 +130,22 @@ def chain_efficiency(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainEfficiency:
     """Operation, research and marketability efficiencies in one solve."""
-    parts = _chain_parts(dataset, topology)
-    o = dataset.index_of(dmu)
-    n = dataset.n_dmus
-    idx = _chain_layout(n, len(parts["zo_names"]), len(parts["zr_names"]))
-    tO, tR, tM = idx[:3]
-    nv = idx[-1]
-    rows = _chain_rows(parts, o, n, idx)
-    rows.add({tO: 1.0}, "<=", 1.0)
-    rows.add({tR: 1.0}, "<=", 1.0)
-    rows.add({tM: 1.0}, ">=", 1.0)
-    c = np.zeros(nv)
-    c[tO], c[tR], c[tM] = weights.w1, weights.w2, -weights.w3
-    sol = _solve(LpProblem("minimize", c, rows.rows), f"chain efficiency of {dmu!r}")
-    x = sol.variable_values
-    lam, mu, phi = idx[3], idx[4], idx[5]
+    prog = _chain_program(dataset, topology, dmu, radial=False)
+    prog.bound({"theta_operation": 1.0}, "<=", 1.0)
+    prog.bound({"theta_rd": 1.0}, "<=", 1.0)
+    prog.bound({"theta_market": 1.0}, ">=", 1.0)
+    objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
+                 "theta_market": -weights.w3}
+    sol = _solve(prog.problem("minimize", objective), f"chain efficiency of {dmu!r}")
+    factors = prog.factors(sol)
     return ChainEfficiency(
         dmu=str(dmu),
         objective=sol.objective_value,
         weights=weights,
-        theta_operation=float(x[tO]),
-        theta_rd=float(x[tR]),
-        theta_market=float(x[tM]),
-        marketability=1.0 / float(x[tM]),
-        intermediates=_intermediates(parts, x, idx),
-        reference_weights={
-            "operation": x[lam:lam + n],
-            "research": x[mu:mu + n],
-            "market": x[phi:phi + n],
-        },
+        marketability=1.0 / factors["theta_market"],
+        intermediates=prog.targets(sol),
+        reference_weights=prog.weights(sol),
+        **factors,
     )
 
 
@@ -205,38 +174,18 @@ def chain_mpss(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainMpss:
     """Chain scale-size score; zero means most productive scale size."""
-    parts = _chain_parts(dataset, topology)
-    o = dataset.index_of(dmu)
-    n = dataset.n_dmus
-    idx = _chain_layout(n, len(parts["zo_names"]), len(parts["zr_names"]))
-    tO, tR, tM = idx[:3]
-    nv = idx[-1]
-    rows = _chain_rows(parts, o, n, idx)
-    c = np.zeros(nv)
-    c[tM], c[tO], c[tR] = weights.w1, -weights.w2, -weights.w3
-    sol = _solve(LpProblem("maximize", c, rows.rows), f"chain scale size of {dmu!r}")
-    x = sol.variable_values
-    zo, zr = idx[6], idx[7]
-    n_mid = len(parts["zo_names"]) + len(parts["zr_names"])
-    unique = not any(
-        not sol.basic[zo + d] and abs(sol.reduced_costs[zo + d]) <= 1e-9
-        for d in range(n_mid)
-    )
-    lam, mu, phi = idx[3], idx[4], idx[5]
+    prog = _chain_program(dataset, topology, dmu, radial=False)
+    objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
+                 "theta_rd": -weights.w3}
+    sol = _solve(prog.problem("maximize", objective), f"chain scale size of {dmu!r}")
     return ChainMpss(
         dmu=str(dmu),
         score=sol.objective_value,
         weights=weights,
-        theta_operation=float(x[tO]),
-        theta_rd=float(x[tR]),
-        theta_market=float(x[tM]),
-        intermediates=_intermediates(parts, x, idx),
-        intermediates_unique=unique,
-        reference_weights={
-            "operation": x[lam:lam + n],
-            "research": x[mu:mu + n],
-            "market": x[phi:phi + n],
-        },
+        intermediates=prog.targets(sol),
+        intermediates_unique=prog.targets_unique(sol),
+        reference_weights=prog.weights(sol),
+        **prog.factors(sol),
     )
 
 
@@ -289,51 +238,16 @@ def profitability_mpss(
     score may be unreachable; that raises a solver error rather than
     silently drifting off the band.
     """
-    parts = _chain_parts(dataset, topology)
-    o = dataset.index_of(dmu)
-    n = dataset.n_dmus
-    XO, ZO, XR, ZR, Y = parts["XO"], parts["ZO"], parts["XR"], parts["ZR"], parts["Y"]
-    # layout: [t1, t2, t3, t4, tM, lam(n), mu(n), phi(n)]
-    t1, t2, t3, t4, tM = range(5)
-    lam, mu, phi = 5, 5 + n, 5 + 2 * n
-    nv = 5 + 3 * n
-    rows = _Rows(nv)
-    for i in range(XO.shape[1]):
-        rows.add({t1: -XO[o, i], **{lam + j: XO[j, i] for j in range(n)}}, "<=")
-    for d in range(ZO.shape[1]):
-        rows.add({t2: -ZO[o, d], **{lam + j: ZO[j, d] for j in range(n)}}, ">=")
-    for k in range(XR.shape[1]):
-        rows.add({t3: -XR[o, k], **{mu + j: XR[j, k] for j in range(n)}}, "<=")
-    for d in range(ZR.shape[1]):
-        rows.add({t4: -ZR[o, d], **{mu + j: ZR[j, d] for j in range(n)}}, ">=")
-    for d in range(ZO.shape[1]):
-        rows.add({t2: -ZO[o, d], **{phi + j: ZO[j, d] for j in range(n)}}, "<=")
-    for d in range(ZR.shape[1]):
-        rows.add({t4: -ZR[o, d], **{phi + j: ZR[j, d] for j in range(n)}}, "<=")
-    for r in range(Y.shape[1]):
-        rows.add({tM: -Y[o, r], **{phi + j: Y[j, r] for j in range(n)}}, ">=")
-    for block in (lam, mu, phi):
-        rows.add({block + j: 1.0 for j in range(n)}, "=", 1.0)
-    rows.add({tM: 1.0, t1: -1.0, t3: -1.0}, "<=", chain_score + band)
-    rows.add({tM: 1.0, t1: -1.0, t3: -1.0}, ">=", chain_score - band)
-    c = np.zeros(nv)
-    c[t2], c[t1], c[t4], c[t3] = 1.0, -1.0, 1.0, -1.0
-    sol = solve_lp(LpProblem("maximize", c, rows.rows))
+    prog = _chain_program(dataset, topology, dmu, radial=True)
+    prog.pin({"theta_market": 1.0, "theta1": -1.0, "theta3": -1.0}, chain_score, band)
+    objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
+    sol = solve_lp(prog.problem("maximize", objective))
     if sol.status != "optimal":
         raise SolverError(
             f"profitability split of {dmu!r}: fixing band infeasible at chain score "
             f"{chain_score!r} (radial intermediates cannot reach it)"
         )
-    x = sol.variable_values
-    return StageFactors(
-        dmu=str(dmu),
-        chain_score=float(chain_score),
-        theta1=float(x[t1]),
-        theta2=float(x[t2]),
-        theta3=float(x[t3]),
-        theta4=float(x[t4]),
-        theta_market=float(x[tM]),
-    )
+    return StageFactors(str(dmu), float(chain_score), **prog.factors(sol))
 
 
 @dataclass(frozen=True)

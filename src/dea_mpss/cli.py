@@ -226,12 +226,17 @@ def _cmd_network(args) -> None:
         precisions += [MPSS_DECIMALS, MPSS_DECIMALS]
     rows = []
     for dmu in _pick_dmus(dataset, args):
-        res = solve(dataset, topology, dmu)
+        if args.stages and args.intermediates == "radial":
+            # the radial system row is the first of the three staged solves
+            res, st1, st2 = evaluate_stages(dataset, topology, dmu)
+        else:
+            res = solve(dataset, topology, dmu)
+            if args.stages:
+                _, st1, st2 = evaluate_stages(dataset, topology, dmu)
         f = res.scale_factors
         row = [dmu, res.score, f["stage1_inputs"], f["stage1_outputs"],
                f["stage2_inputs"], f["stage2_outputs"], "yes" if res.is_mpss() else "no"]
         if args.stages:
-            _, st1, st2 = evaluate_stages(dataset, topology, dmu)
             row += [st1.score, st2.score]
         rows.append(tuple(row))
     table = ReportTable(

@@ -51,13 +51,11 @@ class Dataset:
 
     dmu_ids: tuple
     measures: Mapping[str, np.ndarray]
-    units: Mapping[str, str]
 
     def __init__(
         self,
         dmu_ids: Sequence[str],
         measures: Mapping[str, Sequence[float]],
-        units: Mapping[str, str] | None = None,
     ):
         ids = tuple(str(d) for d in dmu_ids)
         if not ids:
@@ -85,7 +83,6 @@ class Dataset:
             raise ValidationError("dataset needs at least one measure")
         object.__setattr__(self, "dmu_ids", ids)
         object.__setattr__(self, "measures", cols)
-        object.__setattr__(self, "units", dict(units or {}))
 
     @property
     def n_dmus(self) -> int:
@@ -298,12 +295,6 @@ class NetworkTopology:
 
     def stage_processes(self, stage: int) -> tuple:
         return tuple(p for p in self.processes if p.stage == stage)
-
-    def process_named(self, name: str) -> ProcessSpec:
-        for p in self.processes:
-            if p.name == name:
-                return p
-        raise ValidationError(f"unknown process {name!r}")
 
     def intermediate_measures(self) -> tuple:
         """Intermediates in producer-declaration order."""

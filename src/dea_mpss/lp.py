@@ -48,7 +48,6 @@ class SimplexOptions:
 
     feasibility_tol: float = 1e-7
     pivot_tol: float = 1e-9
-    objective_tol: float = 1e-6
     max_iterations: int = 50_000
 
 
@@ -66,7 +65,6 @@ class LpProblem:
     objective: np.ndarray
     constraints: tuple
     variable_lower_bounds: np.ndarray
-    variable_names: tuple
 
     def __init__(
         self,
@@ -74,7 +72,6 @@ class LpProblem:
         objective: Sequence[float],
         constraints: Sequence,
         variable_lower_bounds: Sequence[float] | None = None,
-        variable_names: Sequence[str] | None = None,
     ):
         if objective_sense not in (MAXIMIZE, MINIMIZE):
             raise ValidationError(
@@ -107,17 +104,10 @@ class LpProblem:
                 raise ValidationError("variable_lower_bounds length must match objective")
             if not np.all(np.isfinite(lb)):
                 raise ValidationError("variable lower bounds must be finite")
-        if variable_names is None:
-            names = tuple(f"x{j + 1}" for j in range(c.size))
-        else:
-            names = tuple(str(s) for s in variable_names)
-            if len(names) != c.size:
-                raise ValidationError("variable_names length must match objective")
         object.__setattr__(self, "objective_sense", objective_sense)
         object.__setattr__(self, "objective", _readonly(c))
         object.__setattr__(self, "constraints", tuple(rows))
         object.__setattr__(self, "variable_lower_bounds", _readonly(lb))
-        object.__setattr__(self, "variable_names", names)
 
     @property
     def n_variables(self) -> int:
@@ -377,7 +367,10 @@ class _Simplex:
         """Multipliers from the final basis, mapped back to the original rows."""
         S = self.S[row_keep]
         B = S[:, basis]
-        y_kept = np.linalg.solve(B.T, self.cc[basis])
+        try:
+            y_kept = np.linalg.solve(B.T, self.cc[basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular basis at the optimum") from exc
         y_int = np.zeros(self.m)
         y_int[row_keep] = y_kept
         sign = -1.0 if self.problem.objective_sense == MAXIMIZE else 1.0

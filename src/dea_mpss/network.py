@@ -29,7 +29,8 @@ import numpy as np
 
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpProblem, LpSolution, SimplexOptions, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
+from .program import Program
 
 EPS_MPSS = 1e-6
 FIXING_BAND = 1e-6
@@ -39,6 +40,14 @@ SYSTEM_VARIABLE = "system_variable"
 SYSTEM_RADIAL = "system_radial"
 STAGE_1 = "stage1"
 STAGE_2 = "stage2"
+
+FACTORS = ("stage1_inputs", "stage1_outputs", "stage2_inputs", "stage2_outputs")
+# stage-2 output expansion minus stage-1 input contraction
+SYSTEM_GAP = {"stage2_outputs": 1.0, "stage1_inputs": -1.0}
+STAGE_GAP = {
+    1: {"stage1_outputs": 1.0, "stage1_inputs": -1.0},
+    2: {"stage2_outputs": 1.0, "stage2_inputs": -1.0},
+}
 
 
 @dataclass(frozen=True)
@@ -64,44 +73,11 @@ class MpssResult:
         return abs(self.score) <= eps
 
 
-def _solve(problem: LpProblem, context: str, options: SimplexOptions | None = None) -> LpSolution:
-    sol = solve_lp(problem) if options is None else solve_lp(problem, options)
+def _solve(problem: LpProblem, context: str) -> LpSolution:
+    sol = solve_lp(problem)
     if sol.status != "optimal":
         raise SolverError(f"{context}: linear program is {sol.status}")
     return sol
-
-
-class _Rows:
-    """Accumulates constraint triples over a fixed variable layout."""
-
-    def __init__(self, n_vars: int):
-        self.n = n_vars
-        self.rows: list = []
-
-    def add(self, entries: dict, rel: str, rhs: float = 0.0) -> None:
-        a = np.zeros(self.n)
-        for j, v in entries.items():
-            a[j] += v
-        self.rows.append((a, rel, rhs))
-
-
-def _two_stage_parts(dataset: Dataset, topology: NetworkTopology):
-    if topology.shape_tag != TWO_STAGE_GENERAL:
-        raise UnsupportedTopologyError(
-            f"unsupported topology: expected {TWO_STAGE_GENERAL!r}, got {topology.shape_tag!r}"
-        )
-    topology.validate_against(dataset)
-    up = topology.stage_processes(1)[0]
-    down = topology.stage_processes(2)[0]
-    mids = topology.intermediate_measures()
-    return {
-        "X1": dataset.matrix(up.exogenous_inputs),
-        "Z": dataset.matrix(mids),
-        "Y1": dataset.matrix(up.final_outputs),
-        "X2": dataset.matrix(down.exogenous_inputs),
-        "Y2": dataset.matrix(down.final_outputs),
-        "mids": mids,
-    }
 
 
 def blackbox_mpss(
@@ -124,91 +100,53 @@ def blackbox_mpss(
         outputs = [m for p in topology.processes for m in p.final_outputs]
     if not inputs or not outputs:
         raise ValidationError("black-box evaluation needs >= 1 input and >= 1 output measure")
-    o = dataset.index_of(dmu)
-    X = dataset.matrix(inputs)
-    Y = dataset.matrix(outputs)
-    n = dataset.n_dmus
-    nv = 2 + n
-    t1, t2, lam = 0, 1, 2
-    rows = _Rows(nv)
-    for i in range(X.shape[1]):
-        rows.add({t1: -X[o, i], **{lam + j: X[j, i] for j in range(n)}}, "<=")
-    for r in range(Y.shape[1]):
-        rows.add({t2: -Y[o, r], **{lam + j: Y[j, r] for j in range(n)}}, ">=")
-    rows.add({lam + j: 1.0 for j in range(n)}, "=", 1.0)
-    c = np.zeros(nv)
-    c[t2], c[t1] = 1.0, -1.0
-    sol = _solve(LpProblem("maximize", c, rows.rows), f"black-box evaluation of {dmu!r}")
-    return MpssResult(
-        scope=BLACK_BOX,
-        dmu=str(dmu),
-        score=sol.objective_value,
-        scale_factors={"inputs": sol.variable_values[t1], "outputs": sol.variable_values[t2]},
-        reference_weights={"system": sol.variable_values[lam:lam + n]},
-    )
+    prog = Program(dataset.n_dmus, dataset.index_of(dmu), ("inputs", "outputs"), ("system",))
+    prog.envelope("system", dataset.matrix(inputs), "<=", factor="inputs")
+    prog.envelope("system", dataset.matrix(outputs), ">=", factor="outputs")
+    prog.convexity()
+    problem = prog.problem("maximize", {"outputs": 1.0, "inputs": -1.0})
+    sol = _solve(problem, f"black-box evaluation of {dmu!r}")
+    return MpssResult(BLACK_BOX, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol))
 
 
-def _layout(n: int, n_mid: int):
-    """Variable offsets shared by the two-stage system models."""
-    t1s1, t2s1, t1s2, t2s2 = 0, 1, 2, 3
-    lam1 = 4
-    lam2 = 4 + n
-    zt = 4 + 2 * n
-    nv = zt + n_mid
-    return t1s1, t2s1, t1s2, t2s2, lam1, lam2, zt, nv
+def _system_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, radial: bool):
+    """Rows shared by the system, stage-1 and stage-2 models.
 
-
-def _system_rows(parts, o, n, *, radial: bool, rows: _Rows, idx) -> None:
-    """Constraint block shared by the system, stage-1 and stage-2 models."""
-    t1s1, t2s1, t1s2, t2s2, lam1, lam2, zt, _ = idx
-    X1, Z, Y1, X2, Y2 = parts["X1"], parts["Z"], parts["Y1"], parts["X2"], parts["Y2"]
-    for i in range(X1.shape[1]):
-        rows.add({t1s1: -X1[o, i], **{lam1 + j: X1[j, i] for j in range(n)}}, "<=")
-    for d in range(Z.shape[1]):
-        if radial:
-            rows.add({t2s1: -Z[o, d], **{lam1 + j: Z[j, d] for j in range(n)}}, ">=")
-            rows.add({t1s2: -Z[o, d], **{lam2 + j: Z[j, d] for j in range(n)}}, "<=")
-        else:
-            rows.add({zt + d: -1.0, **{lam1 + j: Z[j, d] for j in range(n)}}, ">=")
-            rows.add({zt + d: -1.0, **{lam2 + j: Z[j, d] for j in range(n)}}, "<=")
-    for r in range(Y1.shape[1]):
-        rows.add({t2s1: -Y1[o, r], **{lam1 + j: Y1[j, r] for j in range(n)}}, ">=")
-    for i in range(X2.shape[1]):
-        rows.add({t1s2: -X2[o, i], **{lam2 + j: X2[j, i] for j in range(n)}}, "<=")
-    for r in range(Y2.shape[1]):
-        rows.add({t2s2: -Y2[o, r], **{lam2 + j: Y2[j, r] for j in range(n)}}, ">=")
-    rows.add({lam1 + j: 1.0 for j in range(n)}, "=", 1.0)
-    rows.add({lam2 + j: 1.0 for j in range(n)}, "=", 1.0)
-
-
-def _result_from(sol: LpSolution, scope, dmu, parts, n, idx, *, with_intermediates=False):
-    t1s1, t2s1, t1s2, t2s2, lam1, lam2, zt, _ = idx
-    x = sol.variable_values
-    intermediates = None
-    unique = None
-    if with_intermediates:
-        mids = parts["mids"]
-        intermediates = {m: float(x[zt + d]) for d, m in enumerate(mids)}
-        unique = not any(
-            not sol.basic[zt + d] and abs(sol.reduced_costs[zt + d]) <= 1e-9
-            for d in range(len(mids))
+    Each intermediate gives a stage-1 supply row and a stage-2 use row, either
+    against a free target or radially against the DMU's own level.
+    """
+    if topology.shape_tag != TWO_STAGE_GENERAL:
+        raise UnsupportedTopologyError(
+            f"unsupported topology: expected {TWO_STAGE_GENERAL!r}, got {topology.shape_tag!r}"
         )
+    topology.validate_against(dataset)
+    up = topology.stage_processes(1)[0]
+    down = topology.stage_processes(2)[0]
+    mids = topology.intermediate_measures()
+    prog = Program(dataset.n_dmus, dataset.index_of(dmu), FACTORS, ("stage1", "stage2"),
+                   () if radial else mids)
+    prog.envelope("stage1", dataset.matrix(up.exogenous_inputs), "<=", factor="stage1_inputs")
+    for m in mids:
+        z = dataset.matrix([m])
+        if radial:
+            prog.envelope("stage1", z, ">=", factor="stage1_outputs")
+            prog.envelope("stage2", z, "<=", factor="stage2_inputs")
+        else:
+            prog.envelope("stage1", z, ">=", targets=[m])
+            prog.envelope("stage2", z, "<=", targets=[m])
+    prog.envelope("stage1", dataset.matrix(up.final_outputs), ">=", factor="stage1_outputs")
+    prog.envelope("stage2", dataset.matrix(down.exogenous_inputs), "<=", factor="stage2_inputs")
+    prog.envelope("stage2", dataset.matrix(down.final_outputs), ">=", factor="stage2_outputs")
+    prog.convexity()
+    return prog
+
+
+def _result_from(sol: LpSolution, scope: str, dmu: str, prog: Program) -> MpssResult:
+    free = bool(prog.target)
     return MpssResult(
-        scope=scope,
-        dmu=str(dmu),
-        score=sol.objective_value,
-        scale_factors={
-            "stage1_inputs": float(x[t1s1]),
-            "stage1_outputs": float(x[t2s1]),
-            "stage2_inputs": float(x[t1s2]),
-            "stage2_outputs": float(x[t2s2]),
-        },
-        reference_weights={
-            "stage1": x[lam1:lam1 + n],
-            "stage2": x[lam2:lam2 + n],
-        },
-        optimal_intermediates=intermediates,
-        intermediates_unique=unique,
+        scope, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol),
+        optimal_intermediates=prog.targets(sol) if free else None,
+        intermediates_unique=prog.targets_unique(sol) if free else None,
     )
 
 
@@ -220,16 +158,9 @@ def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str)
     may consume at most the target.  The optimal targets are reported as
     ``optimal_intermediates``; they are generally not unique.
     """
-    parts = _two_stage_parts(dataset, topology)
-    o = dataset.index_of(dmu)
-    n = dataset.n_dmus
-    idx = _layout(n, len(parts["mids"]))
-    rows = _Rows(idx[-1])
-    _system_rows(parts, o, n, radial=False, rows=rows, idx=idx)
-    c = np.zeros(idx[-1])
-    c[idx[3]], c[idx[0]] = 1.0, -1.0  # stage-2 output expansion minus stage-1 input contraction
-    sol = _solve(LpProblem("maximize", c, rows.rows), f"system evaluation of {dmu!r}")
-    return _result_from(sol, SYSTEM_VARIABLE, dmu, parts, n, idx, with_intermediates=True)
+    prog = _system_program(dataset, topology, dmu, radial=False)
+    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}")
+    return _result_from(sol, SYSTEM_VARIABLE, dmu, prog)
 
 
 def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -> MpssResult:
@@ -239,16 +170,9 @@ def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -
     levels together; the stage-2 input factor scales its intermediate and
     exogenous input levels together.
     """
-    parts = _two_stage_parts(dataset, topology)
-    o = dataset.index_of(dmu)
-    n = dataset.n_dmus
-    idx = _layout(n, 0)
-    rows = _Rows(idx[-1])
-    _system_rows(parts, o, n, radial=True, rows=rows, idx=idx)
-    c = np.zeros(idx[-1])
-    c[idx[3]], c[idx[0]] = 1.0, -1.0
-    sol = _solve(LpProblem("maximize", c, rows.rows), f"radial system evaluation of {dmu!r}")
-    return _result_from(sol, SYSTEM_RADIAL, dmu, parts, n, idx)
+    prog = _system_program(dataset, topology, dmu, radial=True)
+    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}")
+    return _result_from(sol, SYSTEM_RADIAL, dmu, prog)
 
 
 def stage_mpss(
@@ -272,31 +196,17 @@ def stage_mpss(
         raise ValidationError(f"stage must be 1 or 2, got {stage!r}")
     if stage == 2 and stage1_score is None:
         raise ValidationError("stage 2 needs the solved stage-1 score")
-    parts = _two_stage_parts(dataset, topology)
-    o = dataset.index_of(dmu)
-    n = dataset.n_dmus
-    idx = _layout(n, 0)
-    t1s1, t2s1, t1s2, t2s2 = idx[:4]
-    rows = _Rows(idx[-1])
-    _system_rows(parts, o, n, radial=True, rows=rows, idx=idx)
-    rows.add({t2s2: 1.0, t1s1: -1.0}, "<=", system_score + band)
-    rows.add({t2s2: 1.0, t1s1: -1.0}, ">=", system_score - band)
+    prog = _system_program(dataset, topology, dmu, radial=True)
+    prog.pin(SYSTEM_GAP, system_score, band)
     if stage == 2:
-        rows.add({t2s1: 1.0, t1s1: -1.0}, "<=", stage1_score + band)
-        rows.add({t2s1: 1.0, t1s1: -1.0}, ">=", stage1_score - band)
-    c = np.zeros(idx[-1])
-    if stage == 1:
-        c[t2s1], c[t1s1] = 1.0, -1.0
-    else:
-        c[t2s2], c[t1s2] = 1.0, -1.0
-    prob = LpProblem("maximize", c, rows.rows)
-    sol = solve_lp(prob)
+        prog.pin(STAGE_GAP[1], stage1_score, band)
+    sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]))
     if sol.status != "optimal":
         raise SolverError(
             f"stage-{stage} evaluation of {dmu!r}: fixing band infeasible "
             "(system/stage scores do not belong to this dataset)"
         )
-    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, parts, n, idx)
+    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, prog)
 
 
 def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str, band: float = FIXING_BAND):

@@ -1,0 +1,86 @@
+"""One builder for every variable-returns-to-scale envelopment program.
+
+The columns are the scale factors, then one intensity vector of ``n``
+weights per process, then one free target level per linked intermediate.
+Each measure of a process contributes one row::
+
+    sum_j l_j v_j  (<= or >=)  factor * v_o      radial
+    sum_j l_j v_j  (<= or >=)  target            free target
+
+and every intensity vector sums to one.  The models differ only in their
+processes, links, objective and pinned rows.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .lp import LpProblem, LpSolution
+
+
+class Program:
+    """Rows over a named column layout, built for the evaluated DMU ``own``."""
+
+    def __init__(self, n: int, own: int, factors: Sequence[str], blocks: Sequence[str],
+                 targets: Sequence[str] = ()):
+        self.n, self.own = n, own
+        self.factor = {f: k for k, f in enumerate(factors)}
+        self.block = {b: len(factors) + k * n for k, b in enumerate(blocks)}
+        start = len(factors) + len(blocks) * n
+        self.target = {t: start + d for d, t in enumerate(targets)}
+        self.width = start + len(targets)
+        self.rows: list = []
+
+    def envelope(self, block: str, data: np.ndarray, rel: str, *, factor: str | None = None,
+                 targets: Sequence[str] = ()) -> None:
+        """One row per column of ``data`` (DMUs by measures) against ``block``'s weights."""
+        A = np.zeros((data.shape[1], self.width))
+        s = self.block[block]
+        A[:, s:s + self.n] += data.T
+        if factor is not None:
+            A[:, self.factor[factor]] += -data[self.own]
+        else:
+            A[np.arange(len(targets)), [self.target[t] for t in targets]] += -1.0
+        self.rows += [(a, rel, 0.0) for a in A]
+
+    def convexity(self) -> None:
+        for s in self.block.values():
+            a = np.zeros(self.width)
+            a[s:s + self.n] += 1.0
+            self.rows.append((a, "=", 1.0))
+
+    def bound(self, coeffs: Mapping[str, float], rel: str, value: float) -> None:
+        a = np.zeros(self.width)
+        for f, v in coeffs.items():
+            a[self.factor[f]] += v
+        self.rows.append((a, rel, value))
+
+    def pin(self, coeffs: Mapping[str, float], value: float, band: float) -> None:
+        """Hold ``coeffs`` within ``band`` of ``value``: an exact equality rarely re-solves."""
+        self.bound(coeffs, "<=", value + band)
+        self.bound(coeffs, ">=", value - band)
+
+    def problem(self, sense: str, objective: Mapping[str, float]) -> LpProblem:
+        c = np.zeros(self.width)
+        for f, v in objective.items():
+            c[self.factor[f]] = v
+        return LpProblem(sense, c, self.rows)
+
+    # -- reading a solution by column name --------------------------------
+
+    def factors(self, sol: LpSolution) -> dict:
+        return {f: float(sol.variable_values[k]) for f, k in self.factor.items()}
+
+    def weights(self, sol: LpSolution) -> dict:
+        return {b: sol.variable_values[s:s + self.n] for b, s in self.block.items()}
+
+    def targets(self, sol: LpSolution) -> dict:
+        return {t: float(sol.variable_values[k]) for t, k in self.target.items()}
+
+    def targets_unique(self, sol: LpSolution) -> bool:
+        """False when a nonbasic target has zero reduced cost (an alternate optimum)."""
+        return not any(
+            not sol.basic[k] and abs(sol.reduced_costs[k]) <= 1e-9 for k in self.target.values()
+        )

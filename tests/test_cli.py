@@ -242,6 +242,17 @@ def test_solver_failure_exit_two(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_singular_final_basis_exit_two(capsys):
+    # u20 of the 60-unit log-spread set (every measure 10^U(0, 8)) reaches a
+    # final basis that cannot be factored when its duals are read back
+    from conftest import FIXTURES
+
+    argv = ["network-mpss", "--data", str(FIXTURES / "log_spread.csv"),
+            "--topology", str(FIXTURES / "log_spread_topology.json"), "--dmu", "u20"]
+    assert run(argv) == 2
+    assert "solver failure:" in capsys.readouterr().err
+
+
 def test_epsilon_flag_repairs_zeros(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("dmu,a\nu1,0\nu2,2\n", encoding="utf-8")
