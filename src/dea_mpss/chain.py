@@ -136,7 +136,8 @@ def chain_efficiency(
     prog.bound({"theta_market": 1.0}, ">=", 1.0)
     objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
                  "theta_market": -weights.w3}
-    sol = _solve(prog.problem("minimize", objective), f"chain efficiency of {dmu!r}")
+    sol = _solve(prog.problem("minimize", objective), f"chain efficiency of {dmu!r}",
+                 prog.own_point())
     factors = prog.factors(sol)
     return ChainEfficiency(
         dmu=str(dmu),
@@ -177,7 +178,8 @@ def chain_mpss(
     prog = _chain_program(dataset, topology, dmu, radial=False)
     objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
                  "theta_rd": -weights.w3}
-    sol = _solve(prog.problem("maximize", objective), f"chain scale size of {dmu!r}")
+    sol = _solve(prog.problem("maximize", objective), f"chain scale size of {dmu!r}",
+                 prog.own_point())
     return ChainMpss(
         dmu=str(dmu),
         score=sol.objective_value,
@@ -309,10 +311,22 @@ def intermediate_targets(
     topology: NetworkTopology,
     dmu: str,
     weights: ChainWeights = ChainWeights(),
+    *,
+    solved: ChainMpss | None = None,
 ) -> TargetReport:
-    """Appropriate intermediate levels from the chain scale-size solve."""
-    result = chain_mpss(dataset, topology, dmu, weights)
+    """Appropriate intermediate levels from the chain scale-size solve.
+
+    ``solved`` is that solve when the caller already has it, for ``dmu``
+    under ``weights``; otherwise the chain program is solved here.
+    """
+    if solved is None:
+        solved = chain_mpss(dataset, topology, dmu, weights)
+    elif solved.dmu != str(dmu) or solved.weights != weights:
+        raise ValidationError(
+            f"solved chain scale size is for {solved.dmu!r} under {solved.weights}, "
+            f"not {str(dmu)!r} under {weights}"
+        )
     order = topology.intermediate_measures()
     current = {m: dataset.value(dmu, m) for m in order}
-    appropriate = {m: result.intermediates[m] for m in order}
+    appropriate = {m: solved.intermediates[m] for m in order}
     return classify_strategy(current, appropriate, dmu=str(dmu))

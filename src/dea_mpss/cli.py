@@ -309,26 +309,14 @@ def _cmd_chain_eff(args) -> None:
 def _cmd_chain_mpss(args) -> None:
     dataset, topology = _load(args)
     weights = ChainWeights(args.w1, args.w2, args.w3)
-    rows = []
+    mids = topology.intermediate_measures()
+    rows, target_rows = [], []
     for dmu in _pick_dmus(dataset, args):
         res = chain_mpss(dataset, topology, dmu, weights)
         rows.append((dmu, res.score, res.theta_operation, res.theta_rd,
                      res.theta_market, "yes" if res.is_mpss() else "no"))
-    table = ReportTable(
-        "chain scale size",
-        ("dmu", "score", "theta_operation", "theta_rd", "theta_market", "mpss"),
-        tuple(rows), (None,) + (MPSS_DECIMALS,) * 4 + (None,), raw=args.raw,
-    )
-    _emit(table, args)
-    if args.targets:
-        mids = topology.intermediate_measures()
-        headers = ["dmu"]
-        for m in mids:
-            headers += [f"{m}_current", f"{m}_appropriate", f"{m}_gap"]
-        headers.append("strategy")
-        target_rows = []
-        for dmu in _pick_dmus(dataset, args):
-            report = intermediate_targets(dataset, topology, dmu, weights)
+        if args.targets:
+            report = intermediate_targets(dataset, topology, dmu, weights, solved=res)
             by_measure = {r.measure: r for r in report.rows}
             row = [dmu]
             for m in mids:
@@ -336,6 +324,17 @@ def _cmd_chain_mpss(args) -> None:
                 row += [r.current, r.appropriate, r.gap]
             row.append(report.strategy)
             target_rows.append(tuple(row))
+    table = ReportTable(
+        "chain scale size",
+        ("dmu", "score", "theta_operation", "theta_rd", "theta_market", "mpss"),
+        tuple(rows), (None,) + (MPSS_DECIMALS,) * 4 + (None,), raw=args.raw,
+    )
+    _emit(table, args)
+    if args.targets:
+        headers = ["dmu"]
+        for m in mids:
+            headers += [f"{m}_current", f"{m}_appropriate", f"{m}_gap"]
+        headers.append("strategy")
         precisions = (None,) + (MPSS_DECIMALS,) * (len(headers) - 2) + (None,)
         sys.stdout.write("\n")
         _emit(ReportTable("intermediate targets", tuple(headers), tuple(target_rows),

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense primal simplex for small linear programs.
 
 Every envelopment model in this package reduces to a program of the form
 
@@ -6,17 +6,31 @@ Every envelopment model in this package reduces to a program of the form
     s.t.     a_k'x  {<=, =, >=}  b_k      k = 1..m
              x >= lower_bounds            (componentwise, default 0)
 
-Problem sizes are tiny (a few dozen variables), so the solver keeps an
-explicit dense tableau.  Phase one minimises the sum of artificial
-variables; equality rows always receive an artificial rather than being
-split into opposing inequalities.  Pivoting uses Dantzig's rule and falls
-back to Bland's rule after a stall, which guarantees termination.
+Problem sizes are small (about a dozen rows, a few hundred variables), so
+the solver keeps an explicit dense tableau.  Phase two optimises from a
+primal feasible basis.  A solve finds that basis in one of three ways:
+
+* crash: the caller passes a feasible vertex (every unpinned model passes
+  the evaluated unit set against itself); its support and the slacks of its
+  loose rows, completed by slacks of tight rows, form the basis;
+* warm: the caller passes the optimum of a program this one extends by
+  appended rows (the pinned stage programs); its final basis plus the new
+  rows' slacks form the basis;
+* cold: phase one minimises the sum of artificial variables; equality rows
+  always receive an artificial rather than being split into opposing
+  inequalities.
+
+Phase one runs when no start is given, when a start's basis cannot be
+factored or is not primal feasible, and when phase two from a start ends
+unbounded or on a basis that is infeasible once refactored from the
+original rows.  Pivoting uses Dantzig's rule and falls back to Bland's rule
+after a stall, which guarantees termination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +48,10 @@ MINIMIZE = "minimize"
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+COLD = "cold"    # both phases
+CRASH = "crash"  # phase two from a basis at a given feasible point
+WARM = "warm"    # phase two from an earlier optimum's basis
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -127,6 +145,8 @@ class LpSolution:
     (one per variable) come from the final basis and satisfy complementary
     slackness when the status is optimal; ``basic`` flags which structural
     variables ended up basic, which callers use to detect alternate optima.
+    ``started`` is ``"cold"`` when the solve ran phase one, ``"crash"`` or
+    ``"warm"`` when it began phase two from the ``start`` it was given.
     """
 
     status: str
@@ -136,11 +156,28 @@ class LpSolution:
     dual_values: np.ndarray
     reduced_costs: np.ndarray
     basic: np.ndarray
+    started: str = COLD
+    # final basis columns, kept rows and row count: what a warm start resumes
+    _basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(problem: LpProblem, options: SimplexOptions = SimplexOptions()) -> LpSolution:
-    """Solve ``problem``, classifying it as optimal, infeasible or unbounded."""
-    return _Simplex(problem, options).run()
+def solve_lp(
+    problem: LpProblem,
+    options: SimplexOptions = SimplexOptions(),
+    start: np.ndarray | LpSolution | None = None,
+) -> LpSolution:
+    """Solve ``problem``, classifying it as optimal, infeasible or unbounded.
+
+    ``start`` skips phase one.  It is either a feasible vertex of ``problem``
+    in its own variables (a crash start), or the optimal solution of a
+    program that ``problem`` extends by appended rows (a warm start from
+    that solution's final basis).  When the start gives no nonsingular,
+    primal feasible basis, or phase two from it ends unbounded or on a
+    basis that is infeasible once refactored from the original rows, the
+    solve runs both phases as without it; ``LpSolution.started`` says which
+    way it went.
+    """
+    return _Simplex(problem, options).run(start)
 
 
 class _Simplex:
@@ -164,20 +201,13 @@ class _Simplex:
         """
         prob, n, m = self.problem, self.n, self.m
         lb = prob.variable_lower_bounds
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        rels = []
-        self.flip = np.ones(m)
-        for i, (a, rel, rhs) in enumerate(prob.constraints):
-            rhs_shifted = rhs - float(a @ lb)
-            if rhs_shifted < 0.0:
-                a = -a
-                rhs_shifted = -rhs_shifted
-                rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-                self.flip[i] = -1.0
-            A[i] = a
-            b[i] = rhs_shifted
-            rels.append(rel)
+        A = np.array([a for a, _, _ in prob.constraints]).reshape(m, n)
+        b = np.array([rhs for _, _, rhs in prob.constraints]) - A @ lb
+        self.flip = np.where(b < 0.0, -1.0, 1.0)
+        A *= self.flip[:, None]
+        b *= self.flip
+        swap = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
+        rels = [swap[rel] if f < 0 else rel for (_, rel, _), f in zip(prob.constraints, self.flip)]
         n_slack = sum(1 for r in rels if r != EQUAL)
         cols = n + n_slack
         S = np.zeros((m, cols))
@@ -203,14 +233,133 @@ class _Simplex:
         self.cc = cc
         self.obj_const = float(prob.objective @ lb)
 
-    def run(self) -> LpSolution:
+    def run(self, start=None) -> LpSolution:
+        if start is not None:
+            if isinstance(start, LpSolution):
+                self.started, begun = WARM, self._warm(start)
+            else:
+                self.started, begun = CRASH, self._crash(np.asarray(start, dtype=float))
+            if begun is not None and self._phase_two(*begun[:3]) == OPTIMAL:
+                _, _, basis, row_keep = begun
+                checked = self._refactored(basis, row_keep)
+                if checked is not None:
+                    rhs, inverse = checked
+                    return self._verdict(OPTIMAL, rhs, basis, row_keep, inverse)
+        self.started = COLD
         basis, row_keep = self._phase_one()
         if basis is None:
             return self._verdict(INFEASIBLE)
-        status, basis = self._phase_two(basis, row_keep)
-        if status == UNBOUNDED:
+        begun = self._tableau(basis, row_keep)
+        if begun is None:
+            raise SolverError("singular basis between phases")
+        T, rhs, basis, row_keep = begun
+        if self._phase_two(T, rhs, basis) == UNBOUNDED:
             return self._verdict(UNBOUNDED)
-        return self._verdict(OPTIMAL, basis=basis, row_keep=row_keep)
+        return self._verdict(OPTIMAL, rhs, basis, row_keep)
+
+    # -- starting bases ------------------------------------------------
+
+    def _tableau(self, basis, row_keep):
+        """``(T, rhs, basis, row_keep)`` of a basis, or None if it cannot be factored."""
+        inverse = self._inverse(basis, row_keep)
+        if inverse is None:
+            return None
+        # one small inverse and a product: numpy's solve with hundreds of
+        # right-hand sides takes about nine times as long on these programs
+        return inverse @ self.S[row_keep], inverse @ self.b[row_keep], basis, row_keep
+
+    def _inverse(self, basis, row_keep):
+        try:
+            return np.linalg.inv(self.S[row_keep][:, basis])
+        except np.linalg.LinAlgError:
+            return None
+
+    def _refactored(self, basis, row_keep):
+        """``(rhs, inverse)`` of a final basis refactored from the original rows.
+
+        The updated tableau carries every pivot's rounding, so a started
+        solve keeps its optimum only through this check: None when the
+        refactored point is negative or breaks a row.
+        """
+        inverse = self._inverse(basis, row_keep)
+        if inverse is None:
+            return None
+        rhs = inverse @ self.b[row_keep]
+        x = np.zeros(self.cols)
+        x[basis] = rhs
+        if rhs.min() < -self.opts.feasibility_tol or self._slacks(x[:self.n]) is None:
+            return None
+        return rhs, inverse
+
+    def _feasible_tableau(self, basis, row_keep):
+        """The tableau of a given basis if it is primal feasible, else None."""
+        begun = self._tableau(basis, row_keep)
+        if begun is None:
+            return None
+        rhs = begun[1]
+        if rhs.size and rhs.min() < -self.opts.feasibility_tol:
+            return None
+        np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
+        return begun
+
+    def _crash(self, x):
+        """A basis at the feasible vertex ``x``, or None when ``x`` is not one.
+
+        The basis holds the support of ``x`` and the slacks of its loose
+        rows, filled up with slacks of tight inequality rows whose removal
+        leaves the support's rows nonsingular.
+        """
+        n, m, tol = self.n, self.m, self.opts.feasibility_tol
+        if x.shape != (n,) or not np.all(np.isfinite(x)):
+            return None
+        xs = x - self.problem.variable_lower_bounds
+        if n and xs.min() < -tol:
+            return None
+        slacks = self._slacks(xs)
+        if slacks is None:
+            return None
+        slack, row_tol = slacks
+        has_slack = self.slack_col_of_row >= 0
+        loose = has_slack & (slack > row_tol)
+        cols = [*np.flatnonzero(xs > tol), *self.slack_col_of_row[loose]]
+        if len(cols) > m:
+            return None
+        kept = _independent_rows(self.S[:, cols], np.flatnonzero(~has_slack | loose),
+                                 np.flatnonzero(has_slack & ~loose), len(cols))
+        if kept is None:
+            return None
+        filled = has_slack & ~loose
+        filled[kept] = False
+        basis = np.sort(np.array([*cols, *self.slack_col_of_row[filled]], dtype=int))
+        return self._feasible_tableau(basis, list(range(m)))
+
+    def _slacks(self, xs):
+        """Slack values and per-row tolerances at the shifted point ``xs``.
+
+        None when ``xs`` breaks a row by more than ``feasibility_tol`` times
+        the row's scale, the size of its terms at ``xs``.
+        """
+        A = self.S[:, :self.n]
+        resid = self.b - A @ xs
+        row_tol = self.opts.feasibility_tol * np.maximum(1.0, np.abs(A) @ np.abs(xs) + self.b)
+        has_slack = self.slack_col_of_row >= 0
+        slack = resid * self.S[np.arange(self.m), self.slack_col_of_row]
+        if np.any(np.where(has_slack, slack < -row_tol, np.abs(resid) > row_tol)):
+            return None
+        return slack, row_tol
+
+    def _warm(self, sol):
+        """The final basis of ``sol`` plus the slacks of the rows appended since."""
+        if sol._basis is None or sol.variable_values.size != self.n:
+            return None
+        basis, row_keep, rows = sol._basis
+        added = self.slack_col_of_row[rows:]
+        if rows > self.m or np.any(added < 0):
+            return None
+        basis = np.array([*basis, *added], dtype=int)
+        if basis.max(initial=-1) >= self.cols:
+            return None
+        return self._feasible_tableau(basis, [*row_keep, *range(rows, self.m)])
 
     # -- phases --------------------------------------------------------
 
@@ -257,21 +406,9 @@ class _Simplex:
         row_keep = [i for i in row_keep if i not in drop]
         return basis[row_keep], row_keep
 
-    def _phase_two(self, basis, row_keep):
-        """Re-derive the tableau from the feasible basis and optimise c'x."""
-        S = self.S[row_keep]
-        b = self.b[row_keep]
-        B = S[:, basis]
-        try:
-            T = np.linalg.solve(B, S)
-            rhs = np.linalg.solve(B, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular basis between phases") from exc
-        status = self._iterate(T, rhs, self.cc, basis)
-        if status == UNBOUNDED:
-            return UNBOUNDED, basis
-        self._final_T, self._final_rhs, self._final_basis = T, rhs, basis
-        return OPTIMAL, basis
+    def _phase_two(self, T, rhs, basis) -> str:
+        """Optimise c'x from a primal feasible tableau; mutates T, rhs and basis."""
+        return self._iterate(T, rhs, self.cc, basis)
 
     def _iterate(self, T, rhs, cost, basis) -> str:
         """Pivot until optimal or unbounded; mutates T, rhs and basis."""
@@ -333,48 +470,70 @@ class _Simplex:
 
     # -- reporting -----------------------------------------------------
 
-    def _verdict(self, status, basis=None, row_keep=None) -> LpSolution:
+    def _verdict(self, status, rhs=None, basis=None, row_keep=None, inverse=None) -> LpSolution:
         prob, n, m = self.problem, self.n, self.m
         nan = float("nan")
-        if status == INFEASIBLE:
-            return LpSolution(
-                status, nan, _readonly(np.full(n, nan)), self.iterations,
-                _readonly(np.zeros(m)), _readonly(np.zeros(n)), _readonly(np.zeros(n, bool)),
-            )
-        if status == UNBOUNDED:
-            val = math.inf if prob.objective_sense == MAXIMIZE else -math.inf
+        if status in (INFEASIBLE, UNBOUNDED):
+            if status == INFEASIBLE:
+                val = nan
+            else:
+                val = math.inf if prob.objective_sense == MAXIMIZE else -math.inf
             return LpSolution(
                 status, val, _readonly(np.full(n, nan)), self.iterations,
                 _readonly(np.zeros(m)), _readonly(np.zeros(n)), _readonly(np.zeros(n, bool)),
+                self.started,
             )
-        rhs, basis = self._final_rhs, self._final_basis
         x_shift = np.zeros(self.cols)
-        for i, col in enumerate(basis):
-            if col < self.cols:
-                x_shift[col] = rhs[i]
+        x_shift[basis] = rhs
         x = x_shift[:n] + prob.variable_lower_bounds
         np.clip(x, prob.variable_lower_bounds, None, out=x)
         objective = float(prob.objective @ x)
-        duals, reduced = self._duals(basis, row_keep)
+        duals, reduced = self._duals(basis, row_keep, inverse)
         basic = np.zeros(n, dtype=bool)
-        basic[[c for c in basis if c < n]] = True
+        basic[basis[basis < n]] = True
         return LpSolution(
             status, objective, _readonly(x), self.iterations,
             _readonly(duals), _readonly(reduced), _readonly(basic),
+            self.started, (tuple(int(c) for c in basis), tuple(row_keep), m),
         )
 
-    def _duals(self, basis, row_keep):
+    def _duals(self, basis, row_keep, inverse=None):
         """Multipliers from the final basis, mapped back to the original rows."""
-        S = self.S[row_keep]
-        B = S[:, basis]
-        try:
-            y_kept = np.linalg.solve(B.T, self.cc[basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular basis at the optimum") from exc
+        if inverse is None:
+            inverse = self._inverse(basis, row_keep)
+            if inverse is None:
+                raise SolverError("singular basis at the optimum")
         y_int = np.zeros(self.m)
-        y_int[row_keep] = y_kept
+        y_int[row_keep] = inverse.T @ self.cc[basis]
         sign = -1.0 if self.problem.objective_sense == MAXIMIZE else 1.0
         duals = sign * self.flip * y_int
-        A_orig = np.array([a for a, _, _ in self.problem.constraints])
-        reduced = self.problem.objective - A_orig.T @ duals if self.m else self.problem.objective.copy()
+        # the stored rows are the original ones negated where ``flip`` is -1
+        reduced = self.problem.objective - self.S[:, :self.n].T @ (self.flip * duals)
         return duals, reduced
+
+
+def _independent_rows(M, fixed, optional, k):
+    """``k`` linearly independent rows of ``M``: every ``fixed`` row, then ``optional`` ones.
+
+    Returns the chosen row indices, or None when the fixed rows are
+    dependent or fewer than ``k`` independent rows exist.  Modified
+    Gram-Schmidt: a row counts as independent when more than 1e-9 of its own
+    norm is left after projecting out the kept rows, so rows of any scale
+    compare alike.
+    """
+    if len(fixed) > k:
+        return None
+    norms = np.linalg.norm(M, axis=1)
+    R = M.copy()  # rows less their projections on the kept rows
+    kept = []
+    for pos, i in enumerate([*fixed, *optional]):
+        if len(kept) == k:
+            break
+        left = math.sqrt(R[i] @ R[i])
+        if left > 1e-9 * norms[i]:
+            u = R[i] / left
+            R -= np.outer(R @ u, u)
+            kept.append(i)
+        elif pos < len(fixed):
+            return None
+    return kept if len(kept) == k else None

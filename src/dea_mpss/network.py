@@ -73,8 +73,8 @@ class MpssResult:
         return abs(self.score) <= eps
 
 
-def _solve(problem: LpProblem, context: str) -> LpSolution:
-    sol = solve_lp(problem)
+def _solve(problem: LpProblem, context: str, start=None) -> LpSolution:
+    sol = solve_lp(problem, start=start)
     if sol.status != "optimal":
         raise SolverError(f"{context}: linear program is {sol.status}")
     return sol
@@ -105,7 +105,7 @@ def blackbox_mpss(
     prog.envelope("system", dataset.matrix(outputs), ">=", factor="outputs")
     prog.convexity()
     problem = prog.problem("maximize", {"outputs": 1.0, "inputs": -1.0})
-    sol = _solve(problem, f"black-box evaluation of {dmu!r}")
+    sol = _solve(problem, f"black-box evaluation of {dmu!r}", prog.own_point())
     return MpssResult(BLACK_BOX, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol))
 
 
@@ -159,7 +159,8 @@ def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str)
     ``optimal_intermediates``; they are generally not unique.
     """
     prog = _system_program(dataset, topology, dmu, radial=False)
-    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}")
+    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}",
+                 prog.own_point())
     return _result_from(sol, SYSTEM_VARIABLE, dmu, prog)
 
 
@@ -170,9 +171,13 @@ def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -
     levels together; the stage-2 input factor scales its intermediate and
     exogenous input levels together.
     """
-    prog = _system_program(dataset, topology, dmu, radial=True)
-    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}")
-    return _result_from(sol, SYSTEM_RADIAL, dmu, prog)
+    return _radial(_system_program(dataset, topology, dmu, radial=True), dmu)[0]
+
+
+def _radial(prog: Program, dmu: str):
+    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}",
+                 prog.own_point())
+    return _result_from(sol, SYSTEM_RADIAL, dmu, prog), sol
 
 
 def stage_mpss(
@@ -200,18 +205,30 @@ def stage_mpss(
     prog.pin(SYSTEM_GAP, system_score, band)
     if stage == 2:
         prog.pin(STAGE_GAP[1], stage1_score, band)
-    sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]))
+    return _pinned_stage(prog, dmu, stage)[0]
+
+
+def _pinned_stage(prog: Program, dmu: str, stage: int, start: LpSolution | None = None):
+    """Solve the stage's gap over ``prog``, the radial system rows plus their pins."""
+    sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]), start=start)
     if sol.status != "optimal":
         raise SolverError(
             f"stage-{stage} evaluation of {dmu!r}: fixing band infeasible "
             "(system/stage scores do not belong to this dataset)"
         )
-    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, prog)
+    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, prog), sol
 
 
 def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str, band: float = FIXING_BAND):
-    """Radial system solve followed by the two pinned stage solves."""
-    system = network_mpss_radial(dataset, topology, dmu)
-    first = stage_mpss(dataset, topology, dmu, system.score, 1, band=band)
-    second = stage_mpss(dataset, topology, dmu, system.score, 2, first.score, band=band)
+    """Radial system solve followed by the two pinned stage solves.
+
+    Each pinned program appends two rows to the one solved before it, whose
+    optimum satisfies them, so each stage solve starts from that optimum's basis.
+    """
+    prog = _system_program(dataset, topology, dmu, radial=True)
+    system, sol = _radial(prog, dmu)
+    prog.pin(SYSTEM_GAP, system.score, band)
+    first, sol = _pinned_stage(prog, dmu, 1, sol)
+    prog.pin(STAGE_GAP[1], first.score, band)
+    second, _ = _pinned_stage(prog, dmu, 2, sol)
     return system, first, second

@@ -8,7 +8,9 @@ Each measure of a process contributes one row::
     sum_j l_j v_j  (<= or >=)  target            free target
 
 and every intensity vector sums to one.  The models differ only in their
-processes, links, objective and pinned rows.
+processes, links, objective and pinned rows.  The evaluated DMU set against
+itself (every factor 1, all weight on itself, every target at its own level)
+satisfies every row but the pinned ones, so it starts the solve.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class Program:
         self.target = {t: start + d for d, t in enumerate(targets)}
         self.width = start + len(targets)
         self.rows: list = []
+        self.own_level: dict = {}  # target -> the evaluated DMU's level of it
 
     def envelope(self, block: str, data: np.ndarray, rel: str, *, factor: str | None = None,
                  targets: Sequence[str] = ()) -> None:
@@ -43,6 +46,7 @@ class Program:
             A[:, self.factor[factor]] += -data[self.own]
         else:
             A[np.arange(len(targets)), [self.target[t] for t in targets]] += -1.0
+            self.own_level.update(zip(targets, data[self.own]))
         self.rows += [(a, rel, 0.0) for a in A]
 
     def convexity(self) -> None:
@@ -67,6 +71,15 @@ class Program:
         for f, v in objective.items():
             c[self.factor[f]] = v
         return LpProblem(sense, c, self.rows)
+
+    def own_point(self) -> np.ndarray:
+        """The evaluated DMU against itself: a feasible vertex of the unpinned rows."""
+        x = np.zeros(self.width)
+        x[list(self.factor.values())] = 1.0
+        x[[s + self.own for s in self.block.values()]] = 1.0
+        for t, k in self.target.items():
+            x[k] = self.own_level[t]
+        return x
 
     # -- reading a solution by column name --------------------------------
 

@@ -203,6 +203,17 @@ def test_intermediate_targets_compose_chain_mpss():
             assert row.gap == pytest.approx(row.appropriate - row.current)
 
 
+def test_intermediate_targets_read_a_given_solve():
+    ds, topo = named_chain()
+    dmu, other = ds.dmu_ids[:2]
+    solved = chain_mpss(ds, topo, dmu)
+    assert intermediate_targets(ds, topo, dmu, solved=solved) == intermediate_targets(ds, topo, dmu)
+    with pytest.raises(ValidationError, match="solved chain scale size"):
+        intermediate_targets(ds, topo, other, solved=solved)
+    with pytest.raises(ValidationError, match="solved chain scale size"):
+        intermediate_targets(ds, topo, dmu, ChainWeights(1.0, 0.5, 0.5), solved=solved)
+
+
 def test_single_dmu_targets_maintain():
     topo = chain_topology()
     ds = dataset_for(topo, [[2, 3, 4, 5, 6]])

@@ -242,15 +242,26 @@ def test_solver_failure_exit_two(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_singular_final_basis_exit_two(capsys):
-    # u20 of the 60-unit log-spread set (every measure 10^U(0, 8)) reaches a
-    # final basis that cannot be factored when its duals are read back
+# scores of the 60-unit log-spread set (every measure 10^U(0, 8)) that HiGHS
+# certifies after dividing each measure by the unit's own level
+LOG_SPREAD_CERTIFIED = {
+    "u20": 1984.6270119803735,
+    "u35": 762336.9976773832,
+    "u49": 205334.25127940453,
+    "u59": 1.176217874919655,
+}
+
+
+@pytest.mark.parametrize("dmu", sorted(LOG_SPREAD_CERTIFIED))
+def test_log_spread_units_match_certified_scores(dmu, capsys):
     from conftest import FIXTURES
 
     argv = ["network-mpss", "--data", str(FIXTURES / "log_spread.csv"),
-            "--topology", str(FIXTURES / "log_spread_topology.json"), "--dmu", "u20"]
-    assert run(argv) == 2
-    assert "solver failure:" in capsys.readouterr().err
+            "--topology", str(FIXTURES / "log_spread_topology.json"), "--dmu", dmu,
+            "--format", "csv", "--raw"]
+    assert run(argv) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert float(row["score"]) == pytest.approx(LOG_SPREAD_CERTIFIED[dmu], rel=1e-6)
 
 
 def test_epsilon_flag_repairs_zeros(tmp_path, capsys):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dea_mpss.errors import ValidationError
+from dea_mpss import lp
+from dea_mpss.errors import SolverError, ValidationError
 from dea_mpss.lp import LpProblem, SimplexOptions, solve_lp
 from gen import random_lp
-from lp_enum import enumerate_solve
+from lp_enum import _as_rows, _vertices, enumerate_solve
 
 
 def test_box_constraints():
@@ -116,18 +117,67 @@ def _assert_primal_feasible(prob, sol, tol=1e-7):
             assert v == pytest.approx(rhs, abs=tol * scale)
 
 
+def _feasible_vertices(prob):
+    rows = _as_rows(prob.constraints, prob.n_variables, prob.variable_lower_bounds)
+    return np.vstack(list(_vertices(*rows)))
+
+
+def _with_row(prob, row):
+    return LpProblem(prob.objective_sense, prob.objective, [*prob.constraints, row],
+                     prob.variable_lower_bounds)
+
+
 def test_small_random_suite_matches_enumeration():
     rng = np.random.default_rng(101)
     for _ in range(60):
         prob = random_lp(rng)
         got = solve_lp(prob)
-        want_status, want_val, _ = enumerate_solve(
+        want_status, want_val, want_x = enumerate_solve(
             prob.objective_sense, prob.objective, prob.constraints, prob.variable_lower_bounds
         )
         assert got.status == want_status
-        if want_status == "optimal":
-            assert got.objective_value == pytest.approx(want_val, abs=1e-6)
-            _assert_primal_feasible(prob, got)
+        assert got.started == "cold"
+        if want_status != "optimal":
+            continue
+        assert got.objective_value == pytest.approx(want_val, abs=1e-6)
+        _assert_primal_feasible(prob, got)
+        # a crash from the optimal vertex
+        crash = solve_lp(prob, start=want_x)
+        assert crash.started == "crash"
+        # a warm start after a row the optimum satisfies, loose or tight
+        a = rng.integers(-5, 6, size=prob.n_variables).astype(float)
+        rel = rng.choice(["<=", ">="])
+        rhs = float(a @ got.variable_values) + (1.0 if rel == "<=" else -1.0) * rng.integers(2)
+        extended = _with_row(prob, (a, rel, rhs))
+        warm = solve_lp(extended, start=got)
+        assert warm.started == "warm"
+        # an infeasible point and the centroid of every vertex, which is a
+        # vertex only when the feasible set has one, must run phase one
+        outside = want_x - 1.0
+        centroid = _feasible_vertices(prob).mean(axis=0)
+        fall_backs = [solve_lp(prob, start=outside)]
+        if len(np.unique(_feasible_vertices(prob).round(9), axis=0)) > 1:
+            fall_backs.append(solve_lp(prob, start=centroid))
+        assert [s.started for s in fall_backs] == ["cold"] * len(fall_backs)
+        for sol, p in [(crash, prob), (warm, extended), *((s, prob) for s in fall_backs)]:
+            assert sol.status == "optimal"
+            assert sol.objective_value == pytest.approx(want_val, abs=1e-6)
+            _assert_primal_feasible(p, sol)
+
+
+def test_singular_basis_at_optimum_raises_solver_error(monkeypatch):
+    """A final basis that cannot be factored is a solver failure, not a LinAlgError."""
+    duals = lp._Simplex._duals
+
+    def repeated_column(self, basis, row_keep, inverse=None):
+        # a basis with one column twice; its factorisation must fail
+        return duals(self, np.r_[basis[:1], basis[:-1]], row_keep)
+
+    monkeypatch.setattr(lp._Simplex, "_duals", repeated_column)
+    prob = LpProblem("maximize", [1.0, 1.0],
+                     [([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)])
+    with pytest.raises(SolverError, match="singular basis at the optimum"):
+        solve_lp(prob)
 
 
 def test_concurrent_solves_are_safe():

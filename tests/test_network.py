@@ -197,3 +197,40 @@ def test_blackbox_needs_inputs_and_outputs():
     ds = Dataset(["A"], {"x": [1.0]})
     with pytest.raises(ValidationError, match="input"):
         blackbox_mpss(ds, "A", inputs=["x"], outputs=[])
+
+
+def test_model_solves_skip_phase_one(monkeypatch):
+    """Every model solve given a start reports it, so a silent fall-back to phase one fails here.
+
+    ``profitability_mpss`` and a standalone ``stage_mpss`` are left out: they
+    take no start and always run both phases.
+    """
+    from dea_mpss import chain, network
+    from dea_mpss.chain import ChainWeights, chain_efficiency, chain_mpss, intermediate_targets
+    from test_acceptance import insurance_views
+
+    started = []
+    for module in (network, chain):
+        def recording(problem, *args, solve=module.solve_lp, **kwargs):
+            sol = solve(problem, *args, **kwargs)
+            started.append(sol.started)
+            return sol
+
+        monkeypatch.setattr(module, "solve_lp", recording)
+    insurers, two_stage = insurance_views()
+    for dmu in insurers.dmu_ids:
+        blackbox_mpss(insurers, dmu, topology=two_stage)
+        network_mpss_variable(insurers, two_stage, dmu)
+        network_mpss_radial(insurers, two_stage, dmu)
+        evaluate_stages(insurers, two_stage, dmu)
+    topo = chain_topology(m=2, p=1, k=2, e=1, s=1)
+    ds = random_dataset(np.random.default_rng(2024), topo, 40)
+    for dmu in ds.dmu_ids:
+        blackbox_mpss(ds, dmu, topology=topo)
+        for weights in (ChainWeights(), ChainWeights(1.0, 1.0, 0.0)):
+            chain_efficiency(ds, topo, dmu, weights)
+            solved = chain_mpss(ds, topo, dmu, weights)
+            intermediate_targets(ds, topo, dmu, weights, solved=solved)
+    assert len(started) == 24 * 6 + 40 * 5
+    assert "cold" not in started
+    assert started.count("warm") == 24 * 2
