@@ -7,6 +7,14 @@ deterministic: rows follow dataset order and scores are printed rounded
 (4 decimals for scale-size scores, 3 for efficiencies) while all
 computation happens at full precision; ``--raw`` switches printing to full
 precision.
+
+A call builds the subparser of the command it names and no other.  Each
+``add_argument`` sets up a help formatter, so building all eight
+subparsers took longer than a single-DMU solve, while parsing with one
+takes a twentieth of that.  The full parser is built only when the call
+needs it: no arguments, an unknown command, top-level ``--help``, or an
+option before the command.  Help, usage and error text are the same
+either way.
 """
 
 from __future__ import annotations
@@ -61,7 +69,9 @@ def _cell(value, precision, raw) -> str:
     v = float(value)
     if raw:
         return repr(v)
-    text = f"{v:.{precision}f}"
+    # at 12 significant digits first, so a value one ulp either side of a
+    # decimal tie prints the same cell
+    text = f"{float(f'{v:.12g}'):.{precision}f}"
     if float(text) == 0.0:  # avoid a stray "-0.0000"
         text = text.replace("-", "", 1)
     return text
@@ -98,33 +108,28 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="dea-mpss", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
+def _add_model_args(p, *, data=True, topo=True) -> None:
+    if data:
+        p.add_argument("--data", required=True, help="CSV file: dmu column then measures")
+    if topo:
+        p.add_argument("--topology", required=True, help="JSON process/link structure")
+    p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
+    p.add_argument("--raw", action="store_true", help="print full precision")
+    if data:
+        p.add_argument("--min-epsilon", type=float, default=None,
+                       help="replace nonpositive cells by this value")
+        p.add_argument("--dmu", default=None, help="evaluate a single DMU")
 
-    def add(name, help_text, *, data=True, topo=True):
-        p = sub.add_parser(name, help=help_text)
-        if data:
-            p.add_argument("--data", required=True, help="CSV file: dmu column then measures")
-        if topo:
-            p.add_argument("--topology", required=True, help="JSON process/link structure")
-        p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
-        p.add_argument("--raw", action="store_true", help="print full precision")
-        if data:
-            p.add_argument("--min-epsilon", type=float, default=None,
-                           help="replace nonpositive cells by this value")
-            p.add_argument("--dmu", default=None, help="evaluate a single DMU")
-        return p
 
-    add("validate", "check a data/topology pair and report its shape")
-    add("summary", "descriptive statistics per measure", topo=False)
-    add("blackbox-mpss", "scale-size scores ignoring internal structure")
-    p = add("network-mpss", "two-stage system scale-size scores")
+def _add_network_args(p) -> None:
+    _add_model_args(p)
     p.add_argument("--intermediates", choices=("variable", "radial"), default="variable")
     p.add_argument("--stages", action="store_true",
                    help="also pin the radial system score and split it by stage")
-    p = add("decompose", "split process scores into stage and tandem scores",
-            data=False, topo=False)
+
+
+def _add_decompose_args(p) -> None:
+    _add_model_args(p, data=False, topo=False)
     p.add_argument("--scores", default=None,
                    help="CSV with process1,process2 columns (else use --data/--topology)")
     p.add_argument("--data", default=None)
@@ -133,25 +138,51 @@ def _build_parser() -> _Parser:
     p.add_argument("--dmu", default=None)
     p.add_argument("--omega1", type=float, default=0.5, help="stage-1 real-process weight")
     p.add_argument("--omega2", type=float, default=0.5, help="stage-2 real-process weight")
-    p = add("chain-eff", "value-chain efficiencies (one solve per DMU)")
-    _add_chain_weights(p)
-    p = add("chain-mpss", "value-chain scale-size scores")
-    _add_chain_weights(p)
+
+
+def _add_chain_args(p) -> None:
+    _add_model_args(p)
+    p.add_argument("--w1", type=float, default=1.0)
+    p.add_argument("--w2", type=float, default=1.0)
+    p.add_argument("--w3", type=float, default=1.0)
+
+
+def _add_chain_mpss_args(p) -> None:
+    _add_chain_args(p)
     p.add_argument("--targets", action="store_true",
                    help="also report appropriate intermediate levels and strategies")
-    p = sub.add_parser("kruskal-wallis", help="rank consistency across score files")
+
+
+def _add_kruskal_args(p) -> None:
     p.add_argument("--groups", required=True,
                    help="comma-separated CSV files, one group of values each")
     p.add_argument("--no-tie-correction", action="store_true")
     p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p.add_argument("--raw", action="store_true")
+
+
+# subcommand -> (help line, function adding its arguments), in help order
+_SUBPARSERS = {
+    "validate": ("check a data/topology pair and report its shape", _add_model_args),
+    "summary": ("descriptive statistics per measure",
+                lambda p: _add_model_args(p, topo=False)),
+    "blackbox-mpss": ("scale-size scores ignoring internal structure", _add_model_args),
+    "network-mpss": ("two-stage system scale-size scores", _add_network_args),
+    "decompose": ("split process scores into stage and tandem scores", _add_decompose_args),
+    "chain-eff": ("value-chain efficiencies (one solve per DMU)", _add_chain_args),
+    "chain-mpss": ("value-chain scale-size scores", _add_chain_mpss_args),
+    "kruskal-wallis": ("rank consistency across score files", _add_kruskal_args),
+}
+
+
+def _build_parser(names) -> _Parser:
+    """The ``dea-mpss`` parser with the subparsers of ``names`` only."""
+    parser = _Parser(prog="dea-mpss", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (help_text, add_args) in _SUBPARSERS.items():
+        if name in names:
+            add_args(sub.add_parser(name, help=help_text))
     return parser
-
-
-def _add_chain_weights(p) -> None:
-    p.add_argument("--w1", type=float, default=1.0)
-    p.add_argument("--w2", type=float, default=1.0)
-    p.add_argument("--w3", type=float, default=1.0)
 
 
 def _load(args):
@@ -185,9 +216,16 @@ def _cmd_validate(args) -> None:
     _emit(ReportTable("validation", ("check", "value"), rows, (None, None)), args)
 
 
+def _read_text(path, what) -> str:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file: {exc}") from None
+
+
 def _cmd_summary(args) -> None:
-    with open(args.data, encoding="utf-8", newline="") as fh:
-        dataset = parse_data_csv(fh.read(), min_epsilon=args.min_epsilon)
+    dataset = parse_data_csv(_read_text(args.data, "data"), min_epsilon=args.min_epsilon)
     stats = summarize(dataset)
     rows = tuple(
         (r.name, r.mean, r.sd, r.minimum, r.maximum) for r in stats.per_measure
@@ -247,17 +285,16 @@ def _cmd_network(args) -> None:
 
 
 def _read_score_rows(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"process1", "process2"} <= set(reader.fieldnames):
-            raise ValidationError("scores CSV needs process1 and process2 columns")
-        label_col = "dmu" if "dmu" in reader.fieldnames else None
-        for k, row in enumerate(reader, start=1):
-            label = row[label_col] if label_col else str(k)
-            try:
-                yield label, float(row["process1"]), float(row["process2"])
-            except ValueError:
-                raise ValidationError(f"scores row {k}: non-numeric process score") from None
+    reader = csv.DictReader(io.StringIO(_read_text(path, "scores"), newline=""))
+    if reader.fieldnames is None or not {"process1", "process2"} <= set(reader.fieldnames):
+        raise ValidationError("scores CSV needs process1 and process2 columns")
+    label_col = "dmu" if "dmu" in reader.fieldnames else None
+    for k, row in enumerate(reader, start=1):
+        label = row[label_col] if label_col else str(k)
+        try:
+            yield label, float(row["process1"]), float(row["process2"])
+        except ValueError:
+            raise ValidationError(f"scores row {k}: non-numeric process score") from None
 
 
 def _cmd_decompose(args) -> None:
@@ -343,19 +380,15 @@ def _cmd_chain_mpss(args) -> None:
 
 def _read_group(path):
     values = []
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                for cell in row:
-                    cell = cell.strip()
-                    if not cell:
-                        continue
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        continue  # header or label cell
-    except OSError as exc:
-        raise ValidationError(f"cannot read group file: {exc}") from None
+    for row in csv.reader(io.StringIO(_read_text(path, "group"), newline="")):
+        for cell in row:
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                continue  # header or label cell
     if not values:
         raise ValidationError(f"no numeric values in group file {path}")
     return values
@@ -389,7 +422,8 @@ _COMMANDS = {
 
 def run(argv) -> int:
     """Parse and execute; returns the process exit status."""
-    parser = _build_parser()
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser((named,) if named else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from conftest import chain_topology, two_stage_topology
-from dea_mpss.cli import ReportTable, render, run
+from dea_mpss.cli import _COMMANDS, ReportTable, render, run
 from dea_mpss.data import topology_to_json
 from dea_mpss.errors import SolverError, ValidationError
 
@@ -45,6 +46,13 @@ def chain_files(tmp_path):
 def test_render_one_by_one_csv():
     table = ReportTable("t", ("v",), ((1.23456,),), (2,))
     assert render(table, "csv") == "v\n1.23\n"
+
+
+def test_render_decimal_tie_ignores_last_ulp():
+    # 266.22195 computed one ulp either side of the decimal tie
+    table = ReportTable("t", ("v",), ((266.2219500000002,), (266.22194999999994,)), (4,))
+    header, above, below = render(table, "csv").splitlines()
+    assert above == below
 
 
 def test_render_empty_rows_header_only():
@@ -282,3 +290,65 @@ def test_console_entry_point(two_stage_files):
     )
     assert proc.returncode == 0
     assert "measure" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["summary", "--data", "nope.csv"], "data"),
+    (["decompose", "--scores", "nope.csv"], "scores"),
+])
+def test_missing_input_file_exit_one(argv, what, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
+
+
+# -- one subparser per call ---------------------------------------------------
+
+
+def _outcome(argv, capsys):
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = ("exit", exc.code)
+    out = capsys.readouterr()
+    return status, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([name, "-h"] for name in _COMMANDS),
+    [],
+    ["frobnicate"],
+    ["network-mpss"],
+    ["summary", "--data"],
+    ["--raw", "summary"],
+    ["network-mpss", "--data", "{data}", "--topology", "{topo}", "--bogus"],
+    ["validate", "--data", "{data}", "--topology", "{topo}", "--format", "xml"],
+    ["chain-eff", "--data", "{data}", "--topology", "{topo}", "--w1", "abc"],
+    ["kruskal-wallis"],
+], ids=" ".join)
+def test_parser_parity_with_every_subcommand_built(argv, two_stage_files, monkeypatch,
+                                                   capsys):
+    from dea_mpss import cli
+
+    data, topo = two_stage_files
+    argv = [a.format(data=data, topo=topo) for a in argv]
+    own = _outcome(argv, capsys)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli._COMMANDS))
+    assert own == _outcome(argv, capsys)
+
+
+def test_dmu_call_builds_one_subparser(two_stage_files, monkeypatch, capsys):
+    data, topo = two_stage_files
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(["network-mpss", "--data", data, "--topology", topo, "--dmu", "a"]) == 0
+    assert built == ["network-mpss"]
