@@ -31,7 +31,7 @@ from .chain import (
     chain_mpss,
     intermediate_targets,
 )
-from .data import load_dataset, parse_data_csv, summarize
+from .data import load_dataset, parse_data_csv, read_text, summarize
 from .errors import DeaMpssError, SolverError, ValidationError
 from .network import blackbox_mpss, evaluate_stages, network_mpss_radial, network_mpss_variable
 from .rank_tests import kruskal_wallis
@@ -216,16 +216,8 @@ def _cmd_validate(args) -> None:
     _emit(ReportTable("validation", ("check", "value"), rows, (None, None)), args)
 
 
-def _read_text(path, what) -> str:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file: {exc}") from None
-
-
 def _cmd_summary(args) -> None:
-    dataset = parse_data_csv(_read_text(args.data, "data"), min_epsilon=args.min_epsilon)
+    dataset = parse_data_csv(read_text(args.data, "data"), min_epsilon=args.min_epsilon)
     stats = summarize(dataset)
     rows = tuple(
         (r.name, r.mean, r.sd, r.minimum, r.maximum) for r in stats.per_measure
@@ -285,7 +277,7 @@ def _cmd_network(args) -> None:
 
 
 def _read_score_rows(path):
-    reader = csv.DictReader(io.StringIO(_read_text(path, "scores"), newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path, "scores"), newline=""))
     if reader.fieldnames is None or not {"process1", "process2"} <= set(reader.fieldnames):
         raise ValidationError("scores CSV needs process1 and process2 columns")
     label_col = "dmu" if "dmu" in reader.fieldnames else None
@@ -380,7 +372,7 @@ def _cmd_chain_mpss(args) -> None:
 
 def _read_group(path):
     values = []
-    for row in csv.reader(io.StringIO(_read_text(path, "group"), newline="")):
+    for row in csv.reader(io.StringIO(read_text(path, "group"), newline="")):
         for cell in row:
             cell = cell.strip()
             if not cell:

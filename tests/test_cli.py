@@ -303,6 +303,23 @@ def test_missing_input_file_exit_one(argv, what, tmp_path, monkeypatch, capsys):
     assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["summary", "--data", "bad"], "data"),
+    (["validate", "--data", "d.csv", "--topology", "bad"], "topology"),
+    (["decompose", "--scores", "bad"], "scores"),
+    (["kruskal-wallis", "--groups", "bad,g.csv"], "group"),
+])
+def test_non_utf8_input_file_exit_one(argv, what, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(b"\xff\xfedmu,a\n")
+    (tmp_path / "d.csv").write_text(TRIO_CSV, encoding="utf-8")
+    (tmp_path / "g.csv").write_text("v\n1\n2\n", encoding="utf-8")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
+    assert "codec can't decode" in err
+
+
 # -- one subparser per call ---------------------------------------------------
 
 

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +213,183 @@ def test_dataset_helpers():
         ds.index_of("nope")
     with pytest.raises(ValidationError, match="unknown measure"):
         ds.column("nope")
+
+
+# -- the column-wise loader against the row-major one it replaced -------------
+
+
+def _reference_dataset(dmu_ids, measures):
+    """The checks of the per-column ``Dataset`` the matrix replaced, in their order."""
+    ids = tuple(str(d) for d in dmu_ids)
+    if not ids:
+        raise ValidationError("dataset needs at least one DMU")
+    if len(set(ids)) != len(ids):
+        dupes = sorted({d for d in ids if ids.count(d) > 1})
+        raise ValidationError(f"duplicate DMU ids: {', '.join(dupes)}")
+    cols = {}
+    for name, vec in measures.items():
+        v = np.asarray(vec, dtype=float)
+        if v.shape != (len(ids),):
+            raise ValidationError(
+                f"measure {name!r} has {v.size} values for {len(ids)} DMUs"
+            )
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"measure {name!r} contains non-finite values")
+        if np.any(v <= 0.0):
+            i = int(np.argmax(v <= 0.0))
+            raise ValidationError(
+                f"measure {name!r} has nonpositive value {v[i]} for DMU {ids[i]!r}"
+                " (use epsilon substitution to repair zeros)"
+            )
+        cols[str(name)] = v
+    if not cols:
+        raise ValidationError("dataset needs at least one measure")
+    return ids, cols
+
+
+def _reference_parse(text, *, min_epsilon=None):
+    """The row-major parser the column-wise one replaced: one Python step per cell."""
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    if not rows:
+        raise ValidationError("empty data file")
+    header = [h.strip() for h in rows[0]]
+    if not header or header[0] != "dmu":
+        raise ValidationError('data header must start with a "dmu" column')
+    names = header[1:]
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate measure columns in data header")
+    ids, columns = [], {n: [] for n in names}
+    replaced = 0
+    for rix, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"row {rix}: expected {len(header)} cells, got {len(row)}")
+        ids.append(row[0].strip())
+        for name, cell in zip(names, row[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"row {rix}, column {name!r}: non-numeric cell {cell.strip()!r}"
+                ) from None
+            if v <= 0.0 and min_epsilon is not None:
+                v = float(min_epsilon)
+                replaced += 1
+            columns[name].append(v)
+    if replaced:
+        warnings.warn(
+            f"replaced {replaced} nonpositive value(s) with epsilon {min_epsilon}",
+            DataWarning,
+            stacklevel=2,
+        )
+    return _reference_dataset(ids, columns)
+
+
+def _outcome(parse, *args, **kwargs):
+    """What a call yields: ids and values, or the error; plus the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(*args, **kwargs)
+        except Exception as exc:  # the exception type is part of the outcome
+            result = (type(exc), str(exc))
+        else:
+            if isinstance(result, Dataset):
+                result = result.dmu_ids, result.measures
+            ids, cols = result
+            result = ids, {name: v.tolist() for name, v in cols.items()}
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_cells = st.sampled_from([
+    "1", "2.5", " 3 ", "1_000", "4e2", "0", "-0", "-1.5", "nan", "inf", "-inf",
+    "x", "", " ", "0x10", "1,5",
+])
+_ids = st.sampled_from(["u1", "u2", "u3", " u4 ", "a,b", "", " "])
+
+
+@st.composite
+def _data_files(draw):
+    """CSV text with the faults and oddities a hand-made data file can hold."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", " d "]), max_size=3))
+    header = ["dmu"] + names if draw(st.integers(0, 9)) else ["unit"] + names
+    rows = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["data", "data", "data", "blank", "spaces", "commas"]))
+        if kind == "blank":
+            rows.append([])
+        elif kind == "spaces":
+            rows.append(["  "])
+        elif kind == "commas":
+            rows.append([" "] * draw(st.integers(2, 4)))
+        else:
+            width = len(names) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+            rows.append([draw(_ids)] + [draw(_cells) for _ in range(max(width, 0))])
+    if draw(st.booleans()):
+        rows.insert(0, [" ", " "])
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_data_files(), st.sampled_from([None, 0.001, 0.5, -1.0]))
+def test_parse_matches_row_major_reference(text, min_epsilon):
+    assert (_outcome(parse_data_csv, text, min_epsilon=min_epsilon)
+            == _outcome(_reference_parse, text, min_epsilon=min_epsilon))
+
+
+_vectors = st.lists(st.sampled_from([1.0, 2.5, 0.0, -1.0, math.nan, math.inf]),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["u1", "u2", "u3"]), max_size=3),
+       st.dictionaries(st.sampled_from(["a", "b", "c"]), _vectors, max_size=3))
+def test_dataset_checks_match_reference(ids, measures):
+    assert _outcome(Dataset, ids, measures) == _outcome(_reference_dataset, ids, measures)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a column-wise reader would meet column 'a' of row 3 first
+    ("dmu,a,b\nu1,1,x\nu2,y,2\n", r"^row 2, column 'b': non-numeric cell 'x'$"),
+    # a cell fault comes before a later short row
+    ("dmu,a,b\nu1,1,x\nu2,3\n", r"^row 2, column 'b'"),
+    # a short row comes before a later cell fault
+    ("dmu,a,b\nu1,1\nu2,x,2\n", r"^row 2: expected 3 cells, got 2$"),
+    # blank rows are not counted
+    ("dmu,a\n , \n\nu1,1\nu2,x\n", r"^row 3, column 'a'"),
+    # without measure columns, whitespace-only rows are no DMUs
+    ("dmu\n \n  \n", r"^dataset needs at least one DMU$"),
+])
+def test_first_fault_in_row_order(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_data_csv(text)
+
+
+def test_blank_rows_between_units_are_skipped():
+    ds = parse_data_csv("dmu,a,b\nu1,1,2\n , \nu2,3,4\n")
+    assert ds.dmu_ids == ("u1", "u2")
+    assert ds.matrix(["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("measures, message", [
+    ({"a": [1, math.nan], "b": [-1, 2]}, r"measure 'a' contains non-finite"),
+    ({"a": [1, -2], "b": [math.nan, 2]}, r"measure 'a' has nonpositive value -2.0 for DMU 'u2'"),
+    ({"a": [-1, 2], "b": [1]}, r"measure 'a' has nonpositive"),
+    ({"a": [1, 2], "b": [1], "c": [math.nan, 1]}, r"measure 'b' has 1 values for 2 DMUs"),
+])
+def test_dataset_names_first_faulty_measure(measures, message):
+    with pytest.raises(ValidationError, match=message):
+        Dataset(["u1", "u2"], measures)
+
+
+def test_dataset_matrix_contract():
+    ds = Dataset(["u1", "u2", "u3"], {"a": [1, 2, 3], "b": [4, 5, 6], "c": [7, 8, 9]})
+    with pytest.raises(ValueError):
+        ds.measures["a"][0] = 9.0
+    assert ds.matrix(["c", "a"]).tolist() == [[7.0, 1.0], [8.0, 2.0], [9.0, 3.0]]
+    assert ds.matrix(["b"]).shape == (3, 1)
+    assert ds.matrix([]).shape == (3, 0)
+    with pytest.raises(ValidationError, match=r"^unknown measure 'zz'$"):
+        ds.matrix(["a", "zz"])
