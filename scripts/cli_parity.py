@@ -1,0 +1,155 @@
+"""Fingerprint a fixed list of ``dea-mpss`` invocations, to compare two checkouts.
+
+Each invocation runs in-process through ``dea_mpss.cli.run`` and gives one
+JSON line: its argv, its exit status, and the sha256 of its stdout and of
+its stderr.  A fault that escapes ``run`` is recorded as the exception's
+name, with ``Name: message`` as its stderr.  Paths in argv are written as
+``{inputs}``, ``{fixtures}`` and ``{tmp}``, so two runs compare line by
+line.  The list covers:
+
+* every subcommand on the 24-insurer fixture, in the default format and
+  with ``--format csv --raw``, plus a radial ``--stages --dmu`` call per unit;
+* the seed's ``pinned-stages-300`` and ``chain-300`` sweeps, in both formats,
+  and a ``--dmu`` call per unit of their first sweep;
+* a ``--dmu`` call per log-spread unit, with variable and with radial
+  ``--stages`` intermediates;
+* ``summary --min-epsilon`` on a file with nonpositive cells, and a data,
+  scores and group file each holding a cell longer than the csv module's
+  field limit.
+
+The package comes from ``PYTHONPATH``.  From the repository root::
+
+    python3 perfbench/inputs.py --seed 1
+    PYTHONPATH=<parent checkout>/src python3 scripts/cli_parity.py > parent.jsonl
+    PYTHONPATH=src python3 scripts/cli_parity.py > change.jsonl
+    diff parent.jsonl change.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from dea_mpss.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+CSV = ["--format", "csv", "--raw"]
+FORMATS = ([], CSV)
+
+
+def unit_ids(path: Path) -> list:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row["dmu"] for row in csv.DictReader(fh)]
+
+
+def pair(d: Path, data="data.csv", topology="topology.json") -> list:
+    return ["--data", str(d / data), "--topology", str(d / topology)]
+
+
+def invocations(inputs: Path, tmp: Path) -> list:
+    small = inputs / "small-cli"
+    insurers = ["--data", str(FIXTURES / "insurers_24.csv"),
+                "--topology", str(small / "insurers_topology.json")]
+    calls = []
+    for fmt in FORMATS:
+        calls += [
+            ["validate", *insurers, *fmt],
+            ["summary", "--data", str(FIXTURES / "insurers_24.csv"), *fmt],
+            ["blackbox-mpss", *insurers, *fmt],
+            *(["network-mpss", *insurers, "--intermediates", kind, *stages, *fmt]
+              for kind in ("variable", "radial") for stages in ([], ["--stages"])),
+            ["decompose", "--scores", str(FIXTURES / "insurance_mpss_reference.csv"), *fmt],
+            ["decompose", *insurers, *fmt],
+            ["chain-eff", *insurers, *fmt],
+            ["chain-mpss", *insurers, *fmt],
+            ["kruskal-wallis", "--groups",
+             f"{small / 'kw_2014.csv'},{small / 'kw_2015.csv'}", *fmt],
+        ]
+    calls += [["network-mpss", *insurers, "--intermediates", "radial", "--stages", *CSV,
+               "--dmu", dmu] for dmu in unit_ids(FIXTURES / "insurers_24.csv")]
+    stages, chain = pair(inputs / "pinned-stages-300"), pair(inputs / "chain-300")
+    for fmt in FORMATS:
+        calls += [
+            ["network-mpss", *stages, "--intermediates", "radial", "--stages", *fmt],
+            ["network-mpss", *stages, "--intermediates", "variable", *fmt],
+            ["network-mpss", *stages, "--intermediates", "variable", "--stages", *fmt],
+            ["blackbox-mpss", *stages, *fmt],
+            ["chain-mpss", *chain, "--targets", *fmt],
+            ["chain-mpss", *chain, *fmt],
+            ["chain-eff", *chain, *fmt],
+            ["chain-eff", *chain, "--w3", "0", *fmt],
+            ["blackbox-mpss", *chain, *fmt],
+        ]
+    for dmu in unit_ids(inputs / "pinned-stages-300" / "data.csv"):
+        calls.append(["network-mpss", *stages, "--intermediates", "radial", "--stages", *CSV,
+                      "--dmu", dmu])
+    for dmu in unit_ids(inputs / "chain-300" / "data.csv"):
+        calls.append(["chain-mpss", *chain, "--targets", *CSV, "--dmu", dmu])
+    spread = pair(small, "log_spread.csv", "log_spread_topology.json")
+    for dmu in unit_ids(small / "log_spread.csv"):
+        calls += [
+            ["network-mpss", *spread, "--intermediates", "variable", *CSV, "--dmu", dmu],
+            ["network-mpss", *spread, "--intermediates", "radial", "--stages", *CSV,
+             "--dmu", dmu],
+        ]
+    long_cell = "1" * 200_000
+    files = {
+        "eps.csv": "dmu,a,b\nu1,0,1\nu2,2,-1\nu3,3,4\n",
+        "long_data.csv": f"dmu,a\nu1,{long_cell}\n",
+        "long_scores.csv": f"dmu,process1,process2\nu1,{long_cell},0.5\n",
+        "long_group.csv": f"v\n1\n{long_cell}\n",
+    }
+    for name, text in files.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    calls += [
+        ["summary", "--data", str(tmp / "eps.csv"), "--min-epsilon", "0.001", *CSV],
+        ["summary", "--data", str(tmp / "long_data.csv")],
+        ["decompose", "--scores", str(tmp / "long_scores.csv")],
+        ["kruskal-wallis", "--groups", f"{small / 'kw_2014.csv'},{tmp / 'long_group.csv'}"],
+    ]
+    return calls
+
+
+def fingerprint(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = run(argv)
+        except Exception as exc:  # a fault the CLI does not report
+            status = type(exc).__name__
+            print(f"{status}: {exc}", file=err)
+    return status, out.getvalue(), err.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--inputs", type=Path, default=ROOT / ".perfbench" / "inputs" / "seed-1",
+                    help="directory written by perfbench/inputs.py (default: seed 1)")
+    args = ap.parse_args()
+    inputs = args.inputs.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {str(inputs): "{inputs}", str(FIXTURES): "{fixtures}", tmp: "{tmp}"}
+        for argv in invocations(inputs, Path(tmp)):
+            status, out, err = fingerprint(argv)
+            shown = []
+            for arg in argv:
+                for path, name in names.items():
+                    arg = arg.replace(path, name)
+                shown.append(arg)
+            print(json.dumps({"argv": shown, "status": status,
+                              "stdout": sha256(out), "stderr": sha256(err)}))
+
+
+if __name__ == "__main__":
+    main()

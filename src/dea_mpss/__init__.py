@@ -28,14 +28,13 @@ from .data import (
     topology_to_json,
 )
 from .errors import DeaMpssError, SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpProblem, LpSolution, SimplexOptions, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
 from .network import (
     MpssResult,
     blackbox_mpss,
     evaluate_stages,
     network_mpss_radial,
     network_mpss_variable,
-    stage_mpss,
 )
 from .rank_tests import KwResult, average_ranks, chi_square_sf, kruskal_wallis
 from .tandem import DecompositionReport, TandemTopology, decompose, to_tandem
@@ -48,9 +47,9 @@ __all__ = [
     "dataset_to_csv", "load_dataset", "parse_data_csv", "parse_topology_json",
     "summarize", "topology_to_json",
     "DeaMpssError", "SolverError", "UnsupportedTopologyError", "ValidationError",
-    "LpProblem", "LpSolution", "SimplexOptions", "solve_lp",
+    "LpProblem", "LpSolution", "solve_lp",
     "MpssResult", "blackbox_mpss", "evaluate_stages", "network_mpss_radial",
-    "network_mpss_variable", "stage_mpss",
+    "network_mpss_variable",
     "KwResult", "average_ranks", "chi_square_sf", "kruskal_wallis",
     "DecompositionReport", "TandemTopology", "decompose", "to_tandem",
 ]

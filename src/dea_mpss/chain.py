@@ -34,12 +34,14 @@ import numpy as np
 from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
 from .lp import solve_lp
-from .network import EPS_MPSS, FIXING_BAND, _solve
+from .network import EPS_MPSS, _solve
 from .program import Program
 
 DOWN = "↓"
 UP = "↑"
 MAINTAIN = "maintain"
+# a target gap within this share of the current level reads "maintain"
+MAINTAIN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,9 @@ class ChainEfficiency:
     intermediates: Mapping[str, float]
     reference_weights: Mapping[str, np.ndarray]
 
-    def is_efficient(self, eps: float = EPS_MPSS) -> bool:
+    def is_efficient(self) -> bool:
         ideal = self.weights.w1 + self.weights.w2 - self.weights.w3
-        return self.objective >= ideal - eps
+        return self.objective >= ideal - EPS_MPSS
 
 
 def chain_efficiency(
@@ -164,8 +166,8 @@ class ChainMpss:
     intermediates_unique: bool
     reference_weights: Mapping[str, np.ndarray]
 
-    def is_mpss(self, eps: float = EPS_MPSS) -> bool:
-        return abs(self.score) <= eps
+    def is_mpss(self) -> bool:
+        return abs(self.score) <= EPS_MPSS
 
 
 def chain_mpss(
@@ -230,7 +232,6 @@ def profitability_mpss(
     topology: NetworkTopology,
     dmu: str,
     chain_score: float,
-    band: float = FIXING_BAND,
 ) -> StageFactors:
     """Stage-1 scale-size split with the chain score held fixed.
 
@@ -241,7 +242,7 @@ def profitability_mpss(
     silently drifting off the band.
     """
     prog = _chain_program(dataset, topology, dmu, radial=True)
-    prog.pin({"theta_market": 1.0, "theta1": -1.0, "theta3": -1.0}, chain_score, band)
+    prog.pin({"theta_market": 1.0, "theta1": -1.0, "theta3": -1.0}, chain_score)
     objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
     sol = solve_lp(prog.problem("maximize", objective))
     if sol.status != "optimal":
@@ -274,12 +275,11 @@ def classify_strategy(
     current: Mapping[str, float],
     appropriate: Mapping[str, float],
     *,
-    eps_rel: float = 1e-6,
     dmu: str | None = None,
 ) -> TargetReport:
     """Per-measure gaps and the joined improvement-strategy label.
 
-    gap = appropriate - current.  A gap within ``eps_rel * |current|`` of
+    gap = appropriate - current.  A gap within ``MAINTAIN_TOL * |current|`` of
     zero reads "maintain" and is omitted from the label; if every measure
     holds, the label itself is "maintain".  Measures are reported in the
     iteration order of ``current``.
@@ -293,7 +293,7 @@ def classify_strategy(
         target = float(appropriate[measure])
         now = float(now)
         gap = target - now
-        threshold = eps_rel * abs(now)
+        threshold = MAINTAIN_TOL * abs(now)
         if gap < -threshold:
             direction = DOWN
         elif gap > threshold:

@@ -23,6 +23,8 @@ import argparse
 import csv
 import io
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .chain import (
@@ -31,7 +33,7 @@ from .chain import (
     chain_mpss,
     intermediate_targets,
 )
-from .data import load_dataset, parse_data_csv, read_text, summarize
+from .data import DataWarning, csv_errors, load_dataset, parse_data_csv, read_text, summarize
 from .errors import DeaMpssError, SolverError, ValidationError
 from .network import blackbox_mpss, evaluate_stages, network_mpss_radial, network_mpss_variable
 from .rank_tests import kruskal_wallis
@@ -278,15 +280,17 @@ def _cmd_network(args) -> None:
 
 def _read_score_rows(path):
     reader = csv.DictReader(io.StringIO(read_text(path, "scores"), newline=""))
-    if reader.fieldnames is None or not {"process1", "process2"} <= set(reader.fieldnames):
-        raise ValidationError("scores CSV needs process1 and process2 columns")
-    label_col = "dmu" if "dmu" in reader.fieldnames else None
-    for k, row in enumerate(reader, start=1):
-        label = row[label_col] if label_col else str(k)
-        try:
-            yield label, float(row["process1"]), float(row["process2"])
-        except ValueError:
-            raise ValidationError(f"scores row {k}: non-numeric process score") from None
+    # the underlying reader: a DictReader counts only the lines it returned
+    with csv_errors(reader.reader, "scores"):
+        if reader.fieldnames is None or not {"process1", "process2"} <= set(reader.fieldnames):
+            raise ValidationError("scores CSV needs process1 and process2 columns")
+        label_col = "dmu" if "dmu" in reader.fieldnames else None
+        for k, row in enumerate(reader, start=1):
+            label = row[label_col] if label_col else str(k)
+            try:
+                yield label, float(row["process1"]), float(row["process2"])
+            except ValueError:
+                raise ValidationError(f"scores row {k}: non-numeric process score") from None
 
 
 def _cmd_decompose(args) -> None:
@@ -372,7 +376,10 @@ def _cmd_chain_mpss(args) -> None:
 
 def _read_group(path):
     values = []
-    for row in csv.reader(io.StringIO(read_text(path, "group"), newline="")):
+    reader = csv.reader(io.StringIO(read_text(path, "group"), newline=""))
+    with csv_errors(reader, "group"):
+        rows = list(reader)
+    for row in rows:
         for cell in row:
             cell = cell.strip()
             if not cell:
@@ -412,25 +419,45 @@ _COMMANDS = {
 }
 
 
+@contextmanager
+def _data_warnings_on_one_line():
+    """Print a ``DataWarning`` as one ``warning:`` line, not Python's source echo."""
+    python_format = warnings.formatwarning
+
+    def one_line(message, category, *args, **kwargs):
+        if issubclass(category, DataWarning):
+            return f"warning: {message}\n"
+        return python_format(message, category, *args, **kwargs)
+
+    # a fresh registry, so a repeated in-process call warns again
+    with warnings.catch_warnings():
+        warnings.formatwarning = one_line
+        try:
+            yield
+        finally:
+            warnings.formatwarning = python_format
+
+
 def run(argv) -> int:
     """Parse and execute; returns the process exit status."""
     named = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = _build_parser((named,) if named else _COMMANDS)
-    try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise ValidationError("missing command (try --help)")
-        _COMMANDS[args.command](args)
-        return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    except _ModelOutcomeError as exc:
-        print(f"model outcome: {exc}", file=sys.stderr)
-        return 2
+    with _data_warnings_on_one_line():
+        try:
+            args = parser.parse_args(argv)
+            if args.command is None:
+                raise ValidationError("missing command (try --help)")
+            _COMMANDS[args.command](args)
+            return 0
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except SolverError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 2
+        except _ModelOutcomeError as exc:
+            print(f"model outcome: {exc}", file=sys.stderr)
+            return 2
 
 
 def main() -> None:

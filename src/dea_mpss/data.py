@@ -32,6 +32,7 @@ import io
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -346,6 +347,15 @@ class NetworkTopology:
 # -- file formats ---------------------------------------------------------
 
 
+@contextmanager
+def csv_errors(reader, what: str):
+    """Report a ``csv.Error`` met while reading ``reader`` as a ``ValidationError``."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ValidationError(f"cannot parse {what} file: line {reader.line_num}: {exc}") from None
+
+
 def _holds_data(row: list) -> bool:
     return any(cell.strip() for cell in row)
 
@@ -389,7 +399,9 @@ def parse_data_csv(text: str, *, min_epsilon: float | None = None) -> Dataset:
     and a :class:`DataWarning` is emitted; otherwise they are rejected.
     Blank rows are skipped and not counted in the row numbers of errors.
     """
-    rows = [r for r in csv.reader(io.StringIO(text.lstrip("\ufeff"))) if r]
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    with csv_errors(reader, "data"):
+        rows = [r for r in reader if r]
     start = next((k for k, row in enumerate(rows) if _holds_data(row)), len(rows))
     if start == len(rows):
         raise ValidationError("empty data file")

@@ -53,20 +53,16 @@ COLD = "cold"    # both phases
 CRASH = "crash"  # phase two from a basis at a given feasible point
 WARM = "warm"    # phase two from an earlier optimum's basis
 
+# tolerances, fixed for every solve; they suit well-scaled envelopment data
+FEASIBILITY_TOL = 1e-7   # infeasibility a basis, a start or phase one's artificial sum may keep
+PIVOT_TOL = 1e-9         # smallest pivot, and least improvement of a reduced cost
+MAX_ITERATIONS = 50_000  # pivots before a solve raises SolverError
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class SimplexOptions:
-    """Numerical knobs; the defaults suit well-scaled envelopment data."""
-
-    feasibility_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    max_iterations: int = 50_000
 
 
 @dataclass(frozen=True)
@@ -161,11 +157,7 @@ class LpSolution:
     _basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(
-    problem: LpProblem,
-    options: SimplexOptions = SimplexOptions(),
-    start: np.ndarray | LpSolution | None = None,
-) -> LpSolution:
+def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -> LpSolution:
     """Solve ``problem``, classifying it as optimal, infeasible or unbounded.
 
     ``start`` skips phase one.  It is either a feasible vertex of ``problem``
@@ -177,15 +169,14 @@ def solve_lp(
     solve runs both phases as without it; ``LpSolution.started`` says which
     way it went.
     """
-    return _Simplex(problem, options).run(start)
+    return _Simplex(problem).run(start)
 
 
 class _Simplex:
     """One solve; builds the standard form and walks the two phases."""
 
-    def __init__(self, problem: LpProblem, options: SimplexOptions):
+    def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.opts = options
         self.n = problem.n_variables
         self.m = problem.n_constraints
         self.iterations = 0
@@ -231,7 +222,6 @@ class _Simplex:
         cc = np.zeros(cols)
         cc[:n] = prob.objective if prob.objective_sense == MINIMIZE else -prob.objective
         self.cc = cc
-        self.obj_const = float(prob.objective @ lb)
 
     def run(self, start=None) -> LpSolution:
         if start is not None:
@@ -239,12 +229,13 @@ class _Simplex:
                 self.started, begun = WARM, self._warm(start)
             else:
                 self.started, begun = CRASH, self._crash(np.asarray(start, dtype=float))
-            if begun is not None and self._phase_two(*begun[:3]) == OPTIMAL:
-                _, _, basis, row_keep = begun
-                checked = self._refactored(basis, row_keep)
-                if checked is not None:
-                    rhs, inverse = checked
-                    return self._verdict(OPTIMAL, rhs, basis, row_keep, inverse)
+            if begun is not None:
+                T, rhs, basis, row_keep = begun
+                if self._iterate(T, rhs, self.cc, basis) == OPTIMAL:
+                    checked = self._refactored(basis, row_keep)
+                    if checked is not None:
+                        rhs, inverse = checked
+                        return self._verdict(OPTIMAL, rhs, basis, row_keep, inverse)
         self.started = COLD
         basis, row_keep = self._phase_one()
         if basis is None:
@@ -253,7 +244,7 @@ class _Simplex:
         if begun is None:
             raise SolverError("singular basis between phases")
         T, rhs, basis, row_keep = begun
-        if self._phase_two(T, rhs, basis) == UNBOUNDED:
+        if self._iterate(T, rhs, self.cc, basis) == UNBOUNDED:
             return self._verdict(UNBOUNDED)
         return self._verdict(OPTIMAL, rhs, basis, row_keep)
 
@@ -287,7 +278,7 @@ class _Simplex:
         rhs = inverse @ self.b[row_keep]
         x = np.zeros(self.cols)
         x[basis] = rhs
-        if rhs.min() < -self.opts.feasibility_tol or self._slacks(x[:self.n]) is None:
+        if rhs.min() < -FEASIBILITY_TOL or self._slacks(x[:self.n]) is None:
             return None
         return rhs, inverse
 
@@ -297,7 +288,7 @@ class _Simplex:
         if begun is None:
             return None
         rhs = begun[1]
-        if rhs.size and rhs.min() < -self.opts.feasibility_tol:
+        if rhs.size and rhs.min() < -FEASIBILITY_TOL:
             return None
         np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
         return begun
@@ -309,7 +300,7 @@ class _Simplex:
         rows, filled up with slacks of tight inequality rows whose removal
         leaves the support's rows nonsingular.
         """
-        n, m, tol = self.n, self.m, self.opts.feasibility_tol
+        n, m, tol = self.n, self.m, FEASIBILITY_TOL
         if x.shape != (n,) or not np.all(np.isfinite(x)):
             return None
         xs = x - self.problem.variable_lower_bounds
@@ -336,12 +327,12 @@ class _Simplex:
     def _slacks(self, xs):
         """Slack values and per-row tolerances at the shifted point ``xs``.
 
-        None when ``xs`` breaks a row by more than ``feasibility_tol`` times
+        None when ``xs`` breaks a row by more than ``FEASIBILITY_TOL`` times
         the row's scale, the size of its terms at ``xs``.
         """
         A = self.S[:, :self.n]
         resid = self.b - A @ xs
-        row_tol = self.opts.feasibility_tol * np.maximum(1.0, np.abs(A) @ np.abs(xs) + self.b)
+        row_tol = FEASIBILITY_TOL * np.maximum(1.0, np.abs(A) @ np.abs(xs) + self.b)
         has_slack = self.slack_col_of_row >= 0
         slack = resid * self.S[np.arange(self.m), self.slack_col_of_row]
         if np.any(np.where(has_slack, slack < -row_tol, np.abs(resid) > row_tol)):
@@ -366,53 +357,40 @@ class _Simplex:
     def _phase_one(self):
         """Minimise the artificial sum; returns (basis, kept row indices)."""
         m, cols = self.m, self.cols
-        need_art = [i for i in range(m) if self.rels[i] != LESS_EQUAL]
-        n_art = len(need_art)
-        T = np.zeros((m, cols + n_art))
+        # one artificial column per "=" or ">=" row, in row order; the
+        # slacks of the "<=" rows complete the starting basis
+        art_rows = np.flatnonzero([rel != LESS_EQUAL for rel in self.rels])
+        art_cols = cols + np.arange(art_rows.size)
+        T = np.zeros((m, cols + art_rows.size))
         T[:, :cols] = self.S
-        basis = np.zeros(m, dtype=int)
-        art_cols = set()
-        j = cols
-        for i in range(m):
-            if self.rels[i] == LESS_EQUAL:
-                basis[i] = self.slack_col_of_row[i]
-            else:
-                T[i, cols + need_art.index(i)] = 1.0
-        for k, i in enumerate(need_art):
-            basis[i] = cols + k
-            art_cols.add(cols + k)
+        T[art_rows, art_cols] = 1.0
+        basis = self.slack_col_of_row.copy()
+        basis[art_rows] = art_cols
         rhs = self.b.copy()
-        cost = np.zeros(cols + n_art)
+        cost = np.zeros(T.shape[1])
         cost[cols:] = 1.0
-        if n_art:
+        if art_rows.size:
             status = self._iterate(T, rhs, cost, basis)
             if status != OPTIMAL:  # phase-1 objective is bounded below by 0
                 raise SolverError("phase one failed to terminate cleanly")
-            art_sum = sum(rhs[i] for i in range(m) if basis[i] in art_cols)
-            if art_sum > self.opts.feasibility_tol:
+            # summed in row order, one term at a time
+            if sum(rhs[basis >= cols]) > FEASIBILITY_TOL:
                 return None, None
         # pivot remaining zero-level artificials out, dropping redundant rows
-        row_keep = list(range(m))
         drop = []
         for i in range(m):
-            if basis[i] in art_cols:
-                piv = next(
-                    (jj for jj in range(cols) if abs(T[i, jj]) > self.opts.pivot_tol), None
-                )
-                if piv is None:
-                    drop.append(i)
+            if basis[i] >= cols:
+                piv = np.flatnonzero(np.abs(T[i, :cols]) > PIVOT_TOL)
+                if piv.size:
+                    self._pivot(T, rhs, basis, i, piv[0])
                 else:
-                    self._pivot(T, rhs, basis, i, piv)
-        row_keep = [i for i in row_keep if i not in drop]
+                    drop.append(i)
+        row_keep = [i for i in range(m) if i not in drop]
         return basis[row_keep], row_keep
-
-    def _phase_two(self, T, rhs, basis) -> str:
-        """Optimise c'x from a primal feasible tableau; mutates T, rhs and basis."""
-        return self._iterate(T, rhs, self.cc, basis)
 
     def _iterate(self, T, rhs, cost, basis) -> str:
         """Pivot until optimal or unbounded; mutates T, rhs and basis."""
-        tol = self.opts.pivot_tol
+        tol = PIVOT_TOL
         m = T.shape[0]
         bland = False
         stall = 0
@@ -444,7 +422,7 @@ class _Simplex:
                 return UNBOUNDED
             self._pivot(T, rhs, basis, leaving, entering)
             self.iterations += 1
-            if self.iterations > self.opts.max_iterations:
+            if self.iterations > MAX_ITERATIONS:
                 raise SolverError("iteration limit exceeded")
             obj = float(cost[basis] @ rhs)
             if obj < best - 1e-12 * (1.0 + abs(best)):

@@ -33,7 +33,6 @@ from .lp import LpProblem, LpSolution, solve_lp
 from .program import Program
 
 EPS_MPSS = 1e-6
-FIXING_BAND = 1e-6
 
 BLACK_BOX = "black_box"
 SYSTEM_VARIABLE = "system_variable"
@@ -48,6 +47,8 @@ STAGE_GAP = {
     1: {"stage1_outputs": 1.0, "stage1_inputs": -1.0},
     2: {"stage2_outputs": 1.0, "stage2_inputs": -1.0},
 }
+# stage -> the score pinned before its solve, and that score's gap
+PINS = {1: ("system", SYSTEM_GAP), 2: ("stage-1", STAGE_GAP[1])}
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class MpssResult:
     optimal_intermediates: Mapping[str, float] | None = None
     intermediates_unique: bool | None = None
 
-    def is_mpss(self, eps: float = EPS_MPSS) -> bool:
-        return abs(self.score) <= eps
+    def is_mpss(self) -> bool:
+        return abs(self.score) <= EPS_MPSS
 
 
 def _solve(problem: LpProblem, context: str, start=None) -> LpSolution:
@@ -180,46 +181,25 @@ def _radial(prog: Program, dmu: str):
     return _result_from(sol, SYSTEM_RADIAL, dmu, prog), sol
 
 
-def stage_mpss(
-    dataset: Dataset,
-    topology: NetworkTopology,
-    dmu: str,
-    system_score: float,
-    stage: int,
-    stage1_score: float | None = None,
-    band: float = FIXING_BAND,
-) -> MpssResult:
-    """Lexicographic stage score under a pinned system score.
+def _pinned_stage(prog: Program, dmu: str, stage: int, score: float,
+                  start: LpSolution | None = None):
+    """Pin the gap solved before ``stage`` at ``score``, then solve the stage's gap over ``prog``.
 
-    Stage 1 re-optimises its own gap while the radial system score stays
-    within ``band`` of ``system_score``; stage 2 additionally pins the
-    stage-1 score (``stage1_score`` required).  The equalities are relaxed
-    to two-sided bands because floating-point optima rarely re-satisfy an
-    exact equality.
+    Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
+    top of it.
     """
-    if stage not in (1, 2):
-        raise ValidationError(f"stage must be 1 or 2, got {stage!r}")
-    if stage == 2 and stage1_score is None:
-        raise ValidationError("stage 2 needs the solved stage-1 score")
-    prog = _system_program(dataset, topology, dmu, radial=True)
-    prog.pin(SYSTEM_GAP, system_score, band)
-    if stage == 2:
-        prog.pin(STAGE_GAP[1], stage1_score, band)
-    return _pinned_stage(prog, dmu, stage)[0]
-
-
-def _pinned_stage(prog: Program, dmu: str, stage: int, start: LpSolution | None = None):
-    """Solve the stage's gap over ``prog``, the radial system rows plus their pins."""
+    pinned, gap = PINS[stage]
+    prog.pin(gap, score)
     sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]), start=start)
     if sol.status != "optimal":
         raise SolverError(
-            f"stage-{stage} evaluation of {dmu!r}: fixing band infeasible "
-            "(system/stage scores do not belong to this dataset)"
+            f"stage-{stage} evaluation of {dmu!r}: fixing band infeasible at "
+            f"{pinned} score {score!r}"
         )
     return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, prog), sol
 
 
-def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str, band: float = FIXING_BAND):
+def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
     """Radial system solve followed by the two pinned stage solves.
 
     Each pinned program appends two rows to the one solved before it, whose
@@ -227,8 +207,6 @@ def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str, band:
     """
     prog = _system_program(dataset, topology, dmu, radial=True)
     system, sol = _radial(prog, dmu)
-    prog.pin(SYSTEM_GAP, system.score, band)
-    first, sol = _pinned_stage(prog, dmu, 1, sol)
-    prog.pin(STAGE_GAP[1], first.score, band)
-    second, _ = _pinned_stage(prog, dmu, 2, sol)
+    first, sol = _pinned_stage(prog, dmu, 1, system.score, sol)
+    second, _ = _pinned_stage(prog, dmu, 2, first.score, sol)
     return system, first, second

@@ -21,6 +21,9 @@ import numpy as np
 
 from .lp import LpProblem, LpSolution
 
+# half-width of a pinned score's band: an exact equality rarely re-solves
+FIXING_BAND = 1e-6
+
 
 class Program:
     """Rows over a named column layout, built for the evaluated DMU ``own``."""
@@ -61,10 +64,10 @@ class Program:
             a[self.factor[f]] += v
         self.rows.append((a, rel, value))
 
-    def pin(self, coeffs: Mapping[str, float], value: float, band: float) -> None:
-        """Hold ``coeffs`` within ``band`` of ``value``: an exact equality rarely re-solves."""
-        self.bound(coeffs, "<=", value + band)
-        self.bound(coeffs, ">=", value - band)
+    def pin(self, coeffs: Mapping[str, float], value: float) -> None:
+        """Hold ``coeffs`` within ``FIXING_BAND`` of ``value``."""
+        self.bound(coeffs, "<=", value + FIXING_BAND)
+        self.bound(coeffs, ">=", value - FIXING_BAND)
 
     def problem(self, sense: str, objective: Mapping[str, float]) -> LpProblem:
         c = np.zeros(self.width)

@@ -282,6 +282,20 @@ def test_epsilon_flag_repairs_zeros(tmp_path, capsys):
     assert "0.0010" in out  # min column reflects the substitution
 
 
+def test_epsilon_warning_is_one_line_per_call(tmp_path):
+    # outside pytest's warning capture, and twice in one process
+    data = tmp_path / "d.csv"
+    data.write_text("dmu,a\nu1,0\nu2,-1\nu3,2\n", encoding="utf-8")
+    twice = "import sys; from dea_mpss.cli import run; [run(sys.argv[1:]) for _ in 'ab']"
+    proc = subprocess.run(
+        [sys.executable, "-c", twice, "summary", "--data", str(data),
+         "--min-epsilon", "0.001", "--format", "csv"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: replaced 2 nonpositive value(s) with epsilon 0.001\n" * 2
+
+
 def test_console_entry_point(two_stage_files):
     data, topo = two_stage_files
     proc = subprocess.run(
@@ -318,6 +332,22 @@ def test_non_utf8_input_file_exit_one(argv, what, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
     assert "codec can't decode" in err
+
+
+@pytest.mark.parametrize("argv, what, text, line", [
+    (["summary", "--data", "long.csv"], "data", "dmu,a\nu1,{cell}\n", 2),
+    (["decompose", "--scores", "long.csv"], "scores", "dmu,process1,process2\nu1,{cell},0.5\n", 2),
+    (["kruskal-wallis", "--groups", "g.csv,long.csv"], "group", "v\n1\n{cell}\n", 3),
+], ids=["data", "scores", "group"])
+def test_oversized_csv_field_exit_one(argv, what, text, line, tmp_path, monkeypatch, capsys):
+    # a cell past the csv module's default field limit of 131,072 characters
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.csv").write_text(text.format(cell="1" * 200_000), encoding="utf-8")
+    (tmp_path / "g.csv").write_text("v\n1\n2\n", encoding="utf-8")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot parse {what} file: line {line}: "
+                   "field larger than field limit (131072)\n")
 
 
 # -- one subparser per call ---------------------------------------------------

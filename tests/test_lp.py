@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dea_mpss import lp
 from dea_mpss.errors import SolverError, ValidationError
-from dea_mpss.lp import LpProblem, SimplexOptions, solve_lp
+from dea_mpss.lp import LpProblem, solve_lp
 from gen import random_lp
 from lp_enum import _as_rows, _vertices, enumerate_solve
 
@@ -196,6 +196,24 @@ def test_concurrent_solves_are_safe():
             assert np.array_equal(got.variable_values, want.variable_values)
 
 
+def _assert_complementary(prob, sol):
+    """Dual signs, complementary slackness and stationarity of an optimum."""
+    x = sol.variable_values
+    scale = 1.0 + abs(sol.objective_value)
+    sign = 1.0 if prob.objective_sense == "maximize" else -1.0
+    for (a, rel, rhs), y in zip(prob.constraints, sol.dual_values):
+        slack = rhs - float(a @ x)
+        assert abs(y * slack) <= 1e-6 * scale
+        if rel == "<=":
+            assert sign * y >= -1e-7 * scale
+        elif rel == ">=":
+            assert sign * y <= 1e-7 * scale
+    # stationarity and variable-side slackness
+    gap = x - prob.variable_lower_bounds
+    assert np.all(np.abs(sol.reduced_costs * gap) <= 1e-6 * scale)
+    assert np.all(sign * sol.reduced_costs <= 1e-7 * scale)
+
+
 def test_complementary_slackness_and_dual_signs():
     rng = np.random.default_rng(313)
     checked = 0
@@ -204,21 +222,58 @@ def test_complementary_slackness_and_dual_signs():
         sol = solve_lp(prob)
         if sol.status != "optimal":
             continue
-        x = sol.variable_values
-        scale = 1.0 + abs(sol.objective_value)
-        sign = 1.0 if prob.objective_sense == "maximize" else -1.0
-        for (a, rel, rhs), y in zip(prob.constraints, sol.dual_values):
-            slack = rhs - float(a @ x)
-            assert abs(y * slack) <= 1e-6 * scale
-            if rel == "<=":
-                assert sign * y >= -1e-7 * scale
-            elif rel == ">=":
-                assert sign * y <= 1e-7 * scale
-        # stationarity and variable-side slackness
-        gap = x - prob.variable_lower_bounds
-        assert np.all(np.abs(sol.reduced_costs * gap) <= 1e-6 * scale)
-        assert np.all(sign * sol.reduced_costs <= 1e-7 * scale)
+        _assert_complementary(prob, sol)
         checked += 1
+
+
+# equality rows that phase one must drop: its artificial stays basic at
+# level zero with no structural column left to pivot on
+REDUNDANT = {
+    "duplicated_equality": LpProblem("maximize", [1.0, 2.0, 1.0], [
+        ([1.0, 1.0, 1.0], "=", 4.0),
+        ([1.0, 1.0, 1.0], "=", 4.0),
+        ([0.0, 1.0, -1.0], "<=", 1.0),
+        ([1.0, 0.0, 2.0], ">=", 1.0),
+    ]),
+    "equality_sum_of_two_others": LpProblem("minimize", [2.0, 1.0, 3.0], [
+        ([1.0, 1.0, 0.0], "=", 3.0),
+        ([0.0, 1.0, 1.0], "=", 2.0),
+        ([1.0, 2.0, 1.0], "=", 5.0),
+        ([1.0, 0.0, 0.0], "<=", 2.5),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUNDANT))
+def test_phase_one_drops_a_redundant_equality_row(name):
+    prob = REDUNDANT[name]
+    sol = solve_lp(prob)
+    want_status, want_val, _ = enumerate_solve(
+        prob.objective_sense, prob.objective, prob.constraints)
+    assert sol.status == want_status == "optimal"
+    assert sol.started == "cold"
+    assert sol.objective_value == pytest.approx(want_val, abs=1e-9)
+    _assert_primal_feasible(prob, sol)
+    _assert_complementary(prob, sol)
+    _, row_keep, rows = sol._basis
+    assert rows == prob.n_constraints and len(row_keep) == rows - 1
+    # a warm start resumes from the kept rows plus the appended rows' slacks;
+    # the first appended row is loose at the optimum, the second tight
+    x = sol.variable_values
+    extended = LpProblem(prob.objective_sense, prob.objective, [
+        *prob.constraints,
+        ([1.0, 0.0, 0.0], "<=", x[0] + 1.0),
+        ([0.0, 0.0, 1.0], ">=", x[2]),
+    ])
+    warm = solve_lp(extended, start=sol)
+    assert warm.started == "warm"
+    assert warm._basis[1] == (*row_keep, rows, rows + 1)
+    want_status, want_val, _ = enumerate_solve(
+        extended.objective_sense, extended.objective, extended.constraints)
+    assert warm.status == want_status == "optimal"
+    assert warm.objective_value == pytest.approx(want_val, abs=1e-9)
+    _assert_primal_feasible(extended, warm)
+    _assert_complementary(extended, warm)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,9 +296,3 @@ def test_hypothesis_agrees_with_enumeration(data):
     assert got.status == want_status
     if want_status == "optimal":
         assert got.objective_value == pytest.approx(want_val, abs=1e-6)
-
-
-def test_options_are_configurable():
-    prob = LpProblem("maximize", [1.0], [([1.0], "<=", 3.0)])
-    sol = solve_lp(prob, SimplexOptions(feasibility_tol=1e-9, pivot_tol=1e-10))
-    assert sol.objective_value == pytest.approx(3.0)

@@ -5,11 +5,12 @@ from conftest import dataset_for, random_dataset, two_stage_topology, chain_topo
 from dea_mpss.data import Dataset
 from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
 from dea_mpss.network import (
+    _pinned_stage,
+    _system_program,
     blackbox_mpss,
     evaluate_stages,
     network_mpss_radial,
     network_mpss_variable,
-    stage_mpss,
 )
 
 # 3-DMU instance with 2 inputs per stage, 2 intermediates, 1 final output per
@@ -161,16 +162,11 @@ def test_stage_solutions_respect_the_band():
         )
 
 
-def test_stage_two_requires_stage_one_score():
-    ds, topo = named_instance()
-    with pytest.raises(ValidationError, match="stage-1"):
-        stage_mpss(ds, topo, "u1", 0.0, 2)
-
-
 def test_inconsistent_fixing_score_raises():
     ds, topo = named_instance()
-    with pytest.raises(SolverError, match="fixing band"):
-        stage_mpss(ds, topo, "u1", 1e6, 1)
+    prog = _system_program(ds, topo, "u1", radial=True)
+    with pytest.raises(SolverError, match="fixing band infeasible at system score 1000000.0"):
+        _pinned_stage(prog, "u1", 1, 1e6)
 
 
 def test_variable_intermediates_reported_with_uniqueness_flag():
@@ -202,8 +198,8 @@ def test_blackbox_needs_inputs_and_outputs():
 def test_model_solves_skip_phase_one(monkeypatch):
     """Every model solve given a start reports it, so a silent fall-back to phase one fails here.
 
-    ``profitability_mpss`` and a standalone ``stage_mpss`` are left out: they
-    take no start and always run both phases.
+    ``profitability_mpss`` is left out: it takes no start and always runs
+    both phases.
     """
     from dea_mpss import chain, network
     from dea_mpss.chain import ChainWeights, chain_efficiency, chain_mpss, intermediate_targets

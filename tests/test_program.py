@@ -2,7 +2,7 @@ import numpy as np
 
 from dea_mpss.data import Dataset
 from dea_mpss.lp import LpSolution
-from dea_mpss.program import Program
+from dea_mpss.program import FIXING_BAND, Program
 
 # three DMUs, evaluated DMU "b" (index 1)
 DATA = Dataset(["a", "b", "c"], {"x": [1.0, 2.0, 4.0], "w": [3.0, 5.0, 7.0], "z": [6.0, 8.0, 9.0]})
@@ -51,10 +51,10 @@ def test_convexity_rows_in_block_order():
 
 def test_pin_pair_brackets_the_value():
     prog = program()
-    prog.pin({"t_out": 1.0, "t_in": -1.0}, 0.25, 1e-3)
+    prog.pin({"t_out": 1.0, "t_in": -1.0}, 0.25)
     assert rows_of(prog) == [
-        ([-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0], "<=", 0.25 + 1e-3),
-        ([-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0], ">=", 0.25 - 1e-3),
+        ([-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0], "<=", 0.25 + FIXING_BAND),
+        ([-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0], ">=", 0.25 - FIXING_BAND),
     ]
 
 
