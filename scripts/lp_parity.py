@@ -1,0 +1,167 @@
+"""Fingerprint a fixed set of simplex solves, to compare two checkouts.
+
+Each solve gives one JSON line: a label, and either the sha256 of its
+``LpSolution`` or the error it raised as ``Name: message``.  The digest
+covers the status, the repr of the objective value, the iteration count,
+``started``, the final basis and the bytes of the variable values, the dual
+values, the reduced costs and the ``basic`` flags, so two lines agree only
+when the two solutions are bit for bit the same.  The set is:
+
+* 3,000 problems from ``tests/gen.random_lp`` (seed 2024), and for every
+  fifth optimal one a crash start from its optimum, a warm start after an
+  appended row that optimum satisfies, a start outside the feasible set,
+  and a cold solve with its first row appended twice as an equality;
+* every model solve of the seed's ``pinned-stages-300`` units under
+  ``evaluate_stages``, ``network_mpss_variable`` and ``blackbox_mpss``;
+* every model solve of its ``chain-300`` units under ``chain_efficiency``
+  with weights (1, 1, 1) and (1, 1, 0), ``chain_mpss``, and
+  ``profitability_mpss`` at the ``chain_mpss`` score;
+* every model solve of the 60 log-spread units (``tests/fixtures``) under
+  ``evaluate_stages``, ``network_mpss_variable`` and ``network_mpss_radial``.
+
+Model solves are caught where ``network`` and ``chain`` call ``solve_lp``,
+so a solve that raises is recorded with the solver's own message.  The
+package comes from ``PYTHONPATH``.  From the repository root::
+
+    python3 perfbench/inputs.py --seed 1
+    PYTHONPATH=<parent checkout>/src python3 scripts/lp_parity.py > parent.jsonl
+    PYTHONPATH=src python3 scripts/lp_parity.py > change.jsonl
+    diff parent.jsonl change.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import sys
+from contextlib import suppress
+from pathlib import Path
+
+import numpy as np
+
+from dea_mpss import chain, network
+from dea_mpss.chain import ChainWeights
+from dea_mpss.data import load_dataset
+from dea_mpss.errors import DeaMpssError
+from dea_mpss.lp import LpProblem, solve_lp
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+sys.path.insert(0, str(ROOT / "tests"))
+
+from gen import random_lp  # noqa: E402
+
+RANDOM_SEED = 2024
+RANDOM_PROBLEMS = 3000
+
+
+def digest(sol) -> str:
+    h = hashlib.sha256()
+    h.update(f"{sol.status}|{sol.objective_value!r}|{sol.iterations}|{sol.started}|"
+             f"{sol._basis!r}".encode())
+    for a in (sol.variable_values, sol.dual_values, sol.reduced_costs, sol.basic):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def emit(label: str, solve):
+    """Run ``solve`` and print its line; an error is printed, then raised again."""
+    try:
+        sol = solve()
+    except DeaMpssError as exc:
+        print(json.dumps({"case": label, "error": f"{type(exc).__name__}: {exc}"}))
+        raise
+    print(json.dumps({"case": label, "sha256": digest(sol)}))
+    return sol
+
+
+def random_solves() -> None:
+    rng = np.random.default_rng(RANDOM_SEED)
+    optimal = 0
+    for k in range(RANDOM_PROBLEMS):
+        prob, sol = random_lp(rng), None
+        with suppress(DeaMpssError):
+            sol = emit(f"random {k}", lambda: solve_lp(prob))
+            if sol.status == "optimal":
+                optimal += 1
+        if sol is None or sol.status != "optimal" or optimal % 5:
+            continue
+        x = sol.variable_values
+        a = rng.integers(-5, 6, size=prob.n_variables).astype(float)
+        rel = str(rng.choice(["<=", ">="]))
+        rhs = float(a @ x) + (1.0 if rel == "<=" else -1.0) * float(rng.integers(2))
+        extended = LpProblem(prob.objective_sense, prob.objective,
+                             [*prob.constraints, (a, rel, rhs)], prob.variable_lower_bounds)
+        # the first row, tight at the optimum, twice more as an equality:
+        # phase one must drop a redundant row
+        tight = (prob.constraints[0][0], "=", float(prob.constraints[0][0] @ x))
+        redundant = LpProblem(prob.objective_sense, prob.objective,
+                              [*prob.constraints, tight, tight], prob.variable_lower_bounds)
+        for name, problem, start in (("crash", prob, x), ("warm", extended, sol),
+                                     ("outside", prob, x - 1.0), ("redundant", redundant, None)):
+            with suppress(DeaMpssError):
+                emit(f"random {k} {name}", lambda: solve_lp(problem, start=start))
+
+
+def model_solves(data: Path, topology: Path, label: str, calls) -> None:
+    """Every solve of each model call in ``calls`` on each unit of the data file."""
+    dataset, topo = load_dataset(data, topology)
+
+    def recorder(original):
+        def solve(problem, start=None):
+            return emit(f"{label} {dmu} {name} {next(count)}",
+                        lambda: original(problem, start=start))
+        return solve
+
+    originals = network.solve_lp, chain.solve_lp
+    network.solve_lp, chain.solve_lp = recorder(originals[0]), recorder(originals[1])
+    try:
+        for dmu in dataset.dmu_ids:
+            for name, call in calls:
+                count = itertools.count()  # numbers the call's solves
+                with suppress(DeaMpssError):
+                    call(dataset, topo, dmu)
+    finally:
+        network.solve_lp, chain.solve_lp = originals
+
+
+def chain_split(dataset, topo, dmu):
+    score = chain.chain_mpss(dataset, topo, dmu).score
+    return chain.profitability_mpss(dataset, topo, dmu, score)
+
+
+STAGE_CALLS = [
+    ("stages", network.evaluate_stages),
+    ("variable", network.network_mpss_variable),
+    ("blackbox", lambda d, t, u: network.blackbox_mpss(d, u, topology=t)),
+]
+CHAIN_CALLS = [
+    ("efficiency", chain.chain_efficiency),
+    ("efficiency w3=0", lambda d, t, u: chain.chain_efficiency(d, t, u, ChainWeights(1, 1, 0))),
+    ("mpss", chain.chain_mpss),
+    ("split", chain_split),
+]
+SPREAD_CALLS = [
+    ("stages", network.evaluate_stages),
+    ("variable", network.network_mpss_variable),
+    ("radial", network.network_mpss_radial),
+]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--inputs", type=Path, default=ROOT / ".perfbench" / "inputs" / "seed-1",
+                    help="directory written by perfbench/inputs.py (default: seed 1)")
+    inputs = ap.parse_args().inputs.resolve()
+    random_solves()
+    for name, calls in (("pinned-stages-300", STAGE_CALLS), ("chain-300", CHAIN_CALLS)):
+        d = inputs / name
+        model_solves(d / "data.csv", d / "topology.json", name, calls)
+    model_solves(FIXTURES / "log_spread.csv", FIXTURES / "log_spread_topology.json",
+                 "log-spread", SPREAD_CALLS)
+
+
+if __name__ == "__main__":
+    main()

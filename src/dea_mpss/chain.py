@@ -34,7 +34,7 @@ import numpy as np
 from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
 from .lp import solve_lp
-from .network import EPS_MPSS, _solve
+from .network import EPS_MPSS, _named, _solve
 from .program import Program
 
 DOWN = "↓"
@@ -244,10 +244,12 @@ def profitability_mpss(
     prog = _chain_program(dataset, topology, dmu, radial=True)
     prog.pin({"theta_market": 1.0, "theta1": -1.0, "theta3": -1.0}, chain_score)
     objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
-    sol = solve_lp(prog.problem("maximize", objective))
+    context = f"profitability split of {dmu!r}"
+    with _named(context):
+        sol = solve_lp(prog.problem("maximize", objective))
     if sol.status != "optimal":
         raise SolverError(
-            f"profitability split of {dmu!r}: fixing band infeasible at chain score "
+            f"{context}: fixing band infeasible at chain score "
             f"{chain_score!r} (radial intermediates cannot reach it)"
         )
     return StageFactors(str(dmu), float(chain_score), **prog.factors(sol))

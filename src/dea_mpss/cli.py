@@ -286,6 +286,8 @@ def _read_score_rows(path):
             raise ValidationError("scores CSV needs process1 and process2 columns")
         label_col = "dmu" if "dmu" in reader.fieldnames else None
         for k, row in enumerate(reader, start=1):
+            if None in row.values():  # csv.DictReader's filler for missing cells
+                raise ValidationError(f"scores row {k}: fewer cells than the header")
             label = row[label_col] if label_col else str(k)
             try:
                 yield label, float(row["process1"]), float(row["process2"])

@@ -24,7 +24,7 @@ Phase one runs when no start is given, when a start's basis cannot be
 factored or is not primal feasible, and when phase two from a start ends
 unbounded or on a basis that is infeasible once refactored from the
 original rows.  Pivoting uses Dantzig's rule and falls back to Bland's rule
-after a stall, which guarantees termination.
+after 3·(rows+columns) pivots of a phase, which guarantees termination.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_SLACK_SIGN = {LESS_EQUAL: 1.0, EQUAL: 0.0, GREATER_EQUAL: -1.0}
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -188,7 +189,9 @@ class _Simplex:
         After the shift every variable is >= 0 and every row is stored as
         ``a'x (rel) b`` with ``b >= 0`` (rows with negative rhs are negated,
         flipping the relation).  ``self.flip`` remembers the negations so
-        dual values can be reported against the original rows.
+        dual values can be reported against the original rows.  ``self.sign``
+        is each stored row's slack coefficient: +1 for "<=", -1 for ">=" and
+        0 for "=", which has no slack column.
         """
         prob, n, m = self.problem, self.n, self.m
         lb = prob.variable_lower_bounds
@@ -197,31 +200,18 @@ class _Simplex:
         self.flip = np.where(b < 0.0, -1.0, 1.0)
         A *= self.flip[:, None]
         b *= self.flip
-        swap = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
-        rels = [swap[rel] if f < 0 else rel for (_, rel, _), f in zip(prob.constraints, self.flip)]
-        n_slack = sum(1 for r in rels if r != EQUAL)
-        cols = n + n_slack
-        S = np.zeros((m, cols))
-        S[:, :n] = A
-        j = n
-        self.slack_col_of_row = np.full(m, -1, dtype=int)
-        for i, rel in enumerate(rels):
-            if rel == LESS_EQUAL:
-                S[i, j] = 1.0
-                self.slack_col_of_row[i] = j
-                j += 1
-            elif rel == GREATER_EQUAL:
-                S[i, j] = -1.0
-                self.slack_col_of_row[i] = j
-                j += 1
-        self.S = S
+        self.sign = self.flip * np.array([_SLACK_SIGN[rel] for _, rel, _ in prob.constraints])
+        has_slack = self.sign != 0.0
+        # slack columns follow the structural ones, in row order
+        self.slack_col_of_row = np.where(has_slack, n - 1 + np.cumsum(has_slack), -1)
+        self.cols = n + int(has_slack.sum())
+        self.S = np.zeros((m, self.cols))
+        self.S[:, :n] = A
+        self.S[has_slack, self.slack_col_of_row[has_slack]] = self.sign[has_slack]
         self.b = b
-        self.rels = rels
-        self.cols = cols
         # internal objective is always a minimisation over the shifted vars
-        cc = np.zeros(cols)
-        cc[:n] = prob.objective if prob.objective_sense == MINIMIZE else -prob.objective
-        self.cc = cc
+        self.cc = np.zeros(self.cols)
+        self.cc[:n] = prob.objective if prob.objective_sense == MINIMIZE else -prob.objective
 
     def run(self, start=None) -> LpSolution:
         if start is not None:
@@ -229,69 +219,46 @@ class _Simplex:
                 self.started, begun = WARM, self._warm(start)
             else:
                 self.started, begun = CRASH, self._crash(np.asarray(start, dtype=float))
-            if begun is not None:
-                T, rhs, basis, row_keep = begun
-                if self._iterate(T, rhs, self.cc, basis) == OPTIMAL:
-                    checked = self._refactored(basis, row_keep)
-                    if checked is not None:
-                        rhs, inverse = checked
-                        return self._verdict(OPTIMAL, rhs, basis, row_keep, inverse)
+            factored = None if begun is None else self._factor(*begun)
+            if factored is not None and not _negative(factored[1]):
+                (basis, row_keep), (inverse, rhs) = begun, factored
+                np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
+                if self._phase_two(basis, row_keep, inverse, rhs) == OPTIMAL:
+                    # the updated tableau carries every pivot's rounding, so
+                    # the optimum stands only if it holds once refactored
+                    final = self._factor(basis, row_keep)
+                    if final is not None and self._holds(basis, final[1]):
+                        return self._verdict(OPTIMAL, final[1], basis, row_keep, final[0])
         self.started = COLD
         basis, row_keep = self._phase_one()
         if basis is None:
             return self._verdict(INFEASIBLE)
-        begun = self._tableau(basis, row_keep)
-        if begun is None:
+        factored = self._factor(basis, row_keep)
+        if factored is None:
             raise SolverError("singular basis between phases")
-        T, rhs, basis, row_keep = begun
-        if self._iterate(T, rhs, self.cc, basis) == UNBOUNDED:
+        inverse, rhs = factored
+        if self._phase_two(basis, row_keep, inverse, rhs) == UNBOUNDED:
             return self._verdict(UNBOUNDED)
-        return self._verdict(OPTIMAL, rhs, basis, row_keep)
+        final = self._factor(basis, row_keep)
+        if final is None:
+            raise SolverError("singular basis at the optimum")
+        return self._verdict(OPTIMAL, rhs, basis, row_keep, final[0])
 
-    # -- starting bases ------------------------------------------------
-
-    def _tableau(self, basis, row_keep):
-        """``(T, rhs, basis, row_keep)`` of a basis, or None if it cannot be factored."""
-        inverse = self._inverse(basis, row_keep)
-        if inverse is None:
-            return None
-        # one small inverse and a product: numpy's solve with hundreds of
-        # right-hand sides takes about nine times as long on these programs
-        return inverse @ self.S[row_keep], inverse @ self.b[row_keep], basis, row_keep
-
-    def _inverse(self, basis, row_keep):
+    def _factor(self, basis, row_keep):
+        """``(inverse, inverse @ b)`` of a basis over the kept rows, or None if it is singular."""
         try:
-            return np.linalg.inv(self.S[row_keep][:, basis])
+            inverse = np.linalg.inv(self.S[row_keep][:, basis])
         except np.linalg.LinAlgError:
             return None
+        return inverse, inverse @ self.b[row_keep]
 
-    def _refactored(self, basis, row_keep):
-        """``(rhs, inverse)`` of a final basis refactored from the original rows.
-
-        The updated tableau carries every pivot's rounding, so a started
-        solve keeps its optimum only through this check: None when the
-        refactored point is negative or breaks a row.
-        """
-        inverse = self._inverse(basis, row_keep)
-        if inverse is None:
-            return None
-        rhs = inverse @ self.b[row_keep]
+    def _holds(self, basis, rhs) -> bool:
+        """Whether the basic point with values ``rhs`` is nonnegative and satisfies every row."""
         x = np.zeros(self.cols)
         x[basis] = rhs
-        if rhs.min() < -FEASIBILITY_TOL or self._slacks(x[:self.n]) is None:
-            return None
-        return rhs, inverse
+        return not _negative(rhs) and self._slacks(x[:self.n]) is not None
 
-    def _feasible_tableau(self, basis, row_keep):
-        """The tableau of a given basis if it is primal feasible, else None."""
-        begun = self._tableau(basis, row_keep)
-        if begun is None:
-            return None
-        rhs = begun[1]
-        if rhs.size and rhs.min() < -FEASIBILITY_TOL:
-            return None
-        np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
-        return begun
+    # -- starting bases ------------------------------------------------
 
     def _crash(self, x):
         """A basis at the feasible vertex ``x``, or None when ``x`` is not one.
@@ -310,7 +277,7 @@ class _Simplex:
         if slacks is None:
             return None
         slack, row_tol = slacks
-        has_slack = self.slack_col_of_row >= 0
+        has_slack = self.sign != 0.0
         loose = has_slack & (slack > row_tol)
         cols = [*np.flatnonzero(xs > tol), *self.slack_col_of_row[loose]]
         if len(cols) > m:
@@ -322,7 +289,7 @@ class _Simplex:
         filled = has_slack & ~loose
         filled[kept] = False
         basis = np.sort(np.array([*cols, *self.slack_col_of_row[filled]], dtype=int))
-        return self._feasible_tableau(basis, list(range(m)))
+        return basis, list(range(m))
 
     def _slacks(self, xs):
         """Slack values and per-row tolerances at the shifted point ``xs``.
@@ -333,9 +300,8 @@ class _Simplex:
         A = self.S[:, :self.n]
         resid = self.b - A @ xs
         row_tol = FEASIBILITY_TOL * np.maximum(1.0, np.abs(A) @ np.abs(xs) + self.b)
-        has_slack = self.slack_col_of_row >= 0
-        slack = resid * self.S[np.arange(self.m), self.slack_col_of_row]
-        if np.any(np.where(has_slack, slack < -row_tol, np.abs(resid) > row_tol)):
+        slack = resid * self.sign
+        if np.any(np.where(self.sign != 0.0, slack < -row_tol, np.abs(resid) > row_tol)):
             return None
         return slack, row_tol
 
@@ -350,7 +316,7 @@ class _Simplex:
         basis = np.array([*basis, *added], dtype=int)
         if basis.max(initial=-1) >= self.cols:
             return None
-        return self._feasible_tableau(basis, [*row_keep, *range(rows, self.m)])
+        return basis, [*row_keep, *range(rows, self.m)]
 
     # -- phases --------------------------------------------------------
 
@@ -359,7 +325,7 @@ class _Simplex:
         m, cols = self.m, self.cols
         # one artificial column per "=" or ">=" row, in row order; the
         # slacks of the "<=" rows complete the starting basis
-        art_rows = np.flatnonzero([rel != LESS_EQUAL for rel in self.rels])
+        art_rows = np.flatnonzero(self.sign < 1.0)
         art_cols = cols + np.arange(art_rows.size)
         T = np.zeros((m, cols + art_rows.size))
         T[:, :cols] = self.S
@@ -388,19 +354,29 @@ class _Simplex:
         row_keep = [i for i in range(m) if i not in drop]
         return basis[row_keep], row_keep
 
+    def _phase_two(self, basis, row_keep, inverse, rhs) -> str:
+        """Pivot from a factored basis, whose tableau this builds; mutates rhs and basis."""
+        # one small inverse and a product: numpy's solve with hundreds of
+        # right-hand sides takes about nine times as long on these programs
+        return self._iterate(inverse @ self.S[row_keep], rhs, self.cc, basis)
+
     def _iterate(self, T, rhs, cost, basis) -> str:
-        """Pivot until optimal or unbounded; mutates T, rhs and basis."""
+        """Pivot until optimal or unbounded; mutates T, rhs and basis.
+
+        The entering column is the most negative reduced cost (Dantzig)
+        until this call has made 3·(rows+columns) pivots of ``T``, and the
+        first negative one (Bland, which cannot cycle) after that.
+        """
         tol = PIVOT_TOL
         m = T.shape[0]
-        bland = False
-        stall = 0
-        stall_limit = 3 * (T.shape[0] + T.shape[1])
-        best = math.inf
+        bland_after = 3 * (T.shape[0] + T.shape[1])
+        pivots = 0
         while True:
             red = cost - cost[basis] @ T
             red[basis] = 0.0
-            if bland:
-                entering = next((j for j in range(T.shape[1]) if red[j] < -tol), -1)
+            if pivots > bland_after:
+                improving = np.flatnonzero(red < -tol)
+                entering = int(improving[0]) if improving.size else -1
             else:
                 entering = int(np.argmin(red))
                 if red[entering] >= -tol:
@@ -421,17 +397,10 @@ class _Simplex:
             if leaving < 0:
                 return UNBOUNDED
             self._pivot(T, rhs, basis, leaving, entering)
+            pivots += 1
             self.iterations += 1
             if self.iterations > MAX_ITERATIONS:
                 raise SolverError("iteration limit exceeded")
-            obj = float(cost[basis] @ rhs)
-            if obj < best - 1e-12 * (1.0 + abs(best)):
-                best = obj
-                stall = 0
-            else:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
 
     @staticmethod
     def _pivot(T, rhs, basis, row, col) -> None:
@@ -449,6 +418,7 @@ class _Simplex:
     # -- reporting -----------------------------------------------------
 
     def _verdict(self, status, rhs=None, basis=None, row_keep=None, inverse=None) -> LpSolution:
+        """The solution at the end of a solve; an optimum comes with its basis' inverse."""
         prob, n, m = self.problem, self.n, self.m
         nan = float("nan")
         if status in (INFEASIBLE, UNBOUNDED):
@@ -475,12 +445,8 @@ class _Simplex:
             self.started, (tuple(int(c) for c in basis), tuple(row_keep), m),
         )
 
-    def _duals(self, basis, row_keep, inverse=None):
-        """Multipliers from the final basis, mapped back to the original rows."""
-        if inverse is None:
-            inverse = self._inverse(basis, row_keep)
-            if inverse is None:
-                raise SolverError("singular basis at the optimum")
+    def _duals(self, basis, row_keep, inverse):
+        """Multipliers from the final basis' inverse, mapped back to the original rows."""
         y_int = np.zeros(self.m)
         y_int[row_keep] = inverse.T @ self.cc[basis]
         sign = -1.0 if self.problem.objective_sense == MAXIMIZE else 1.0
@@ -488,6 +454,11 @@ class _Simplex:
         # the stored rows are the original ones negated where ``flip`` is -1
         reduced = self.problem.objective - self.S[:, :self.n].T @ (self.flip * duals)
         return duals, reduced
+
+
+def _negative(v) -> bool:
+    """Whether some entry of ``v`` lies below ``-FEASIBILITY_TOL``."""
+    return v.min(initial=math.inf) < -FEASIBILITY_TOL
 
 
 def _independent_rows(M, fixed, optional, k):

@@ -22,6 +22,7 @@ narrow band while a stage objective is re-optimised.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -74,8 +75,18 @@ class MpssResult:
         return abs(self.score) <= EPS_MPSS
 
 
+@contextmanager
+def _named(context: str):
+    """Prefix a ``SolverError`` raised inside the block with ``context``."""
+    try:
+        yield
+    except SolverError as exc:
+        raise SolverError(f"{context}: {exc}") from exc
+
+
 def _solve(problem: LpProblem, context: str, start=None) -> LpSolution:
-    sol = solve_lp(problem, start=start)
+    with _named(context):
+        sol = solve_lp(problem, start=start)
     if sol.status != "optimal":
         raise SolverError(f"{context}: linear program is {sol.status}")
     return sol
@@ -190,12 +201,11 @@ def _pinned_stage(prog: Program, dmu: str, stage: int, score: float,
     """
     pinned, gap = PINS[stage]
     prog.pin(gap, score)
-    sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]), start=start)
+    context = f"stage-{stage} evaluation of {dmu!r}"
+    with _named(context):
+        sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]), start=start)
     if sol.status != "optimal":
-        raise SolverError(
-            f"stage-{stage} evaluation of {dmu!r}: fixing band infeasible at "
-            f"{pinned} score {score!r}"
-        )
+        raise SolverError(f"{context}: fixing band infeasible at {pinned} score {score!r}")
     return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, prog), sol
 
 

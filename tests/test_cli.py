@@ -272,6 +272,27 @@ def test_log_spread_units_match_certified_scores(dmu, capsys):
     assert float(row["score"]) == pytest.approx(LOG_SPREAD_CERTIFIED[dmu], rel=1e-6)
 
 
+@pytest.mark.parametrize("dmu, stage", [("u7", 2), ("u11", 1)])
+def test_log_spread_stage_failure_names_unit_and_stage(dmu, stage, capsys):
+    # a pinned stage solve of these units falls back to phase one, which
+    # ends on a basis that cannot be factored
+    from conftest import FIXTURES
+
+    argv = ["network-mpss", "--data", str(FIXTURES / "log_spread.csv"),
+            "--topology", str(FIXTURES / "log_spread_topology.json"),
+            "--intermediates", "radial", "--stages", "--dmu", dmu]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"solver failure: stage-{stage} evaluation of {dmu!r}: singular basis between phases\n")
+
+
+def test_decompose_short_scores_row_exit_one(tmp_path, capsys):
+    scores = tmp_path / "s.csv"
+    scores.write_text("process1,process2\n0.1\n", encoding="utf-8")
+    assert run(["decompose", "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == "error: scores row 1: fewer cells than the header\n"
+
+
 def test_epsilon_flag_repairs_zeros(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("dmu,a\nu1,0\nu2,2\n", encoding="utf-8")

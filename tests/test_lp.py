@@ -167,17 +167,48 @@ def test_small_random_suite_matches_enumeration():
 
 def test_singular_basis_at_optimum_raises_solver_error(monkeypatch):
     """A final basis that cannot be factored is a solver failure, not a LinAlgError."""
-    duals = lp._Simplex._duals
+    iterate = lp._Simplex._iterate
 
-    def repeated_column(self, basis, row_keep, inverse=None):
-        # a basis with one column twice; its factorisation must fail
-        return duals(self, np.r_[basis[:1], basis[:-1]], row_keep)
+    def repeated_column(self, T, rhs, cost, basis):
+        # phase two (the only call: every row is "<=") ends on a basis with
+        # one column twice, whose factorisation must fail
+        status = iterate(self, T, rhs, cost, basis)
+        basis[:] = np.r_[basis[:1], basis[:-1]]
+        return status
 
-    monkeypatch.setattr(lp._Simplex, "_duals", repeated_column)
+    monkeypatch.setattr(lp._Simplex, "_iterate", repeated_column)
     prob = LpProblem("maximize", [1.0, 1.0],
                      [([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)])
     with pytest.raises(SolverError, match="singular basis at the optimum"):
         solve_lp(prob)
+
+
+def test_bland_rule_ends_beale_cycle():
+    """Beale's example cycles under Dantzig's rule; Bland's rule must finish it."""
+    prob = LpProblem("minimize", [-0.75, 20.0, -0.5, 6.0], [
+        ([0.25, -8.0, -1.0, 9.0], "<=", 0.0),
+        ([0.5, -12.0, -0.5, 3.0], "<=", 0.0),
+        ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+    ])
+    sol = solve_lp(prob)
+    want_status, want_val, want_x = enumerate_solve(
+        prob.objective_sense, prob.objective, prob.constraints)
+    assert sol.status == want_status == "optimal"
+    assert want_val == pytest.approx(-1.25, abs=1e-12)
+    assert sol.objective_value == pytest.approx(want_val, abs=1e-9)
+    assert sol.variable_values == pytest.approx(want_x, abs=1e-9)
+    assert want_x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+    # phase two alone (every row is "<=" with rhs 0 or 1): Bland's rule
+    # takes over after 3·(rows+columns) pivots, 3 rows and 4 + 3 columns
+    assert sol.started == "cold"
+    assert sol.iterations > 3 * (3 + 7)
+
+
+def test_crash_start_without_rows():
+    prob = LpProblem("minimize", [1.0, 2.0], [])
+    sol = solve_lp(prob, start=[0.0, 0.0])
+    assert (sol.status, sol.started, sol.objective_value) == ("optimal", "crash", 0.0)
+    assert sol.variable_values.tolist() == [0.0, 0.0]
 
 
 def test_concurrent_solves_are_safe():
