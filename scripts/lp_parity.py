@@ -1,11 +1,12 @@
 """Fingerprint a fixed set of simplex solves, to compare two checkouts.
 
-Each solve gives one JSON line: a label, and either the sha256 of its
-``LpSolution`` or the error it raised as ``Name: message``.  The digest
-covers the status, the repr of the objective value, the iteration count,
-``started``, the final basis and the bytes of the variable values, the dual
-values, the reduced costs and the ``basic`` flags, so two lines agree only
-when the two solutions are bit for bit the same.  The set is:
+Each solve gives one JSON line: a label, and either the error it raised as
+``Name: message`` or the solution's status, the repr of its objective
+value, its iteration count, ``started`` and the sha256 of the whole
+``LpSolution``.  The digest covers those four fields, the final basis and
+the bytes of the variable values, the dual values, the reduced costs and
+the ``basic`` flags, so two lines agree only when the two solutions are bit
+for bit the same.  The set is:
 
 * 3,000 problems from ``tests/gen.random_lp`` (seed 2024), and for every
   fifth optimal one a crash start from its optimum, a warm start after an
@@ -21,12 +22,15 @@ when the two solutions are bit for bit the same.  The set is:
 
 Model solves are caught where ``network`` and ``chain`` call ``solve_lp``,
 so a solve that raises is recorded with the solver's own message.  The
-package comes from ``PYTHONPATH``.  From the repository root::
+package comes from ``PYTHONPATH``.  ``--compare A B`` reads two such files
+and lists every solve whose error, status, ``started`` or iteration count
+changed, or whose objective moved by more than 1e-9 relative, then counts
+the lines whose digests differ.  From the repository root::
 
     python3 perfbench/inputs.py --seed 1
     PYTHONPATH=<parent checkout>/src python3 scripts/lp_parity.py > parent.jsonl
     PYTHONPATH=src python3 scripts/lp_parity.py > change.jsonl
-    diff parent.jsonl change.jsonl
+    PYTHONPATH=src python3 scripts/lp_parity.py --compare parent.jsonl change.jsonl
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -55,6 +60,7 @@ from gen import random_lp  # noqa: E402
 
 RANDOM_SEED = 2024
 RANDOM_PROBLEMS = 3000
+OBJECTIVE_RTOL = 1e-9  # relative move of an objective that --compare reports
 
 
 def digest(sol) -> str:
@@ -73,7 +79,9 @@ def emit(label: str, solve):
     except DeaMpssError as exc:
         print(json.dumps({"case": label, "error": f"{type(exc).__name__}: {exc}"}))
         raise
-    print(json.dumps({"case": label, "sha256": digest(sol)}))
+    print(json.dumps({"case": label, "status": sol.status,
+                      "objective": repr(sol.objective_value), "iterations": sol.iterations,
+                      "started": sol.started, "sha256": digest(sol)}))
     return sol
 
 
@@ -150,11 +158,53 @@ SPREAD_CALLS = [
 ]
 
 
+def changes(old: dict, new: dict) -> list:
+    """What differs between two lines of one solve, beyond rounding of the objective."""
+    fields = [k for k in ("error", "status", "started", "iterations") if old.get(k) != new.get(k)]
+    if "objective" in old and "objective" in new and old["objective"] != new["objective"]:
+        a, b = float(old["objective"]), float(new["objective"])
+        if not math.isclose(a, b, rel_tol=OBJECTIVE_RTOL):
+            fields.append("objective")
+    return [f"{k} {old.get(k)} -> {new.get(k)}" for k in fields]
+
+
+def compare(old_path: Path, new_path: Path) -> None:
+    """Print every changed solve of two output files, then the counts.
+
+    Lines pair up by label; a solve made on one side only (a model call that
+    raised earlier or later) is listed as such.
+    """
+    def read(path):
+        with open(path, encoding="utf-8") as fh:
+            return {r["case"]: r for r in map(json.loads, fh)}
+
+    old, new = read(old_path), read(new_path)
+    changed = digests = 0
+    for case in [*old, *(c for c in new if c not in old)]:
+        a, b = old.get(case), new.get(case)
+        if a is None or b is None:
+            diff = [f"only in {new_path if a is None else old_path}"]
+        else:
+            diff = changes(a, b)
+            digests += a.get("sha256") != b.get("sha256")
+        if diff:
+            changed += 1
+            print(f"{case}: " + "; ".join(diff))
+    print(f"{len(old)} and {len(new)} solves: {changed} changed; "
+          f"{digests} of the solves on both sides differ in their digest")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--inputs", type=Path, default=ROOT / ".perfbench" / "inputs" / "seed-1",
                     help="directory written by perfbench/inputs.py (default: seed 1)")
-    inputs = ap.parse_args().inputs.resolve()
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                    help="compare two output files instead of solving")
+    args = ap.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    inputs = args.inputs.resolve()
     random_solves()
     for name, calls in (("pinned-stages-300", STAGE_CALLS), ("chain-300", CHAIN_CALLS)):
         d = inputs / name

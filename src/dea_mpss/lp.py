@@ -1,4 +1,4 @@
-"""Dense primal simplex for small linear programs.
+"""Dense revised primal simplex for small linear programs.
 
 Every envelopment model in this package reduces to a program of the form
 
@@ -7,7 +7,12 @@ Every envelopment model in this package reduces to a program of the form
              x >= lower_bounds            (componentwise, default 0)
 
 Problem sizes are small (about a dozen rows, a few hundred variables), so
-the solver keeps an explicit dense tableau.  Phase two optimises from a
+the solver keeps the m×m basis inverse as a dense matrix and never forms
+the m×(columns) tableau.  Each pivot prices every column from the simplex
+multipliers ``c_B B⁻¹``, forms only the entering column ``B⁻¹ a_q``, and
+updates the inverse by the pivot row (the product form of Dantzig and
+Orchard-Hays); every ``REFACTOR_EVERY`` pivots the basis is factored
+afresh.  Both phases run the same pivot loop.  Phase two optimises from a
 primal feasible basis.  A solve finds that basis in one of three ways:
 
 * crash: the caller passes a feasible vertex (every unpinned model passes
@@ -58,6 +63,7 @@ WARM = "warm"    # phase two from an earlier optimum's basis
 FEASIBILITY_TOL = 1e-7   # infeasibility a basis, a start or phase one's artificial sum may keep
 PIVOT_TOL = 1e-9         # smallest pivot, and least improvement of a reduced cost
 MAX_ITERATIONS = 50_000  # pivots before a solve raises SolverError
+REFACTOR_EVERY = 64      # pivots of a phase between fresh factorisations of its basis
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -223,8 +229,8 @@ class _Simplex:
             if factored is not None and not _negative(factored[1]):
                 (basis, row_keep), (inverse, rhs) = begun, factored
                 np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
-                if self._phase_two(basis, row_keep, inverse, rhs) == OPTIMAL:
-                    # the updated tableau carries every pivot's rounding, so
+                if self._iterate(self.S, self.cc, basis, row_keep, inverse, rhs) == OPTIMAL:
+                    # the updated inverse carries the pivots' rounding, so
                     # the optimum stands only if it holds once refactored
                     final = self._factor(basis, row_keep)
                     if final is not None and self._holds(basis, final[1]):
@@ -237,17 +243,22 @@ class _Simplex:
         if factored is None:
             raise SolverError("singular basis between phases")
         inverse, rhs = factored
-        if self._phase_two(basis, row_keep, inverse, rhs) == UNBOUNDED:
+        if self._iterate(self.S, self.cc, basis, row_keep, inverse, rhs) == UNBOUNDED:
             return self._verdict(UNBOUNDED)
         final = self._factor(basis, row_keep)
         if final is None:
             raise SolverError("singular basis at the optimum")
         return self._verdict(OPTIMAL, rhs, basis, row_keep, final[0])
 
-    def _factor(self, basis, row_keep):
-        """``(inverse, inverse @ b)`` of a basis over the kept rows, or None if it is singular."""
+    def _factor(self, basis, row_keep, S=None):
+        """``(inverse, inverse @ b)`` of a basis over the kept rows, or None if it is singular.
+
+        The basis columns come from ``S``, the standard form unless given.
+        """
+        S = self.S if S is None else S
+        block = S[:, basis] if len(row_keep) == self.m else S[np.ix_(row_keep, basis)]
         try:
-            inverse = np.linalg.inv(self.S[row_keep][:, basis])
+            inverse = np.linalg.inv(block)
         except np.linalg.LinAlgError:
             return None
         return inverse, inverse @ self.b[row_keep]
@@ -324,96 +335,99 @@ class _Simplex:
         """Minimise the artificial sum; returns (basis, kept row indices)."""
         m, cols = self.m, self.cols
         # one artificial column per "=" or ">=" row, in row order; the
-        # slacks of the "<=" rows complete the starting basis
+        # slacks of the "<=" rows complete the starting basis, the identity
         art_rows = np.flatnonzero(self.sign < 1.0)
         art_cols = cols + np.arange(art_rows.size)
-        T = np.zeros((m, cols + art_rows.size))
-        T[:, :cols] = self.S
-        T[art_rows, art_cols] = 1.0
+        S = np.zeros((m, cols + art_rows.size))
+        S[:, :cols] = self.S
+        S[art_rows, art_cols] = 1.0
         basis = self.slack_col_of_row.copy()
         basis[art_rows] = art_cols
+        inverse = np.eye(m)
         rhs = self.b.copy()
-        cost = np.zeros(T.shape[1])
+        cost = np.zeros(S.shape[1])
         cost[cols:] = 1.0
         if art_rows.size:
-            status = self._iterate(T, rhs, cost, basis)
+            status = self._iterate(S, cost, basis, range(m), inverse, rhs)
             if status != OPTIMAL:  # phase-1 objective is bounded below by 0
                 raise SolverError("phase one failed to terminate cleanly")
-            # summed in row order, one term at a time
+            # summed in row order, one term at a time; the updated basic
+            # values carry every pivot's rounding, so an infeasible verdict
+            # stands unless a fresh factorisation overturns it.  On a basis
+            # singular to working precision neither can be read, and the
+            # solve fails as on a basis that cannot be factored at all
             if sum(rhs[basis >= cols]) > FEASIBILITY_TOL:
-                return None, None
-        # pivot remaining zero-level artificials out, dropping redundant rows
+                factored = self._factor(basis, range(m), S)
+                if factored is None or sum(factored[1][basis >= cols]) > FEASIBILITY_TOL:
+                    return None, None
+                inverse, rhs = factored
+                if _condition(S[:, basis], inverse) * np.finfo(float).eps > 1.0:
+                    raise SolverError("singular basis between phases")
+        # pivot remaining zero-level artificials out, dropping redundant
+        # rows; row i of B⁻¹S is the artificial's row of the tableau
         drop = []
         for i in range(m):
             if basis[i] >= cols:
-                piv = np.flatnonzero(np.abs(T[i, :cols]) > PIVOT_TOL)
+                piv = np.flatnonzero(np.abs(inverse[i] @ self.S) > PIVOT_TOL)
                 if piv.size:
-                    self._pivot(T, rhs, basis, i, piv[0])
+                    _pivot(inverse, rhs, basis, i, piv[0], inverse @ self.S[:, piv[0]])
                 else:
                     drop.append(i)
         row_keep = [i for i in range(m) if i not in drop]
         return basis[row_keep], row_keep
 
-    def _phase_two(self, basis, row_keep, inverse, rhs) -> str:
-        """Pivot from a factored basis, whose tableau this builds; mutates rhs and basis."""
-        # one small inverse and a product: numpy's solve with hundreds of
-        # right-hand sides takes about nine times as long on these programs
-        return self._iterate(inverse @ self.S[row_keep], rhs, self.cc, basis)
+    def _iterate(self, S, cost, basis, row_keep, inverse, rhs) -> str:
+        """Pivot until optimal or unbounded; mutates basis, inverse and rhs.
 
-    def _iterate(self, T, rhs, cost, basis) -> str:
-        """Pivot until optimal or unbounded; mutates T, rhs and basis.
-
-        The entering column is the most negative reduced cost (Dantzig)
-        until this call has made 3·(rows+columns) pivots of ``T``, and the
-        first negative one (Bland, which cannot cycle) after that.
+        A revised simplex over the kept rows of ``S``: ``inverse`` is the
+        basis inverse and ``rhs`` the basic values.  Each pivot prices every
+        column from ``y = c_B B⁻¹``, forms only the entering column
+        ``B⁻¹ a_q``, and updates the inverse by the pivot row; every
+        ``REFACTOR_EVERY`` pivots the inverse is factored afresh.  The
+        entering column is the most negative reduced cost (Dantzig) until
+        this call has made 3·(rows+columns) pivots, and the first negative
+        one (Bland, which cannot cycle) after that.  The ratio test takes the
+        lowest ratio; within ``PIVOT_TOL`` of it, the lowest basis column.
         """
         tol = PIVOT_TOL
-        m = T.shape[0]
-        bland_after = 3 * (T.shape[0] + T.shape[1])
+        A = S if len(row_keep) == self.m else S[row_keep]
+        bland_after = 3 * (A.shape[0] + A.shape[1])
         pivots = 0
         while True:
-            red = cost - cost[basis] @ T
+            red = cost - (cost[basis] @ inverse) @ A
             red[basis] = 0.0
             if pivots > bland_after:
                 improving = np.flatnonzero(red < -tol)
                 entering = int(improving[0]) if improving.size else -1
             else:
-                entering = int(np.argmin(red))
+                entering = int(red.argmin())
                 if red[entering] >= -tol:
                     entering = -1
             if entering < 0:
                 return OPTIMAL
-            col = T[:, entering]
-            ratios = np.full(m, math.inf)
-            ok = col > tol
-            ratios[ok] = rhs[ok] / col[ok]
-            leaving = -1
+            col = inverse @ A[:, entering]
+            leaving = low = -1
             best_ratio = math.inf
-            for i in range(m):
-                if ratios[i] < best_ratio - tol:
-                    best_ratio, leaving = ratios[i], i
-                elif ratios[i] < best_ratio + tol and leaving >= 0 and basis[i] < basis[leaving]:
-                    leaving = i
+            for i, (c, r, j) in enumerate(zip(col.tolist(), rhs.tolist(), basis.tolist())):
+                if c <= tol:
+                    continue
+                ratio = r / c
+                if ratio < best_ratio - tol:
+                    best_ratio, leaving, low = ratio, i, j
+                elif ratio < best_ratio + tol and j < low:
+                    leaving, low = i, j
             if leaving < 0:
                 return UNBOUNDED
-            self._pivot(T, rhs, basis, leaving, entering)
+            _pivot(inverse, rhs, basis, leaving, entering, col)
             pivots += 1
             self.iterations += 1
             if self.iterations > MAX_ITERATIONS:
                 raise SolverError("iteration limit exceeded")
-
-    @staticmethod
-    def _pivot(T, rhs, basis, row, col) -> None:
-        piv = T[row, col]
-        T[row] /= piv
-        rhs[row] /= piv
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row])
-        rhs -= factors * rhs[row]
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        basis[row] = col
+            if pivots % REFACTOR_EVERY == 0:
+                factored = self._factor(basis, row_keep, S)
+                if factored is not None:  # else keep the updated inverse
+                    inverse[:], rhs[:] = factored
+                    np.maximum(rhs, 0.0, out=rhs)
 
     # -- reporting -----------------------------------------------------
 
@@ -454,6 +468,23 @@ class _Simplex:
         # the stored rows are the original ones negated where ``flip`` is -1
         reduced = self.problem.objective - self.S[:, :self.n].T @ (self.flip * duals)
         return duals, reduced
+
+
+def _pivot(inverse, rhs, basis, row, entering, col) -> None:
+    """Column ``entering``, with ``col = B⁻¹ a_q``, replaces ``basis[row]``."""
+    piv = col[row]
+    inverse[row] /= piv
+    rhs[row] /= piv
+    factors = col.copy()
+    factors[row] = 0.0
+    inverse -= factors[:, None] * inverse[row]
+    rhs -= factors * rhs[row]
+    basis[row] = entering
+
+
+def _condition(B, inverse) -> float:
+    """The 1-norm condition number of ``B``, given its inverse."""
+    return np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
 
 
 def _negative(v) -> bool:

@@ -169,10 +169,10 @@ def test_singular_basis_at_optimum_raises_solver_error(monkeypatch):
     """A final basis that cannot be factored is a solver failure, not a LinAlgError."""
     iterate = lp._Simplex._iterate
 
-    def repeated_column(self, T, rhs, cost, basis):
+    def repeated_column(self, S, cost, basis, row_keep, inverse, rhs):
         # phase two (the only call: every row is "<=") ends on a basis with
         # one column twice, whose factorisation must fail
-        status = iterate(self, T, rhs, cost, basis)
+        status = iterate(self, S, cost, basis, row_keep, inverse, rhs)
         basis[:] = np.r_[basis[:1], basis[:-1]]
         return status
 
@@ -255,6 +255,28 @@ def test_complementary_slackness_and_dual_signs():
             continue
         _assert_complementary(prob, sol)
         checked += 1
+
+
+def test_klee_minty_cube_refactors_on_the_way():
+    """Dantzig's rule visits many vertices of the Klee-Minty cube, so the
+    basis inverse is factored afresh at least once during the solve."""
+    n = 8
+    rows = []
+    for i in range(n):
+        a = np.zeros(n)
+        a[:i] = [2.0 ** (i - j + 1) for j in range(i)]
+        a[i] = 1.0
+        rows.append((a, "<=", 5.0 ** (i + 1)))
+    prob = LpProblem("maximize", [2.0 ** (n - 1 - j) for j in range(n)], rows)
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.started == "cold"
+    # phase two alone, every row being "<=" with a positive rhs
+    assert sol.iterations > lp.REFACTOR_EVERY
+    assert sol.objective_value == pytest.approx(5.0 ** n, rel=1e-12)
+    assert sol.variable_values == pytest.approx([0.0] * (n - 1) + [5.0 ** n], abs=1e-6)
+    _assert_primal_feasible(prob, sol)
+    _assert_complementary(prob, sol)
 
 
 # equality rows that phase one must drop: its artificial stays basic at
