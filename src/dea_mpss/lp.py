@@ -10,10 +10,13 @@ Problem sizes are small (about a dozen rows, a few hundred variables), so
 the solver keeps the m×m basis inverse as a dense matrix and never forms
 the m×(columns) tableau.  Each pivot prices every column from the simplex
 multipliers ``c_B B⁻¹``, forms only the entering column ``B⁻¹ a_q``, and
-updates the inverse by the pivot row (the product form of Dantzig and
-Orchard-Hays); every ``REFACTOR_EVERY`` pivots the basis is factored
-afresh.  Both phases run the same pivot loop.  Phase two optimises from a
-primal feasible basis.  A solve finds that basis in one of three ways:
+updates the inverse by the pivot row; every ``REFACTOR_EVERY`` pivots the
+basis is factored afresh.  Both phases run the same pivot loop.  Phase one
+forms its columns in product form (Dantzig and Orchard-Hays): the pivots'
+row operations applied one at a time, which round exactly as a tableau's
+columns do, because its verdict reads the updated values themselves.
+Phase two optimises from a primal feasible basis.  A solve finds that
+basis in one of three ways:
 
 * crash: the caller passes a feasible vertex (every unpinned model passes
   the evaluated unit set against itself); its support and the slacks of its
@@ -63,7 +66,7 @@ WARM = "warm"    # phase two from an earlier optimum's basis
 FEASIBILITY_TOL = 1e-7   # infeasibility a basis, a start or phase one's artificial sum may keep
 PIVOT_TOL = 1e-9         # smallest pivot, and least improvement of a reduced cost
 MAX_ITERATIONS = 50_000  # pivots before a solve raises SolverError
-REFACTOR_EVERY = 64      # pivots of a phase between fresh factorisations of its basis
+REFACTOR_EVERY = 96      # pivots of a phase between fresh factorisations of its basis
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -225,37 +228,37 @@ class _Simplex:
                 self.started, begun = WARM, self._warm(start)
             else:
                 self.started, begun = CRASH, self._crash(np.asarray(start, dtype=float))
-            factored = None if begun is None else self._factor(*begun)
+            factored = None if begun is None else self._factor(*begun, self.S)
             if factored is not None and not _negative(factored[1]):
                 (basis, row_keep), (inverse, rhs) = begun, factored
                 np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
+                inverse = _Inverse(inverse)
                 if self._iterate(self.S, self.cc, basis, row_keep, inverse, rhs) == OPTIMAL:
                     # the updated inverse carries the pivots' rounding, so
                     # the optimum stands only if it holds once refactored
-                    final = self._factor(basis, row_keep)
+                    final = self._factor(basis, row_keep, self.S)
                     if final is not None and self._holds(basis, final[1]):
                         return self._verdict(OPTIMAL, final[1], basis, row_keep, final[0])
         self.started = COLD
         basis, row_keep = self._phase_one()
         if basis is None:
             return self._verdict(INFEASIBLE)
-        factored = self._factor(basis, row_keep)
+        factored = self._factor(basis, row_keep, self.S)
         if factored is None:
             raise SolverError("singular basis between phases")
         inverse, rhs = factored
-        if self._iterate(self.S, self.cc, basis, row_keep, inverse, rhs) == UNBOUNDED:
+        if self._iterate(self.S, self.cc, basis, row_keep, _Inverse(inverse), rhs) == UNBOUNDED:
             return self._verdict(UNBOUNDED)
-        final = self._factor(basis, row_keep)
+        final = self._factor(basis, row_keep, self.S)
         if final is None:
             raise SolverError("singular basis at the optimum")
         return self._verdict(OPTIMAL, rhs, basis, row_keep, final[0])
 
-    def _factor(self, basis, row_keep, S=None):
-        """``(inverse, inverse @ b)`` of a basis over the kept rows, or None if it is singular.
+    def _factor(self, basis, row_keep, S):
+        """``(inverse, inverse @ b)`` of the basis columns of ``S`` over the kept rows.
 
-        The basis columns come from ``S``, the standard form unless given.
+        None when the basis is singular.
         """
-        S = self.S if S is None else S
         block = S[:, basis] if len(row_keep) == self.m else S[np.ix_(row_keep, basis)]
         try:
             inverse = np.linalg.inv(block)
@@ -343,7 +346,7 @@ class _Simplex:
         S[art_rows, art_cols] = 1.0
         basis = self.slack_col_of_row.copy()
         basis[art_rows] = art_cols
-        inverse = np.eye(m)
+        inverse = _ProductForm(np.eye(m))
         rhs = self.b.copy()
         cost = np.zeros(S.shape[1])
         cost[cols:] = 1.0
@@ -351,28 +354,22 @@ class _Simplex:
             status = self._iterate(S, cost, basis, range(m), inverse, rhs)
             if status != OPTIMAL:  # phase-1 objective is bounded below by 0
                 raise SolverError("phase one failed to terminate cleanly")
-            # summed in row order, one term at a time; the updated basic
-            # values carry every pivot's rounding, so an infeasible verdict
-            # stands unless a fresh factorisation overturns it.  On a basis
-            # singular to working precision neither can be read, and the
-            # solve fails as on a basis that cannot be factored at all
+            # summed in row order, one term at a time, from the updated
+            # values, which round exactly as a tableau's
             if sum(rhs[basis >= cols]) > FEASIBILITY_TOL:
-                factored = self._factor(basis, range(m), S)
-                if factored is None or sum(factored[1][basis >= cols]) > FEASIBILITY_TOL:
-                    return None, None
-                inverse, rhs = factored
-                if _condition(S[:, basis], inverse) * np.finfo(float).eps > 1.0:
-                    raise SolverError("singular basis between phases")
+                return None, None
         # pivot remaining zero-level artificials out, dropping redundant
-        # rows; row i of B⁻¹S is the artificial's row of the tableau
+        # rows; row i of T = B⁻¹S is the artificial's row of the tableau
+        stay = np.flatnonzero(basis >= cols)
+        T = inverse.tableau(self.S) if stay.size else None
         drop = []
-        for i in range(m):
-            if basis[i] >= cols:
-                piv = np.flatnonzero(np.abs(inverse[i] @ self.S) > PIVOT_TOL)
-                if piv.size:
-                    _pivot(inverse, rhs, basis, i, piv[0], inverse @ self.S[:, piv[0]])
-                else:
-                    drop.append(i)
+        for i in stay:
+            piv = np.flatnonzero(np.abs(T[i]) > PIVOT_TOL)
+            if piv.size:
+                inverse.pivot(i, T[:, piv[0]], T)
+                basis[i] = piv[0]
+            else:
+                drop.append(i)
         row_keep = [i for i in range(m) if i not in drop]
         return basis[row_keep], row_keep
 
@@ -380,13 +377,15 @@ class _Simplex:
         """Pivot until optimal or unbounded; mutates basis, inverse and rhs.
 
         A revised simplex over the kept rows of ``S``: ``inverse`` is the
-        basis inverse and ``rhs`` the basic values.  Each pivot prices every
-        column from ``y = c_B B⁻¹``, forms only the entering column
-        ``B⁻¹ a_q``, and updates the inverse by the pivot row; every
+        basis' ``_Inverse`` and ``rhs`` the basic values.  Each pivot prices
+        every column from ``y = c_B B⁻¹``, forms only the entering column
+        ``B⁻¹ a_q``, and updates the inverse by the pivot; every
         ``REFACTOR_EVERY`` pivots the inverse is factored afresh.  The
         entering column is the most negative reduced cost (Dantzig) until
         this call has made 3·(rows+columns) pivots, and the first negative
-        one (Bland, which cannot cycle) after that.  The ratio test takes the
+        one (Bland, which cannot cycle) after that.  A candidate enters only
+        if its reduced cost, computed again from its formed column, still
+        improves; otherwise the next one is tried.  The ratio test takes the
         lowest ratio; within ``PIVOT_TOL`` of it, the lowest basis column.
         """
         tol = PIVOT_TOL
@@ -394,18 +393,25 @@ class _Simplex:
         bland_after = 3 * (A.shape[0] + A.shape[1])
         pivots = 0
         while True:
-            red = cost - (cost[basis] @ inverse) @ A
+            red = cost - (cost[basis] @ inverse.explicit) @ A
             red[basis] = 0.0
-            if pivots > bland_after:
-                improving = np.flatnonzero(red < -tol)
-                entering = int(improving[0]) if improving.size else -1
-            else:
-                entering = int(red.argmin())
-                if red[entering] >= -tol:
-                    entering = -1
-            if entering < 0:
-                return OPTIMAL
-            col = inverse @ A[:, entering]
+            while True:
+                if pivots > bland_after:
+                    improving = np.flatnonzero(red < -tol)
+                    entering = int(improving[0]) if improving.size else -1
+                else:
+                    entering = int(red.argmin())
+                    if red[entering] >= -tol:
+                        entering = -1
+                if entering < 0:
+                    return OPTIMAL
+                # y carries the explicit inverse's rounding: a column whose
+                # own reduced cost does not improve is priced noise, and
+                # letting it in can cycle
+                col = inverse.solve(A[:, entering])
+                if cost[entering] - cost[basis] @ col < -tol:
+                    break
+                red[entering] = 0.0
             leaving = low = -1
             best_ratio = math.inf
             for i, (c, r, j) in enumerate(zip(col.tolist(), rhs.tolist(), basis.tolist())):
@@ -418,7 +424,8 @@ class _Simplex:
                     leaving, low = i, j
             if leaving < 0:
                 return UNBOUNDED
-            _pivot(inverse, rhs, basis, leaving, entering, col)
+            inverse.pivot(leaving, col, rhs)
+            basis[leaving] = entering
             pivots += 1
             self.iterations += 1
             if self.iterations > MAX_ITERATIONS:
@@ -426,7 +433,8 @@ class _Simplex:
             if pivots % REFACTOR_EVERY == 0:
                 factored = self._factor(basis, row_keep, S)
                 if factored is not None:  # else keep the updated inverse
-                    inverse[:], rhs[:] = factored
+                    inverse.restart(factored[0])
+                    rhs[:] = factored[1]
                     np.maximum(rhs, 0.0, out=rhs)
 
     # -- reporting -----------------------------------------------------
@@ -470,21 +478,78 @@ class _Simplex:
         return duals, reduced
 
 
-def _pivot(inverse, rhs, basis, row, entering, col) -> None:
-    """Column ``entering``, with ``col = B⁻¹ a_q``, replaces ``basis[row]``."""
-    piv = col[row]
-    inverse[row] /= piv
-    rhs[row] /= piv
-    factors = col.copy()
-    factors[row] = 0.0
-    inverse -= factors[:, None] * inverse[row]
-    rhs -= factors * rhs[row]
-    basis[row] = entering
+class _Inverse:
+    """A basis inverse, updated by each pivot; it prices and forms the columns."""
+
+    def __init__(self, inverse):
+        self.restart(inverse)
+
+    def restart(self, inverse) -> None:
+        """Start afresh from a factored inverse."""
+        self.explicit = inverse
+
+    def solve(self, a):
+        """``B⁻¹ a`` for a column ``a``."""
+        return self.explicit @ a
+
+    def pivot(self, row, col, *also):
+        """Pivot on ``col[row]``, where ``col = B⁻¹ a_q`` enters; ``also`` are updated alike.
+
+        Returns the pivot's row operation, as ``_eliminate`` takes it.
+        """
+        factors = col.copy()
+        factors[row] = 0.0
+        eta = (row, col[row], factors)
+        for x in (self.explicit, *also):
+            _eliminate(x, *eta)
+        return eta
 
 
-def _condition(B, inverse) -> float:
-    """The 1-norm condition number of ``B``, given its inverse."""
-    return np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+class _ProductForm(_Inverse):
+    """A basis inverse whose columns are formed from the pivots since its last refactor.
+
+    ``solve`` multiplies by the refactored inverse and then applies the
+    pivots' row operations one at a time (the product form of Dantzig and
+    Orchard-Hays).  From the identity, a column so formed goes through the
+    very operations, and roundings, that a dense tableau's column would.
+    The explicit inverse still prices.
+    """
+
+    def restart(self, inverse) -> None:
+        super().restart(inverse)
+        self.base = inverse.copy()
+        self.etas = []  # row operations of the pivots since, factors as a list
+
+    def solve(self, a):
+        # in Python floats: the same roundings as numpy's, at a third of the
+        # cost on a column of a dozen rows
+        x = (self.base @ a).tolist()
+        for row, piv, factors in self.etas:
+            s = x[row] / piv
+            x = [v - f * s for v, f in zip(x, factors)]
+            x[row] = s
+        return np.array(x)
+
+    def tableau(self, S):
+        """``B⁻¹ S``, each column formed as ``solve`` forms one."""
+        T = self.base @ S
+        for row, piv, factors in self.etas:
+            _eliminate(T, row, piv, np.array(factors))
+        return T
+
+    def pivot(self, row, col, *also):
+        row, piv, factors = super().pivot(row, col, *also)
+        self.etas.append((row, float(piv), factors.tolist()))
+
+
+def _eliminate(x, row, piv, factors) -> None:
+    """One pivot's row operation on ``x``, a column or a matrix of rows.
+
+    Row ``row`` is divided by the pivot ``piv``, then ``factors`` times it
+    is taken from every row (``factors[row]`` is 0).
+    """
+    x[row] /= piv
+    x -= np.multiply.outer(factors, x[row])
 
 
 def _negative(v) -> bool:

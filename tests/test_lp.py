@@ -257,9 +257,19 @@ def test_complementary_slackness_and_dual_signs():
         checked += 1
 
 
-def test_klee_minty_cube_refactors_on_the_way():
-    """Dantzig's rule visits many vertices of the Klee-Minty cube, so the
-    basis inverse is factored afresh at least once during the solve."""
+def test_klee_minty_cube_refactors_on_the_way(monkeypatch):
+    """The 8-dimensional Klee-Minty cube takes 135 pivots from the origin:
+    Dantzig's rule for the first 3·(8 rows + 16 columns) = 72, then Bland's
+    rule, which finishes the solve.  The basis is factored afresh every
+    ``REFACTOR_EVERY`` pivots on the way."""
+    factor = lp._Simplex._factor
+    factored = []
+
+    def counted(self, *args):
+        factored.append(1)
+        return factor(self, *args)
+
+    monkeypatch.setattr(lp._Simplex, "_factor", counted)
     n = 8
     rows = []
     for i in range(n):
@@ -272,11 +282,37 @@ def test_klee_minty_cube_refactors_on_the_way():
     assert sol.status == "optimal"
     assert sol.started == "cold"
     # phase two alone, every row being "<=" with a positive rhs
+    assert sol.iterations > 3 * (n + 2 * n)
     assert sol.iterations > lp.REFACTOR_EVERY
+    # one factorisation between the phases, one at the optimum
+    assert len(factored) - 2 == sol.iterations // lp.REFACTOR_EVERY
     assert sol.objective_value == pytest.approx(5.0 ** n, rel=1e-12)
     assert sol.variable_values == pytest.approx([0.0] * (n - 1) + [5.0 ** n], abs=1e-6)
     _assert_primal_feasible(prob, sol)
     _assert_complementary(prob, sol)
+
+
+def test_product_form_columns_round_as_a_tableau():
+    """Phase one's columns, formed from the pivots' row operations, equal bit
+    for bit the columns of a dense tableau pivoted the same way, on data
+    spread over eight orders of magnitude."""
+    rng = np.random.default_rng(7)
+    m, n = 6, 15
+    S = rng.normal(size=(m, n)) * 10.0 ** rng.integers(0, 8, size=(m, n))
+    T = S.copy()
+    inverse = lp._ProductForm(np.eye(m))
+    for row, q in [(0, 3), (2, 7), (0, 11), (4, 3), (1, 14), (5, 0)]:
+        col = inverse.solve(S[:, q])
+        assert np.array_equal(col, T[:, q])
+        inverse.pivot(row, col)
+        # the dense tableau's pivot
+        T[row] /= T[row, q]
+        factors = T[:, q].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row])
+        T[:, q] = 0.0
+        T[row, q] = 1.0
+        assert np.array_equal(inverse.tableau(S), T)
 
 
 # equality rows that phase one must drop: its artificial stays basic at
