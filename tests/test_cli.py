@@ -275,8 +275,7 @@ def test_log_spread_units_match_certified_scores(dmu, capsys):
 @pytest.mark.parametrize("dmu, stage", [("u7", 2), ("u11", 1)])
 def test_log_spread_stage_failure_names_unit_and_stage(dmu, stage, capsys):
     # a pinned stage solve of these units falls back to phase one, which
-    # ends on a basis that cannot be factored (u7) or that is singular to
-    # working precision when its infeasible verdict is read again (u11)
+    # ends on a basis that cannot be factored
     from conftest import FIXTURES
 
     argv = ["network-mpss", "--data", str(FIXTURES / "log_spread.csv"),
