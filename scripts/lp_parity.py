@@ -5,8 +5,8 @@ Each solve gives one JSON line: a label, and either the error it raised as
 value, its iteration count, ``started`` and the sha256 of the whole
 ``LpSolution``.  The digest covers those four fields, the final basis and
 the bytes of the variable values, the dual values, the reduced costs and
-the ``basic`` flags, so two lines agree only when the two solutions are bit
-for bit the same.  The set is:
+the ``basic`` flags (hashed as booleans, whatever their dtype), so two
+lines agree only when the two solutions are bit for bit the same.  The set is:
 
 * 3,000 problems from ``tests/gen.random_lp`` (seed 2024), and for every
   fifth optimal one a crash start from its optimum, a warm start after an
@@ -25,7 +25,8 @@ so a solve that raises is recorded with the solver's own message.  The
 package comes from ``PYTHONPATH``.  ``--compare A B`` reads two such files
 and lists every solve whose error, status, ``started`` or iteration count
 changed, or whose objective moved by more than 1e-9 relative, then counts
-the lines whose digests differ.  From the repository root::
+the lines whose digests differ; it exits 1 when any solve changed or any
+digest differs, and 0 otherwise.  From the repository root::
 
     python3 perfbench/inputs.py --seed 1
     PYTHONPATH=<parent checkout>/src python3 scripts/lp_parity.py > parent.jsonl
@@ -67,7 +68,7 @@ def digest(sol) -> str:
     h = hashlib.sha256()
     h.update(f"{sol.status}|{sol.objective_value!r}|{sol.iterations}|{sol.started}|"
              f"{sol._basis!r}".encode())
-    for a in (sol.variable_values, sol.dual_values, sol.reduced_costs, sol.basic):
+    for a in (sol.variable_values, sol.dual_values, sol.reduced_costs, sol.basic.astype(bool)):
         h.update(a.tobytes())
     return h.hexdigest()
 
@@ -168,8 +169,11 @@ def changes(old: dict, new: dict) -> list:
     return [f"{k} {old.get(k)} -> {new.get(k)}" for k in fields]
 
 
-def compare(old_path: Path, new_path: Path) -> None:
+def compare(old_path: Path, new_path: Path) -> bool:
     """Print every changed solve of two output files, then the counts.
+
+    Returns whether the two files agree: no solve changed and every digest
+    is the same.
 
     Lines pair up by label; a solve made on one side only (a model call that
     raised earlier or later) is listed as such.
@@ -192,6 +196,7 @@ def compare(old_path: Path, new_path: Path) -> None:
             print(f"{case}: " + "; ".join(diff))
     print(f"{len(old)} and {len(new)} solves: {changed} changed; "
           f"{digests} of the solves on both sides differ in their digest")
+    return not changed and not digests
 
 
 def main() -> None:
@@ -202,8 +207,7 @@ def main() -> None:
                     help="compare two output files instead of solving")
     args = ap.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        sys.exit(0 if compare(*args.compare) else 1)
     inputs = args.inputs.resolve()
     random_solves()
     for name, calls in (("pinned-stages-300", STAGE_CALLS), ("chain-300", CHAIN_CALLS)):

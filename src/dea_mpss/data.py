@@ -107,6 +107,7 @@ class Dataset:
         object.__setattr__(self, "measures", dict(zip(names, values)))
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_rows", {name: k for k, name in enumerate(names)})
+        object.__setattr__(self, "_index", {d: k for k, d in enumerate(ids)})
 
     @property
     def n_dmus(self) -> int:
@@ -118,8 +119,8 @@ class Dataset:
 
     def index_of(self, dmu: str) -> int:
         try:
-            return self.dmu_ids.index(str(dmu))
-        except ValueError:
+            return self._index[str(dmu)]
+        except KeyError:
             raise ValidationError(f"unknown DMU {dmu!r}") from None
 
     def column(self, name: str) -> np.ndarray:

@@ -2,21 +2,19 @@
 
 Every envelopment model in this package reduces to a program of the form
 
-    max/min  c'x
-    s.t.     a_k'x  {<=, =, >=}  b_k      k = 1..m
-             x >= lower_bounds            (componentwise, default 0)
+    max/min  c'x   s.t.   A x  {<=, =, >=}  b  (one relation per row),   x >= lower_bounds
 
-Problem sizes are small (about a dozen rows, a few hundred variables), so
-the solver keeps the m×m basis inverse as a dense matrix and never forms
-the m×(columns) tableau.  Each pivot prices every column from the simplex
-multipliers ``c_B B⁻¹``, forms only the entering column ``B⁻¹ a_q``, and
-updates the inverse by the pivot row; every ``REFACTOR_EVERY`` pivots the
-basis is factored afresh.  Both phases run the same pivot loop.  Phase one
-forms its columns in product form (Dantzig and Orchard-Hays): the pivots'
-row operations applied one at a time, which round exactly as a tableau's
-columns do, because its verdict reads the updated values themselves.
-Phase two optimises from a primal feasible basis.  A solve finds that
-basis in one of three ways:
+which ``LpProblem`` holds as one read-only m×n matrix ``A``, a relation
+sign per row and ``b``; ``Program`` builds it a measure block at a time.
+Programs are small (about a dozen rows, a few hundred variables), so the
+solver keeps the m×m basis inverse dense and never forms the tableau.  Each
+pivot prices every column from the multipliers ``c_B B⁻¹``, forms only the
+entering column ``B⁻¹ a_q`` and updates the inverse by the pivot row; every
+``REFACTOR_EVERY`` pivots the basis is factored afresh.  Both phases run
+the same pivot loop.  Phase one forms its columns in product form (Dantzig
+and Orchard-Hays), the pivots' row operations applied one at a time, which
+round exactly as a tableau's columns do: its verdict reads those values.
+Phase two starts from a primal feasible basis, found in one of three ways:
 
 * crash: the caller passes a feasible vertex (every unpinned model passes
   the evaluated unit set against itself); its support and the slacks of its
@@ -24,32 +22,30 @@ basis in one of three ways:
 * warm: the caller passes the optimum of a program this one extends by
   appended rows (the pinned stage programs); its final basis plus the new
   rows' slacks form the basis;
-* cold: phase one minimises the sum of artificial variables; equality rows
-  always receive an artificial rather than being split into opposing
-  inequalities.
+* cold: phase one minimises the sum of artificial variables, one per "="
+  or ">=" row.
 
-Phase one runs when no start is given, when a start's basis cannot be
-factored or is not primal feasible, and when phase two from a start ends
-unbounded or on a basis that is infeasible once refactored from the
-original rows.  Pivoting uses Dantzig's rule and falls back to Bland's rule
-after 3·(rows+columns) pivots of a phase, which guarantees termination.
+Phase one runs when no start is given, when a start's basis is singular or
+infeasible, and when phase two from a start ends unbounded or on a basis
+that is infeasible once refactored from the original rows.  Pivoting uses
+Dantzig's rule and falls back to Bland's rule after 3·(rows+columns) pivots
+of a phase, which guarantees termination.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
 
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
-_SLACK_SIGN = {LESS_EQUAL: 1.0, EQUAL: 0.0, GREATER_EQUAL: -1.0}
+# each relation as its row's slack coefficient
+SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+_RELATION = {sign: rel for rel, sign in SLACK_SIGN.items()}
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -69,69 +65,70 @@ MAX_ITERATIONS = 50_000  # pivots before a solve raises SolverError
 REFACTOR_EVERY = 96      # pivots of a phase between fresh factorisations of its basis
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    return _frozen(np.array(a, dtype=float))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: for arrays that nothing else refers to."""
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Immutable linear program.
+    """Immutable linear program ``A x (relations) b`` over ``x >= variable_lower_bounds``.
 
-    ``constraints`` is a sequence of ``(coefficients, relation, rhs)``
-    triples; every coefficient vector must match the objective length and
-    the relation must be one of ``"<="``, ``"="``, ``">="``.  Instances
-    are safe to share across threads.
+    ``A`` (rows × variables), ``row_sign`` and ``b`` are read-only arrays;
+    ``row_sign`` is each row's relation as its slack coefficient
+    (``SLACK_SIGN``).  The rows come whole, as ``A`` (a list of 2-D row
+    blocks, stacked in order), ``row_sign`` and ``b``, or as ``constraints``,
+    ``(coefficients, relation, rhs)`` triples.  Safe to share across threads.
     """
 
     objective_sense: str
     objective: np.ndarray
-    constraints: tuple
+    A: np.ndarray
+    row_sign: np.ndarray
+    b: np.ndarray
     variable_lower_bounds: np.ndarray
 
-    def __init__(
-        self,
-        objective_sense: str,
-        objective: Sequence[float],
-        constraints: Sequence,
-        variable_lower_bounds: Sequence[float] | None = None,
-    ):
+    def __init__(self, objective_sense: str, objective: Sequence[float], constraints: Sequence = (),
+                 variable_lower_bounds: Sequence[float] | None = None, *, A=None, row_sign=None,
+                 b=None):
         if objective_sense not in (MAXIMIZE, MINIMIZE):
-            raise ValidationError(
-                f"objective_sense must be 'maximize' or 'minimize', got {objective_sense!r}"
-            )
-        c = np.asarray(objective, dtype=float)
+            raise ValidationError(f"objective_sense must be {MAXIMIZE!r} or {MINIMIZE!r}, "
+                                  f"got {objective_sense!r}")
+        c = _readonly(objective)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty coefficient vector")
-        rows = []
-        for k, triple in enumerate(constraints):
-            try:
-                coeffs, relation, rhs = triple
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"constraint {k}: expected (coefficients, relation, rhs)"
-                ) from exc
-            a = np.asarray(coeffs, dtype=float)
-            if a.shape != c.shape:
-                raise ValidationError(
-                    f"constraint {k}: {a.size} coefficients, objective has {c.size} variables"
-                )
-            if relation not in RELATIONS:
-                raise ValidationError(f"constraint {k}: unknown relation {relation!r}")
-            rows.append((_readonly(a), relation, float(rhs)))
+        if A is None:
+            A, row_sign, b = _from_triples(constraints, c.size)
+        elif constraints:
+            raise ValidationError("give the rows as constraints or as A, not both")
+        A = _frozen(np.concatenate(A, dtype=float))  # the row blocks, stacked in order
+        row_sign, b = _readonly(row_sign), _readonly(b)
+        if b.ndim != 1 or A.shape != (b.size, c.size) or row_sign.shape != b.shape:
+            raise ValidationError(f"A must be {b.size} × {c.size}, with a relation and rhs per row")
+        if not set(row_sign.tolist()) <= _RELATION.keys():
+            raise ValidationError("row_sign entries must be +1, 0 or -1")
         if variable_lower_bounds is None:
-            lb = np.zeros(c.size)
+            lb = _frozen(np.zeros(c.size))
         else:
-            lb = np.asarray(variable_lower_bounds, dtype=float)
+            lb = _readonly(variable_lower_bounds)
             if lb.shape != c.shape:
                 raise ValidationError("variable_lower_bounds length must match objective")
             if not np.all(np.isfinite(lb)):
                 raise ValidationError("variable lower bounds must be finite")
-        object.__setattr__(self, "objective_sense", objective_sense)
-        object.__setattr__(self, "objective", _readonly(c))
-        object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "variable_lower_bounds", _readonly(lb))
+        for name, value in (("objective_sense", objective_sense), ("objective", c), ("A", A),
+                            ("row_sign", row_sign), ("b", b), ("variable_lower_bounds", lb)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def constraints(self) -> tuple:
+        """The rows as ``(coefficients, relation, rhs)`` triples, built on first use."""
+        return tuple(zip(self.A, [_RELATION[s] for s in self.row_sign.tolist()], self.b.tolist()))
 
     @property
     def n_variables(self) -> int:
@@ -139,7 +136,27 @@ class LpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.b.size
+
+
+def _from_triples(constraints, n):
+    """``(A, row_sign, b)`` of ``(coefficients, relation, rhs)`` triples over ``n`` variables."""
+    rows, signs, rhs = [], [], []
+    for k, triple in enumerate(constraints):
+        try:
+            coeffs, relation, value = triple
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"constraint {k}: expected (coefficients, relation, rhs)") from exc
+        a = np.asarray(coeffs, dtype=float)
+        if a.shape != (n,):
+            raise ValidationError(f"constraint {k}: {a.size} coefficients, "
+                                  f"objective has {n} variables")
+        if not isinstance(relation, str) or relation not in SLACK_SIGN:
+            raise ValidationError(f"constraint {k}: unknown relation {relation!r}")
+        rows.append(a)
+        signs.append(SLACK_SIGN[relation])
+        rhs.append(float(value))
+    return [np.reshape(rows, (len(rows), n))], signs, rhs
 
 
 @dataclass(frozen=True)
@@ -171,13 +188,10 @@ def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -
     """Solve ``problem``, classifying it as optimal, infeasible or unbounded.
 
     ``start`` skips phase one.  It is either a feasible vertex of ``problem``
-    in its own variables (a crash start), or the optimal solution of a
-    program that ``problem`` extends by appended rows (a warm start from
-    that solution's final basis).  When the start gives no nonsingular,
-    primal feasible basis, or phase two from it ends unbounded or on a
-    basis that is infeasible once refactored from the original rows, the
-    solve runs both phases as without it; ``LpSolution.started`` says which
-    way it went.
+    (a crash start), or the optimum of a program that ``problem`` extends by
+    appended rows (a warm start from its final basis).  When the start
+    fails, in the ways the module docstring lists, the solve runs both
+    phases as without it; ``LpSolution.started`` says which way it went.
     """
     return _Simplex(problem).run(start)
 
@@ -186,38 +200,38 @@ class _Simplex:
     """One solve; builds the standard form and walks the two phases."""
 
     def __init__(self, problem: LpProblem):
-        self.problem = problem
-        self.n = problem.n_variables
-        self.m = problem.n_constraints
+        self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
         self._build_standard_form()
 
     def _build_standard_form(self) -> None:
         """Shift x by its lower bounds and append slack columns.
 
-        After the shift every variable is >= 0 and every row is stored as
-        ``a'x (rel) b`` with ``b >= 0`` (rows with negative rhs are negated,
-        flipping the relation).  ``self.flip`` remembers the negations so
-        dual values can be reported against the original rows.  ``self.sign``
-        is each stored row's slack coefficient: +1 for "<=", -1 for ">=" and
-        0 for "=", which has no slack column.
+        After the shift every variable is >= 0 and every row is stored with
+        ``b >= 0``: rows with negative rhs are negated, and ``self.flip``
+        remembers it for the duals.  ``self.sign`` is each stored row's slack
+        coefficient; "=" rows have none.  A program with zero lower bounds
+        and no negative rhs is read as it is.
         """
         prob, n, m = self.problem, self.n, self.m
-        lb = prob.variable_lower_bounds
-        A = np.array([a for a, _, _ in prob.constraints]).reshape(m, n)
-        b = np.array([rhs for _, _, rhs in prob.constraints]) - A @ lb
-        self.flip = np.where(b < 0.0, -1.0, 1.0)
-        A *= self.flip[:, None]
-        b *= self.flip
-        self.sign = self.flip * np.array([_SLACK_SIGN[rel] for _, rel, _ in prob.constraints])
-        has_slack = self.sign != 0.0
+        A, b, sign = prob.A, prob.b, prob.row_sign
+        if prob.variable_lower_bounds.any():
+            b = b - A @ prob.variable_lower_bounds
+        self.flip = np.ones(m)
+        if b.min(initial=0.0) < 0.0:
+            self.flip[b < 0.0] = -1.0
+            A, b, sign = A * self.flip[:, None], b * self.flip, self.flip * sign
+        self.b, self.sign, self.has_slack = b, sign, sign != 0.0
         # slack columns follow the structural ones, in row order
-        self.slack_col_of_row = np.where(has_slack, n - 1 + np.cumsum(has_slack), -1)
-        self.cols = n + int(has_slack.sum())
-        self.S = np.zeros((m, self.cols))
-        self.S[:, :n] = A
-        self.S[has_slack, self.slack_col_of_row[has_slack]] = self.sign[has_slack]
-        self.b = b
+        rows = np.flatnonzero(self.has_slack)
+        self.cols = n + rows.size
+        slack_cols = np.arange(n, self.cols)
+        self.slack_col_of_row = np.full(m, -1)
+        self.slack_col_of_row[rows] = slack_cols
+        slack = np.zeros((m, rows.size))
+        slack[rows, slack_cols - n] = sign[rows]
+        self.S = np.concatenate((A, slack), axis=1)
+        self.abs_A = np.abs(A)  # scales the row tolerances of ``_slacks``
         # internal objective is always a minimisation over the shifted vars
         self.cc = np.zeros(self.cols)
         self.cc[:n] = prob.objective if prob.objective_sense == MINIMIZE else -prob.objective
@@ -255,16 +269,16 @@ class _Simplex:
         return self._verdict(OPTIMAL, rhs, basis, row_keep, final[0])
 
     def _factor(self, basis, row_keep, S):
-        """``(inverse, inverse @ b)`` of the basis columns of ``S`` over the kept rows.
-
-        None when the basis is singular.
-        """
-        block = S[:, basis] if len(row_keep) == self.m else S[np.ix_(row_keep, basis)]
+        """``(inverse, inverse @ b)`` of the basis columns of ``S`` over the kept rows, or None."""
+        if len(row_keep) == self.m:
+            block, b = S[:, basis], self.b
+        else:
+            block, b = S[np.ix_(row_keep, basis)], self.b[row_keep]
         try:
             inverse = np.linalg.inv(block)
         except np.linalg.LinAlgError:
             return None
-        return inverse, inverse @ self.b[row_keep]
+        return inverse, inverse @ b
 
     def _holds(self, basis, rhs) -> bool:
         """Whether the basic point with values ``rhs`` is nonnegative and satisfies every row."""
@@ -282,7 +296,7 @@ class _Simplex:
         leaves the support's rows nonsingular.
         """
         n, m, tol = self.n, self.m, FEASIBILITY_TOL
-        if x.shape != (n,) or not np.all(np.isfinite(x)):
+        if x.shape != (n,) or not np.isfinite(x).all():
             return None
         xs = x - self.problem.variable_lower_bounds
         if n and xs.min() < -tol:
@@ -291,19 +305,17 @@ class _Simplex:
         if slacks is None:
             return None
         slack, row_tol = slacks
-        has_slack = self.sign != 0.0
-        loose = has_slack & (slack > row_tol)
-        cols = [*np.flatnonzero(xs > tol), *self.slack_col_of_row[loose]]
-        if len(cols) > m:
+        loose = self.has_slack & (slack > row_tol)
+        tight = self.has_slack & ~loose
+        cols = np.concatenate((np.flatnonzero(xs > tol), self.slack_col_of_row[loose]))
+        if cols.size > m:
             return None
-        kept = _independent_rows(self.S[:, cols], np.flatnonzero(~has_slack | loose),
-                                 np.flatnonzero(has_slack & ~loose), len(cols))
+        kept = _independent_rows(self.S[:, cols], np.flatnonzero(~tight), np.flatnonzero(tight),
+                                 cols.size)
         if kept is None:
             return None
-        filled = has_slack & ~loose
-        filled[kept] = False
-        basis = np.sort(np.array([*cols, *self.slack_col_of_row[filled]], dtype=int))
-        return basis, list(range(m))
+        tight[kept] = False  # the slacks of the tight rows left fill the basis
+        return np.sort(np.concatenate((cols, self.slack_col_of_row[tight]))), list(range(m))
 
     def _slacks(self, xs):
         """Slack values and per-row tolerances at the shifted point ``xs``.
@@ -311,11 +323,10 @@ class _Simplex:
         None when ``xs`` breaks a row by more than ``FEASIBILITY_TOL`` times
         the row's scale, the size of its terms at ``xs``.
         """
-        A = self.S[:, :self.n]
-        resid = self.b - A @ xs
-        row_tol = FEASIBILITY_TOL * np.maximum(1.0, np.abs(A) @ np.abs(xs) + self.b)
+        resid = self.b - self.S[:, :self.n] @ xs
+        row_tol = FEASIBILITY_TOL * np.maximum(1.0, self.abs_A @ np.abs(xs) + self.b)
         slack = resid * self.sign
-        if np.any(np.where(self.sign != 0.0, slack < -row_tol, np.abs(resid) > row_tol)):
+        if np.where(self.has_slack, slack < -row_tol, np.abs(resid) > row_tol).any():
             return None
         return slack, row_tol
 
@@ -325,9 +336,9 @@ class _Simplex:
             return None
         basis, row_keep, rows = sol._basis
         added = self.slack_col_of_row[rows:]
-        if rows > self.m or np.any(added < 0):
+        if rows > self.m or added.min(initial=0) < 0:
             return None
-        basis = np.array([*basis, *added], dtype=int)
+        basis = np.concatenate((basis, added)).astype(int, copy=False)
         if basis.max(initial=-1) >= self.cols:
             return None
         return basis, [*row_keep, *range(rows, self.m)]
@@ -377,23 +388,21 @@ class _Simplex:
         """Pivot until optimal or unbounded; mutates basis, inverse and rhs.
 
         A revised simplex over the kept rows of ``S``: ``inverse`` is the
-        basis' ``_Inverse`` and ``rhs`` the basic values.  Each pivot prices
-        every column from ``y = c_B B⁻¹``, forms only the entering column
-        ``B⁻¹ a_q``, and updates the inverse by the pivot; every
-        ``REFACTOR_EVERY`` pivots the inverse is factored afresh.  The
-        entering column is the most negative reduced cost (Dantzig) until
-        this call has made 3·(rows+columns) pivots, and the first negative
-        one (Bland, which cannot cycle) after that.  A candidate enters only
-        if its reduced cost, computed again from its formed column, still
-        improves; otherwise the next one is tried.  The ratio test takes the
-        lowest ratio; within ``PIVOT_TOL`` of it, the lowest basis column.
+        basis' ``_Inverse``, ``rhs`` the basic values.  The entering column
+        is the most negative reduced cost (Dantzig) until this call has made
+        3·(rows+columns) pivots, and the first negative one (Bland, which
+        cannot cycle) after that.  A candidate enters only if its reduced
+        cost, computed again from its formed column, still improves.  The
+        ratio test takes the lowest ratio; within ``PIVOT_TOL`` of it, the
+        lowest basis column.
         """
         tol = PIVOT_TOL
         A = S if len(row_keep) == self.m else S[row_keep]
         bland_after = 3 * (A.shape[0] + A.shape[1])
         pivots = 0
+        c_B = cost[basis]
         while True:
-            red = cost - (cost[basis] @ inverse.explicit) @ A
+            red = cost - (c_B @ inverse.explicit) @ A
             red[basis] = 0.0
             while True:
                 if pivots > bland_after:
@@ -409,7 +418,7 @@ class _Simplex:
                 # own reduced cost does not improve is priced noise, and
                 # letting it in can cycle
                 col = inverse.solve(A[:, entering])
-                if cost[entering] - cost[basis] @ col < -tol:
+                if cost[entering] - c_B @ col < -tol:
                     break
                 red[entering] = 0.0
             leaving = low = -1
@@ -426,6 +435,7 @@ class _Simplex:
                 return UNBOUNDED
             inverse.pivot(leaving, col, rhs)
             basis[leaving] = entering
+            c_B[leaving] = cost[entering]
             pivots += 1
             self.iterations += 1
             if self.iterations > MAX_ITERATIONS:
@@ -442,40 +452,30 @@ class _Simplex:
     def _verdict(self, status, rhs=None, basis=None, row_keep=None, inverse=None) -> LpSolution:
         """The solution at the end of a solve; an optimum comes with its basis' inverse."""
         prob, n, m = self.problem, self.n, self.m
-        nan = float("nan")
-        if status in (INFEASIBLE, UNBOUNDED):
-            if status == INFEASIBLE:
-                val = nan
-            else:
-                val = math.inf if prob.objective_sense == MAXIMIZE else -math.inf
+        if status != OPTIMAL:
+            unbounded = math.inf if prob.objective_sense == MAXIMIZE else -math.inf
             return LpSolution(
-                status, val, _readonly(np.full(n, nan)), self.iterations,
-                _readonly(np.zeros(m)), _readonly(np.zeros(n)), _readonly(np.zeros(n, bool)),
-                self.started,
+                status, unbounded if status == UNBOUNDED else math.nan,
+                _frozen(np.full(n, math.nan)), self.iterations, _frozen(np.zeros(m)),
+                _frozen(np.zeros(n)), _frozen(np.zeros(n, bool)), self.started,
             )
         x_shift = np.zeros(self.cols)
         x_shift[basis] = rhs
         x = x_shift[:n] + prob.variable_lower_bounds
-        np.clip(x, prob.variable_lower_bounds, None, out=x)
-        objective = float(prob.objective @ x)
-        duals, reduced = self._duals(basis, row_keep, inverse)
+        np.maximum(x, prob.variable_lower_bounds, out=x)  # what np.clip does without an upper bound
+        # multipliers from the final basis' inverse, mapped back to the original rows
+        y_int = np.zeros(m)
+        y_int[row_keep] = inverse.T @ self.cc[basis]
+        duals = (-1.0 if prob.objective_sense == MAXIMIZE else 1.0) * self.flip * y_int
+        # the stored rows are the original ones negated where ``flip`` is -1
+        reduced = prob.objective - self.S[:, :n].T @ (self.flip * duals)
         basic = np.zeros(n, dtype=bool)
         basic[basis[basis < n]] = True
         return LpSolution(
-            status, objective, _readonly(x), self.iterations,
-            _readonly(duals), _readonly(reduced), _readonly(basic),
-            self.started, (tuple(int(c) for c in basis), tuple(row_keep), m),
+            status, float(prob.objective @ x), _frozen(x), self.iterations,
+            _frozen(duals), _frozen(reduced), _frozen(basic),
+            self.started, (tuple(basis.tolist()), tuple(row_keep), m),
         )
-
-    def _duals(self, basis, row_keep, inverse):
-        """Multipliers from the final basis' inverse, mapped back to the original rows."""
-        y_int = np.zeros(self.m)
-        y_int[row_keep] = inverse.T @ self.cc[basis]
-        sign = -1.0 if self.problem.objective_sense == MAXIMIZE else 1.0
-        duals = sign * self.flip * y_int
-        # the stored rows are the original ones negated where ``flip`` is -1
-        reduced = self.problem.objective - self.S[:, :self.n].T @ (self.flip * duals)
-        return duals, reduced
 
 
 class _Inverse:
@@ -484,8 +484,7 @@ class _Inverse:
     def __init__(self, inverse):
         self.restart(inverse)
 
-    def restart(self, inverse) -> None:
-        """Start afresh from a factored inverse."""
+    def restart(self, inverse) -> None:  # afresh from a factored inverse
         self.explicit = inverse
 
     def solve(self, a):
@@ -493,10 +492,7 @@ class _Inverse:
         return self.explicit @ a
 
     def pivot(self, row, col, *also):
-        """Pivot on ``col[row]``, where ``col = B⁻¹ a_q`` enters; ``also`` are updated alike.
-
-        Returns the pivot's row operation, as ``_eliminate`` takes it.
-        """
+        """Pivot on ``col[row]`` (``col = B⁻¹ a_q`` enters), ``also`` alike; returns the eta."""
         factors = col.copy()
         factors[row] = 0.0
         eta = (row, col[row], factors)
@@ -508,11 +504,10 @@ class _Inverse:
 class _ProductForm(_Inverse):
     """A basis inverse whose columns are formed from the pivots since its last refactor.
 
-    ``solve`` multiplies by the refactored inverse and then applies the
-    pivots' row operations one at a time (the product form of Dantzig and
-    Orchard-Hays).  From the identity, a column so formed goes through the
-    very operations, and roundings, that a dense tableau's column would.
-    The explicit inverse still prices.
+    ``solve`` multiplies by the refactored inverse, then applies the pivots'
+    row operations one at a time (Dantzig and Orchard-Hays): from the
+    identity, a column so formed gets a dense tableau's very roundings.  The
+    explicit inverse still prices.
     """
 
     def restart(self, inverse) -> None:
@@ -543,13 +538,10 @@ class _ProductForm(_Inverse):
 
 
 def _eliminate(x, row, piv, factors) -> None:
-    """One pivot's row operation on ``x``, a column or a matrix of rows.
-
-    Row ``row`` is divided by the pivot ``piv``, then ``factors`` times it
-    is taken from every row (``factors[row]`` is 0).
-    """
+    """One pivot's row operation on ``x``, a column or a matrix: row ``row`` is divided
+    by the pivot ``piv``, then ``factors`` times it is taken from every row."""
     x[row] /= piv
-    x -= np.multiply.outer(factors, x[row])
+    x -= (factors[:, None] if x.ndim == 2 else factors) * x[row]
 
 
 def _negative(v) -> bool:
@@ -557,27 +549,26 @@ def _negative(v) -> bool:
     return v.min(initial=math.inf) < -FEASIBILITY_TOL
 
 
-def _independent_rows(M, fixed, optional, k):
-    """``k`` linearly independent rows of ``M``: every ``fixed`` row, then ``optional`` ones.
+def _independent_rows(R, fixed, optional, k):
+    """``k`` linearly independent rows of ``R``: every ``fixed`` row, then ``optional`` ones.
 
     Returns the chosen row indices, or None when the fixed rows are
     dependent or fewer than ``k`` independent rows exist.  Modified
-    Gram-Schmidt: a row counts as independent when more than 1e-9 of its own
-    norm is left after projecting out the kept rows, so rows of any scale
-    compare alike.
+    Gram-Schmidt, in place: each row of ``R`` loses its projections on the
+    kept rows, and counts as independent when more than 1e-9 of its own norm
+    is left, so rows of any scale compare alike.
     """
     if len(fixed) > k:
         return None
-    norms = np.linalg.norm(M, axis=1)
-    R = M.copy()  # rows less their projections on the kept rows
+    norms = np.sqrt(np.add.reduce(R * R, axis=1)).tolist()  # summed as np.linalg.norm sums
     kept = []
-    for pos, i in enumerate([*fixed, *optional]):
+    for pos, i in enumerate(np.concatenate((fixed, optional)).tolist()):
         if len(kept) == k:
             break
         left = math.sqrt(R[i] @ R[i])
         if left > 1e-9 * norms[i]:
             u = R[i] / left
-            R -= np.outer(R @ u, u)
+            R -= (R @ u)[:, None] * u
             kept.append(i)
         elif pos < len(fixed):
             return None

@@ -66,6 +66,46 @@ def test_problem_is_immutable():
         prob.objective[0] = 9.0
 
 
+def test_matrix_form_matches_triples():
+    A = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 1.0]])
+    prob = LpProblem("minimize", [1.0, 1.0], A=[A[:1], A[1:]], row_sign=[1.0, -1.0, 0.0],
+                     b=[4.0, 1.0, 2.0])
+    twin = LpProblem("minimize", [1.0, 1.0], [([1.0, 2.0], "<=", 4.0), ([3.0, -1.0], ">=", 1.0),
+                                             ([1.0, 1.0], "=", 2.0)])
+    assert prob.A.tobytes() == twin.A.tobytes()
+    assert prob.row_sign.tolist() == twin.row_sign.tolist() == [1.0, -1.0, 0.0]
+    assert prob.b.tolist() == twin.b.tolist()
+    assert [rel for _, rel, _ in prob.constraints] == ["<=", ">=", "="]
+    A[0, 0] = 5.0  # the problem holds its own copy
+    assert prob.A[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"A": [np.ones((2, 3))], "row_sign": [1.0, 1.0], "b": [1.0, 1.0]}, "2 × 2"),
+    ({"A": np.ones((2, 2)), "row_sign": [1.0, 1.0], "b": [1.0, 1.0]}, "2 × 2"),
+    ({"A": [np.ones((2, 2))], "row_sign": [1.0], "b": [1.0, 1.0]}, "relation and rhs per row"),
+    ({"A": [np.ones((2, 2))], "row_sign": [1.0, 2.0], "b": [1.0, 1.0]}, "row_sign"),
+    ({"constraints": [([1.0, 1.0], "<=", 1.0)], "A": [np.ones((1, 2))], "row_sign": [1.0],
+      "b": [1.0]}, "not both"),
+])
+def test_matrix_form_rejects_bad_shapes_and_signs(kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        LpProblem("maximize", [1.0, 1.0], **kwargs)
+
+
+@pytest.mark.parametrize("rows, status", [
+    ([([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)], "optimal"),
+    ([([1.0, 0.0], "<=", -1.0)], "infeasible"),
+    ([([0.0, 1.0], "<=", 1.0)], "unbounded"),
+])
+def test_basic_flags_are_booleans(rows, status):
+    sol = solve_lp(LpProblem("maximize", [1.0, 1.0], rows))
+    assert sol.status == status
+    assert sol.basic.dtype == np.bool_ and sol.basic.shape == (2,)
+    assert not sol.basic.flags.writeable
+    assert sol.basic.tolist() == ([True, True] if status == "optimal" else [False, False])
+
+
 def test_deterministic_resolves():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -1,11 +1,16 @@
 import numpy as np
+import pytest
 
-from dea_mpss.data import Dataset
-from dea_mpss.lp import LpSolution
+from dea_mpss.data import Dataset, load_dataset
+from dea_mpss.lp import SLACK_SIGN, LpProblem, LpSolution, solve_lp
+from dea_mpss.network import PINS, STAGE_GAP, SYSTEM_GAP, _system_program
 from dea_mpss.program import FIXING_BAND, Program
+
+from conftest import FIXTURES
 
 # three DMUs, evaluated DMU "b" (index 1)
 DATA = Dataset(["a", "b", "c"], {"x": [1.0, 2.0, 4.0], "w": [3.0, 5.0, 7.0], "z": [6.0, 8.0, 9.0]})
+RELATION = {sign: rel for rel, sign in SLACK_SIGN.items()}
 
 
 def program():
@@ -14,7 +19,10 @@ def program():
 
 
 def rows_of(prog):
-    return [(list(a), rel, rhs) for a, rel, rhs in prog.rows]
+    """The program's rows as (coefficients, relation, rhs), read from its problem's matrix."""
+    p = prog.problem("maximize", {})
+    assert p.A.shape == (p.n_constraints, prog.width)
+    return [(list(a), RELATION[s], rhs) for a, s, rhs in zip(p.A, p.row_sign.tolist(), p.b.tolist())]
 
 
 def test_column_layout():
@@ -58,6 +66,28 @@ def test_pin_pair_brackets_the_value():
     ]
 
 
+def test_blocks_stack_in_append_order():
+    prog = program()
+    prog.envelope("up", DATA.matrix(["x"]), "<=", factor="t_in")
+    prog.convexity()
+    prog.bound({"t_out": 1.0}, ">=", 1.0)
+    assert [rel for _, rel, _ in rows_of(prog)] == ["<=", "=", "=", ">="]
+    assert [rhs for _, _, rhs in rows_of(prog)] == [0.0, 1.0, 1.0, 1.0]
+
+
+def test_problem_arrays_are_read_only_copies():
+    prog = program()
+    prog.convexity()
+    problem = prog.problem("maximize", {"t_out": 1.0})
+    for a in (problem.A, problem.row_sign, problem.b, problem.objective,
+              problem.variable_lower_bounds):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 7.0
+    prog.blocks[0][0, 2] = 9.0  # the program's own rows stay writable and apart
+    assert problem.A[0, 2] == 1.0
+
+
 def test_problem_and_readback_by_name():
     prog = program()
     prog.convexity()
@@ -77,3 +107,35 @@ def test_problem_and_readback_by_name():
     basic[8] = True
     assert prog.targets_unique(sol)
 
+
+def as_triples(problem):
+    """The same program rebuilt from plain (list, relation, float) triples."""
+    rows = [(a.tolist(), rel, float(rhs)) for a, rel, rhs in problem.constraints]
+    return LpProblem(problem.objective_sense, problem.objective.tolist(), rows)
+
+
+def assert_same_solution(a, b):
+    assert (a.status, repr(a.objective_value), a.iterations, a.started, a._basis) == \
+        (b.status, repr(b.objective_value), b.iterations, b.started, b._basis)
+    for name in ("variable_values", "dual_values", "reduced_costs", "basic"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("dmu", ["u1", "u3", "u5", "u13", "u37"])
+def test_program_and_triples_solve_bit_identically(dmu):
+    """The radial system and both pinned stage solves, crash and warm started as the models do."""
+    dataset, topology = load_dataset(FIXTURES / "log_spread.csv",
+                                     FIXTURES / "log_spread_topology.json")
+    prog = _system_program(dataset, topology, dmu, radial=True)
+    problem = prog.problem("maximize", SYSTEM_GAP)
+    start = prog.own_point()
+    sol, twin = solve_lp(problem, start=start), solve_lp(as_triples(problem), start=start)
+    assert_same_solution(sol, twin)
+    for stage in (1, 2):
+        prog.pin(PINS[stage][1], sol.objective_value)
+        problem = prog.problem("maximize", STAGE_GAP[stage])
+        sol, twin = solve_lp(problem, start=sol), solve_lp(as_triples(problem), start=twin)
+        assert_same_solution(sol, twin)
+        if sol.status != "optimal":
+            break

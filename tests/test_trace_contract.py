@@ -1,0 +1,71 @@
+"""The benchmark's tracing contract, checked against the package as it stands.
+
+``perfbench/spans.py`` times every ``LpProblem.__init__`` as ``lp.problem``,
+counts solves where ``network`` and ``chain`` call ``solve_lp``, takes the
+DMU from the CLI's model calls, and tells repeated solves apart by
+``problem_digest``, which reads ``LpProblem.constraints``.  These tests run
+its tracer over one CLI call without changing anything under ``perfbench/``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import dea_mpss
+import dea_mpss.cli
+from dea_mpss.data import load_dataset
+from dea_mpss.lp import LpProblem
+from dea_mpss.network import SYSTEM_GAP, _system_program
+
+from conftest import FIXTURES
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+DATA = FIXTURES / "log_spread.csv"
+TOPOLOGY = FIXTURES / "log_spread_topology.json"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_stages_call_counts_three_problems_and_solves(capsys):
+    spans = load_spans()
+    init, evaluate_stages = LpProblem.__init__, dea_mpss.cli.evaluate_stages
+    tracer = spans.Tracer()
+    tracer.install(dea_mpss)
+    try:
+        tracer.new_invocation()
+        with tracer.span("cli"):
+            code = dea_mpss.cli.run(["network-mpss", "--data", str(DATA), "--topology",
+                                     str(TOPOLOGY), "--intermediates", "radial", "--stages",
+                                     "--dmu", "u1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert tracer.solves == 3
+    assert tracer.calls["lp.problem"] == 3  # every problem went through LpProblem.__init__
+    assert tracer.dmus == {(1, "u1")}
+    assert tracer.errors == tracer.repeats == 0
+    metrics = tracer.metrics(1, 1.0, 0.0)
+    assert metrics["lp.solves"]["value"] == 3.0
+    assert metrics["lp.problem_ms"]["value"] > 0.0
+    assert LpProblem.__init__ is init and dea_mpss.cli.evaluate_stages is evaluate_stages
+
+
+def test_problem_digest_reads_the_matrix_form_as_its_triples():
+    spans = load_spans()
+    dataset, topology = load_dataset(DATA, TOPOLOGY)
+    prog = _system_program(dataset, topology, "u1", radial=True)
+    prog.pin(SYSTEM_GAP, 0.5)
+    problem = prog.problem("maximize", SYSTEM_GAP)
+    rows = [(np.array(a), rel, rhs) for a, rel, rhs in problem.constraints]
+    twin = LpProblem(problem.objective_sense, problem.objective, rows,
+                     problem.variable_lower_bounds)
+    assert spans.problem_digest(problem) == spans.problem_digest(twin)
+    assert [type(rhs) for _, _, rhs in problem.constraints] == [float] * problem.n_constraints
+    prog.pin(SYSTEM_GAP, 0.25)
+    assert spans.problem_digest(prog.problem("maximize", SYSTEM_GAP)) != spans.problem_digest(problem)
