@@ -35,7 +35,7 @@ from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
 from .lp import solve_lp
 from .network import EPS_MPSS, _named, _solve
-from .program import Program
+from .program import Program, Unit
 
 DOWN = "↓"
 UP = "↑"
@@ -69,7 +69,13 @@ FACTORS = ("theta_operation", "theta_rd", "theta_market")
 RADIAL_FACTORS = ("theta1", "theta2", "theta3", "theta4", "theta_market")
 
 
-def _chain_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, radial: bool):
+# the chain programs: free targets with the efficiency bounds, free targets,
+# and radial targets under the pinned chain score
+EFFICIENCY, SCALE_SIZE, SPLIT = "chain_efficiency", "chain_mpss", "chain_split"
+CHAIN_GAP = {"theta_market": 1.0, "theta1": -1.0, "theta3": -1.0}
+
+
+def _chain_program(dataset: Dataset, topology: NetworkTopology, model: str) -> Program:
     """Rows of the chain models: free intermediate targets, or radial ones.
 
     Radially, the operation intermediates scale with ``theta2`` and the
@@ -83,13 +89,13 @@ def _chain_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, rad
     operation, research = topology.stage_processes(1)
     market = topology.stage_processes(2)[0]
     zo, zr = operation.intermediate_outputs, research.intermediate_outputs
-    if radial:
+    if model == SPLIT:
         inputs, factors, targets = ("theta1", "theta3"), RADIAL_FACTORS, ()
         op_link, rd_link = {"factor": "theta2"}, {"factor": "theta4"}
     else:
         inputs, factors, targets = ("theta_operation", "theta_rd"), FACTORS, zo + zr
         op_link, rd_link = {"targets": zo}, {"targets": zr}
-    prog = Program(dataset.n_dmus, dataset.index_of(dmu), factors, BLOCKS, targets)
+    prog = Program(dataset.n_dmus, factors, BLOCKS, targets)
     ZO, ZR = dataset.matrix(zo), dataset.matrix(zr)
     prog.envelope("operation", dataset.matrix(operation.exogenous_inputs), "<=", factor=inputs[0])
     prog.envelope("operation", ZO, ">=", **op_link)
@@ -99,7 +105,19 @@ def _chain_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, rad
     prog.envelope("market", ZR, "<=", **rd_link)
     prog.envelope("market", dataset.matrix(market.final_outputs), ">=", factor="theta_market")
     prog.convexity()
-    return prog
+    if model == EFFICIENCY:
+        prog.bound({"theta_operation": 1.0}, "<=", 1.0)
+        prog.bound({"theta_rd": 1.0}, "<=", 1.0)
+        prog.bound({"theta_market": 1.0}, ">=", 1.0)
+    elif model == SPLIT:
+        prog.pin(CHAIN_GAP)
+    return prog.compile()
+
+
+def _chain(dataset: Dataset, topology: NetworkTopology, dmu: str, model: str) -> Unit:
+    """``dmu``'s copy of the chain program of ``model``, compiled once per dataset."""
+    prog = dataset.compiled((topology, model), lambda: _chain_program(dataset, topology, model))
+    return prog.unit(dataset.index_of(dmu))
 
 
 @dataclass(frozen=True)
@@ -132,14 +150,12 @@ def chain_efficiency(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainEfficiency:
     """Operation, research and marketability efficiencies in one solve."""
-    prog = _chain_program(dataset, topology, dmu, radial=False)
-    prog.bound({"theta_operation": 1.0}, "<=", 1.0)
-    prog.bound({"theta_rd": 1.0}, "<=", 1.0)
-    prog.bound({"theta_market": 1.0}, ">=", 1.0)
+    unit = _chain(dataset, topology, dmu, EFFICIENCY)
+    prog = unit.program
     objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
                  "theta_market": -weights.w3}
-    sol = _solve(prog.problem("minimize", objective), f"chain efficiency of {dmu!r}",
-                 prog.own_point())
+    sol = _solve(unit.problem("minimize", objective), f"chain efficiency of {dmu!r}",
+                 unit.own_point())
     factors = prog.factors(sol)
     return ChainEfficiency(
         dmu=str(dmu),
@@ -177,11 +193,12 @@ def chain_mpss(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainMpss:
     """Chain scale-size score; zero means most productive scale size."""
-    prog = _chain_program(dataset, topology, dmu, radial=False)
+    unit = _chain(dataset, topology, dmu, SCALE_SIZE)
+    prog = unit.program
     objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
                  "theta_rd": -weights.w3}
-    sol = _solve(prog.problem("maximize", objective), f"chain scale size of {dmu!r}",
-                 prog.own_point())
+    sol = _solve(unit.problem("maximize", objective), f"chain scale size of {dmu!r}",
+                 unit.own_point())
     return ChainMpss(
         dmu=str(dmu),
         score=sol.objective_value,
@@ -241,18 +258,18 @@ def profitability_mpss(
     score may be unreachable; that raises a solver error rather than
     silently drifting off the band.
     """
-    prog = _chain_program(dataset, topology, dmu, radial=True)
-    prog.pin({"theta_market": 1.0, "theta1": -1.0, "theta3": -1.0}, chain_score)
+    unit = _chain(dataset, topology, dmu, SPLIT)
+    unit.pin(chain_score)
     objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
     context = f"profitability split of {dmu!r}"
     with _named(context):
-        sol = solve_lp(prog.problem("maximize", objective))
+        sol = solve_lp(unit.problem("maximize", objective))
     if sol.status != "optimal":
         raise SolverError(
             f"{context}: fixing band infeasible at chain score "
             f"{chain_score!r} (radial intermediates cannot reach it)"
         )
-    return StageFactors(str(dmu), float(chain_score), **prog.factors(sol))
+    return StageFactors(str(dmu), float(chain_score), **unit.program.factors(sol))
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,7 @@ class Dataset:
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_rows", {name: k for k, name in enumerate(names)})
         object.__setattr__(self, "_index", {d: k for k, d in enumerate(ids)})
+        object.__setattr__(self, "_compiled", {})
 
     @property
     def n_dmus(self) -> int:
@@ -139,6 +140,18 @@ class Dataset:
 
     def value(self, dmu: str, name: str) -> float:
         return float(self.column(name)[self.index_of(dmu)])
+
+    def compiled(self, key, build):
+        """What ``build()`` returns, built on the first call with ``key`` and kept.
+
+        The models keep each compiled program here, keyed by topology and
+        model, so a sweep over the units builds it once.  A failed build keeps
+        nothing.
+        """
+        value = self._compiled.get(key)
+        if value is None:
+            value = self._compiled[key] = build()
+        return value
 
 
 @dataclass(frozen=True)

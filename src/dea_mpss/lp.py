@@ -5,7 +5,9 @@ Every envelopment model in this package reduces to a program of the form
     max/min  c'x   s.t.   A x  {<=, =, >=}  b  (one relation per row),   x >= lower_bounds
 
 which ``LpProblem`` holds as one read-only m×n matrix ``A``, a relation
-sign per row and ``b``; ``Program`` builds it a measure block at a time.
+sign per row and ``b``.  The solver reads it in standard form
+(``StandardForm``), which a model's compiled ``Program`` hands over with the
+problem, so a sweep builds it once per model rather than once per solve.
 Programs are small (about a dozen rows, a few hundred variables), so the
 solver keeps the m×m basis inverse dense and never forms the tableau.  Each
 pivot prices every column from the multipliers ``c_B B⁻¹``, forms only the
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +78,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class StandardForm(NamedTuple):
+    """A program's rows as the simplex stores them, every right side ``b >= 0``.
+
+    ``S`` is ``[A·flip | slacks]``: each row, negated where ``flip`` is -1
+    (its rhs was negative), then one slack column per inequality row, in row
+    order, whose entry is the stored row's ``sign``.  ``abs_A`` is ``|A|``,
+    which scales the row tolerances; ``slack_col_of_row`` is each row's slack
+    column, or -1 for an "=" row.
+    """
+
+    S: np.ndarray
+    abs_A: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray
+    flip: np.ndarray
+    slack_col_of_row: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """Immutable linear program ``A x (relations) b`` over ``x >= variable_lower_bounds``.
@@ -84,7 +104,11 @@ class LpProblem:
     ``row_sign`` is each row's relation as its slack coefficient
     (``SLACK_SIGN``).  The rows come whole, as ``A`` (a list of 2-D row
     blocks, stacked in order), ``row_sign`` and ``b``, or as ``constraints``,
-    ``(coefficients, relation, rhs)`` triples.  Safe to share across threads.
+    ``(coefficients, relation, rhs)`` triples, or already in
+    ``standard_form``, as a compiled program keeps them (``program.Unit``):
+    then ``A``, ``row_sign`` and ``b`` are read back from it, negated rows
+    restored, and the lower bounds are zero.  Otherwise the solver builds
+    the standard form per solve.  Safe to share across threads.
     """
 
     objective_sense: str
@@ -93,22 +117,33 @@ class LpProblem:
     row_sign: np.ndarray
     b: np.ndarray
     variable_lower_bounds: np.ndarray
+    standard_form: StandardForm | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, objective_sense: str, objective: Sequence[float], constraints: Sequence = (),
                  variable_lower_bounds: Sequence[float] | None = None, *, A=None, row_sign=None,
-                 b=None):
+                 b=None, standard_form: StandardForm | None = None):
         if objective_sense not in (MAXIMIZE, MINIMIZE):
             raise ValidationError(f"objective_sense must be {MAXIMIZE!r} or {MINIMIZE!r}, "
                                   f"got {objective_sense!r}")
         c = _readonly(objective)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty coefficient vector")
-        if A is None:
-            A, row_sign, b = _from_triples(constraints, c.size)
-        elif constraints:
-            raise ValidationError("give the rows as constraints or as A, not both")
-        A = _frozen(np.concatenate(A, dtype=float))  # the row blocks, stacked in order
-        row_sign, b = _readonly(row_sign), _readonly(b)
+        if standard_form is not None:
+            if A is not None or constraints or variable_lower_bounds is not None:
+                raise ValidationError("a problem in standard form takes no other rows or bounds")
+            S, flip = standard_form.S, standard_form.flip
+            A = S[:, :c.size]
+            if flip.min(initial=1.0) < 0.0:
+                A = A * flip[:, None]
+            A, row_sign, b = (_frozen(A), _frozen(standard_form.sign * flip),
+                              _frozen(standard_form.b * flip))
+        else:
+            if A is None:
+                A, row_sign, b = _from_triples(constraints, c.size)
+            elif constraints:
+                raise ValidationError("give the rows as constraints or as A, not both")
+            A = _frozen(np.concatenate(A, dtype=float))  # the row blocks, stacked in order
+            row_sign, b = _readonly(row_sign), _readonly(b)
         if b.ndim != 1 or A.shape != (b.size, c.size) or row_sign.shape != b.shape:
             raise ValidationError(f"A must be {b.size} × {c.size}, with a relation and rhs per row")
         if not set(row_sign.tolist()) <= _RELATION.keys():
@@ -122,7 +157,8 @@ class LpProblem:
             if not np.all(np.isfinite(lb)):
                 raise ValidationError("variable lower bounds must be finite")
         for name, value in (("objective_sense", objective_sense), ("objective", c), ("A", A),
-                            ("row_sign", row_sign), ("b", b), ("variable_lower_bounds", lb)):
+                            ("row_sign", row_sign), ("b", b), ("variable_lower_bounds", lb),
+                            ("standard_form", standard_form)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -196,45 +232,45 @@ def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -
     return _Simplex(problem).run(start)
 
 
+def _standard_form(prob: LpProblem) -> StandardForm:
+    """The rows of ``prob`` with ``x`` shifted by its lower bounds, stored with ``b >= 0``.
+
+    A program with zero lower bounds and no negative rhs is read as it is.
+    """
+    A, b, sign, m = prob.A, prob.b, prob.row_sign, prob.n_constraints
+    if prob.variable_lower_bounds.any():
+        b = b - A @ prob.variable_lower_bounds
+    flip = np.ones(m)
+    if b.min(initial=0.0) < 0.0:
+        flip[b < 0.0] = -1.0
+        A, b, sign = A * flip[:, None], b * flip, flip * sign
+    # slack columns follow the structural ones, in row order
+    rows = np.flatnonzero(sign)
+    slack_cols = np.arange(prob.n_variables, prob.n_variables + rows.size)
+    slack_col_of_row = np.full(m, -1)
+    slack_col_of_row[rows] = slack_cols
+    slack = np.zeros((m, rows.size))
+    slack[rows, slack_cols - prob.n_variables] = sign[rows]
+    return StandardForm(np.concatenate((A, slack), axis=1), np.abs(A), b, sign, flip,
+                        slack_col_of_row)
+
+
 class _Simplex:
-    """One solve; builds the standard form and walks the two phases."""
+    """One solve over the problem's standard form; walks the two phases."""
 
     def __init__(self, problem: LpProblem):
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
-        self._build_standard_form()
-
-    def _build_standard_form(self) -> None:
-        """Shift x by its lower bounds and append slack columns.
-
-        After the shift every variable is >= 0 and every row is stored with
-        ``b >= 0``: rows with negative rhs are negated, and ``self.flip``
-        remembers it for the duals.  ``self.sign`` is each stored row's slack
-        coefficient; "=" rows have none.  A program with zero lower bounds
-        and no negative rhs is read as it is.
-        """
-        prob, n, m = self.problem, self.n, self.m
-        A, b, sign = prob.A, prob.b, prob.row_sign
-        if prob.variable_lower_bounds.any():
-            b = b - A @ prob.variable_lower_bounds
-        self.flip = np.ones(m)
-        if b.min(initial=0.0) < 0.0:
-            self.flip[b < 0.0] = -1.0
-            A, b, sign = A * self.flip[:, None], b * self.flip, self.flip * sign
-        self.b, self.sign, self.has_slack = b, sign, sign != 0.0
-        # slack columns follow the structural ones, in row order
-        rows = np.flatnonzero(self.has_slack)
-        self.cols = n + rows.size
-        slack_cols = np.arange(n, self.cols)
-        self.slack_col_of_row = np.full(m, -1)
-        self.slack_col_of_row[rows] = slack_cols
-        slack = np.zeros((m, rows.size))
-        slack[rows, slack_cols - n] = sign[rows]
-        self.S = np.concatenate((A, slack), axis=1)
-        self.abs_A = np.abs(A)  # scales the row tolerances of ``_slacks``
+        form = problem.standard_form
+        # ``flip`` maps the stored rows' duals back to the original rows
+        (self.S, self.abs_A, self.b, self.sign, self.flip,
+         self.slack_col_of_row) = _standard_form(problem) if form is None else form
+        self.has_slack = self.sign != 0.0
+        self.cols = self.S.shape[1]
         # internal objective is always a minimisation over the shifted vars
         self.cc = np.zeros(self.cols)
-        self.cc[:n] = prob.objective if prob.objective_sense == MINIMIZE else -prob.objective
+        self.cc[:self.n] = (problem.objective if problem.objective_sense == MINIMIZE
+                            else -problem.objective)
 
     def run(self, start=None) -> LpSolution:
         if start is not None:
@@ -245,12 +281,15 @@ class _Simplex:
             factored = None if begun is None else self._factor(*begun, self.S)
             if factored is not None and not _negative(factored[1]):
                 (basis, row_keep), (inverse, rhs) = begun, factored
+                start_rhs = rhs.copy()
                 np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
-                inverse = _Inverse(inverse)
-                if self._iterate(self.S, self.cc, basis, row_keep, inverse, rhs) == OPTIMAL:
+                if self._iterate(self.S, self.cc, basis, row_keep, _Inverse(inverse),
+                                 rhs) == OPTIMAL:
                     # the updated inverse carries the pivots' rounding, so
-                    # the optimum stands only if it holds once refactored
-                    final = self._factor(basis, row_keep, self.S)
+                    # the optimum stands only if it holds once refactored;
+                    # without a pivot the start's factors are that refactor
+                    final = ((inverse, start_rhs) if self.iterations == 0
+                             else self._factor(basis, row_keep, self.S))
                     if final is not None and self._holds(basis, final[1]):
                         return self._verdict(OPTIMAL, final[1], basis, row_keep, final[0])
         self.started = COLD

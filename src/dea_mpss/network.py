@@ -31,7 +31,7 @@ import numpy as np
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
 from .lp import LpProblem, LpSolution, solve_lp
-from .program import Program
+from .program import Program, Unit
 
 EPS_MPSS = 1e-6
 
@@ -92,6 +92,16 @@ def _solve(problem: LpProblem, context: str, start=None) -> LpSolution:
     return sol
 
 
+def _blackbox_program(dataset: Dataset, inputs, outputs) -> Program:
+    if not inputs or not outputs:
+        raise ValidationError("black-box evaluation needs >= 1 input and >= 1 output measure")
+    prog = Program(dataset.n_dmus, ("inputs", "outputs"), ("system",))
+    prog.envelope("system", dataset.matrix(inputs), "<=", factor="inputs")
+    prog.envelope("system", dataset.matrix(outputs), ">=", factor="outputs")
+    prog.convexity()
+    return prog.compile()
+
+
 def blackbox_mpss(
     dataset: Dataset,
     dmu: str,
@@ -107,25 +117,28 @@ def blackbox_mpss(
     measure lists.
     """
     if topology is not None:
-        topology.validate_against(dataset)
-        inputs = [m for p in topology.processes for m in p.exogenous_inputs]
-        outputs = [m for p in topology.processes for m in p.final_outputs]
-    if not inputs or not outputs:
-        raise ValidationError("black-box evaluation needs >= 1 input and >= 1 output measure")
-    prog = Program(dataset.n_dmus, dataset.index_of(dmu), ("inputs", "outputs"), ("system",))
-    prog.envelope("system", dataset.matrix(inputs), "<=", factor="inputs")
-    prog.envelope("system", dataset.matrix(outputs), ">=", factor="outputs")
-    prog.convexity()
-    problem = prog.problem("maximize", {"outputs": 1.0, "inputs": -1.0})
-    sol = _solve(problem, f"black-box evaluation of {dmu!r}", prog.own_point())
+        def build():
+            topology.validate_against(dataset)
+            return _blackbox_program(
+                dataset, [m for p in topology.processes for m in p.exogenous_inputs],
+                [m for p in topology.processes for m in p.final_outputs])
+
+        prog = dataset.compiled((topology, BLACK_BOX), build)
+    else:
+        prog = dataset.compiled((BLACK_BOX, tuple(inputs or ()), tuple(outputs or ())),
+                                lambda: _blackbox_program(dataset, inputs, outputs))
+    unit = prog.unit(dataset.index_of(dmu))
+    sol = _solve(unit.problem("maximize", {"outputs": 1.0, "inputs": -1.0}),
+                 f"black-box evaluation of {dmu!r}", unit.own_point())
     return MpssResult(BLACK_BOX, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol))
 
 
-def _system_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, radial: bool):
+def _system_program(dataset: Dataset, topology: NetworkTopology, *, radial: bool) -> Program:
     """Rows shared by the system, stage-1 and stage-2 models.
 
     Each intermediate gives a stage-1 supply row and a stage-2 use row, either
-    against a free target or radially against the DMU's own level.
+    against a free target or radially against the DMU's own level.  The
+    radial program ends in the stage programs' pinned pairs, in stage order.
     """
     if topology.shape_tag != TWO_STAGE_GENERAL:
         raise UnsupportedTopologyError(
@@ -135,8 +148,7 @@ def _system_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, ra
     up = topology.stage_processes(1)[0]
     down = topology.stage_processes(2)[0]
     mids = topology.intermediate_measures()
-    prog = Program(dataset.n_dmus, dataset.index_of(dmu), FACTORS, ("stage1", "stage2"),
-                   () if radial else mids)
+    prog = Program(dataset.n_dmus, FACTORS, ("stage1", "stage2"), () if radial else mids)
     prog.envelope("stage1", dataset.matrix(up.exogenous_inputs), "<=", factor="stage1_inputs")
     for m in mids:
         z = dataset.matrix([m])
@@ -150,10 +162,22 @@ def _system_program(dataset: Dataset, topology: NetworkTopology, dmu: str, *, ra
     prog.envelope("stage2", dataset.matrix(down.exogenous_inputs), "<=", factor="stage2_inputs")
     prog.envelope("stage2", dataset.matrix(down.final_outputs), ">=", factor="stage2_outputs")
     prog.convexity()
-    return prog
+    if radial:
+        for stage in (1, 2):
+            prog.pin(PINS[stage][1])
+    return prog.compile()
 
 
-def _result_from(sol: LpSolution, scope: str, dmu: str, prog: Program) -> MpssResult:
+def _system(dataset: Dataset, topology: NetworkTopology, dmu: str, model: str) -> Unit:
+    """``dmu``'s copy of the system program of ``model``, compiled once per dataset."""
+    radial = model == SYSTEM_RADIAL
+    prog = dataset.compiled((topology, model),
+                            lambda: _system_program(dataset, topology, radial=radial))
+    return prog.unit(dataset.index_of(dmu))
+
+
+def _result_from(sol: LpSolution, scope: str, dmu: str, unit: Unit) -> MpssResult:
+    prog = unit.program
     free = bool(prog.target)
     return MpssResult(
         scope, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol),
@@ -170,10 +194,10 @@ def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str)
     may consume at most the target.  The optimal targets are reported as
     ``optimal_intermediates``; they are generally not unique.
     """
-    prog = _system_program(dataset, topology, dmu, radial=False)
-    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}",
-                 prog.own_point())
-    return _result_from(sol, SYSTEM_VARIABLE, dmu, prog)
+    unit = _system(dataset, topology, dmu, SYSTEM_VARIABLE)
+    sol = _solve(unit.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}",
+                 unit.own_point())
+    return _result_from(sol, SYSTEM_VARIABLE, dmu, unit)
 
 
 def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -> MpssResult:
@@ -183,30 +207,29 @@ def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -
     levels together; the stage-2 input factor scales its intermediate and
     exogenous input levels together.
     """
-    return _radial(_system_program(dataset, topology, dmu, radial=True), dmu)[0]
+    return _radial(_system(dataset, topology, dmu, SYSTEM_RADIAL), dmu)[0]
 
 
-def _radial(prog: Program, dmu: str):
-    sol = _solve(prog.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}",
-                 prog.own_point())
-    return _result_from(sol, SYSTEM_RADIAL, dmu, prog), sol
+def _radial(unit: Unit, dmu: str):
+    sol = _solve(unit.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}",
+                 unit.own_point())
+    return _result_from(sol, SYSTEM_RADIAL, dmu, unit), sol
 
 
-def _pinned_stage(prog: Program, dmu: str, stage: int, score: float,
+def _pinned_stage(unit: Unit, dmu: str, stage: int, score: float,
                   start: LpSolution | None = None):
-    """Pin the gap solved before ``stage`` at ``score``, then solve the stage's gap over ``prog``.
+    """Pin the gap solved before ``stage`` at ``score``, then solve the stage's gap.
 
     Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
-    top of it.
+    top of it.  ``unit`` holds the pins of the stages before ``stage``.
     """
-    pinned, gap = PINS[stage]
-    prog.pin(gap, score)
+    unit.pin(score)
     context = f"stage-{stage} evaluation of {dmu!r}"
     with _named(context):
-        sol = solve_lp(prog.problem("maximize", STAGE_GAP[stage]), start=start)
+        sol = solve_lp(unit.problem("maximize", STAGE_GAP[stage]), start=start)
     if sol.status != "optimal":
-        raise SolverError(f"{context}: fixing band infeasible at {pinned} score {score!r}")
-    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, prog), sol
+        raise SolverError(f"{context}: fixing band infeasible at {PINS[stage][0]} score {score!r}")
+    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, unit), sol
 
 
 def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
@@ -215,8 +238,8 @@ def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
     Each pinned program appends two rows to the one solved before it, whose
     optimum satisfies them, so each stage solve starts from that optimum's basis.
     """
-    prog = _system_program(dataset, topology, dmu, radial=True)
-    system, sol = _radial(prog, dmu)
-    first, sol = _pinned_stage(prog, dmu, 1, system.score, sol)
-    second, _ = _pinned_stage(prog, dmu, 2, first.score, sol)
+    unit = _system(dataset, topology, dmu, SYSTEM_RADIAL)
+    system, sol = _radial(unit, dmu)
+    first, sol = _pinned_stage(unit, dmu, 1, system.score, sol)
+    second, _ = _pinned_stage(unit, dmu, 2, first.score, sol)
     return system, first, second

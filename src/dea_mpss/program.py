@@ -7,12 +7,20 @@ Each measure of a process contributes one row::
     sum_j l_j v_j  (<= or >=)  factor * v_o      radial
     sum_j l_j v_j  (<= or >=)  target            free target
 
-and every intensity vector sums to one.  Rows go in a block (one matrix,
-one relation) at a time; ``LpProblem`` stacks the blocks into its matrix.
-The models differ only in their processes, links, objective and pinned
-rows.  The evaluated DMU set against itself (every factor 1, all weight on
-itself, every target at its own level) satisfies every row but the pinned
-ones, so it starts the solve.
+and every intensity vector sums to one.  The models differ only in their
+processes, links, objective and pinned rows.
+
+A ``Program`` is compiled once per dataset and model.  Only the evaluated
+unit ``o``'s own levels, the ``-v_o`` entries of the factor columns, depend
+on ``o``; the intensity blocks, the slack layout, the standard form the
+simplex reads (``lp.StandardForm``), the row signs and the pinned rows'
+coefficients are built once, into read-only arrays.  ``Program.unit``
+copies them once per unit, writes that unit's levels in and takes ``|A|``.
+Pinned rows come last, in pairs; ``Unit.pin`` fills the next pair's right
+sides, so a pinned program is a row and column prefix of the unit's arrays
+and each ``Unit.problem`` reads the prefix pinned so far.  The unit set
+against itself (every factor 1, all weight on itself, every target at its
+own level) satisfies every row but the pinned ones, so it starts the solve.
 """
 
 from __future__ import annotations
@@ -21,18 +29,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lp import SLACK_SIGN, LpProblem, LpSolution
+from .errors import ValidationError
+from .lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _frozen
 
 # half-width of a pinned score's band: an exact equality rarely re-solves
 FIXING_BAND = 1e-6
 
 
 class Program:
-    """Rows over a named column layout, built for the evaluated DMU ``own``."""
+    """Rows over a named column layout, for every unit of one dataset."""
 
-    def __init__(self, n: int, own: int, factors: Sequence[str], blocks: Sequence[str],
+    def __init__(self, n: int, factors: Sequence[str], blocks: Sequence[str],
                  targets: Sequence[str] = ()):
-        self.n, self.own = n, own
+        self.n = n
         self.factor = {f: k for k, f in enumerate(factors)}
         self.block = {b: len(factors) + k * n for k, b in enumerate(blocks)}
         start = len(factors) + len(blocks) * n
@@ -40,7 +49,11 @@ class Program:
         self.width = start + len(targets)
         # the row blocks, and each row's slack sign (lp.SLACK_SIGN) and rhs
         self.blocks, self.sign, self.rhs = [], [], []
-        self.own_level: dict = {}  # target -> the evaluated DMU's level of it
+        # the -v_o entries: their rows, factor columns and, one block of
+        # rows per envelope, the levels of their measures (rows × DMUs)
+        self.own_rows, self.own_cols, self.own_levels = [], [], [np.zeros((0, n))]
+        self.levels = {}  # target -> the levels of its measure
+        self.pins = 0     # pairs of pinned rows, after every other row
 
     def _append(self, A: np.ndarray, rel: str, rhs: float) -> None:
         self.blocks.append(A)
@@ -53,11 +66,14 @@ class Program:
         A = np.zeros((data.shape[1], self.width))
         s = self.block[block]
         A[:, s:s + self.n] = data.T
-        if factor is not None:
-            A[:, self.factor[factor]] = -data[self.own]
+        if factor is not None:  # its entries are written per unit
+            first = len(self.sign)
+            self.own_rows += range(first, first + len(A))
+            self.own_cols += [self.factor[factor]] * len(A)
+            self.own_levels.append(data.T)
         else:
             A[np.arange(len(targets)), [self.target[t] for t in targets]] = -1.0
-            self.own_level.update(zip(targets, data[self.own]))
+            self.levels.update(zip(targets, data.T))
         self._append(A, rel, 0.0)
 
     def convexity(self) -> None:
@@ -66,31 +82,62 @@ class Program:
             A[k, s:s + self.n] = 1.0
         self._append(A, "=", 1.0)
 
-    def bound(self, coeffs: Mapping[str, float], rel: str, value: float) -> None:
+    def _row(self, coeffs: Mapping[str, float]) -> np.ndarray:
         a = np.zeros((1, self.width))
         for f, v in coeffs.items():
             a[0, self.factor[f]] += v
-        self._append(a, rel, value)
+        return a
 
-    def pin(self, coeffs: Mapping[str, float], value: float) -> None:
-        """Hold ``coeffs`` within ``FIXING_BAND`` of ``value``."""
-        self.bound(coeffs, "<=", value + FIXING_BAND)
-        self.bound(coeffs, ">=", value - FIXING_BAND)
+    def bound(self, coeffs: Mapping[str, float], rel: str, value: float) -> None:
+        self._append(self._row(coeffs), rel, value)
 
-    def problem(self, sense: str, objective: Mapping[str, float]) -> LpProblem:
-        c = np.zeros(self.width)
-        for f, v in objective.items():
-            c[self.factor[f]] = v
-        return LpProblem(sense, c, A=self.blocks, row_sign=self.sign, b=self.rhs)
+    def pin(self, coeffs: Mapping[str, float]) -> None:
+        """A pair of rows that ``Unit.pin`` holds within ``FIXING_BAND`` of a value."""
+        a = self._row(coeffs)
+        self._append(a, "<=", 0.0)
+        self._append(a, ">=", 0.0)
+        self.pins += 1
 
-    def own_point(self) -> np.ndarray:
-        """The evaluated DMU against itself: a feasible vertex of the unpinned rows."""
-        x = np.zeros(self.width)
-        x[list(self.factor.values())] = 1.0
-        x[[s + self.own for s in self.block.values()]] = 1.0
-        for t, k in self.target.items():
-            x[k] = self.own_level[t]
-        return x
+    def compile(self) -> "Program":
+        """Build the read-only template every ``unit`` copies; returns the program."""
+        m, w = len(self.sign), self.width
+        if min(self.rhs, default=0.0) < 0.0:  # ``Unit.problem`` reads fixed rows as stored
+            raise ValidationError("a fixed row needs a nonnegative right side")
+        # the standard form: the rows, then one slack column per inequality row
+        slack_col, cols = [], w
+        for sign in self.sign:
+            slack_col.append(cols if sign else -1)
+            cols += sign != 0.0
+        slack = np.zeros((m, cols - w))
+        for i, (k, sign) in enumerate(zip(slack_col, self.sign)):
+            if sign:
+                slack[i, k - w] = sign
+        self._A, self._slack = np.concatenate(self.blocks), slack
+        self._slack_col = np.array(slack_col)
+        self._sign, self._rhs = np.array(self.sign), np.array(self.rhs)
+        self._own_at = (np.array(self.own_rows, dtype=int), np.array(self.own_cols, dtype=int))
+        # per unit, its own levels of the factor rows' measures and of the targets
+        self._own_levels = np.concatenate(self.own_levels)
+        self._target_levels = np.zeros((self.n, len(self.target)))
+        for d, t in enumerate(self.target):
+            self._target_levels[:, d] = self.levels.get(t, 0.0)
+        for a in self.template():
+            a.setflags(write=False)
+        self.fixed = m - 2 * self.pins
+        # (rows, columns) of the program with k pinned pairs, k = 0 .. pins
+        self._shape = [(r, w + sum(map(bool, self.sign[:r])))
+                       for r in range(self.fixed, m + 1, 2)]
+        self.blocks = self.own_levels = self.levels = None  # the template holds them now
+        return self
+
+    def template(self) -> tuple:
+        """The compiled arrays, all read-only."""
+        return (self._A, self._slack, self._sign, self._rhs, self._slack_col, *self._own_at,
+                self._own_levels, self._target_levels)
+
+    def unit(self, own: int) -> "Unit":
+        """The program of unit ``own``: the template, copied, with that unit's levels."""
+        return Unit(self, own)
 
     # -- reading a solution by column name --------------------------------
 
@@ -107,3 +154,55 @@ class Program:
         """False when a nonbasic target has zero reduced cost (an alternate optimum)."""
         return not any(not sol.basic[k] and abs(sol.reduced_costs[k]) <= 1e-9
                        for k in self.target.values())
+
+
+class Unit:
+    """One unit's copy of a compiled program; rows once written never change."""
+
+    def __init__(self, program: Program, own: int):
+        p = self.program = program
+        self.own = own
+        self._S = np.concatenate((p._A, p._slack), axis=1)
+        self._S[p._own_at] = -p._own_levels[:, own]
+        self._abs_A = _frozen(np.abs(self._S[:, :p.width]))  # the same for a row stored negated
+        # each row's rhs, slack sign and factor as stored: see ``lp.StandardForm``
+        self._b, self._sign, self._flip = p._rhs.copy(), p._sign.copy(), np.ones(p._rhs.size)
+        self.pinned = 0
+
+    def pin(self, value: float) -> None:
+        """Hold the next pair of pinned rows within ``FIXING_BAND`` of ``value``.
+
+        A row whose right side is negative is stored negated, with its
+        slack's sign, as ``lp.StandardForm`` keeps every right side >= 0.
+        """
+        p, w = self.program, self.program.width
+        r = p.fixed + 2 * self.pinned
+        self._b[r:r + 2] = value + FIXING_BAND, value - FIXING_BAND
+        for i in (r, r + 1):
+            if self._b[i] < 0.0:
+                self._b[i], self._sign[i], self._flip[i] = -self._b[i], -self._sign[i], -1.0
+                np.negative(p._A[i], out=self._S[i, :w])
+                self._S[i, p._slack_col[i]] = self._sign[i]
+        self.pinned += 1
+
+    def problem(self, sense: str, objective: Mapping[str, float]) -> LpProblem:
+        """The program with the pairs pinned so far, given in standard form."""
+        p = self.program
+        m, cols = p._shape[self.pinned]
+        c = np.zeros(p.width)
+        for f, v in objective.items():
+            c[p.factor[f]] = v
+        form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m],
+                            _frozen(self._b[:m]), _frozen(self._sign[:m]),
+                            _frozen(self._flip[:m]), p._slack_col[:m])
+        return LpProblem(sense, c, standard_form=form)
+
+    def own_point(self) -> np.ndarray:
+        """The evaluated DMU against itself: a feasible vertex of the unpinned rows."""
+        p = self.program
+        factors, weights = len(p.factor), len(p.factor) + len(p.block) * p.n
+        x = np.zeros(p.width)
+        x[:factors] = 1.0
+        x[factors + self.own:weights:p.n] = 1.0  # its own weight in every block
+        x[weights:] = p._target_levels[self.own]
+        return x

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import chain_topology, two_stage_topology
+from conftest import FIXTURES, chain_topology, two_stage_topology
 from dea_mpss.cli import _COMMANDS, ReportTable, render, run
 from dea_mpss.data import topology_to_json
 from dea_mpss.errors import SolverError, ValidationError
@@ -420,3 +420,40 @@ def test_dmu_call_builds_one_subparser(two_stage_files, monkeypatch, capsys):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     assert run(["network-mpss", "--data", data, "--topology", topo, "--dmu", "a"]) == 0
     assert built == ["network-mpss"]
+
+
+@pytest.fixture
+def insurer_files(tmp_path):
+    """The insurer table with its two-stage topology and a value-chain view of it."""
+    from test_acceptance import insurance_views
+    from test_sweep import insurers
+
+    two_stage, chain = tmp_path / "two_stage.json", tmp_path / "chain.json"
+    two_stage.write_text(topology_to_json(insurance_views()[1]), encoding="utf-8")
+    chain.write_text(topology_to_json(insurers()[1]), encoding="utf-8")
+    return str(FIXTURES / "insurers_24.csv"), str(two_stage), str(chain)
+
+
+@pytest.mark.parametrize("argv, chain", [
+    (["network-mpss", "--intermediates", "variable"], False),
+    (["network-mpss", "--intermediates", "radial", "--stages"], False),
+    (["chain-mpss", "--targets"], True),
+    (["chain-eff"], True),
+    (["blackbox-mpss"], False),
+], ids=["network-variable", "network-radial-stages", "chain-mpss-targets", "chain-eff",
+        "blackbox-mpss"])
+def test_dmu_rows_repeat_the_sweep_byte_for_byte(insurer_files, argv, chain, capsys):
+    """Each ``--dmu`` report holds exactly its unit's lines of the whole-file report."""
+    data, two_stage, chain_view = insurer_files
+    call = [*argv, "--data", data, "--topology", chain_view if chain else two_stage,
+            "--format", "csv", "--raw"]
+    assert run(call) == 0
+    tables = [t.splitlines() for t in capsys.readouterr().out.split("\n\n")]
+    units = [line.split(",", 1)[0] for line in tables[0][1:]]
+    assert len(units) == 24
+    for dmu in units:
+        assert run([*call, "--dmu", dmu]) == 0
+        got = [t.splitlines() for t in capsys.readouterr().out.split("\n\n")]
+        want = [[t[0], *(line for line in t[1:] if line.split(",", 1)[0] == dmu)]
+                for t in tables]
+        assert got == want, dmu

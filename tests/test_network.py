@@ -5,8 +5,9 @@ from conftest import dataset_for, random_dataset, two_stage_topology, chain_topo
 from dea_mpss.data import Dataset
 from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
 from dea_mpss.network import (
+    SYSTEM_RADIAL,
     _pinned_stage,
-    _system_program,
+    _system,
     blackbox_mpss,
     evaluate_stages,
     network_mpss_radial,
@@ -164,9 +165,9 @@ def test_stage_solutions_respect_the_band():
 
 def test_inconsistent_fixing_score_raises():
     ds, topo = named_instance()
-    prog = _system_program(ds, topo, "u1", radial=True)
+    unit = _system(ds, topo, "u1", SYSTEM_RADIAL)
     with pytest.raises(SolverError, match="fixing band infeasible at system score 1000000.0"):
-        _pinned_stage(prog, "u1", 1, 1e6)
+        _pinned_stage(unit, "u1", 1, 1e6)
 
 
 def test_variable_intermediates_reported_with_uniqueness_flag():

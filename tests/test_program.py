@@ -3,10 +3,11 @@ import pytest
 
 from dea_mpss.data import Dataset, load_dataset
 from dea_mpss.lp import SLACK_SIGN, LpProblem, LpSolution, solve_lp
-from dea_mpss.network import PINS, STAGE_GAP, SYSTEM_GAP, _system_program
+from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system
 from dea_mpss.program import FIXING_BAND, Program
 
 from conftest import FIXTURES
+from test_network import named_instance
 
 # three DMUs, evaluated DMU "b" (index 1)
 DATA = Dataset(["a", "b", "c"], {"x": [1.0, 2.0, 4.0], "w": [3.0, 5.0, 7.0], "z": [6.0, 8.0, 9.0]})
@@ -14,13 +15,15 @@ RELATION = {sign: rel for rel, sign in SLACK_SIGN.items()}
 
 
 def program():
-    own = DATA.index_of("b")
-    return Program(DATA.n_dmus, own, ("t_in", "t_out"), ("up", "down"), ("z",))
+    return Program(DATA.n_dmus, ("t_in", "t_out"), ("up", "down"), ("z",))
 
 
-def rows_of(prog):
-    """The program's rows as (coefficients, relation, rhs), read from its problem's matrix."""
-    p = prog.problem("maximize", {})
+def rows_of(prog, *pins):
+    """Unit "b"'s rows as (coefficients, relation, rhs), read from its problem's matrix."""
+    unit = prog.compile().unit(DATA.index_of("b"))
+    for value in pins:
+        unit.pin(value)
+    p = unit.problem("maximize", {})
     assert p.A.shape == (p.n_constraints, prog.width)
     return [(list(a), RELATION[s], rhs) for a, s, rhs in zip(p.A, p.row_sign.tolist(), p.b.tolist())]
 
@@ -59,8 +62,8 @@ def test_convexity_rows_in_block_order():
 
 def test_pin_pair_brackets_the_value():
     prog = program()
-    prog.pin({"t_out": 1.0, "t_in": -1.0}, 0.25)
-    assert rows_of(prog) == [
+    prog.pin({"t_out": 1.0, "t_in": -1.0})
+    assert rows_of(prog, 0.25) == [
         ([-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0], "<=", 0.25 + FIXING_BAND),
         ([-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0], ">=", 0.25 - FIXING_BAND),
     ]
@@ -71,27 +74,30 @@ def test_blocks_stack_in_append_order():
     prog.envelope("up", DATA.matrix(["x"]), "<=", factor="t_in")
     prog.convexity()
     prog.bound({"t_out": 1.0}, ">=", 1.0)
-    assert [rel for _, rel, _ in rows_of(prog)] == ["<=", "=", "=", ">="]
-    assert [rhs for _, _, rhs in rows_of(prog)] == [0.0, 1.0, 1.0, 1.0]
+    rows = rows_of(prog)
+    assert [rel for _, rel, _ in rows] == ["<=", "=", "=", ">="]
+    assert [rhs for _, _, rhs in rows] == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_problem_arrays_are_read_only_copies():
     prog = program()
     prog.convexity()
-    problem = prog.problem("maximize", {"t_out": 1.0})
+    problem = prog.compile().unit(1).problem("maximize", {"t_out": 1.0})
     for a in (problem.A, problem.row_sign, problem.b, problem.objective,
-              problem.variable_lower_bounds):
+              problem.variable_lower_bounds, *problem.standard_form):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 7.0
-    prog.blocks[0][0, 2] = 9.0  # the program's own rows stay writable and apart
-    assert problem.A[0, 2] == 1.0
+    for a in prog.template():  # the compiled template every unit copies
+        assert not a.flags.writeable
+    # the problem's rows are read from its unit's copy, apart from the template
+    assert not np.shares_memory(problem.A, prog.template()[0])
 
 
 def test_problem_and_readback_by_name():
     prog = program()
     prog.convexity()
-    problem = prog.problem("maximize", {"t_out": 1.0, "t_in": -1.0})
+    problem = prog.compile().unit(1).problem("maximize", {"t_out": 1.0, "t_in": -1.0})
     assert list(problem.objective) == [-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0]
     assert problem.n_constraints == 2
     x = np.arange(9.0)
@@ -122,20 +128,37 @@ def assert_same_solution(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("dmu", ["u1", "u3", "u5", "u13", "u37"])
-def test_program_and_triples_solve_bit_identically(dmu):
-    """The radial system and both pinned stage solves, crash and warm started as the models do."""
-    dataset, topology = load_dataset(FIXTURES / "log_spread.csv",
-                                     FIXTURES / "log_spread_topology.json")
-    prog = _system_program(dataset, topology, dmu, radial=True)
-    problem = prog.problem("maximize", SYSTEM_GAP)
-    start = prog.own_point()
+def log_spread():
+    return load_dataset(FIXTURES / "log_spread.csv", FIXTURES / "log_spread_topology.json")
+
+
+@pytest.mark.parametrize("source, dmu, negative", [
+    # u3's stage-1 score is -0.0399 and the named instance's u2's -0.41865:
+    # both stage-2 pin rows have negative right sides
+    (log_spread, "u1", False), (log_spread, "u3", True), (log_spread, "u5", False),
+    (log_spread, "u13", False), (log_spread, "u37", False), (named_instance, "u2", True),
+], ids=["u1", "u3", "u5", "u13", "u37", "named-u2"])
+def test_program_and_triples_solve_bit_identically(source, dmu, negative):
+    """The radial system and both pinned stage solves, crash and warm started as the models do.
+
+    The compiled program's standard form, negated pin rows included, must
+    solve exactly as the one the solver builds for the same rows as triples.
+    A pin at a score within the band of zero stores its ">=" row negated; a
+    negative stage-1 score negates the "<=" row of the stage-2 pin as well.
+    """
+    dataset, topology = source()
+    unit = _system(dataset, topology, dmu, SYSTEM_RADIAL)
+    problem = unit.problem("maximize", SYSTEM_GAP)
+    start = unit.own_point()
     sol, twin = solve_lp(problem, start=start), solve_lp(as_triples(problem), start=start)
     assert_same_solution(sol, twin)
     for stage in (1, 2):
-        prog.pin(PINS[stage][1], sol.objective_value)
-        problem = prog.problem("maximize", STAGE_GAP[stage])
+        unit.pin(sol.objective_value)
+        problem = unit.problem("maximize", STAGE_GAP[stage])
+        negated = problem.standard_form.flip < 0.0
+        assert negated.tolist() == (problem.b < 0.0).tolist()
         sol, twin = solve_lp(problem, start=sol), solve_lp(as_triples(problem), start=twin)
         assert_same_solution(sol, twin)
         if sol.status != "optimal":
             break
+    assert bool((negated & (problem.row_sign > 0.0)).any()) is negative

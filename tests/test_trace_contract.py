@@ -16,7 +16,7 @@ import dea_mpss
 import dea_mpss.cli
 from dea_mpss.data import load_dataset
 from dea_mpss.lp import LpProblem
-from dea_mpss.network import SYSTEM_GAP, _system_program
+from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system
 
 from conftest import FIXTURES
 
@@ -59,13 +59,15 @@ def test_traced_stages_call_counts_three_problems_and_solves(capsys):
 def test_problem_digest_reads_the_matrix_form_as_its_triples():
     spans = load_spans()
     dataset, topology = load_dataset(DATA, TOPOLOGY)
-    prog = _system_program(dataset, topology, "u1", radial=True)
-    prog.pin(SYSTEM_GAP, 0.5)
-    problem = prog.problem("maximize", SYSTEM_GAP)
+    unit = _system(dataset, topology, "u1", SYSTEM_RADIAL)
+    unit.pin(0.5)  # the system gap, pinned for the stage-1 solve
+    problem = unit.problem("maximize", SYSTEM_GAP)
     rows = [(np.array(a), rel, rhs) for a, rel, rhs in problem.constraints]
     twin = LpProblem(problem.objective_sense, problem.objective, rows,
                      problem.variable_lower_bounds)
     assert spans.problem_digest(problem) == spans.problem_digest(twin)
     assert [type(rhs) for _, _, rhs in problem.constraints] == [float] * problem.n_constraints
-    prog.pin(SYSTEM_GAP, 0.25)
-    assert spans.problem_digest(prog.problem("maximize", SYSTEM_GAP)) != spans.problem_digest(problem)
+    other = _system(dataset, topology, "u1", SYSTEM_RADIAL)
+    other.pin(0.25)
+    assert spans.problem_digest(other.problem("maximize", SYSTEM_GAP)) != \
+        spans.problem_digest(problem)
