@@ -6,7 +6,10 @@ value, its iteration count, ``started`` and the sha256 of the whole
 ``LpSolution``.  The digest covers those four fields, the final basis and
 the bytes of the variable values, the dual values, the reduced costs and
 the ``basic`` flags (hashed as booleans, whatever their dtype), so two
-lines agree only when the two solutions are bit for bit the same.  The set is:
+lines agree only when the two solutions are bit for bit the same.  A line
+also holds a short sha256 per ``LpSolution`` field; a float array's is
+followed by the sha256 of the array with each -0.0 read as 0.0, so a change
+in the sign of zeros alone can be told apart.  The set is:
 
 * 3,000 problems from ``tests/gen.random_lp`` (seed 2024), and for every
   fifth optimal one a crash start from its optimum, a warm start after an
@@ -24,9 +27,10 @@ Model solves are caught where ``network`` and ``chain`` call ``solve_lp``,
 so a solve that raises is recorded with the solver's own message.  The
 package comes from ``PYTHONPATH``.  ``--compare A B`` reads two such files
 and lists every solve whose error, status, ``started`` or iteration count
-changed, or whose objective moved by more than 1e-9 relative, then counts
-the lines whose digests differ; it exits 1 when any solve changed or any
-digest differs, and 0 otherwise.  From the repository root::
+changed, or whose objective moved by more than 1e-9 relative, then every
+line whose digest differs with the fields that differ, then the counts, by
+field; it exits 1 when any solve changed or any digest differs, and 0
+otherwise.  From the repository root::
 
     python3 perfbench/inputs.py --seed 1
     PYTHONPATH=<parent checkout>/src python3 scripts/lp_parity.py > parent.jsonl
@@ -37,6 +41,7 @@ digest differs, and 0 otherwise.  From the repository root::
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -62,6 +67,8 @@ from gen import random_lp  # noqa: E402
 RANDOM_SEED = 2024
 RANDOM_PROBLEMS = 3000
 OBJECTIVE_RTOL = 1e-9  # relative move of an objective that --compare reports
+SCALARS = ("status", "objective_value", "iterations", "started", "_basis")
+ARRAYS = ("variable_values", "dual_values", "reduced_costs")
 
 
 def digest(sol) -> str:
@@ -73,6 +80,20 @@ def digest(sol) -> str:
     return h.hexdigest()
 
 
+def _short(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def field_digests(sol) -> dict:
+    """A short sha256 per field; a float array's, then its own with zeros unsigned."""
+    fields = {name: _short(repr(getattr(sol, name)).encode()) for name in SCALARS}
+    for name in ARRAYS:
+        a = getattr(sol, name)
+        fields[name] = f"{_short(a.tobytes())} {_short((a + 0.0).tobytes())}"  # -0.0 + 0.0 is 0.0
+    fields["basic"] = _short(sol.basic.astype(bool).tobytes())
+    return fields
+
+
 def emit(label: str, solve):
     """Run ``solve`` and print its line; an error is printed, then raised again."""
     try:
@@ -82,7 +103,8 @@ def emit(label: str, solve):
         raise
     print(json.dumps({"case": label, "status": sol.status,
                       "objective": repr(sol.objective_value), "iterations": sol.iterations,
-                      "started": sol.started, "sha256": digest(sol)}))
+                      "started": sol.started, "sha256": digest(sol),
+                      "fields": field_digests(sol)}))
     return sol
 
 
@@ -169,6 +191,20 @@ def changes(old: dict, new: dict) -> list:
     return [f"{k} {old.get(k)} -> {new.get(k)}" for k in fields]
 
 
+def differing_fields(old: dict, new: dict) -> str:
+    """The fields whose digests differ between two lines of one solve."""
+    a, b = old.get("fields"), new.get("fields")
+    if a is None or b is None:
+        return "fields not recorded"
+    names = []
+    for name in a.keys() | b.keys():
+        x, y = a.get(name, ""), b.get(name, "")
+        if x != y:
+            zeros = name in ARRAYS and x.split()[-1] == y.split()[-1]
+            names.append(f"{name} (signs of zeros only)" if zeros else name)
+    return ", ".join(sorted(names))
+
+
 def compare(old_path: Path, new_path: Path) -> bool:
     """Print every changed solve of two output files, then the counts.
 
@@ -183,20 +219,28 @@ def compare(old_path: Path, new_path: Path) -> bool:
             return {r["case"]: r for r in map(json.loads, fh)}
 
     old, new = read(old_path), read(new_path)
-    changed = digests = 0
+    changed, differ = 0, []
     for case in [*old, *(c for c in new if c not in old)]:
         a, b = old.get(case), new.get(case)
         if a is None or b is None:
             diff = [f"only in {new_path if a is None else old_path}"]
         else:
             diff = changes(a, b)
-            digests += a.get("sha256") != b.get("sha256")
+            if a.get("sha256") != b.get("sha256"):
+                differ.append(case)
         if diff:
             changed += 1
             print(f"{case}: " + "; ".join(diff))
+    by_fields = collections.Counter()
+    for case in differ:
+        fields = differing_fields(old[case], new[case])
+        by_fields[fields] += 1
+        print(f"{case}: digest differs in {fields}")
     print(f"{len(old)} and {len(new)} solves: {changed} changed; "
-          f"{digests} of the solves on both sides differ in their digest")
-    return not changed and not digests
+          f"{len(differ)} of the solves on both sides differ in their digest")
+    for fields, count in by_fields.most_common():
+        print(f"  {count} in {fields}")
+    return not changed and not differ
 
 
 def main() -> None:

@@ -6,7 +6,8 @@ Every envelopment model in this package reduces to a program of the form
 
 which ``LpProblem`` holds as one read-only m×n matrix ``A``, a relation
 sign per row and ``b``.  The solver reads it in standard form
-(``StandardForm``), which a model's compiled ``Program`` hands over with the
+(``StandardForm``): the rows as written, then one slack column per
+inequality row.  A model's compiled ``Program`` hands that over with the
 problem, so a sweep builds it once per model rather than once per solve.
 Programs are small (about a dozen rows, a few hundred variables), so the
 solver keeps the m×m basis inverse dense and never forms the tableau.  Each
@@ -24,8 +25,11 @@ Phase two starts from a primal feasible basis, found in one of three ways:
 * warm: the caller passes the optimum of a program this one extends by
   appended rows (the pinned stage programs); its final basis plus the new
   rows' slacks form the basis;
-* cold: phase one minimises the sum of artificial variables, one per "="
-  or ">=" row.
+* cold: phase one minimises the sum of artificial variables.  It starts
+  from the signed diagonal basis ``diag(start)``, ``start`` being -1 on
+  the rows whose rhs is negative and 1 elsewhere: the slack of a row whose
+  slack coefficient is that row's ``start``, an artificial of that sign on
+  every other row.  The rows keep their sign; only phase one's start reads it.
 
 Phase one runs when no start is given, when a start's basis is singular or
 infeasible, and when phase two from a start ends unbounded or on a basis
@@ -79,11 +83,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class StandardForm(NamedTuple):
-    """A program's rows as the simplex stores them, every right side ``b >= 0``.
+    """A program's rows as the simplex reads them, with ``x`` shifted to lower bounds 0.
 
-    ``S`` is ``[A·flip | slacks]``: each row, negated where ``flip`` is -1
-    (its rhs was negative), then one slack column per inequality row, in row
-    order, whose entry is the stored row's ``sign``.  ``abs_A`` is ``|A|``,
+    ``S`` is ``[A | slacks]``: the rows as written, then one slack column per
+    inequality row, in row order, whose entry is the row's ``sign``
+    (``_slack_columns``).  ``b`` may hold any sign.  ``abs_A`` is ``|A|``,
     which scales the row tolerances; ``slack_col_of_row`` is each row's slack
     column, or -1 for an "=" row.
     """
@@ -92,7 +96,6 @@ class StandardForm(NamedTuple):
     abs_A: np.ndarray
     b: np.ndarray
     sign: np.ndarray
-    flip: np.ndarray
     slack_col_of_row: np.ndarray
 
 
@@ -102,13 +105,12 @@ class LpProblem:
 
     ``A`` (rows × variables), ``row_sign`` and ``b`` are read-only arrays;
     ``row_sign`` is each row's relation as its slack coefficient
-    (``SLACK_SIGN``).  The rows come whole, as ``A`` (a list of 2-D row
-    blocks, stacked in order), ``row_sign`` and ``b``, or as ``constraints``,
+    (``SLACK_SIGN``).  The rows come as ``constraints``,
     ``(coefficients, relation, rhs)`` triples, or already in
     ``standard_form``, as a compiled program keeps them (``program.Unit``):
-    then ``A``, ``row_sign`` and ``b`` are read back from it, negated rows
-    restored, and the lower bounds are zero.  Otherwise the solver builds
-    the standard form per solve.  Safe to share across threads.
+    then ``A``, ``row_sign`` and ``b`` are views of it and the lower bounds
+    are zero.  Otherwise the solver builds the standard form per solve.
+    Safe to share across threads.
     """
 
     objective_sense: str
@@ -120,8 +122,8 @@ class LpProblem:
     standard_form: StandardForm | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, objective_sense: str, objective: Sequence[float], constraints: Sequence = (),
-                 variable_lower_bounds: Sequence[float] | None = None, *, A=None, row_sign=None,
-                 b=None, standard_form: StandardForm | None = None):
+                 variable_lower_bounds: Sequence[float] | None = None, *,
+                 standard_form: StandardForm | None = None):
         if objective_sense not in (MAXIMIZE, MINIMIZE):
             raise ValidationError(f"objective_sense must be {MAXIMIZE!r} or {MINIMIZE!r}, "
                                   f"got {objective_sense!r}")
@@ -129,25 +131,13 @@ class LpProblem:
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty coefficient vector")
         if standard_form is not None:
-            if A is not None or constraints or variable_lower_bounds is not None:
+            if constraints or variable_lower_bounds is not None:
                 raise ValidationError("a problem in standard form takes no other rows or bounds")
-            S, flip = standard_form.S, standard_form.flip
-            A = S[:, :c.size]
-            if flip.min(initial=1.0) < 0.0:
-                A = A * flip[:, None]
-            A, row_sign, b = (_frozen(A), _frozen(standard_form.sign * flip),
-                              _frozen(standard_form.b * flip))
+            A, row_sign, b = standard_form.S[:, :c.size], standard_form.sign, standard_form.b
+            if A.shape != (b.size, c.size):
+                raise ValidationError(f"the standard form's rows must cover {c.size} variables")
         else:
-            if A is None:
-                A, row_sign, b = _from_triples(constraints, c.size)
-            elif constraints:
-                raise ValidationError("give the rows as constraints or as A, not both")
-            A = _frozen(np.concatenate(A, dtype=float))  # the row blocks, stacked in order
-            row_sign, b = _readonly(row_sign), _readonly(b)
-        if b.ndim != 1 or A.shape != (b.size, c.size) or row_sign.shape != b.shape:
-            raise ValidationError(f"A must be {b.size} × {c.size}, with a relation and rhs per row")
-        if not set(row_sign.tolist()) <= _RELATION.keys():
-            raise ValidationError("row_sign entries must be +1, 0 or -1")
+            A, row_sign, b = _from_triples(constraints, c.size)
         if variable_lower_bounds is None:
             lb = _frozen(np.zeros(c.size))
         else:
@@ -192,7 +182,7 @@ def _from_triples(constraints, n):
         rows.append(a)
         signs.append(SLACK_SIGN[relation])
         rhs.append(float(value))
-    return [np.reshape(rows, (len(rows), n))], signs, rhs
+    return _frozen(np.reshape(rows, (len(rows), n))), _readonly(signs), _readonly(rhs)
 
 
 @dataclass(frozen=True)
@@ -233,26 +223,27 @@ def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -
 
 
 def _standard_form(prob: LpProblem) -> StandardForm:
-    """The rows of ``prob`` with ``x`` shifted by its lower bounds, stored with ``b >= 0``.
-
-    A program with zero lower bounds and no negative rhs is read as it is.
-    """
-    A, b, sign, m = prob.A, prob.b, prob.row_sign, prob.n_constraints
+    """The rows of ``prob`` with ``x`` shifted by its lower bounds, and their slack columns."""
+    A, b = prob.A, prob.b
     if prob.variable_lower_bounds.any():
         b = b - A @ prob.variable_lower_bounds
-    flip = np.ones(m)
-    if b.min(initial=0.0) < 0.0:
-        flip[b < 0.0] = -1.0
-        A, b, sign = A * flip[:, None], b * flip, flip * sign
-    # slack columns follow the structural ones, in row order
-    rows = np.flatnonzero(sign)
-    slack_cols = np.arange(prob.n_variables, prob.n_variables + rows.size)
-    slack_col_of_row = np.full(m, -1)
-    slack_col_of_row[rows] = slack_cols
-    slack = np.zeros((m, rows.size))
-    slack[rows, slack_cols - prob.n_variables] = sign[rows]
-    return StandardForm(np.concatenate((A, slack), axis=1), np.abs(A), b, sign, flip,
+    slack, slack_col_of_row = _slack_columns(prob.row_sign, prob.n_variables)
+    return StandardForm(np.concatenate((A, slack), axis=1), np.abs(A), b, prob.row_sign,
                         slack_col_of_row)
+
+
+def _slack_columns(sign: np.ndarray, n: int):
+    """The slack columns of rows with slack signs ``sign``, and each row's slack column.
+
+    One column per inequality row, in row order, numbered from ``n`` on; an
+    "=" row's slack column is -1.
+    """
+    rows = np.flatnonzero(sign)
+    slack_col_of_row = np.full(sign.size, -1)
+    slack_col_of_row[rows] = np.arange(n, n + rows.size)
+    slack = np.zeros((sign.size, rows.size))
+    slack[rows, np.arange(rows.size)] = sign[rows]
+    return slack, slack_col_of_row
 
 
 class _Simplex:
@@ -262,8 +253,8 @@ class _Simplex:
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
         form = problem.standard_form
-        # ``flip`` maps the stored rows' duals back to the original rows
-        (self.S, self.abs_A, self.b, self.sign, self.flip,
+        # the rows as written, any rhs sign: phase one's start reads the signs
+        (self.S, self.abs_A, self.b, self.sign,
          self.slack_col_of_row) = _standard_form(problem) if form is None else form
         self.has_slack = self.sign != 0.0
         self.cols = self.S.shape[1]
@@ -363,7 +354,7 @@ class _Simplex:
         the row's scale, the size of its terms at ``xs``.
         """
         resid = self.b - self.S[:, :self.n] @ xs
-        row_tol = FEASIBILITY_TOL * np.maximum(1.0, self.abs_A @ np.abs(xs) + self.b)
+        row_tol = FEASIBILITY_TOL * np.maximum(1.0, self.abs_A @ np.abs(xs) + np.abs(self.b))
         slack = resid * self.sign
         if np.where(self.has_slack, slack < -row_tol, np.abs(resid) > row_tol).any():
             return None
@@ -387,17 +378,20 @@ class _Simplex:
     def _phase_one(self):
         """Minimise the artificial sum; returns (basis, kept row indices)."""
         m, cols = self.m, self.cols
-        # one artificial column per "=" or ">=" row, in row order; the
-        # slacks of the "<=" rows complete the starting basis, the identity
-        art_rows = np.flatnonzero(self.sign < 1.0)
+        # the starting basis is diag(start), -1 on the rows whose rhs is
+        # negative, so every basic value starts at |b|: a row's slack where
+        # its sign is its start, else an artificial column of the start's
+        # sign, one per such row, in row order
+        start = np.where(self.b < 0.0, -1.0, 1.0)
+        art_rows = np.flatnonzero(self.sign * start < 1.0)
         art_cols = cols + np.arange(art_rows.size)
         S = np.zeros((m, cols + art_rows.size))
         S[:, :cols] = self.S
-        S[art_rows, art_cols] = 1.0
+        S[art_rows, art_cols] = start[art_rows]
         basis = self.slack_col_of_row.copy()
         basis[art_rows] = art_cols
-        inverse = _ProductForm(np.eye(m))
-        rhs = self.b.copy()
+        inverse = _ProductForm(np.diag(start))
+        rhs = np.abs(self.b)
         cost = np.zeros(S.shape[1])
         cost[cols:] = 1.0
         if art_rows.size:
@@ -502,12 +496,11 @@ class _Simplex:
         x_shift[basis] = rhs
         x = x_shift[:n] + prob.variable_lower_bounds
         np.maximum(x, prob.variable_lower_bounds, out=x)  # what np.clip does without an upper bound
-        # multipliers from the final basis' inverse, mapped back to the original rows
+        # multipliers from the final basis' inverse, signed for the problem's sense
         y_int = np.zeros(m)
         y_int[row_keep] = inverse.T @ self.cc[basis]
-        duals = (-1.0 if prob.objective_sense == MAXIMIZE else 1.0) * self.flip * y_int
-        # the stored rows are the original ones negated where ``flip`` is -1
-        reduced = prob.objective - self.S[:, :n].T @ (self.flip * duals)
+        duals = (-1.0 if prob.objective_sense == MAXIMIZE else 1.0) * y_int
+        reduced = prob.objective - self.S[:, :n].T @ duals
         basic = np.zeros(n, dtype=bool)
         basic[basis[basis < n]] = True
         return LpSolution(

@@ -12,15 +12,17 @@ processes, links, objective and pinned rows.
 
 A ``Program`` is compiled once per dataset and model.  Only the evaluated
 unit ``o``'s own levels, the ``-v_o`` entries of the factor columns, depend
-on ``o``; the intensity blocks, the slack layout, the standard form the
-simplex reads (``lp.StandardForm``), the row signs and the pinned rows'
-coefficients are built once, into read-only arrays.  ``Program.unit``
-copies them once per unit, writes that unit's levels in and takes ``|A|``.
-Pinned rows come last, in pairs; ``Unit.pin`` fills the next pair's right
-sides, so a pinned program is a row and column prefix of the unit's arrays
-and each ``Unit.problem`` reads the prefix pinned so far.  The unit set
-against itself (every factor 1, all weight on itself, every target at its
-own level) satisfies every row but the pinned ones, so it starts the solve.
+on ``o``; the intensity blocks, the slack columns (laid out by ``lp``), the
+row signs and the pinned rows' coefficients are built once, into read-only
+arrays, the rows and slacks as one matrix in the standard form the simplex
+reads (``lp.StandardForm``).  ``Program.unit`` copies that matrix once per
+unit, writes the unit's levels in and takes ``|A|``.  Pinned rows come
+last, in pairs; ``Unit.pin`` fills the next pair's right sides, which may
+be negative (the solver's phase one reads their signs), so a pinned program
+is a row and column prefix of the unit's arrays and each ``Unit.problem``
+reads the prefix pinned so far.  The unit set against itself (every factor
+1, all weight on itself, every target at its own level) satisfies every row
+but the pinned ones, so it starts the solve.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _frozen
+from .lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _frozen, _slack_columns
 
 # half-width of a pinned score's band: an exact equality rarely re-solves
 FIXING_BAND = 1e-6
@@ -101,20 +102,10 @@ class Program:
     def compile(self) -> "Program":
         """Build the read-only template every ``unit`` copies; returns the program."""
         m, w = len(self.sign), self.width
-        if min(self.rhs, default=0.0) < 0.0:  # ``Unit.problem`` reads fixed rows as stored
-            raise ValidationError("a fixed row needs a nonnegative right side")
-        # the standard form: the rows, then one slack column per inequality row
-        slack_col, cols = [], w
-        for sign in self.sign:
-            slack_col.append(cols if sign else -1)
-            cols += sign != 0.0
-        slack = np.zeros((m, cols - w))
-        for i, (k, sign) in enumerate(zip(slack_col, self.sign)):
-            if sign:
-                slack[i, k - w] = sign
-        self._A, self._slack = np.concatenate(self.blocks), slack
-        self._slack_col = np.array(slack_col)
         self._sign, self._rhs = np.array(self.sign), np.array(self.rhs)
+        # the standard form: the rows, then one slack column per inequality row
+        slack, self._slack_col = _slack_columns(self._sign, w)
+        self._S = np.concatenate((np.concatenate(self.blocks), slack), axis=1)
         self._own_at = (np.array(self.own_rows, dtype=int), np.array(self.own_cols, dtype=int))
         # per unit, its own levels of the factor rows' measures and of the targets
         self._own_levels = np.concatenate(self.own_levels)
@@ -132,8 +123,8 @@ class Program:
 
     def template(self) -> tuple:
         """The compiled arrays, all read-only."""
-        return (self._A, self._slack, self._sign, self._rhs, self._slack_col, *self._own_at,
-                self._own_levels, self._target_levels)
+        return (self._S, self._sign, self._rhs, self._slack_col, *self._own_at, self._own_levels,
+                self._target_levels)
 
     def unit(self, own: int) -> "Unit":
         """The program of unit ``own``: the template, copied, with that unit's levels."""
@@ -162,27 +153,20 @@ class Unit:
     def __init__(self, program: Program, own: int):
         p = self.program = program
         self.own = own
-        self._S = np.concatenate((p._A, p._slack), axis=1)
+        self._S = p._S.copy()
         self._S[p._own_at] = -p._own_levels[:, own]
-        self._abs_A = _frozen(np.abs(self._S[:, :p.width]))  # the same for a row stored negated
-        # each row's rhs, slack sign and factor as stored: see ``lp.StandardForm``
-        self._b, self._sign, self._flip = p._rhs.copy(), p._sign.copy(), np.ones(p._rhs.size)
+        self._abs_A = _frozen(np.abs(self._S[:, :p.width]))
+        self._b = p._rhs.copy()  # the pinned rows' right sides are written per pin
         self.pinned = 0
 
     def pin(self, value: float) -> None:
         """Hold the next pair of pinned rows within ``FIXING_BAND`` of ``value``.
 
-        A row whose right side is negative is stored negated, with its
-        slack's sign, as ``lp.StandardForm`` keeps every right side >= 0.
+        Only the two right sides are written, of any sign: the rows stay as
+        compiled, and the solver's phase one reads the signs.
         """
-        p, w = self.program, self.program.width
-        r = p.fixed + 2 * self.pinned
+        r = self.program.fixed + 2 * self.pinned
         self._b[r:r + 2] = value + FIXING_BAND, value - FIXING_BAND
-        for i in (r, r + 1):
-            if self._b[i] < 0.0:
-                self._b[i], self._sign[i], self._flip[i] = -self._b[i], -self._sign[i], -1.0
-                np.negative(p._A[i], out=self._S[i, :w])
-                self._S[i, p._slack_col[i]] = self._sign[i]
         self.pinned += 1
 
     def problem(self, sense: str, objective: Mapping[str, float]) -> LpProblem:
@@ -192,9 +176,8 @@ class Unit:
         c = np.zeros(p.width)
         for f, v in objective.items():
             c[p.factor[f]] = v
-        form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m],
-                            _frozen(self._b[:m]), _frozen(self._sign[:m]),
-                            _frozen(self._flip[:m]), p._slack_col[:m])
+        form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m], _frozen(self._b[:m]),
+                            p._sign[:m], p._slack_col[:m])
         return LpProblem(sense, c, standard_form=form)
 
     def own_point(self) -> np.ndarray:

@@ -16,6 +16,8 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValidationError("ranks need a nonempty 1-d vector")
+    if not np.isfinite(v).all():  # each NaN would take a rank of its own
+        raise ValidationError("ranks need finite values")
     order = np.argsort(v, kind="stable")
     ranks = np.empty(v.size)
     i = 0
@@ -48,6 +50,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]], *, tie_correction: bool = 
     for k, g in enumerate(vecs):
         if g.ndim != 1 or g.size == 0:
             raise ValidationError(f"group {k} must be a nonempty vector")
+        if not np.isfinite(g).all():
+            raise ValidationError(f"group {k} holds a non-finite value")
     pooled = np.concatenate(vecs)
     n_total = pooled.size
     ranks = average_ranks(pooled)

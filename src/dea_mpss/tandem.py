@@ -12,6 +12,7 @@ is the sum of the two stage scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import TWO_STAGE_GENERAL, NetworkTopology, ProcessSpec
@@ -100,6 +101,8 @@ def decompose(process_scores, weights=DEFAULT_WEIGHTS) -> DecompositionReport:
     if len(process_scores) != 2:
         raise ValidationError("expected exactly two process scores")
     p1, p2 = (float(s) for s in process_scores)
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise ValidationError("process scores must be finite")
     if p1 < 0.0 or p2 < 0.0:
         raise ValidationError("process scores must be nonnegative")
     _check_weights(weights)

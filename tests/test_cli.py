@@ -293,6 +293,24 @@ def test_decompose_short_scores_row_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: scores row 1: fewer cells than the header\n"
 
 
+@pytest.mark.parametrize("command, name, text, message", [
+    ("decompose", "s.csv", "dmu,process1,process2\na,nan,1\n", "process scores must be finite"),
+    ("kruskal-wallis", "g.csv", "v\n1\nnan\n", "group 1 holds a non-finite value"),
+    ("kruskal-wallis", "g.csv", "v\n1\ninf\n", "group 1 holds a non-finite value"),
+], ids=["decompose-nan", "kruskal-nan", "kruskal-inf"])
+def test_non_finite_scores_exit_one(tmp_path, capsys, command, name, text, message):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    if command == "decompose":
+        argv = ["decompose", "--scores", str(tmp_path / name)]
+    else:
+        (tmp_path / "ok.csv").write_text("v\n1\n2\n3\n", encoding="utf-8")
+        argv = ["kruskal-wallis", "--groups", f"{tmp_path / 'ok.csv'},{tmp_path / name}"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_epsilon_flag_repairs_zeros(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("dmu,a\nu1,0\nu2,2\n", encoding="utf-8")

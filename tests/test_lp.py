@@ -48,6 +48,9 @@ def test_equality_and_lower_bounds():
 def test_dimension_mismatch_is_structured_error():
     with pytest.raises(ValidationError, match="constraint 0"):
         LpProblem("maximize", [1.0, 2.0], [([1.0], "<=", 1.0)])
+    form = lp._standard_form(LpProblem("maximize", [1.0], [([1.0], "<=", 1.0)]))
+    with pytest.raises(ValidationError, match="cover 3 variables"):
+        LpProblem("maximize", [1.0, 2.0, 3.0], standard_form=form)
 
 
 def test_unknown_relation_rejected():
@@ -64,33 +67,6 @@ def test_problem_is_immutable():
     prob = LpProblem("maximize", [1.0], [([1.0], "<=", 1.0)])
     with pytest.raises(ValueError):
         prob.objective[0] = 9.0
-
-
-def test_matrix_form_matches_triples():
-    A = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 1.0]])
-    prob = LpProblem("minimize", [1.0, 1.0], A=[A[:1], A[1:]], row_sign=[1.0, -1.0, 0.0],
-                     b=[4.0, 1.0, 2.0])
-    twin = LpProblem("minimize", [1.0, 1.0], [([1.0, 2.0], "<=", 4.0), ([3.0, -1.0], ">=", 1.0),
-                                             ([1.0, 1.0], "=", 2.0)])
-    assert prob.A.tobytes() == twin.A.tobytes()
-    assert prob.row_sign.tolist() == twin.row_sign.tolist() == [1.0, -1.0, 0.0]
-    assert prob.b.tolist() == twin.b.tolist()
-    assert [rel for _, rel, _ in prob.constraints] == ["<=", ">=", "="]
-    A[0, 0] = 5.0  # the problem holds its own copy
-    assert prob.A[0, 0] == 1.0
-
-
-@pytest.mark.parametrize("kwargs, match", [
-    ({"A": [np.ones((2, 3))], "row_sign": [1.0, 1.0], "b": [1.0, 1.0]}, "2 × 2"),
-    ({"A": np.ones((2, 2)), "row_sign": [1.0, 1.0], "b": [1.0, 1.0]}, "2 × 2"),
-    ({"A": [np.ones((2, 2))], "row_sign": [1.0], "b": [1.0, 1.0]}, "relation and rhs per row"),
-    ({"A": [np.ones((2, 2))], "row_sign": [1.0, 2.0], "b": [1.0, 1.0]}, "row_sign"),
-    ({"constraints": [([1.0, 1.0], "<=", 1.0)], "A": [np.ones((1, 2))], "row_sign": [1.0],
-      "b": [1.0]}, "not both"),
-])
-def test_matrix_form_rejects_bad_shapes_and_signs(kwargs, match):
-    with pytest.raises(ValidationError, match=match):
-        LpProblem("maximize", [1.0, 1.0], **kwargs)
 
 
 @pytest.mark.parametrize("rows, status", [
@@ -203,6 +179,45 @@ def test_small_random_suite_matches_enumeration():
             assert sol.status == "optimal"
             assert sol.objective_value == pytest.approx(want_val, abs=1e-6)
             _assert_primal_feasible(p, sol)
+
+
+def test_rows_written_the_other_way_round_keep_their_meaning():
+    """Negating rows (a → -a, b → -b, "<=" ↔ ">=") changes nothing but their duals' signs.
+
+    Cold and crash-started from the optimum, the two programs pivot alike,
+    bit for bit.  Only rows with a nonzero rhs are negated: phase one gives
+    a zero-rhs ">=" or "=" row an artificial, and a "<=" row none.
+    """
+    rng = np.random.default_rng(14)
+    mirrored = {"<=": ">=", ">=": "<=", "=": "="}
+    solves = negated = 0
+    for _ in range(1000):
+        prob = random_lp(rng)
+        negate = (rng.random(prob.n_constraints) < 0.5) & (prob.b != 0.0)
+        negated += negate.any()
+        twin = LpProblem(prob.objective_sense, prob.objective,
+                         [(-a, mirrored[rel], -rhs) if neg else (a, rel, rhs)
+                          for (a, rel, rhs), neg in zip(prob.constraints, negate)])
+        sol = solve_lp(prob)
+        pairs = [(sol, solve_lp(twin))]
+        if sol.status == "optimal":
+            x = sol.variable_values
+            pairs.append((solve_lp(prob, start=x), solve_lp(twin, start=x)))
+        for a, b in pairs:
+            assert (a.status, repr(a.objective_value), a.iterations, a.started, a._basis) == \
+                (b.status, repr(b.objective_value), b.iterations, b.started, b._basis)
+            assert a.variable_values.tobytes() == b.variable_values.tobytes()
+            assert a.reduced_costs.tobytes() == b.reduced_costs.tobytes()
+            assert np.array_equal(np.where(negate, -a.dual_values, a.dual_values), b.dual_values)
+            solves += 1
+    assert negated > 500 and solves > 1000
+
+
+def test_row_tolerance_scales_with_the_rhs_size_in_either_sign():
+    """A start 1e-5 short of x >= 1000 lies within 1e-7 × (|a||x| + |b|) of the row."""
+    for row in (([1.0], ">=", 1000.0), ([-1.0], "<=", -1000.0)):
+        sol = solve_lp(LpProblem("minimize", [1.0], [row]), start=[1000.0 - 1e-5])
+        assert (sol.started, sol.objective_value) == ("crash", 1000.0)
 
 
 def test_singular_basis_at_optimum_raises_solver_error(monkeypatch):

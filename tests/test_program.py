@@ -141,10 +141,11 @@ def log_spread():
 def test_program_and_triples_solve_bit_identically(source, dmu, negative):
     """The radial system and both pinned stage solves, crash and warm started as the models do.
 
-    The compiled program's standard form, negated pin rows included, must
-    solve exactly as the one the solver builds for the same rows as triples.
-    A pin at a score within the band of zero stores its ">=" row negated; a
-    negative stage-1 score negates the "<=" row of the stage-2 pin as well.
+    The compiled program's standard form, pin rows with a negative right
+    side included, must solve exactly as the one the solver builds for the
+    same rows as triples.  A pin at a score within the band of zero gives its
+    ">=" row a negative right side; a negative stage-1 score gives the "<="
+    row of the stage-2 pin one as well.  The pin rows stay as written.
     """
     dataset, topology = source()
     unit = _system(dataset, topology, dmu, SYSTEM_RADIAL)
@@ -155,10 +156,10 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
     for stage in (1, 2):
         unit.pin(sol.objective_value)
         problem = unit.problem("maximize", STAGE_GAP[stage])
-        negated = problem.standard_form.flip < 0.0
-        assert negated.tolist() == (problem.b < 0.0).tolist()
+        negative_rhs = problem.b < 0.0
+        assert problem.row_sign[-2:].tolist() == [1.0, -1.0]
         sol, twin = solve_lp(problem, start=sol), solve_lp(as_triples(problem), start=twin)
         assert_same_solution(sol, twin)
         if sol.status != "optimal":
             break
-    assert bool((negated & (problem.row_sign > 0.0)).any()) is negative
+    assert bool((negative_rhs & (problem.row_sign > 0.0)).any()) is negative

@@ -103,6 +103,15 @@ def test_group_validation():
         kruskal_wallis([[1.0], []])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    # NaNs are not equal to each other, so they would rank apart yet count as one tie
+    with pytest.raises(ValidationError, match="group 1 holds a non-finite value"):
+        kruskal_wallis([[1.0, 2.0], [3.0, bad, 4.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        average_ranks([1.0, bad, bad])
+
+
 def test_chi_square_sf_examples():
     assert chi_square_sf(0.0, 1) == 1.0
     assert chi_square_sf(0.0, 7) == 1.0

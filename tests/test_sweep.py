@@ -180,4 +180,4 @@ def test_compiled_once_per_model_and_dataset():
     with pytest.raises(UnsupportedTopologyError, match="unsupported topology"):
         chain.chain_mpss(twin, topology, dataset.dmu_ids[0])
     assert len(twin._compiled) == 1
-    assert np.array_equal(prog._A, twin._compiled[topology, network.SYSTEM_RADIAL]._A)
+    assert np.array_equal(prog._S, twin._compiled[topology, network.SYSTEM_RADIAL]._S)

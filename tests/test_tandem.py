@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,12 @@ def test_decompose_wide_reference_row():
 def test_decompose_rejects_negative_scores():
     with pytest.raises(ValidationError, match="nonnegative"):
         decompose((-0.1, 0.2))
+
+
+@pytest.mark.parametrize("scores", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 0.5)])
+def test_decompose_rejects_non_finite_scores(scores):
+    with pytest.raises(ValidationError, match="process scores must be finite"):
+        decompose(scores)
 
 
 def test_decompose_rejects_bad_weights():
