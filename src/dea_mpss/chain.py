@@ -155,7 +155,7 @@ def chain_efficiency(
     objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
                  "theta_market": -weights.w3}
     sol = _solve(unit.problem("minimize", objective), f"chain efficiency of {dmu!r}",
-                 unit.own_point())
+                 unit.crash_basis())
     factors = prog.factors(sol)
     return ChainEfficiency(
         dmu=str(dmu),
@@ -198,7 +198,7 @@ def chain_mpss(
     objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
                  "theta_rd": -weights.w3}
     sol = _solve(unit.problem("maximize", objective), f"chain scale size of {dmu!r}",
-                 unit.own_point())
+                 unit.crash_basis())
     return ChainMpss(
         dmu=str(dmu),
         score=sol.objective_value,

@@ -37,7 +37,7 @@ from .data import DataWarning, csv_errors, load_dataset, parse_data_csv, read_te
 from .errors import DeaMpssError, SolverError, ValidationError
 from .network import blackbox_mpss, evaluate_stages, network_mpss_radial, network_mpss_variable
 from .rank_tests import kruskal_wallis
-from .tandem import decompose
+from .tandem import _check_weights, decompose
 
 MPSS_DECIMALS = 4
 EFF_DECIMALS = 3
@@ -300,8 +300,12 @@ def _cmd_decompose(args) -> None:
     rows = []
     if args.scores is not None:
         headers = ("dmu", "process1", "process2", "stage1", "stage2", "tandem")
-        for label, p1, p2 in _read_score_rows(args.scores):
-            rep = decompose((p1, p2), weights)
+        _check_weights(weights)  # so a row's error below is about its scores
+        for k, (label, p1, p2) in enumerate(_read_score_rows(args.scores), start=1):
+            try:
+                rep = decompose((p1, p2), weights)
+            except ValidationError as exc:
+                raise ValidationError(f"scores row {k}: {exc}") from None
             rows.append((label, *rep.process_scores, *rep.stage_scores, rep.tandem_score))
     elif args.data and args.topology:
         headers = ("dmu", "process1", "process2", "stage1", "stage2", "tandem", "system")
@@ -377,11 +381,12 @@ def _cmd_chain_mpss(args) -> None:
 
 
 def _read_group(path):
+    """The numbers of a group file; only its first row, the header, may hold other cells."""
     values = []
     reader = csv.reader(io.StringIO(read_text(path, "group"), newline=""))
     with csv_errors(reader, "group"):
-        rows = list(reader)
-    for row in rows:
+        rows = [(reader.line_num, row) for row in reader]
+    for k, (line, row) in enumerate(rows):
         for cell in row:
             cell = cell.strip()
             if not cell:
@@ -389,7 +394,9 @@ def _read_group(path):
             try:
                 values.append(float(cell))
             except ValueError:
-                continue  # header or label cell
+                if k:
+                    raise ValidationError(f"group file {path}: line {line}: "
+                                          f"non-numeric value {cell!r}") from None
     if not values:
         raise ValidationError(f"no numeric values in group file {path}")
     return values

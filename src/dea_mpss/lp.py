@@ -12,16 +12,20 @@ problem, so a sweep builds it once per model rather than once per solve.
 Programs are small (about a dozen rows, a few hundred variables), so the
 solver keeps the m×m basis inverse dense and never forms the tableau.  Each
 pivot prices every column from the multipliers ``c_B B⁻¹``, forms only the
-entering column ``B⁻¹ a_q`` and updates the inverse by the pivot row; every
-``REFACTOR_EVERY`` pivots the basis is factored afresh.  Both phases run
-the same pivot loop.  Phase one forms its columns in product form (Dantzig
-and Orchard-Hays), the pivots' row operations applied one at a time, which
-round exactly as a tableau's columns do: its verdict reads those values.
+entering column ``B⁻¹ a_q`` and updates the inverse and the basic values,
+kept side by side, by one row operation; every ``REFACTOR_EVERY`` pivots
+the basis is factored afresh.  Both phases run the same pivot loop.  Phase
+one forms its columns in product form (Dantzig and Orchard-Hays), the
+pivots' row operations applied one at a time, which round exactly as a
+tableau's columns do: its verdict reads those values.
 Phase two starts from a primal feasible basis, found in one of three ways:
 
-* crash: the caller passes a feasible vertex (every unpinned model passes
-  the evaluated unit set against itself); its support and the slacks of its
-  loose rows, completed by slacks of tight rows, form the basis;
+* crash: the caller passes the basis columns of a feasible vertex, as an
+  integer array, or the vertex itself.  From a vertex the solver finds the
+  basis: its support and the slacks of its loose rows, completed by slacks
+  of tight rows (``_crash_basis``).  Every unpinned model passes the basis
+  its compiled ``Program`` found once at the evaluated unit set against
+  itself;
 * warm: the caller passes the optimum of a program this one extends by
   appended rows (the pinned stage programs); its final basis plus the new
   rows' slacks form the basis;
@@ -213,11 +217,15 @@ class LpSolution:
 def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -> LpSolution:
     """Solve ``problem``, classifying it as optimal, infeasible or unbounded.
 
-    ``start`` skips phase one.  It is either a feasible vertex of ``problem``
-    (a crash start), or the optimum of a program that ``problem`` extends by
-    appended rows (a warm start from its final basis).  When the start
-    fails, in the ways the module docstring lists, the solve runs both
-    phases as without it; ``LpSolution.started`` says which way it went.
+    ``start`` skips phase one.  It is a crash start, either a feasible
+    vertex of ``problem`` or, as an integer array, the columns of a basis at
+    one: one column of ``problem``'s standard form per row, structural
+    columns first, then the slacks in row order.  Or it is the optimum of a
+    program that ``problem`` extends by appended rows (a warm start from its
+    final basis).  When the start fails, in the ways the module docstring
+    lists (a basis that is singular, infeasible or out of range among
+    them), the solve runs both phases as without it;
+    ``LpSolution.started`` says which way it went.
     """
     return _Simplex(problem).run(start)
 
@@ -246,6 +254,51 @@ def _slack_columns(sign: np.ndarray, n: int):
     return slack, slack_col_of_row
 
 
+def _slacks(form: StandardForm, xs):
+    """Slack values and per-row tolerances of ``form``'s rows at the shifted point ``xs``.
+
+    None when ``xs`` breaks a row by more than ``FEASIBILITY_TOL`` times
+    the row's scale, the size of its terms at ``xs``.
+    """
+    resid = form.b - form.S[:, :xs.size] @ xs
+    row_tol = FEASIBILITY_TOL * np.maximum(1.0, form.abs_A @ np.abs(xs) + np.abs(form.b))
+    slack = resid * form.sign
+    if np.where(form.sign != 0.0, slack < -row_tol, np.abs(resid) > row_tol).any():
+        return None
+    return slack, row_tol
+
+
+def _crash_basis(form: StandardForm, xs):
+    """The sorted basis columns of ``form`` at its feasible vertex ``xs``, or None.
+
+    ``xs`` is shifted to lower bounds 0; None when it is not a vertex.  The
+    basis holds the support of ``xs`` and the slacks of its loose rows,
+    filled up with slacks of tight inequality rows whose removal leaves the
+    support's rows nonsingular.  Scaling a row or a column of the support
+    keeps which rows are independent, so a basis found at one point serves
+    every point whose support columns differ from it only so (``program``).
+    """
+    m, tol = form.b.size, FEASIBILITY_TOL
+    if xs.size and xs.min() < -tol:
+        return None
+    slacks = _slacks(form, xs)
+    if slacks is None:
+        return None
+    slack, row_tol = slacks
+    has_slack = form.sign != 0.0
+    loose = has_slack & (slack > row_tol)
+    tight = has_slack & ~loose
+    cols = np.concatenate((np.flatnonzero(xs > tol), form.slack_col_of_row[loose]))
+    if cols.size > m:
+        return None
+    kept = _independent_rows(form.S[:, cols], np.flatnonzero(~tight), np.flatnonzero(tight),
+                             cols.size)
+    if kept is None:
+        return None
+    tight[kept] = False  # the slacks of the tight rows left fill the basis
+    return np.sort(np.concatenate((cols, form.slack_col_of_row[tight])))
+
+
 class _Simplex:
     """One solve over the problem's standard form; walks the two phases."""
 
@@ -253,10 +306,9 @@ class _Simplex:
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
         form = problem.standard_form
+        self.form = _standard_form(problem) if form is None else form
         # the rows as written, any rhs sign: phase one's start reads the signs
-        (self.S, self.abs_A, self.b, self.sign,
-         self.slack_col_of_row) = _standard_form(problem) if form is None else form
-        self.has_slack = self.sign != 0.0
+        self.S, self.abs_A, self.b, self.sign, self.slack_col_of_row = self.form
         self.cols = self.S.shape[1]
         # internal objective is always a minimisation over the shifted vars
         self.cc = np.zeros(self.cols)
@@ -267,15 +319,17 @@ class _Simplex:
         if start is not None:
             if isinstance(start, LpSolution):
                 self.started, begun = WARM, self._warm(start)
+            elif isinstance(start, np.ndarray) and start.dtype.kind in "iu":
+                self.started, begun = CRASH, self._basis(start)
             else:
                 self.started, begun = CRASH, self._crash(np.asarray(start, dtype=float))
             factored = None if begun is None else self._factor(*begun, self.S)
             if factored is not None and not _negative(factored[1]):
-                (basis, row_keep), (inverse, rhs) = begun, factored
-                start_rhs = rhs.copy()
-                np.maximum(rhs, 0.0, out=rhs)  # rounding noise on degenerate basics
-                if self._iterate(self.S, self.cc, basis, row_keep, _Inverse(inverse),
-                                 rhs) == OPTIMAL:
+                (basis, row_keep), (inverse, start_rhs) = begun, factored
+                updated = _Inverse(inverse, start_rhs)
+                # rounding noise on degenerate basics
+                np.maximum(updated.rhs, 0.0, out=updated.rhs)
+                if self._iterate(self.S, self.cc, basis, row_keep, updated) == OPTIMAL:
                     # the updated inverse carries the pivots' rounding, so
                     # the optimum stands only if it holds once refactored;
                     # without a pivot the start's factors are that refactor
@@ -290,13 +344,13 @@ class _Simplex:
         factored = self._factor(basis, row_keep, self.S)
         if factored is None:
             raise SolverError("singular basis between phases")
-        inverse, rhs = factored
-        if self._iterate(self.S, self.cc, basis, row_keep, _Inverse(inverse), rhs) == UNBOUNDED:
+        updated = _Inverse(*factored)
+        if self._iterate(self.S, self.cc, basis, row_keep, updated) == UNBOUNDED:
             return self._verdict(UNBOUNDED)
         final = self._factor(basis, row_keep, self.S)
         if final is None:
             raise SolverError("singular basis at the optimum")
-        return self._verdict(OPTIMAL, rhs, basis, row_keep, final[0])
+        return self._verdict(OPTIMAL, updated.rhs, basis, row_keep, final[0])
 
     def _factor(self, basis, row_keep, S):
         """``(inverse, inverse @ b)`` of the basis columns of ``S`` over the kept rows, or None."""
@@ -314,51 +368,23 @@ class _Simplex:
         """Whether the basic point with values ``rhs`` is nonnegative and satisfies every row."""
         x = np.zeros(self.cols)
         x[basis] = rhs
-        return not _negative(rhs) and self._slacks(x[:self.n]) is not None
+        return not _negative(rhs) and _slacks(self.form, x[:self.n]) is not None
 
     # -- starting bases ------------------------------------------------
 
     def _crash(self, x):
-        """A basis at the feasible vertex ``x``, or None when ``x`` is not one.
+        """A basis at the feasible vertex ``x``, or None when ``x`` is not one."""
+        if x.shape != (self.n,) or not np.isfinite(x).all():
+            return None
+        basis = _crash_basis(self.form, x - self.problem.variable_lower_bounds)
+        return None if basis is None else (basis, list(range(self.m)))
 
-        The basis holds the support of ``x`` and the slacks of its loose
-        rows, filled up with slacks of tight inequality rows whose removal
-        leaves the support's rows nonsingular.
-        """
-        n, m, tol = self.n, self.m, FEASIBILITY_TOL
-        if x.shape != (n,) or not np.isfinite(x).all():
+    def _basis(self, basis):
+        """A copy of the basis columns ``basis`` over every row, or None when out of range."""
+        if basis.shape != (self.m,) or basis.min(initial=0) < 0 or \
+                basis.max(initial=-1) >= self.cols:
             return None
-        xs = x - self.problem.variable_lower_bounds
-        if n and xs.min() < -tol:
-            return None
-        slacks = self._slacks(xs)
-        if slacks is None:
-            return None
-        slack, row_tol = slacks
-        loose = self.has_slack & (slack > row_tol)
-        tight = self.has_slack & ~loose
-        cols = np.concatenate((np.flatnonzero(xs > tol), self.slack_col_of_row[loose]))
-        if cols.size > m:
-            return None
-        kept = _independent_rows(self.S[:, cols], np.flatnonzero(~tight), np.flatnonzero(tight),
-                                 cols.size)
-        if kept is None:
-            return None
-        tight[kept] = False  # the slacks of the tight rows left fill the basis
-        return np.sort(np.concatenate((cols, self.slack_col_of_row[tight]))), list(range(m))
-
-    def _slacks(self, xs):
-        """Slack values and per-row tolerances at the shifted point ``xs``.
-
-        None when ``xs`` breaks a row by more than ``FEASIBILITY_TOL`` times
-        the row's scale, the size of its terms at ``xs``.
-        """
-        resid = self.b - self.S[:, :self.n] @ xs
-        row_tol = FEASIBILITY_TOL * np.maximum(1.0, self.abs_A @ np.abs(xs) + np.abs(self.b))
-        slack = resid * self.sign
-        if np.where(self.has_slack, slack < -row_tol, np.abs(resid) > row_tol).any():
-            return None
-        return slack, row_tol
+        return basis.astype(int), list(range(self.m))
 
     def _warm(self, sol):
         """The final basis of ``sol`` plus the slacks of the rows appended since."""
@@ -390,17 +416,16 @@ class _Simplex:
         S[art_rows, art_cols] = start[art_rows]
         basis = self.slack_col_of_row.copy()
         basis[art_rows] = art_cols
-        inverse = _ProductForm(np.diag(start))
-        rhs = np.abs(self.b)
+        inverse = _ProductForm(np.diag(start), np.abs(self.b))
         cost = np.zeros(S.shape[1])
         cost[cols:] = 1.0
         if art_rows.size:
-            status = self._iterate(S, cost, basis, range(m), inverse, rhs)
+            status = self._iterate(S, cost, basis, range(m), inverse)
             if status != OPTIMAL:  # phase-1 objective is bounded below by 0
                 raise SolverError("phase one failed to terminate cleanly")
             # summed in row order, one term at a time, from the updated
             # values, which round exactly as a tableau's
-            if sum(rhs[basis >= cols]) > FEASIBILITY_TOL:
+            if sum(inverse.rhs[basis >= cols]) > FEASIBILITY_TOL:
                 return None, None
         # pivot remaining zero-level artificials out, dropping redundant
         # rows; row i of T = B⁻¹S is the artificial's row of the tableau
@@ -417,11 +442,11 @@ class _Simplex:
         row_keep = [i for i in range(m) if i not in drop]
         return basis[row_keep], row_keep
 
-    def _iterate(self, S, cost, basis, row_keep, inverse, rhs) -> str:
-        """Pivot until optimal or unbounded; mutates basis, inverse and rhs.
+    def _iterate(self, S, cost, basis, row_keep, inverse) -> str:
+        """Pivot until optimal or unbounded; mutates basis and inverse.
 
         A revised simplex over the kept rows of ``S``: ``inverse`` is the
-        basis' ``_Inverse``, ``rhs`` the basic values.  The entering column
+        basis' ``_Inverse``, with the basic values.  The entering column
         is the most negative reduced cost (Dantzig) until this call has made
         3·(rows+columns) pivots, and the first negative one (Bland, which
         cannot cycle) after that.  A candidate enters only if its reduced
@@ -434,6 +459,7 @@ class _Simplex:
         bland_after = 3 * (A.shape[0] + A.shape[1])
         pivots = 0
         c_B = cost[basis]
+        rhs = inverse.rhs
         while True:
             red = cost - (c_B @ inverse.explicit) @ A
             red[basis] = 0.0
@@ -466,7 +492,7 @@ class _Simplex:
                     leaving, low = i, j
             if leaving < 0:
                 return UNBOUNDED
-            inverse.pivot(leaving, col, rhs)
+            inverse.pivot(leaving, col)
             basis[leaving] = entering
             c_B[leaving] = cost[entering]
             pivots += 1
@@ -476,8 +502,7 @@ class _Simplex:
             if pivots % REFACTOR_EVERY == 0:
                 factored = self._factor(basis, row_keep, S)
                 if factored is not None:  # else keep the updated inverse
-                    inverse.restart(factored[0])
-                    rhs[:] = factored[1]
+                    inverse.restart(*factored)
                     np.maximum(rhs, 0.0, out=rhs)
 
     # -- reporting -----------------------------------------------------
@@ -511,13 +536,21 @@ class _Simplex:
 
 
 class _Inverse:
-    """A basis inverse, updated by each pivot; it prices and forms the columns."""
+    """A basis inverse and the basic values, updated by each pivot; it prices and forms columns.
 
-    def __init__(self, inverse):
-        self.restart(inverse)
+    Both live in one m×(m+1) array, ``[B⁻¹ | B⁻¹b]``, so a pivot is one row
+    operation; ``explicit`` and ``rhs`` are views of it.
+    """
 
-    def restart(self, inverse) -> None:  # afresh from a factored inverse
-        self.explicit = inverse
+    def __init__(self, inverse, rhs):
+        m = rhs.size
+        self.both = np.empty((m, m + 1))
+        self.explicit, self.rhs = self.both[:, :m], self.both[:, m]
+        self.restart(inverse, rhs)
+
+    def restart(self, inverse, rhs) -> None:  # afresh from a factored inverse
+        self.explicit[:] = inverse
+        self.rhs[:] = rhs
 
     def solve(self, a):
         """``B⁻¹ a`` for a column ``a``."""
@@ -528,7 +561,7 @@ class _Inverse:
         factors = col.copy()
         factors[row] = 0.0
         eta = (row, col[row], factors)
-        for x in (self.explicit, *also):
+        for x in (self.both, *also):
             _eliminate(x, *eta)
         return eta
 
@@ -542,9 +575,9 @@ class _ProductForm(_Inverse):
     explicit inverse still prices.
     """
 
-    def restart(self, inverse) -> None:
-        super().restart(inverse)
-        self.base = inverse.copy()
+    def restart(self, inverse, rhs) -> None:
+        super().restart(inverse, rhs)
+        self.base = inverse  # explicit holds the copy that pivots update
         self.etas = []  # row operations of the pivots since, factors as a list
 
     def solve(self, a):

@@ -129,7 +129,7 @@ def blackbox_mpss(
                                 lambda: _blackbox_program(dataset, inputs, outputs))
     unit = prog.unit(dataset.index_of(dmu))
     sol = _solve(unit.problem("maximize", {"outputs": 1.0, "inputs": -1.0}),
-                 f"black-box evaluation of {dmu!r}", unit.own_point())
+                 f"black-box evaluation of {dmu!r}", unit.crash_basis())
     return MpssResult(BLACK_BOX, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol))
 
 
@@ -196,7 +196,7 @@ def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str)
     """
     unit = _system(dataset, topology, dmu, SYSTEM_VARIABLE)
     sol = _solve(unit.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}",
-                 unit.own_point())
+                 unit.crash_basis())
     return _result_from(sol, SYSTEM_VARIABLE, dmu, unit)
 
 
@@ -212,7 +212,7 @@ def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -
 
 def _radial(unit: Unit, dmu: str):
     sol = _solve(unit.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}",
-                 unit.own_point())
+                 unit.crash_basis())
     return _result_from(sol, SYSTEM_RADIAL, dmu, unit), sol
 
 

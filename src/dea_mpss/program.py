@@ -22,7 +22,10 @@ be negative (the solver's phase one reads their signs), so a pinned program
 is a row and column prefix of the unit's arrays and each ``Unit.problem``
 reads the prefix pinned so far.  The unit set against itself (every factor
 1, all weight on itself, every target at its own level) satisfies every row
-but the pinned ones, so it starts the solve.
+but the pinned ones, so a basis there starts the solve.  Which rows that
+basis keeps depends only on the signs of the rows, the data being positive,
+so the compile finds it once, on those signs, and each unit's copy is that
+basis with the unit's own weight columns (``Unit.crash_basis``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _frozen, _slack_columns
+from .lp import (SLACK_SIGN, LpProblem, LpSolution, StandardForm, _crash_basis, _frozen,
+                 _slack_columns)
 
 # half-width of a pinned score's band: an exact equality rarely re-solves
 FIXING_BAND = 1e-6
@@ -112,19 +116,49 @@ class Program:
         self._target_levels = np.zeros((self.n, len(self.target)))
         for d, t in enumerate(self.target):
             self._target_levels[:, d] = self.levels.get(t, 0.0)
-        for a in self.template():
-            a.setflags(write=False)
         self.fixed = m - 2 * self.pins
         # (rows, columns) of the program with k pinned pairs, k = 0 .. pins
         self._shape = [(r, w + sum(map(bool, self.sign[:r])))
                        for r in range(self.fixed, m + 1, 2)]
+        self._crash, self._crash_own = self._own_basis()
+        for a in self.template():
+            a.setflags(write=False)
         self.blocks = self.own_levels = self.levels = None  # the template holds them now
         return self
 
     def template(self) -> tuple:
         """The compiled arrays, all read-only."""
         return (self._S, self._sign, self._rhs, self._slack_col, *self._own_at, self._own_levels,
-                self._target_levels)
+                self._target_levels, self._crash, self._crash_own)
+
+    def _own_basis(self):
+        """The crash basis at the own point, with unit 0's weight columns, and their positions.
+
+        It is found on the signs of the unpinned program's support and slack
+        columns: the data are positive, so at the own point every support
+        column of a unit is its column of signs with each row scaled by the
+        unit's level, and each target column scaled by its level.  Such
+        scalings keep which rows are independent, so unit ``o``'s basis is
+        this one with ``o`` added to its weight columns.  Both are empty
+        when the search finds none.
+        """
+        r, cols = self._shape[0]
+        f, starts = len(self.factor), list(self.block.values())
+        support = [*range(f), *starts, *self.target.values()]
+        keep = np.array(support + list(range(self.width, cols)))
+        S = self._S[:r, keep]
+        S[self._own_at] = -1.0  # the factor columns lead in both layouts
+        weights = slice(f, f + len(starts))
+        S[:, weights] = np.sign(S[:, weights])
+        slack_col = self._slack_col[:r]
+        slack_col = np.where(slack_col < 0, -1, slack_col - self.width + len(support))
+        form = StandardForm(S, np.abs(S[:, :len(support)]), self._rhs[:r], self._sign[:r],
+                            slack_col)
+        basis = _crash_basis(form, np.ones(len(support)))
+        if basis is None:
+            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        basis = keep[basis]
+        return basis, np.searchsorted(basis, starts)  # the support holds every block's start
 
     def unit(self, own: int) -> "Unit":
         """The program of unit ``own``: the template, copied, with that unit's levels."""
@@ -180,12 +214,13 @@ class Unit:
                             p._sign[:m], p._slack_col[:m])
         return LpProblem(sense, c, standard_form=form)
 
-    def own_point(self) -> np.ndarray:
-        """The evaluated DMU against itself: a feasible vertex of the unpinned rows."""
-        p = self.program
-        factors, weights = len(p.factor), len(p.factor) + len(p.block) * p.n
-        x = np.zeros(p.width)
-        x[:factors] = 1.0
-        x[factors + self.own:weights:p.n] = 1.0  # its own weight in every block
-        x[weights:] = p._target_levels[self.own]
-        return x
+    def crash_basis(self) -> np.ndarray:
+        """The crash basis of the unpinned program at the own point, as ``solve_lp`` takes it.
+
+        The own point is the evaluated DMU against itself (every factor 1,
+        all weight on itself, every target at its own level), a feasible
+        vertex of the unpinned rows.  Empty when the compile found none.
+        """
+        basis = self.program._crash.copy()
+        basis[self.program._crash_own] += self.own
+        return basis

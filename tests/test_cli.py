@@ -294,10 +294,13 @@ def test_decompose_short_scores_row_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, name, text, message", [
-    ("decompose", "s.csv", "dmu,process1,process2\na,nan,1\n", "process scores must be finite"),
+    ("decompose", "s.csv", "dmu,process1,process2\na,nan,1\n",
+     "scores row 1: process scores must be finite"),
+    ("decompose", "s.csv", "dmu,process1,process2\na,0.2,0.3\nb,-1,0.3\n",
+     "scores row 2: process scores must be nonnegative"),
     ("kruskal-wallis", "g.csv", "v\n1\nnan\n", "group 1 holds a non-finite value"),
     ("kruskal-wallis", "g.csv", "v\n1\ninf\n", "group 1 holds a non-finite value"),
-], ids=["decompose-nan", "kruskal-nan", "kruskal-inf"])
+], ids=["decompose-nan", "decompose-negative", "kruskal-nan", "kruskal-inf"])
 def test_non_finite_scores_exit_one(tmp_path, capsys, command, name, text, message):
     (tmp_path / name).write_text(text, encoding="utf-8")
     if command == "decompose":
@@ -309,6 +312,22 @@ def test_non_finite_scores_exit_one(tmp_path, capsys, command, name, text, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, line, cell", [
+    ("v\n1\n2x\n3\n", 3, "2x"),
+    ("1\n2\nn/a\n", 3, "n/a"),
+    ("v,w\n1,2\n3,\"4\n\"\n5,x\n", 5, "x"),  # a quoted cell spans lines 3 and 4
+], ids=["after-header", "no-header", "multi-line-cell"])
+def test_non_numeric_group_cell_exit_one(tmp_path, monkeypatch, capsys, text, line, cell):
+    """Only a group file's first row, its header, may hold cells that are not numbers."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.csv").write_text("v\n1\n2\n5\n", encoding="utf-8")
+    (tmp_path / "g.csv").write_text(text, encoding="utf-8")
+    assert run(["kruskal-wallis", "--groups", "ok.csv,g.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: group file g.csv: line {line}: non-numeric value {cell!r}\n"
 
 
 def test_epsilon_flag_repairs_zeros(tmp_path, capsys):

@@ -8,6 +8,7 @@ from dea_mpss.errors import SolverError, ValidationError
 from dea_mpss.lp import LpProblem, solve_lp
 from gen import random_lp
 from lp_enum import _as_rows, _vertices, enumerate_solve
+from test_program import assert_same_solution
 
 
 def test_box_constraints():
@@ -213,6 +214,47 @@ def test_rows_written_the_other_way_round_keep_their_meaning():
     assert negated > 500 and solves > 1000
 
 
+def test_basis_start_solves_as_the_point_that_finds_it():
+    """A crash start given as its basis columns is the crash start from the point, bit for bit."""
+    rng = np.random.default_rng(15)
+    crashed = 0
+    for _ in range(600):
+        prob = random_lp(rng)
+        sol = solve_lp(prob)
+        if sol.status != "optimal":
+            continue
+        x = sol.variable_values
+        found = lp._Simplex(prob)._crash(x)
+        if found is None:
+            continue
+        by_point, by_basis = solve_lp(prob, start=x), solve_lp(prob, start=found[0])
+        assert_same_solution(by_point, by_basis)
+        crashed += by_basis.started == "crash"
+    assert crashed > 100
+
+
+def test_failed_basis_start_solves_cold():
+    """A basis start that is singular, infeasible or out of range runs both phases."""
+    prob = LpProblem("maximize", [1.0, 1.0],
+                     [([1.0, 1.0], "<=", 4.0), ([1.0, -1.0], ">=", -2.0), ([1.0, 0.0], "<=", 3.0)])
+    cold = solve_lp(prob)
+    # columns 0, 1 are x; 2, 3, 4 the slacks of the three rows
+    starts = {
+        "singular": [0, 0, 4],
+        "infeasible": [0, 3, 4],  # the first variable at 4 breaks the third row
+        "short": [0, 1],
+        "out of range": [0, 1, 5],
+        "negative": [-1, 0, 1],
+    }
+    assert lp._Simplex(prob)._factor([0, 3, 4], range(3), lp._standard_form(prob).S)[1].min() < 0
+    for name, basis in starts.items():
+        sol = solve_lp(prob, start=np.array(basis))
+        assert sol.started == "cold", name
+        assert_same_solution(sol, cold)
+    good = solve_lp(prob, start=np.array([0, 1, 4]))
+    assert good.started == "crash" and good.objective_value == cold.objective_value == 4.0
+
+
 def test_row_tolerance_scales_with_the_rhs_size_in_either_sign():
     """A start 1e-5 short of x >= 1000 lies within 1e-7 × (|a||x| + |b|) of the row."""
     for row in (([1.0], ">=", 1000.0), ([-1.0], "<=", -1000.0)):
@@ -224,10 +266,10 @@ def test_singular_basis_at_optimum_raises_solver_error(monkeypatch):
     """A final basis that cannot be factored is a solver failure, not a LinAlgError."""
     iterate = lp._Simplex._iterate
 
-    def repeated_column(self, S, cost, basis, row_keep, inverse, rhs):
+    def repeated_column(self, S, cost, basis, row_keep, inverse):
         # phase two (the only call: every row is "<=") ends on a basis with
         # one column twice, whose factorisation must fail
-        status = iterate(self, S, cost, basis, row_keep, inverse, rhs)
+        status = iterate(self, S, cost, basis, row_keep, inverse)
         basis[:] = np.r_[basis[:1], basis[:-1]]
         return status
 
@@ -355,7 +397,7 @@ def test_product_form_columns_round_as_a_tableau():
     m, n = 6, 15
     S = rng.normal(size=(m, n)) * 10.0 ** rng.integers(0, 8, size=(m, n))
     T = S.copy()
-    inverse = lp._ProductForm(np.eye(m))
+    inverse = lp._ProductForm(np.eye(m), np.zeros(m))
     for row, q in [(0, 3), (2, 7), (0, 11), (4, 3), (1, 14), (5, 0)]:
         col = inverse.solve(S[:, q])
         assert np.array_equal(col, T[:, q])

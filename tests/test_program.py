@@ -143,14 +143,15 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
 
     The compiled program's standard form, pin rows with a negative right
     side included, must solve exactly as the one the solver builds for the
-    same rows as triples.  A pin at a score within the band of zero gives its
+    same rows as triples, whose slack columns it numbers alike, so the
+    compiled crash basis starts both.  A pin at a score within the band of zero gives its
     ">=" row a negative right side; a negative stage-1 score gives the "<="
     row of the stage-2 pin one as well.  The pin rows stay as written.
     """
     dataset, topology = source()
     unit = _system(dataset, topology, dmu, SYSTEM_RADIAL)
     problem = unit.problem("maximize", SYSTEM_GAP)
-    start = unit.own_point()
+    start = unit.crash_basis()
     sol, twin = solve_lp(problem, start=start), solve_lp(as_triples(problem), start=start)
     assert_same_solution(sol, twin)
     for stage in (1, 2):

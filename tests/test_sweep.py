@@ -7,13 +7,16 @@ before it.  These tests compare every solve of a sweep, bit for bit, with
 the same unit evaluated in the other order and on a freshly loaded dataset.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from dea_mpss import chain, network
+from dea_mpss import chain, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
 from dea_mpss.errors import SolverError, UnsupportedTopologyError
+from dea_mpss.program import Unit
 
 from conftest import FIXTURES
 from test_acceptance import insurance_views
@@ -181,3 +184,64 @@ def test_compiled_once_per_model_and_dataset():
         chain.chain_mpss(twin, topology, dataset.dmu_ids[0])
     assert len(twin._compiled) == 1
     assert np.array_equal(prog._S, twin._compiled[topology, network.SYSTEM_RADIAL]._S)
+
+
+# the models whose one solve starts from the unit's compiled crash basis
+UNPINNED = ("blackbox", "variable", "radial", "chain-efficiency", "chain-mpss")
+
+
+def own_point(unit):
+    """The evaluated unit against itself: every factor 1, all weight on itself,
+    every target at its own level."""
+    p = unit.program
+    x = np.zeros(p.width)
+    x[:len(p.factor)] = 1.0
+    for start in p.block.values():
+        x[start + unit.own] = 1.0
+    x[list(p.target.values())] = p._target_levels[unit.own]
+    return x
+
+
+@pytest.mark.parametrize("source", [log_spread, insurers])
+@pytest.mark.parametrize("builder", UNPINNED)
+def test_compiled_crash_basis_is_each_units_own(monkeypatch, source, builder):
+    """The basis a program finds once, on its signs, is the one each unit's own point gives."""
+    load, chain_topology = source()
+    dataset, topology = load()
+    reads_chain, call = BUILDERS[builder]
+    handed = []
+    crash_basis = Unit.crash_basis
+
+    def recording(unit):
+        basis = crash_basis(unit)
+        handed.append((unit, basis))
+        return basis
+
+    monkeypatch.setattr(Unit, "crash_basis", recording)
+    for dmu in dataset.dmu_ids:
+        call(dataset, chain_topology if reads_chain else topology, dmu)
+    assert [unit.own for unit, _ in handed] == list(range(dataset.n_dmus))
+    for unit, basis in handed:
+        found = lp._Simplex(unit.problem("maximize", {}))._crash(own_point(unit))
+        assert found is not None and basis.tolist() == found[0].tolist(), unit.own
+
+
+@pytest.mark.parametrize("source", [log_spread, insurers])
+def test_crash_search_runs_once_per_program(monkeypatch, source):
+    """A sweep of every model searches for a crash basis once per compiled program."""
+    load, chain_topology = source()
+    dataset, topology = load()
+    searches = []
+    independent_rows = lp._independent_rows
+
+    def counted(*args):
+        searches.append(args)
+        return independent_rows(*args)
+
+    monkeypatch.setattr(lp, "_independent_rows", counted)
+    for reads_chain, call in BUILDERS.values():
+        for dmu in dataset.dmu_ids:
+            with contextlib.suppress(SolverError):
+                call(dataset, chain_topology if reads_chain else topology, dmu)
+    assert len(dataset._compiled) == 6
+    assert len(searches) == len(dataset._compiled)
