@@ -13,9 +13,13 @@ line.  The list covers:
   and a ``--dmu`` call per unit of their first sweep;
 * a ``--dmu`` call per log-spread unit, with variable and with radial
   ``--stages`` intermediates;
-* ``summary --min-epsilon`` on a file with nonpositive cells, and a data,
-  scores and group file each holding a cell longer than the csv module's
-  field limit.
+* ``summary --min-epsilon`` on a file with nonpositive cells, with a good
+  epsilon and with -1, 0, ``nan`` and ``inf``, and a data, scores and group
+  file each holding a cell longer than the csv module's field limit;
+* the parser: top-level and per-command ``--help``, and per command a
+  missing ``--data``, a bad ``--format`` choice, an unrecognized argument,
+  a non-numeric ``--w1`` and an abbreviated ``--dat``.  ``--help`` exits
+  through ``SystemExit``; its status is recorded as ``exit <code>``.
 
 The package comes from ``PYTHONPATH``.  From the repository root::
 
@@ -36,7 +40,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from dea_mpss.cli import run
+from dea_mpss.cli import _SUBPARSERS, run
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -109,11 +113,24 @@ def invocations(inputs: Path, tmp: Path) -> list:
     for name, text in files.items():
         (tmp / name).write_text(text, encoding="utf-8")
     calls += [
-        ["summary", "--data", str(tmp / "eps.csv"), "--min-epsilon", "0.001", *CSV],
+        *(["summary", "--data", str(tmp / "eps.csv"), "--min-epsilon", eps, *CSV]
+          for eps in ("0.001", "-1", "0", "nan", "inf")),
         ["summary", "--data", str(tmp / "long_data.csv")],
         ["decompose", "--scores", str(tmp / "long_scores.csv")],
         ["kruskal-wallis", "--groups", f"{small / 'kw_2014.csv'},{tmp / 'long_group.csv'}"],
     ]
+    data = str(FIXTURES / "insurers_24.csv")
+    calls += [["--help"], [], ["frobnicate"], ["--raw", "summary"]]
+    for name in _SUBPARSERS:
+        calls += [
+            [name, "--help"],
+            [name, "--format", "csv"],
+            [name, "--data", data, "--format", "xml"],
+            [name, "--data", data, "--bogus", "1"],
+            [name, "--data", data, "--w1", "abc"],
+            [name, "--dat", data, "--format", "xml"],
+            [name, "--dat"],
+        ]
     return calls
 
 
@@ -122,6 +139,8 @@ def fingerprint(argv: list) -> tuple:
     with redirect_stdout(out), redirect_stderr(err):
         try:
             status = run(argv)
+        except SystemExit as exc:  # --help
+            status = f"exit {exc.code}"
         except Exception as exc:  # a fault the CLI does not report
             status = type(exc).__name__
             print(f"{status}: {exc}", file=err)

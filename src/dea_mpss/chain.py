@@ -106,9 +106,9 @@ def _chain_program(dataset: Dataset, topology: NetworkTopology, model: str) -> P
     prog.envelope("market", dataset.matrix(market.final_outputs), ">=", factor="theta_market")
     prog.convexity()
     if model == EFFICIENCY:
-        prog.bound({"theta_operation": 1.0}, "<=", 1.0)
-        prog.bound({"theta_rd": 1.0}, "<=", 1.0)
-        prog.bound({"theta_market": 1.0}, ">=", 1.0)
+        prog.bound("theta_operation", "<=")
+        prog.bound("theta_rd", "<=")
+        prog.bound("theta_market", ">=")
     elif model == SPLIT:
         prog.pin(CHAIN_GAP)
     return prog.compile()

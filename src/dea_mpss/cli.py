@@ -8,13 +8,15 @@ deterministic: rows follow dataset order and scores are printed rounded
 computation happens at full precision; ``--raw`` switches printing to full
 precision.
 
-A call builds the subparser of the command it names and no other.  Each
-``add_argument`` sets up a help formatter, so building all eight
-subparsers took longer than a single-DMU solve, while parsing with one
-takes a twentieth of that.  The full parser is built only when the call
-needs it: no arguments, an unknown command, top-level ``--help``, or an
-option before the command.  Help, usage and error text are the same
-either way.
+A call that names its command first parses the rest with that command's
+parser alone, built as ``add_parser`` would build it, under the same
+``prog``: the top-level parser and its subparsers action are not built.
+Each ``add_argument`` sets up a help formatter, so building the full
+parser took longer than a single-DMU solve.  The full parser is built
+only when no command is named: no arguments, an unknown command,
+top-level ``--help``, or an option before the command.  Help, usage and
+error text are the same either way, since ``_Parser.error`` raises the
+bare message.
 """
 
 from __future__ import annotations
@@ -177,14 +179,24 @@ _SUBPARSERS = {
 }
 
 
-def _build_parser(names) -> _Parser:
-    """The ``dea-mpss`` parser with the subparsers of ``names`` only."""
+def _build_parser() -> _Parser:
+    """The full ``dea-mpss`` parser, with every subcommand."""
     parser = _Parser(prog="dea-mpss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (help_text, add_args) in _SUBPARSERS.items():
-        if name in names:
-            add_args(sub.add_parser(name, help=help_text))
+        add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it, with one command's parser if it names one."""
+    if not argv or argv[0] not in _SUBPARSERS:
+        return _build_parser().parse_args(argv)
+    parser = _Parser(prog=f"dea-mpss {argv[0]}")  # as ``add_parser`` makes it
+    _SUBPARSERS[argv[0]][1](parser)
+    args = parser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _load(args):
@@ -449,11 +461,9 @@ def _data_warnings_on_one_line():
 
 def run(argv) -> int:
     """Parse and execute; returns the process exit status."""
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = _build_parser((named,) if named else _COMMANDS)
     with _data_warnings_on_one_line():
         try:
-            args = parser.parse_args(argv)
+            args = _parse(argv)
             if args.command is None:
                 raise ValidationError("missing command (try --help)")
             _COMMANDS[args.command](args)

@@ -411,8 +411,11 @@ def parse_data_csv(text: str, *, min_epsilon: float | None = None) -> Dataset:
 
     With ``min_epsilon`` set, nonpositive cells are replaced by that value
     and a :class:`DataWarning` is emitted; otherwise they are rejected.
-    Blank rows are skipped and not counted in the row numbers of errors.
+    ``min_epsilon`` itself must be positive and finite.  Blank rows are
+    skipped and not counted in the row numbers of errors.
     """
+    if min_epsilon is not None and not (math.isfinite(min_epsilon) and min_epsilon > 0.0):
+        raise ValidationError(f"epsilon must be positive and finite, got {min_epsilon}")
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     with csv_errors(reader, "data"):
         rows = [r for r in reader if r]

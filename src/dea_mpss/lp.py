@@ -274,9 +274,7 @@ def _crash_basis(form: StandardForm, xs):
     ``xs`` is shifted to lower bounds 0; None when it is not a vertex.  The
     basis holds the support of ``xs`` and the slacks of its loose rows,
     filled up with slacks of tight inequality rows whose removal leaves the
-    support's rows nonsingular.  Scaling a row or a column of the support
-    keeps which rows are independent, so a basis found at one point serves
-    every point whose support columns differ from it only so (``program``).
+    support's rows nonsingular.
     """
     m, tol = form.b.size, FEASIBILITY_TOL
     if xs.size and xs.min() < -tol:

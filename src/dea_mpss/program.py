@@ -21,11 +21,14 @@ last, in pairs; ``Unit.pin`` fills the next pair's right sides, which may
 be negative (the solver's phase one reads their signs), so a pinned program
 is a row and column prefix of the unit's arrays and each ``Unit.problem``
 reads the prefix pinned so far.  The unit set against itself (every factor
-1, all weight on itself, every target at its own level) satisfies every row
-but the pinned ones, so a basis there starts the solve.  Which rows that
-basis keeps depends only on the signs of the rows, the data being positive,
-so the compile finds it once, on those signs, and each unit's copy is that
-basis with the unit's own weight columns (``Unit.crash_basis``).
+1, all weight on itself, every target at its own level) meets every row
+but the pinned ones with equality, so a basis there starts the solve.  On
+that point's support the rows form a signed incidence matrix: a
+convexity row is nonzero at its block only, and every other row at most
+at its block and at one factor or target, the column it names.  Which rows
+the basis keeps therefore follows from which column each row names, not
+from the data, so the compile reads it off once and each unit's copy is
+that basis with the unit's own weight columns (``Unit.crash_basis``).
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lp import (SLACK_SIGN, LpProblem, LpSolution, StandardForm, _crash_basis, _frozen,
-                 _slack_columns)
+from .lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _frozen, _slack_columns
 
 # half-width of a pinned score's band: an exact equality rarely re-solves
 FIXING_BAND = 1e-6
@@ -54,16 +56,21 @@ class Program:
         self.width = start + len(targets)
         # the row blocks, and each row's slack sign (lp.SLACK_SIGN) and rhs
         self.blocks, self.sign, self.rhs = [], [], []
-        # the -v_o entries: their rows, factor columns and, one block of
-        # rows per envelope, the levels of their measures (rows × DMUs)
-        self.own_rows, self.own_cols, self.own_levels = [], [], [np.zeros((0, n))]
+        # the support column each row names (a convexity row its block's
+        # first weight), or -1 for none; the crash basis is read off these
+        self.names = []
+        # the -v_o entries: their rows (their factor columns are the ones
+        # the rows name) and, one block of rows per envelope, the levels of
+        # their measures (rows × DMUs)
+        self.own_rows, self.own_levels = [], [np.zeros((0, n))]
         self.levels = {}  # target -> the levels of its measure
         self.pins = 0     # pairs of pinned rows, after every other row
 
-    def _append(self, A: np.ndarray, rel: str, rhs: float) -> None:
+    def _append(self, A: np.ndarray, rel: str, rhs: float, names: Sequence[int]) -> None:
         self.blocks.append(A)
         self.sign += [SLACK_SIGN[rel]] * len(A)
         self.rhs += [rhs] * len(A)
+        self.names += names
 
     def envelope(self, block: str, data: np.ndarray, rel: str, *, factor: str | None = None,
                  targets: Sequence[str] = ()) -> None:
@@ -74,18 +81,20 @@ class Program:
         if factor is not None:  # its entries are written per unit
             first = len(self.sign)
             self.own_rows += range(first, first + len(A))
-            self.own_cols += [self.factor[factor]] * len(A)
             self.own_levels.append(data.T)
+            names = [self.factor[factor]] * len(A)
         else:
-            A[np.arange(len(targets)), [self.target[t] for t in targets]] = -1.0
+            names = [self.target[t] for t in targets]
+            A[np.arange(len(targets)), names] = -1.0
             self.levels.update(zip(targets, data.T))
-        self._append(A, rel, 0.0)
+            names += [-1] * (len(A) - len(targets))
+        self._append(A, rel, 0.0, names)
 
     def convexity(self) -> None:
         A = np.zeros((len(self.block), self.width))
         for k, s in enumerate(self.block.values()):
             A[k, s:s + self.n] = 1.0
-        self._append(A, "=", 1.0)
+        self._append(A, "=", 1.0, list(self.block.values()))
 
     def _row(self, coeffs: Mapping[str, float]) -> np.ndarray:
         a = np.zeros((1, self.width))
@@ -93,14 +102,15 @@ class Program:
             a[0, self.factor[f]] += v
         return a
 
-    def bound(self, coeffs: Mapping[str, float], rel: str, value: float) -> None:
-        self._append(self._row(coeffs), rel, value)
+    def bound(self, factor: str, rel: str) -> None:
+        """The row ``factor rel 1``: a bound at the own point's scale."""
+        self._append(self._row({factor: 1.0}), rel, 1.0, [self.factor[factor]])
 
     def pin(self, coeffs: Mapping[str, float]) -> None:
         """A pair of rows that ``Unit.pin`` holds within ``FIXING_BAND`` of a value."""
         a = self._row(coeffs)
-        self._append(a, "<=", 0.0)
-        self._append(a, ">=", 0.0)
+        self._append(a, "<=", 0.0, [-1])
+        self._append(a, ">=", 0.0, [-1])
         self.pins += 1
 
     def compile(self) -> "Program":
@@ -110,7 +120,8 @@ class Program:
         # the standard form: the rows, then one slack column per inequality row
         slack, self._slack_col = _slack_columns(self._sign, w)
         self._S = np.concatenate((np.concatenate(self.blocks), slack), axis=1)
-        self._own_at = (np.array(self.own_rows, dtype=int), np.array(self.own_cols, dtype=int))
+        rows = np.array(self.own_rows, dtype=int)
+        self._own_at = (rows, np.array(self.names, dtype=int)[rows])
         # per unit, its own levels of the factor rows' measures and of the targets
         self._own_levels = np.concatenate(self.own_levels)
         self._target_levels = np.zeros((self.n, len(self.target)))
@@ -123,7 +134,7 @@ class Program:
         self._crash, self._crash_own = self._own_basis()
         for a in self.template():
             a.setflags(write=False)
-        self.blocks = self.own_levels = self.levels = None  # the template holds them now
+        self.blocks = self.own_levels = self.levels = self.names = None  # in the template now
         return self
 
     def template(self) -> tuple:
@@ -134,31 +145,30 @@ class Program:
     def _own_basis(self):
         """The crash basis at the own point, with unit 0's weight columns, and their positions.
 
-        It is found on the signs of the unpinned program's support and slack
-        columns: the data are positive, so at the own point every support
-        column of a unit is its column of signs with each row scaled by the
-        unit's level, and each target column scaled by its level.  Such
-        scalings keep which rows are independent, so unit ``o``'s basis is
-        this one with ``o`` added to its weight columns.  Both are empty
-        when the search finds none.
+        The support is the factors, each block's first weight and the
+        targets; every unpinned row is tight.  Take every convexity row and
+        the first row naming each factor or target.  On the support, in
+        that order and with the block columns first, they form a lower
+        triangular matrix whose diagonal holds the named entries (1, -1 or
+        minus one of the unit's levels, never 0), so they are independent
+        whatever the unit.  The slacks of the other inequality rows
+        complete the basis.  Unit ``o``'s basis is this one with ``o``
+        added to its weight columns.  Both are empty when some block has no
+        convexity row or some factor or target is named by no unpinned row;
+        the solve then starts cold.
         """
-        r, cols = self._shape[0]
-        f, starts = len(self.factor), list(self.block.values())
-        support = [*range(f), *starts, *self.target.values()]
-        keep = np.array(support + list(range(self.width, cols)))
-        S = self._S[:r, keep]
-        S[self._own_at] = -1.0  # the factor columns lead in both layouts
-        weights = slice(f, f + len(starts))
-        S[:, weights] = np.sign(S[:, weights])
-        slack_col = self._slack_col[:r]
-        slack_col = np.where(slack_col < 0, -1, slack_col - self.width + len(support))
-        form = StandardForm(S, np.abs(S[:, :len(support)]), self._rhs[:r], self._sign[:r],
-                            slack_col)
-        basis = _crash_basis(form, np.ones(len(support)))
-        if basis is None:
+        starts = list(self.block.values())
+        support = [*range(len(self.factor)), *starts, *self.target.values()]
+        first = {}
+        for i, c in enumerate(self.names[:self.fixed]):
+            first.setdefault(c, i)
+        first.pop(-1, None)
+        if len(first) < len(support):
             return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        basis = keep[basis]
-        return basis, np.searchsorted(basis, starts)  # the support holds every block's start
+        kept = set(first.values())
+        slacks = [self._slack_col[i] for i in range(self.fixed) if self.sign[i] and i not in kept]
+        basis = np.array(support + slacks)  # ascending: slacks follow the rows' columns
+        return basis, np.searchsorted(basis, starts)
 
     def unit(self, own: int) -> "Unit":
         """The program of unit ``own``: the template, copied, with that unit's levels."""

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import subprocess
@@ -340,6 +339,22 @@ def test_epsilon_flag_repairs_zeros(tmp_path, capsys):
     assert "0.0010" in out  # min column reflects the substitution
 
 
+@pytest.mark.parametrize("epsilon, shown", [
+    ("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf"),
+])
+@pytest.mark.parametrize("command", ["summary", "validate"])
+def test_bad_epsilon_flag_rejected(command, epsilon, shown, two_stage_files, tmp_path, capsys):
+    data = tmp_path / "zero.csv"
+    data.write_text(TRIO_CSV.replace("a,1,", "a,0,"), encoding="utf-8")
+    argv = [command, "--data", str(data), "--min-epsilon", epsilon]
+    if command == "validate":
+        argv += ["--topology", two_stage_files[1]]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: epsilon must be positive and finite, got {shown}\n"
+
+
 def test_epsilon_warning_is_one_line_per_call(tmp_path):
     # outside pytest's warning capture, and twice in one process
     data = tmp_path / "d.csv"
@@ -408,7 +423,7 @@ def test_oversized_csv_field_exit_one(argv, what, text, line, tmp_path, monkeypa
                    "field larger than field limit (131072)\n")
 
 
-# -- one subparser per call ---------------------------------------------------
+# -- one parser per call ------------------------------------------------------
 
 
 def _outcome(argv, capsys):
@@ -418,6 +433,15 @@ def _outcome(argv, capsys):
         status = ("exit", exc.code)
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def _full_parser_outcome(argv, capsys, monkeypatch):
+    """``run(argv)``'s outcome when it parses with the full ``dea-mpss`` parser."""
+    from dea_mpss import cli
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        return _outcome(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -435,28 +459,64 @@ def _outcome(argv, capsys):
 ], ids=" ".join)
 def test_parser_parity_with_every_subcommand_built(argv, two_stage_files, monkeypatch,
                                                    capsys):
-    from dea_mpss import cli
-
     data, topo = two_stage_files
     argv = [a.format(data=data, topo=topo) for a in argv]
+    assert _outcome(argv, capsys) == _full_parser_outcome(argv, capsys, monkeypatch)
+
+
+# per command: --help, then usage errors: a missing --data, a bad --format
+# choice, an unrecognized argument, a non-numeric --w1 and an abbreviated --dat
+_FIDELITY_CASES = {
+    "help": ["--help"],
+    "no-data": ["--format", "csv"],
+    "bad-format": ["--data", "{data}", "--format", "xml"],
+    "unrecognized": ["--data", "{data}", "--bogus", "1"],
+    "non-numeric-w1": ["--data", "{data}", "--w1", "abc"],
+    "abbreviated": ["--dat", "{data}", "--format", "xml"],
+    "abbreviated-alone": ["--dat"],
+}
+
+
+@pytest.mark.parametrize("case", list(_FIDELITY_CASES))
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_named_command_parses_as_the_full_parser(name, case, two_stage_files, monkeypatch,
+                                                 capsys):
+    """A named command's own parser prints and parses byte for byte as the full one."""
+    from dea_mpss import cli
+
+    data, _ = two_stage_files
+    argv = [name, *(a.format(data=data) for a in _FIDELITY_CASES[case])]
     own = _outcome(argv, capsys)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli._COMMANDS))
-    assert own == _outcome(argv, capsys)
+    assert own == _full_parser_outcome(argv, capsys, monkeypatch)
+    if case == "help":
+        assert own[0] == ("exit", 0) and own[1].startswith(f"usage: dea-mpss {name} ")
+    else:
+        assert own[0] == 1 and own[1] == "" and own[2].startswith("error: ")
+    try:
+        full = cli._build_parser().parse_args(argv)
+    except (SystemExit, ValidationError):
+        return
+    assert cli._parse(argv) == full  # parsed, and the error came from the command
 
 
 def test_dmu_call_builds_one_subparser(two_stage_files, monkeypatch, capsys):
+    from dea_mpss import cli
+
     data, topo = two_stage_files
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = cli._Parser.__init__
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    monkeypatch.setattr(cli, "_build_parser", full_parser)
     assert run(["network-mpss", "--data", data, "--topology", topo, "--dmu", "a"]) == 0
-    assert built == ["network-mpss"]
+    assert built == ["dea-mpss network-mpss"]
 
 
 @pytest.fixture

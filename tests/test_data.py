@@ -67,6 +67,15 @@ def test_epsilon_substitution_warns():
     assert ds.measures["a"][0] == 0.001
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, -0.0, math.nan, math.inf])
+def test_bad_epsilon_rejected_before_parsing(epsilon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no substitution warning
+        with pytest.raises(ValidationError,
+                           match=rf"^epsilon must be positive and finite, got {epsilon}$"):
+            parse_data_csv("dmu,a\nu1,0\nu2,2\n", min_epsilon=epsilon)
+
+
 def test_zero_rejected_without_epsilon():
     with pytest.raises(ValidationError, match="nonpositive"):
         parse_data_csv("dmu,a\nu1,0\n")
@@ -248,7 +257,13 @@ def _reference_dataset(dmu_ids, measures):
 
 
 def _reference_parse(text, *, min_epsilon=None):
-    """The row-major parser the column-wise one replaced: one Python step per cell."""
+    """The row-major parser the column-wise one replaced: one Python step per cell.
+
+    Like ``parse_data_csv``, it rejects a nonpositive or non-finite
+    ``min_epsilon`` before reading the text.
+    """
+    if min_epsilon is not None and not (math.isfinite(min_epsilon) and min_epsilon > 0.0):
+        raise ValidationError(f"epsilon must be positive and finite, got {min_epsilon}")
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if not rows:

@@ -1,13 +1,18 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from dea_mpss.data import Dataset, load_dataset
-from dea_mpss.lp import SLACK_SIGN, LpProblem, LpSolution, solve_lp
+from dea_mpss.errors import SolverError
+from dea_mpss.lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _crash_basis, solve_lp
 from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system
 from dea_mpss.program import FIXING_BAND, Program
 
-from conftest import FIXTURES
+from conftest import FIXTURES, chain_topology, random_dataset, two_stage_topology
 from test_network import named_instance
+from test_sweep import BUILDERS, insurers
+from test_sweep import log_spread as log_spread_with_chain
 
 # three DMUs, evaluated DMU "b" (index 1)
 DATA = Dataset(["a", "b", "c"], {"x": [1.0, 2.0, 4.0], "w": [3.0, 5.0, 7.0], "z": [6.0, 8.0, 9.0]})
@@ -73,7 +78,7 @@ def test_blocks_stack_in_append_order():
     prog = program()
     prog.envelope("up", DATA.matrix(["x"]), "<=", factor="t_in")
     prog.convexity()
-    prog.bound({"t_out": 1.0}, ">=", 1.0)
+    prog.bound("t_out", ">=")
     rows = rows_of(prog)
     assert [rel for _, rel, _ in rows] == ["<=", "=", "=", ">="]
     assert [rhs for _, _, rhs in rows] == [0.0, 1.0, 1.0, 1.0]
@@ -164,3 +169,112 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
         if sol.status != "optimal":
             break
     assert bool((negative_rhs & (problem.row_sign > 0.0)).any()) is negative
+
+
+# -- the crash basis, read off the rows --------------------------------------
+
+
+def searched_basis(prog):
+    """The crash basis the way it was found before being read off the rows: a
+    Gram-Schmidt search (``lp._crash_basis``) on the signs of the unpinned
+    program's support and slack columns at the own point, all ones."""
+    r, cols = prog._shape[0]
+    f, starts = len(prog.factor), list(prog.block.values())
+    support = [*range(f), *starts, *prog.target.values()]
+    keep = np.array(support + list(range(prog.width, cols)))
+    S = prog._S[:r, keep]
+    S[prog._own_at] = -1.0  # the factor columns lead in both layouts
+    weights = slice(f, f + len(starts))
+    S[:, weights] = np.sign(S[:, weights])
+    slack_col = prog._slack_col[:r]
+    slack_col = np.where(slack_col < 0, -1, slack_col - prog.width + len(support))
+    form = StandardForm(S, np.abs(S[:, :len(support)]), prog._rhs[:r], prog._sign[:r],
+                        slack_col)
+    basis = _crash_basis(form, np.ones(len(support)))
+    if basis is None:
+        return [], []
+    basis = keep[basis]
+    return basis.tolist(), np.searchsorted(basis, starts).tolist()
+
+
+def builder_programs(dataset, topology, chain_view):
+    """Every program the builders compile for ``dataset``, the chain ones on ``chain_view``."""
+    for reads_chain, call in BUILDERS.values():
+        view = chain_view if reads_chain else topology
+        if view is not None:
+            with contextlib.suppress(SolverError):
+                call(dataset, view, dataset.dmu_ids[0])
+    return list(dataset._compiled.values())
+
+
+def fixture_programs(source):
+    load, chain_view = source()
+    dataset, topology = load()
+    return builder_programs(dataset, topology, chain_view)
+
+
+def generated_programs():
+    rng = np.random.default_rng(53)
+    programs = []
+    for _ in range(8):
+        shape = [int(rng.integers(1, 3)) for _ in range(5)]
+        n = int(rng.integers(2, 7))
+        topo = two_stage_topology(*shape)
+        programs += builder_programs(random_dataset(rng, topo, n), topo, None)
+        topo = chain_topology(*shape)
+        programs += builder_programs(random_dataset(rng, topo, n), None, topo)
+    return programs
+
+
+def degenerate_programs():
+    """The one-kind-of-row programs above, plus one whose rows name every support column."""
+    def envelope(prog):
+        prog.envelope("up", DATA.matrix(["x", "w"]), "<=", factor="t_in")
+
+    def target(prog):
+        prog.envelope("down", DATA.matrix(["z"]), ">=", targets=["z"])
+
+    def pin(prog):
+        prog.pin({"t_out": 1.0, "t_in": -1.0})
+
+    def append_order(prog):
+        envelope(prog)
+        prog.convexity()
+        prog.bound("t_out", ">=")
+
+    def complete(prog):
+        envelope(prog)
+        target(prog)
+        prog.envelope("down", DATA.matrix(["w"]), ">=", factor="t_out")
+        prog.convexity()
+        prog.bound("t_in", "<=")
+        pin(prog)
+
+    programs = {}
+    for build in (envelope, target, Program.convexity, pin, append_order, complete):
+        prog = program()
+        build(prog)
+        programs[build.__name__] = prog.compile()
+    return programs
+
+
+@pytest.mark.parametrize("programs", [
+    lambda: fixture_programs(insurers), lambda: fixture_programs(log_spread_with_chain),
+    generated_programs,
+], ids=["insurers", "log_spread", "generated"])
+def test_crash_basis_read_off_rows_matches_the_search(programs):
+    programs = programs()
+    assert len(programs) >= 6
+    for prog in programs:
+        basis, own = searched_basis(prog)
+        assert basis, "the search finds a basis on every builder's program"
+        assert (prog._crash.tolist(), prog._crash_own.tolist()) == (basis, own)
+
+
+def test_crash_basis_of_degenerate_programs():
+    programs = degenerate_programs()
+    for name, prog in programs.items():
+        assert (prog._crash.tolist(), prog._crash_own.tolist()) == searched_basis(prog), name
+    # only the complete program names every support column
+    assert [name for name, prog in programs.items() if prog._crash.size] == ["complete"]
+    assert programs["pin"]._crash.dtype.kind == "i"

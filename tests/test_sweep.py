@@ -16,7 +16,7 @@ from dea_mpss import chain, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
 from dea_mpss.errors import SolverError, UnsupportedTopologyError
-from dea_mpss.program import Unit
+from dea_mpss.program import Program, Unit
 
 from conftest import FIXTURES
 from test_acceptance import insurance_views
@@ -228,20 +228,26 @@ def test_compiled_crash_basis_is_each_units_own(monkeypatch, source, builder):
 
 @pytest.mark.parametrize("source", [log_spread, insurers])
 def test_crash_search_runs_once_per_program(monkeypatch, source):
-    """A sweep of every model searches for a crash basis once per compiled program."""
+    """A sweep of every model reads a crash basis once per compiled program, and never searches."""
     load, chain_topology = source()
     dataset, topology = load()
-    searches = []
-    independent_rows = lp._independent_rows
+    calls = {"_own_basis": [], "_independent_rows": []}
 
-    def counted(*args):
-        searches.append(args)
-        return independent_rows(*args)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(lp, "_independent_rows", counted)
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Program, "_own_basis")
+    counting(lp, "_independent_rows")
     for reads_chain, call in BUILDERS.values():
         for dmu in dataset.dmu_ids:
             with contextlib.suppress(SolverError):
                 call(dataset, chain_topology if reads_chain else topology, dmu)
     assert len(dataset._compiled) == 6
-    assert len(searches) == len(dataset._compiled)
+    assert len(calls["_own_basis"]) == len(dataset._compiled)
+    assert calls["_independent_rows"] == []
