@@ -16,6 +16,13 @@ line.  The list covers:
 * ``summary --min-epsilon`` on a file with nonpositive cells, with a good
   epsilon and with -1, 0, ``nan`` and ``inf``, and a data, scores and group
   file each holding a cell longer than the csv module's field limit;
+* ``summary`` and ``validate`` on variants of the insurer file: CRLF line
+  ends, a lone CR, a quoted id holding a comma, a BOM, blank and
+  comma-only rows, a trailing comma, a ``1_000`` cell and a NUL;
+* ``validate`` on the insurer topology with one wrongly typed field each:
+  ``processes`` 5 and [5], ``links`` [5] and null, a null
+  ``importance_weight``, a ``stage`` of "x" and of 1.7, and a measure list
+  given as a string;
 * the parser: top-level and per-command ``--help``, and per command a
   missing ``--data``, a bad ``--format`` choice, an unrecognized argument,
   a non-numeric ``--w1`` and an abbreviated ``--dat``.  ``--help`` exits
@@ -119,6 +126,7 @@ def invocations(inputs: Path, tmp: Path) -> list:
         ["decompose", "--scores", str(tmp / "long_scores.csv")],
         ["kruskal-wallis", "--groups", f"{small / 'kw_2014.csv'},{tmp / 'long_group.csv'}"],
     ]
+    calls += variant_calls(small / "insurers_topology.json", tmp)
     data = str(FIXTURES / "insurers_24.csv")
     calls += [["--help"], [], ["frobnicate"], ["--raw", "summary"]]
     for name in _SUBPARSERS:
@@ -131,6 +139,47 @@ def invocations(inputs: Path, tmp: Path) -> list:
             [name, "--dat", data, "--format", "xml"],
             [name, "--dat"],
         ]
+    return calls
+
+
+def variant_calls(topology: Path, tmp: Path) -> list:
+    """``summary`` and ``validate`` on odd insurer data files and on faulty topologies."""
+    text = (FIXTURES / "insurers_24.csv").read_text(encoding="utf-8")
+    head, first, rest = text.split("\n", 2)
+    data = {
+        "crlf.csv": text.replace("\n", "\r\n"),
+        "lone_cr.csv": f"{head}\n{first}\r{rest}",
+        "quoted_id.csv": f'{head}\n"a,b"{first[first.index(","):]}\n{rest}',
+        "bom.csv": "\ufeff" + text,
+        "blank_rows.csv": f"{head}\n\n{first}\n{',' * head.count(',')}\n  \n{rest}",
+        "trailing_comma.csv": f"{head}\n{first},\n{rest}",
+        "underscore.csv": f"{head}\n{first[:first.rindex(',')]},1_000\n{rest}",
+        "nul.csv": f"{head}\n{first.replace(',', chr(0) + ',', 1)}\n{rest}",
+    }
+    calls = []
+    for name, body in data.items():
+        (tmp / name).write_text(body, encoding="utf-8", newline="")
+        calls += [["summary", "--data", str(tmp / name), *CSV],
+                  ["validate", "--data", str(tmp / name), "--topology", str(topology), *CSV]]
+    faults = {
+        "processes_number": (["processes"], 5),
+        "processes_of_number": (["processes"], [5]),
+        "links_of_number": (["links"], [5]),
+        "links_null": (["links"], None),
+        "weight_null": (["processes", 0, "importance_weight"], None),
+        "stage_text": (["processes", 0, "stage"], "x"),
+        "stage_fraction": (["processes", 0, "stage"], 1.7),
+        "inputs_text": (["processes", 0, "exogenous_inputs"], "service_expense"),
+    }
+    for name, (path, value) in faults.items():
+        doc = json.loads(topology.read_text(encoding="utf-8"))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        calls.append(["validate", "--data", str(FIXTURES / "insurers_24.csv"),
+                      "--topology", str(tmp / f"{name}.json")])
     return calls
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import shutil
 import sys
 import warnings
 from contextlib import contextmanager
@@ -106,7 +107,19 @@ def render(table: ReportTable, format: str = "markdown") -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports one-line errors and exits with status 1."""
+    """argparse that reports one-line errors and exits with status 1.
+
+    It asks for the terminal size once, where argparse asks once per
+    ``add_argument``, and hands every help formatter the width the
+    formatter would compute for itself.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._width = shutil.get_terminal_size().columns - 2
+        super().__init__(*args, **kwargs)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=self._width)
 
     def error(self, message):
         raise ValidationError(message)

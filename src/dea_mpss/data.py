@@ -15,14 +15,19 @@ consume and produce those measures.  Two layouts are supported:
 
 Anything else is rejected as unsupported rather than silently mis-modeled.
 
-A data file is converted column by column: its rows are read once, turned
-into columns, and the measure columns go through one numpy conversion with
-Python's ``float`` rules, so no Python code runs per cell.  Loading was the
-largest fixed cost of a one-DMU call after the solve, and this about halves
-it on 300-unit files.  Faults are still reported as a reader meets them,
-row by row: the first malformed row or non-numeric cell in file order, with
-rows counted over those that hold data.  Only a file the bulk conversion
-rejects takes that row-major pass, so a valid file never pays for it.
+A data file is read on one of two paths.  A plain table, which is what
+a hand-written or generated file almost always is, goes through numpy's C
+reader in one call, so no Python code runs per cell.  Plain means: no
+quote, NUL, ASCII separator control (0x1C-0x1F) or carriage return outside
+a CRLF line end; no line past the csv module's field limit; a ``dmu``
+header with distinct measure names as the first line; and the header's
+comma count on every non-empty line.  The csv module would split such a
+text at every comma, and numpy converts each cell as ``float`` does or
+rejects it (underscores and non-ASCII digits, which ``float`` takes).
+Everything else, such as a quoted id or a faulty file, is read by the csv
+module and checked row by row, so a fault is reported as a reader meets
+it: the first malformed row or non-numeric cell in file order, with rows
+counted over those that hold data.
 """
 
 from __future__ import annotations
@@ -174,6 +179,7 @@ class ProcessSpec:
             raise ValidationError(f"process {self.name!r}: stage must be an integer >= 1")
         if not 0.0 <= self.importance_weight <= 1.0:
             raise ValidationError(f"process {self.name!r}: importance_weight outside [0, 1]")
+        object.__setattr__(self, "importance_weight", float(self.importance_weight))
         roles = (self.exogenous_inputs + self.intermediate_outputs
                  + self.intermediate_inputs + self.final_outputs)
         if len(set(roles)) != len(roles):
@@ -375,18 +381,9 @@ def _holds_data(row: list) -> bool:
 
 
 def _columns(rows: list, width: int) -> tuple:
-    """DMU ids and (measures, DMUs) values of rows that are all well formed.
-
-    Raises ``ValueError`` for a row of another width, a cell ``float``
-    rejects, or a blank row.  A blank row of full width has an empty measure
-    cell; without measure columns its id is empty.
-    """
-    cols = list(zip(*rows, strict=True)) or [()] * width
-    if len(cols) != width:
-        raise ValueError("row width differs from the header")
+    """DMU ids and (measures, DMUs) values of rows that ``_check_rows`` passed."""
+    cols = list(zip(*rows)) or [()] * width
     ids = tuple(cell.strip() for cell in cols[0])
-    if width == 1 and "" in ids:
-        raise ValueError("blank row")
     return ids, np.array(cols[1:], dtype=float).reshape(width - 1, len(ids))
 
 
@@ -406,17 +403,47 @@ def _check_rows(rows: list, header: list) -> list:
     return rows
 
 
-def parse_data_csv(text: str, *, min_epsilon: float | None = None) -> Dataset:
-    """Parse the CSV wire format: header ``dmu,<measure...>``, one row per DMU.
+# what a plain text may not hold, once each \r\n is read as \n: the csv
+# module's quote and its other line end, a NUL (which the csv module of
+# Python 3.10 rejects), and the controls numpy's reader takes as whitespace
+# around a number where ``float`` does not
+_NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
-    With ``min_epsilon`` set, nonpositive cells are replaced by that value
-    and a :class:`DataWarning` is emitted; otherwise they are rejected.
-    ``min_epsilon`` itself must be positive and finite.  Blank rows are
-    skipped and not counted in the row numbers of errors.
+
+def _read_plain(text: str) -> tuple | None:
+    """Measure names, DMU ids and (measures, DMUs) values of a plain table, else None.
+
+    A plain table is one the csv module would split at every comma and
+    ``float`` would read cell by cell; see the module docstring.  Its
+    measures are read by ``np.loadtxt``, which raises ``ValueError`` for a
+    cell that is not a number or a line with fewer cells than the header.
+    With as many commas in the body as the header has on each line, no line
+    then has more.
     """
-    if min_epsilon is not None and not (math.isfinite(min_epsilon) and min_epsilon > 0.0):
-        raise ValidationError(f"epsilon must be positive and finite, got {min_epsilon}")
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    text = text.replace("\r\n", "\n")
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    first, _, rest = text.partition("\n")
+    header = [h.strip() for h in first.split(",")]
+    names = header[1:]
+    if header[0] != "dmu" or not names or len(set(names)) != len(names):
+        return None
+    body = list(filter(None, rest.split("\n")))
+    limit = csv.field_size_limit()
+    if (not body or rest.count(",") != len(names) * len(body)
+            or len(text) > limit and max(map(len, [first, *body])) > limit):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, usecols=range(1, len(header)),
+                            dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return names, [line.partition(",")[0].strip() for line in body], values.T
+
+
+def _read_csv(text: str) -> tuple:
+    """Measure names, DMU ids and (measures, DMUs) values, read by the csv module."""
+    reader = csv.reader(io.StringIO(text))
     with csv_errors(reader, "data"):
         rows = [r for r in reader if r]
     start = next((k for k, row in enumerate(rows) if _holds_data(row)), len(rows))
@@ -428,11 +455,21 @@ def parse_data_csv(text: str, *, min_epsilon: float | None = None) -> Dataset:
     names = header[1:]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate measure columns in data header")
-    body = rows[start + 1:]
-    try:
-        ids, values = _columns(body, len(header))
-    except ValueError:
-        ids, values = _columns(_check_rows(body, header), len(header))
+    return (names, *_columns(_check_rows(rows[start + 1:], header), len(header)))
+
+
+def parse_data_csv(text: str, *, min_epsilon: float | None = None) -> Dataset:
+    """Parse the CSV wire format: header ``dmu,<measure...>``, one row per DMU.
+
+    With ``min_epsilon`` set, nonpositive cells are replaced by that value
+    and a :class:`DataWarning` is emitted; otherwise they are rejected.
+    ``min_epsilon`` itself must be positive and finite.  Blank rows are
+    skipped and not counted in the row numbers of errors.
+    """
+    if min_epsilon is not None and not (math.isfinite(min_epsilon) and min_epsilon > 0.0):
+        raise ValidationError(f"epsilon must be positive and finite, got {min_epsilon}")
+    text = text.lstrip("\ufeff")
+    names, ids, values = _read_plain(text) or _read_csv(text)
     if min_epsilon is not None:
         low = values <= 0.0
         replaced = int(np.count_nonzero(low))
@@ -457,9 +494,43 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 _PROCESS_FIELDS = ("name", "stage", "exogenous_inputs", "intermediate_outputs",
                    "intermediate_inputs", "final_outputs", "importance_weight")
+_MEASURE_LISTS = _PROCESS_FIELDS[2:6]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(m, str) for m in value)
+
+
+def _field(where: str, doc: dict, key: str, ok, expected: str):
+    """``doc[key]``, after raising a ``ValidationError`` if ``ok`` does not hold for it."""
+    value = doc[key]
+    if not ok(value):
+        raise ValidationError(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
+    return value
+
+
+def _entries(doc: dict, key: str, what: str, fields: Sequence):
+    """Index and object of each entry of the list ``doc[key]``, checked as it is reached."""
+    entries = _field("topology JSON", doc, key, lambda v: isinstance(v, list), "a list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{what} #{k}: must be an object, got {json.dumps(entry)}")
+        missing = [f for f in fields if f not in entry]
+        if missing:
+            raise ValidationError(f"{what} #{k}: missing field(s) {', '.join(missing)}")
+        yield k, entry
 
 
 def parse_topology_json(text: str) -> NetworkTopology:
+    """The topology a JSON document declares; each field is type-checked before use."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -470,25 +541,19 @@ def parse_topology_json(text: str) -> NetworkTopology:
         if key not in doc:
             raise ValidationError(f"topology JSON is missing the {key!r} key")
     procs = []
-    for k, spec in enumerate(doc["processes"]):
-        missing = [f for f in _PROCESS_FIELDS if f not in spec]
-        if missing:
-            raise ValidationError(f"process #{k}: missing field(s) {', '.join(missing)}")
-        procs.append(ProcessSpec(
-            name=str(spec["name"]),
-            stage=int(spec["stage"]),
-            exogenous_inputs=tuple(spec["exogenous_inputs"]),
-            intermediate_outputs=tuple(spec["intermediate_outputs"]),
-            intermediate_inputs=tuple(spec["intermediate_inputs"]),
-            final_outputs=tuple(spec["final_outputs"]),
-            importance_weight=float(spec["importance_weight"]),
-        ))
+    for k, spec in _entries(doc, "processes", "process", _PROCESS_FIELDS):
+        where = f"process #{k}"
+        name = _field(where, spec, "name", lambda v: isinstance(v, str), "a string")
+        stage = _field(where, spec, "stage", _is_integer, "an integer")
+        lists = {f: tuple(_field(where, spec, f, _is_names, "a list of measure names"))
+                 for f in _MEASURE_LISTS}
+        weight = _field(where, spec, "importance_weight", _is_number, "a number")
+        procs.append(ProcessSpec(name=name, stage=int(stage), **lists, importance_weight=weight))
     links = []
-    for k, l in enumerate(doc["links"]):
-        missing = [f for f in ("from", "to", "measure") if f not in l]
-        if missing:
-            raise ValidationError(f"link #{k}: missing field(s) {', '.join(missing)}")
-        links.append(Link(str(l["from"]), str(l["to"]), str(l["measure"])))
+    for k, l in _entries(doc, "links", "link", ("from", "to", "measure")):
+        ends = [_field(f"link #{k}", l, f, lambda v: isinstance(v, str), "a string")
+                for f in ("from", "to", "measure")]
+        links.append(Link(*ends))
     return NetworkTopology(procs, links, doc["shape"])
 
 

@@ -1,7 +1,10 @@
+import argparse
 import csv
 import io
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -423,6 +426,44 @@ def test_oversized_csv_field_exit_one(argv, what, text, line, tmp_path, monkeypa
                    "field larger than field limit (131072)\n")
 
 
+# each: the path to one topology JSON value, a wrongly typed value for it, and the
+# error; the last seven were accepted before the fields were type-checked
+@pytest.mark.parametrize("path, value, message", [
+    (["processes"], 5, "topology JSON: 'processes' must be a list, got 5"),
+    (["processes"], [5], "process #0: must be an object, got 5"),
+    (["links"], [5], "link #0: must be an object, got 5"),
+    (["links"], None, "topology JSON: 'links' must be a list, got null"),
+    (["processes", 1, "importance_weight"], None,
+     "process #1: 'importance_weight' must be a number, got null"),
+    (["processes", 0, "stage"], "x", "process #0: 'stage' must be an integer, got \"x\""),
+    (["processes", 0, "stage"], 1.7, "process #0: 'stage' must be an integer, got 1.7"),
+    (["processes", 0, "exogenous_inputs"], "in1_0",
+     "process #0: 'exogenous_inputs' must be a list of measure names, got \"in1_0\""),
+    (["processes", 1, "final_outputs"], ["out2_0", 5],
+     "process #1: 'final_outputs' must be a list of measure names, got [\"out2_0\", 5]"),
+    (["processes", 0, "stage"], "1", "process #0: 'stage' must be an integer, got \"1\""),
+    (["processes", 0, "stage"], True, "process #0: 'stage' must be an integer, got true"),
+    (["processes", 1, "importance_weight"], "1",
+     "process #1: 'importance_weight' must be a number, got \"1\""),
+    (["processes", 1, "importance_weight"], True,
+     "process #1: 'importance_weight' must be a number, got true"),
+    (["processes", 1, "name"], 2, "process #1: 'name' must be a string, got 2"),
+    (["links", 0, "to"], 2, "link #0: 'to' must be a string, got 2"),
+], ids=["processes-5", "processes-[5]", "links-[5]", "links-null", "weight-null", "stage-x",
+        "stage-1.7", "inputs-string", "outputs-number", "stage-string", "stage-true",
+        "weight-string", "weight-true", "name-number", "link-to-number"])
+def test_wrongly_typed_topology_field_exit_one(path, value, message, two_stage_files, capsys):
+    data, topo = two_stage_files
+    doc = json.loads(Path(topo).read_text(encoding="utf-8"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    Path(topo).write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", "--data", data, "--topology", topo]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- one parser per call ------------------------------------------------------
 
 
@@ -497,6 +538,20 @@ def test_named_command_parses_as_the_full_parser(name, case, two_stage_files, mo
     except (SystemExit, ValidationError):
         return
     assert cli._parse(argv) == full  # parsed, and the error came from the command
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("name", [None, *_COMMANDS])
+def test_help_wraps_as_argparse_does(name, columns, monkeypatch, capsys):
+    """``--help`` is what argparse's own formatter prints at the terminal's width."""
+    from dea_mpss import cli
+
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = ["--help"] if name is None else [name, "--help"]
+    own = _outcome(argv, capsys)
+    monkeypatch.setattr(cli._Parser, "_get_formatter", argparse.ArgumentParser._get_formatter)
+    assert own[0] == ("exit", 0)
+    assert own == _outcome(argv, capsys) == _full_parser_outcome(argv, capsys, monkeypatch)
 
 
 def test_dmu_call_builds_one_subparser(two_stage_files, monkeypatch, capsys):

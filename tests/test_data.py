@@ -1,21 +1,24 @@
 import csv
+import importlib.util
 import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_topology, dataset_for, two_stage_topology
+from conftest import FIXTURES, chain_topology, dataset_for, two_stage_topology
 from dea_mpss.data import (
     DataWarning,
     Dataset,
     Link,
     NetworkTopology,
     ProcessSpec,
+    csv_errors,
     dataset_to_csv,
     load_dataset,
     parse_data_csv,
@@ -157,6 +160,16 @@ def test_topology_json_field_names():
     assert set(doc["links"][0]) == {"from", "to", "measure"}
 
 
+def test_topology_json_takes_integral_stage_numbers():
+    doc = json.loads(topology_to_json(two_stage_topology()))
+    doc["processes"][1]["stage"] = 2.0
+    doc["processes"][0]["importance_weight"] = 1
+    topology = parse_topology_json(json.dumps(doc))
+    assert topology == two_stage_topology()
+    assert [type(p.stage) for p in topology.processes] == [int, int]
+    assert type(topology.processes[0].importance_weight) is float
+
+
 def test_summarize_basics():
     ds = Dataset(["a", "b", "c"], {"m": [1.0, 1.0, 1.0], "w": [1.0, 3.0, 2.0]})
     stats = summarize(ds)
@@ -260,12 +273,14 @@ def _reference_parse(text, *, min_epsilon=None):
     """The row-major parser the column-wise one replaced: one Python step per cell.
 
     Like ``parse_data_csv``, it rejects a nonpositive or non-finite
-    ``min_epsilon`` before reading the text.
+    ``min_epsilon`` before reading the text, and reports a fault of the csv
+    module as a ``ValidationError``.
     """
     if min_epsilon is not None and not (math.isfinite(min_epsilon) and min_epsilon > 0.0):
         raise ValidationError(f"epsilon must be positive and finite, got {min_epsilon}")
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    with csv_errors(reader, "data"):
+        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if not rows:
         raise ValidationError("empty data file")
     header = [h.strip() for h in rows[0]]
@@ -352,6 +367,91 @@ def _data_files(draw):
 def test_parse_matches_row_major_reference(text, min_epsilon):
     assert (_outcome(parse_data_csv, text, min_epsilon=min_epsilon)
             == _outcome(_reference_parse, text, min_epsilon=min_epsilon))
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+_plain_numbers = ["1", "2.5", " 3 ", "-1", "0", "4e2", "nan", "inf", "1e400", "\t7\x0c", "\u20035"]
+# numbers only ``float`` takes, and cells neither reader takes
+_plain_faults = ["1_000", "\u0661\u0662", "x", "", " ", "1\x1c"]
+_plain_ids = st.sampled_from(["u1", "u2", " u3 ", "a b", " x  y ", ""])
+
+
+@st.composite
+def _plain_files(draw):
+    """Quote-free CSV text, a fair share of it plain tables.
+
+    Half the texts hold nothing but what a plain table may hold.  The
+    others may have a header that is not ``dmu`` or repeats a name, a row
+    that is blank but not empty or has a trailing comma, or a cell numpy
+    does not read as ``float`` does.  Either kind may then get a lone
+    carriage return, a NUL, a 0x1C control or a run of digits past the
+    field limit, inserted anywhere.
+    """
+    clean = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "d e"]), min_size=1, max_size=3,
+                          unique=clean))
+    first = "dmu" if clean else draw(st.sampled_from(["dmu", " dmu ", "unit"]))
+    lines = [",".join([first, *names])]
+    kinds = ["data"] * 4 + ["blank"] + ([] if clean else ["spaces", "commas", "trailing"])
+    cells = st.sampled_from(_plain_numbers + ([] if clean else _plain_faults))
+    for _ in range(draw(st.integers(int(clean), 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append("  ")
+        elif kind == "commas":
+            lines.append(" ," * len(names))
+        else:
+            row = [draw(_plain_ids)] + [draw(cells) for _ in names]
+            lines.append(",".join(row) + ("," if kind == "trailing" else ""))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    oddity = draw(st.sampled_from([None] * 4 + ["\r", "\0", "\x1c", "long"]))
+    if oddity:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + ("9" * (_FIELD_LIMIT + 1) if oddity == "long" else oddity) + text[at:]
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plain_files(), st.sampled_from([None, 0.001, -1.0]))
+def test_plain_parse_matches_row_major_reference(text, min_epsilon):
+    assert (_outcome(parse_data_csv, text, min_epsilon=min_epsilon)
+            == _outcome(_reference_parse, text, min_epsilon=min_epsilon))
+
+
+def _benchmark_files(tmp_path):
+    """A two-stage and a value-chain file as ``perfbench/inputs.py`` writes them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for name, write in (("pinned-stages-300", inputs.write_two_stage),
+                        ("chain-300", inputs.write_chain)):
+        (tmp_path / name).mkdir()
+        write(tmp_path / name, np.random.default_rng([1, inputs.STREAMS[name]]), 300)
+        yield tmp_path / name / "data.csv"
+
+
+def test_plain_files_are_read_without_the_csv_module(tmp_path, monkeypatch):
+    """Benchmark-shaped files and the bundled fixtures take numpy's reader alone."""
+    paths = [*_benchmark_files(tmp_path), FIXTURES / "insurers_24.csv",
+             FIXTURES / "log_spread.csv"]
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    expected = [_outcome(_reference_parse, text) for text in texts]
+    readers = []
+    reader = csv.reader
+
+    def counted(*args, **kwargs):
+        readers.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counted)
+    assert [_outcome(parse_data_csv, text) for text in texts] == expected
+    assert readers == []
+    parse_data_csv('dmu,a\n"u1",1\n')  # a quoted id still goes to the csv module
+    assert len(readers) == 1
 
 
 _vectors = st.lists(st.sampled_from([1.0, 2.5, 0.0, -1.0, math.nan, math.inf]),
