@@ -47,7 +47,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from dea_mpss.cli import _SUBPARSERS, run
+from dea_mpss.cli import _COMMANDS, run
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -129,7 +129,7 @@ def invocations(inputs: Path, tmp: Path) -> list:
     calls += variant_calls(small / "insurers_topology.json", tmp)
     data = str(FIXTURES / "insurers_24.csv")
     calls += [["--help"], [], ["frobnicate"], ["--raw", "summary"]]
-    for name in _SUBPARSERS:
+    for name in _COMMANDS:
         calls += [
             [name, "--help"],
             [name, "--format", "csv"],

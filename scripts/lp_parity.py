@@ -12,9 +12,13 @@ followed by the sha256 of the array with each -0.0 read as 0.0, so a change
 in the sign of zeros alone can be told apart.  The set is:
 
 * 3,000 problems from ``tests/gen.random_lp`` (seed 2024), and for every
-  fifth optimal one a crash start from its optimum, a warm start after an
-  appended row that optimum satisfies, a start outside the feasible set,
-  and a cold solve with its first row appended twice as an equality;
+  fifth optimal one a crash start from the basis ``tests/gen.crash_start``
+  finds at its optimum, a warm start after an appended row that optimum
+  satisfies, the crash basis, if any, at the point one below that optimum
+  in every variable (seldom a feasible vertex; without a basis the solve is
+  cold), and a cold solve with its first row appended twice as an
+  equality.  ``tests/gen.lp_problem`` builds each of these problems in
+  the standard form the solver takes;
 * every model solve of the seed's ``pinned-stages-300`` units under
   ``evaluate_stages``, ``network_mpss_variable`` and ``blackbox_mpss``;
 * every model solve of its ``chain-300`` units under ``chain_efficiency``
@@ -56,13 +60,13 @@ from dea_mpss import chain, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import load_dataset
 from dea_mpss.errors import DeaMpssError
-from dea_mpss.lp import LpProblem, solve_lp
+from dea_mpss.lp import solve_lp
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
 
-from gen import random_lp  # noqa: E402
+from gen import crash_start, lp_problem, random_lp  # noqa: E402
 
 RANDOM_SEED = 2024
 RANDOM_PROBLEMS = 3000
@@ -123,15 +127,17 @@ def random_solves() -> None:
         a = rng.integers(-5, 6, size=prob.n_variables).astype(float)
         rel = str(rng.choice(["<=", ">="]))
         rhs = float(a @ x) + (1.0 if rel == "<=" else -1.0) * float(rng.integers(2))
-        extended = LpProblem(prob.objective_sense, prob.objective,
-                             [*prob.constraints, (a, rel, rhs)], prob.variable_lower_bounds)
+        extended = lp_problem(prob.objective_sense, prob.objective,
+                              [*prob.constraints, (a, rel, rhs)])
         # the first row, tight at the optimum, twice more as an equality:
         # phase one must drop a redundant row
         tight = (prob.constraints[0][0], "=", float(prob.constraints[0][0] @ x))
-        redundant = LpProblem(prob.objective_sense, prob.objective,
-                              [*prob.constraints, tight, tight], prob.variable_lower_bounds)
-        for name, problem, start in (("crash", prob, x), ("warm", extended, sol),
-                                     ("outside", prob, x - 1.0), ("redundant", redundant, None)):
+        redundant = lp_problem(prob.objective_sense, prob.objective,
+                               [*prob.constraints, tight, tight])
+        for name, problem, start in (("crash", prob, crash_start(prob, x)),
+                                     ("warm", extended, sol),
+                                     ("outside", prob, crash_start(prob, x - 1.0)),
+                                     ("redundant", redundant, None)):
             with suppress(DeaMpssError):
                 emit(f"random {k} {name}", lambda: solve_lp(problem, start=start))
 

@@ -29,6 +29,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .chain import (
     ChainWeights,
@@ -178,35 +179,27 @@ def _add_kruskal_args(p) -> None:
     p.add_argument("--raw", action="store_true")
 
 
-# subcommand -> (help line, function adding its arguments), in help order
-_SUBPARSERS = {
-    "validate": ("check a data/topology pair and report its shape", _add_model_args),
-    "summary": ("descriptive statistics per measure",
-                lambda p: _add_model_args(p, topo=False)),
-    "blackbox-mpss": ("scale-size scores ignoring internal structure", _add_model_args),
-    "network-mpss": ("two-stage system scale-size scores", _add_network_args),
-    "decompose": ("split process scores into stage and tandem scores", _add_decompose_args),
-    "chain-eff": ("value-chain efficiencies (one solve per DMU)", _add_chain_args),
-    "chain-mpss": ("value-chain scale-size scores", _add_chain_mpss_args),
-    "kruskal-wallis": ("rank consistency across score files", _add_kruskal_args),
-}
+class _Command(NamedTuple):
+    help: str           # its line in the top-level help
+    add_args: Callable  # adds its arguments to its parser
+    body: Callable      # runs it on the parsed arguments
 
 
 def _build_parser() -> _Parser:
     """The full ``dea-mpss`` parser, with every subcommand."""
     parser = _Parser(prog="dea-mpss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (help_text, add_args) in _SUBPARSERS.items():
-        add_args(sub.add_parser(name, help=help_text))
+    for name, command in _COMMANDS.items():
+        command.add_args(sub.add_parser(name, help=command.help))
     return parser
 
 
 def _parse(argv) -> argparse.Namespace:
     """``argv`` parsed as the full parser parses it, with one command's parser if it names one."""
-    if not argv or argv[0] not in _SUBPARSERS:
+    if not argv or argv[0] not in _COMMANDS:
         return _build_parser().parse_args(argv)
     parser = _Parser(prog=f"dea-mpss {argv[0]}")  # as ``add_parser`` makes it
-    _SUBPARSERS[argv[0]][1](parser)
+    _COMMANDS[argv[0]].add_args(parser)
     args = parser.parse_args(argv[1:])
     args.command = argv[0]
     return args
@@ -441,15 +434,24 @@ def _cmd_kruskal(args) -> None:
     _emit(table, args)
 
 
+# every subcommand, in help order
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "summary": _cmd_summary,
-    "blackbox-mpss": _cmd_blackbox,
-    "network-mpss": _cmd_network,
-    "decompose": _cmd_decompose,
-    "chain-eff": _cmd_chain_eff,
-    "chain-mpss": _cmd_chain_mpss,
-    "kruskal-wallis": _cmd_kruskal,
+    "validate": _Command("check a data/topology pair and report its shape", _add_model_args,
+                         _cmd_validate),
+    "summary": _Command("descriptive statistics per measure",
+                        lambda p: _add_model_args(p, topo=False), _cmd_summary),
+    "blackbox-mpss": _Command("scale-size scores ignoring internal structure", _add_model_args,
+                              _cmd_blackbox),
+    "network-mpss": _Command("two-stage system scale-size scores", _add_network_args,
+                             _cmd_network),
+    "decompose": _Command("split process scores into stage and tandem scores",
+                          _add_decompose_args, _cmd_decompose),
+    "chain-eff": _Command("value-chain efficiencies (one solve per DMU)", _add_chain_args,
+                          _cmd_chain_eff),
+    "chain-mpss": _Command("value-chain scale-size scores", _add_chain_mpss_args,
+                           _cmd_chain_mpss),
+    "kruskal-wallis": _Command("rank consistency across score files", _add_kruskal_args,
+                               _cmd_kruskal),
 }
 
 
@@ -479,7 +481,7 @@ def run(argv) -> int:
             args = _parse(argv)
             if args.command is None:
                 raise ValidationError("missing command (try --help)")
-            _COMMANDS[args.command](args)
+            _COMMANDS[args.command].body(args)
             return 0
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)

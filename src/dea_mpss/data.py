@@ -533,7 +533,7 @@ def parse_topology_json(text: str) -> NetworkTopology:
     """The topology a JSON document declares; each field is type-checked before use."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested deeper than json reads
         raise ValidationError(f"topology is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("topology JSON must be an object")

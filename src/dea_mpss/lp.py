@@ -2,30 +2,28 @@
 
 Every envelopment model in this package reduces to a program of the form
 
-    max/min  c'x   s.t.   A x  {<=, =, >=}  b  (one relation per row),   x >= lower_bounds
+    max/min  c'x   s.t.   A x  {<=, =, >=}  b  (one relation per row),   x >= 0
 
-which ``LpProblem`` holds as one read-only m×n matrix ``A``, a relation
-sign per row and ``b``.  The solver reads it in standard form
+which ``LpProblem`` holds in the standard form the solver reads
 (``StandardForm``): the rows as written, then one slack column per
-inequality row.  A model's compiled ``Program`` hands that over with the
-problem, so a sweep builds it once per model rather than once per solve.
-Programs are small (about a dozen rows, a few hundred variables), so the
-solver keeps the m×m basis inverse dense and never forms the tableau.  Each
-pivot prices every column from the multipliers ``c_B B⁻¹``, forms only the
-entering column ``B⁻¹ a_q`` and updates the inverse and the basic values,
-kept side by side, by one row operation; every ``REFACTOR_EVERY`` pivots
-the basis is factored afresh.  Both phases run the same pivot loop.  Phase
+inequality row.  A model's compiled ``Program`` builds that once per model
+and hands it over with the problem.  Programs are small (about a dozen
+rows, a few hundred variables), so the solver keeps the m×m basis inverse
+dense and never forms the tableau.  Each pivot prices every column from
+the multipliers ``c_B B⁻¹``, forms only the entering column ``B⁻¹ a_q``
+and updates the inverse and the basic values, kept side by side, by one
+row operation; every ``REFACTOR_EVERY`` pivots the basis is factored
+afresh.  Both phases run the same pivot loop.  Phase
 one forms its columns in product form (Dantzig and Orchard-Hays), the
 pivots' row operations applied one at a time, which round exactly as a
 tableau's columns do: its verdict reads those values.
 Phase two starts from a primal feasible basis, found in one of three ways:
 
 * crash: the caller passes the basis columns of a feasible vertex, as an
-  integer array, or the vertex itself.  From a vertex the solver finds the
-  basis: its support and the slacks of its loose rows, completed by slacks
-  of tight rows (``_crash_basis``).  Every unpinned model passes the basis
-  its compiled ``Program`` found once at the evaluated unit set against
-  itself;
+  integer array.  Every unpinned model passes the basis its compiled
+  ``Program`` found once at the evaluated unit set against itself.  At a
+  given vertex, ``_crash_basis`` finds one: its support and the slacks of
+  its loose rows, completed by slacks of tight rows;
 * warm: the caller passes the optimum of a program this one extends by
   appended rows (the pinned stage programs); its final basis plus the new
   rows' slacks form the basis;
@@ -65,7 +63,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 COLD = "cold"    # both phases
-CRASH = "crash"  # phase two from a basis at a given feasible point
+CRASH = "crash"  # phase two from a given basis at a feasible vertex
 WARM = "warm"    # phase two from an earlier optimum's basis
 
 # tolerances, fixed for every solve; they suit well-scaled envelopment data
@@ -87,7 +85,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class StandardForm(NamedTuple):
-    """A program's rows as the simplex reads them, with ``x`` shifted to lower bounds 0.
+    """A program's rows as the simplex reads them, over ``x >= 0``.
 
     ``S`` is ``[A | slacks]``: the rows as written, then one slack column per
     inequality row, in row order, whose entry is the row's ``sign``
@@ -105,16 +103,12 @@ class StandardForm(NamedTuple):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Immutable linear program ``A x (relations) b`` over ``x >= variable_lower_bounds``.
+    """Immutable linear program ``A x (relations) b`` over ``x >= 0``, in standard form.
 
-    ``A`` (rows × variables), ``row_sign`` and ``b`` are read-only arrays;
-    ``row_sign`` is each row's relation as its slack coefficient
-    (``SLACK_SIGN``).  The rows come as ``constraints``,
-    ``(coefficients, relation, rhs)`` triples, or already in
-    ``standard_form``, as a compiled program keeps them (``program.Unit``):
-    then ``A``, ``row_sign`` and ``b`` are views of it and the lower bounds
-    are zero.  Otherwise the solver builds the standard form per solve.
-    Safe to share across threads.
+    The rows come in ``standard_form``, as a compiled program keeps them
+    (``program.Unit``).  ``A`` (rows × variables), ``row_sign`` and ``b``
+    are views of it; ``row_sign`` is each row's relation as its slack
+    coefficient (``SLACK_SIGN``).  Safe to share across threads.
     """
 
     objective_sense: str
@@ -122,43 +116,34 @@ class LpProblem:
     A: np.ndarray
     row_sign: np.ndarray
     b: np.ndarray
-    variable_lower_bounds: np.ndarray
-    standard_form: StandardForm | None = field(default=None, repr=False, compare=False)
+    standard_form: StandardForm = field(repr=False, compare=False)
 
-    def __init__(self, objective_sense: str, objective: Sequence[float], constraints: Sequence = (),
-                 variable_lower_bounds: Sequence[float] | None = None, *,
-                 standard_form: StandardForm | None = None):
+    def __init__(self, objective_sense: str, objective: Sequence[float], *,
+                 standard_form: StandardForm):
         if objective_sense not in (MAXIMIZE, MINIMIZE):
             raise ValidationError(f"objective_sense must be {MAXIMIZE!r} or {MINIMIZE!r}, "
                                   f"got {objective_sense!r}")
         c = _readonly(objective)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty coefficient vector")
-        if standard_form is not None:
-            if constraints or variable_lower_bounds is not None:
-                raise ValidationError("a problem in standard form takes no other rows or bounds")
-            A, row_sign, b = standard_form.S[:, :c.size], standard_form.sign, standard_form.b
-            if A.shape != (b.size, c.size):
-                raise ValidationError(f"the standard form's rows must cover {c.size} variables")
-        else:
-            A, row_sign, b = _from_triples(constraints, c.size)
-        if variable_lower_bounds is None:
-            lb = _frozen(np.zeros(c.size))
-        else:
-            lb = _readonly(variable_lower_bounds)
-            if lb.shape != c.shape:
-                raise ValidationError("variable_lower_bounds length must match objective")
-            if not np.all(np.isfinite(lb)):
-                raise ValidationError("variable lower bounds must be finite")
-        for name, value in (("objective_sense", objective_sense), ("objective", c), ("A", A),
-                            ("row_sign", row_sign), ("b", b), ("variable_lower_bounds", lb),
-                            ("standard_form", standard_form)):
-            object.__setattr__(self, name, value)
+        A = standard_form.S[:, :c.size]
+        if A.shape != (standard_form.b.size, c.size):
+            raise ValidationError(f"the standard form's rows must cover {c.size} variables")
+        self.__dict__.update(objective_sense=objective_sense, objective=c, A=A,
+                             row_sign=standard_form.sign, b=standard_form.b,
+                             standard_form=standard_form)
 
+    # outside the tests, only the benchmark's problem digest (perfbench/spans.py)
+    # reads the next two
     @cached_property
     def constraints(self) -> tuple:
         """The rows as ``(coefficients, relation, rhs)`` triples, built on first use."""
         return tuple(zip(self.A, [_RELATION[s] for s in self.row_sign.tolist()], self.b.tolist()))
+
+    @property
+    def variable_lower_bounds(self) -> np.ndarray:
+        """Every variable's lower bound, zero, as a read-only array."""
+        return _frozen(np.zeros(self.objective.size))
 
     @property
     def n_variables(self) -> int:
@@ -167,26 +152,6 @@ class LpProblem:
     @property
     def n_constraints(self) -> int:
         return self.b.size
-
-
-def _from_triples(constraints, n):
-    """``(A, row_sign, b)`` of ``(coefficients, relation, rhs)`` triples over ``n`` variables."""
-    rows, signs, rhs = [], [], []
-    for k, triple in enumerate(constraints):
-        try:
-            coeffs, relation, value = triple
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"constraint {k}: expected (coefficients, relation, rhs)") from exc
-        a = np.asarray(coeffs, dtype=float)
-        if a.shape != (n,):
-            raise ValidationError(f"constraint {k}: {a.size} coefficients, "
-                                  f"objective has {n} variables")
-        if not isinstance(relation, str) or relation not in SLACK_SIGN:
-            raise ValidationError(f"constraint {k}: unknown relation {relation!r}")
-        rows.append(a)
-        signs.append(SLACK_SIGN[relation])
-        rhs.append(float(value))
-    return _frozen(np.reshape(rows, (len(rows), n))), _readonly(signs), _readonly(rhs)
 
 
 @dataclass(frozen=True)
@@ -217,27 +182,17 @@ class LpSolution:
 def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -> LpSolution:
     """Solve ``problem``, classifying it as optimal, infeasible or unbounded.
 
-    ``start`` skips phase one.  It is a crash start, either a feasible
-    vertex of ``problem`` or, as an integer array, the columns of a basis at
-    one: one column of ``problem``'s standard form per row, structural
-    columns first, then the slacks in row order.  Or it is the optimum of a
-    program that ``problem`` extends by appended rows (a warm start from its
-    final basis).  When the start fails, in the ways the module docstring
-    lists (a basis that is singular, infeasible or out of range among
-    them), the solve runs both phases as without it;
-    ``LpSolution.started`` says which way it went.
+    ``start`` skips phase one.  It is a crash start, an integer array of
+    the columns of a basis at a feasible vertex: one column of
+    ``problem``'s standard form per row, structural columns first, then the
+    slacks in row order.  Or it is the optimum of a program that
+    ``problem`` extends by appended rows (a warm start from its final
+    basis).  Any other start raises ``ValidationError``.  When the start
+    fails, in the ways the module docstring lists (a basis that is
+    singular, infeasible or out of range among them), the solve runs both
+    phases as without it; ``LpSolution.started`` says which way it went.
     """
     return _Simplex(problem).run(start)
-
-
-def _standard_form(prob: LpProblem) -> StandardForm:
-    """The rows of ``prob`` with ``x`` shifted by its lower bounds, and their slack columns."""
-    A, b = prob.A, prob.b
-    if prob.variable_lower_bounds.any():
-        b = b - A @ prob.variable_lower_bounds
-    slack, slack_col_of_row = _slack_columns(prob.row_sign, prob.n_variables)
-    return StandardForm(np.concatenate((A, slack), axis=1), np.abs(A), b, prob.row_sign,
-                        slack_col_of_row)
 
 
 def _slack_columns(sign: np.ndarray, n: int):
@@ -255,7 +210,7 @@ def _slack_columns(sign: np.ndarray, n: int):
 
 
 def _slacks(form: StandardForm, xs):
-    """Slack values and per-row tolerances of ``form``'s rows at the shifted point ``xs``.
+    """Slack values and per-row tolerances of ``form``'s rows at the point ``xs``.
 
     None when ``xs`` breaks a row by more than ``FEASIBILITY_TOL`` times
     the row's scale, the size of its terms at ``xs``.
@@ -271,10 +226,9 @@ def _slacks(form: StandardForm, xs):
 def _crash_basis(form: StandardForm, xs):
     """The sorted basis columns of ``form`` at its feasible vertex ``xs``, or None.
 
-    ``xs`` is shifted to lower bounds 0; None when it is not a vertex.  The
-    basis holds the support of ``xs`` and the slacks of its loose rows,
-    filled up with slacks of tight inequality rows whose removal leaves the
-    support's rows nonsingular.
+    None when ``xs`` is not a vertex.  The basis holds the support of ``xs``
+    and the slacks of its loose rows, filled up with slacks of tight
+    inequality rows whose removal leaves the support's rows nonsingular.
     """
     m, tol = form.b.size, FEASIBILITY_TOL
     if xs.size and xs.min() < -tol:
@@ -303,12 +257,11 @@ class _Simplex:
     def __init__(self, problem: LpProblem):
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
-        form = problem.standard_form
-        self.form = _standard_form(problem) if form is None else form
+        self.form = problem.standard_form
         # the rows as written, any rhs sign: phase one's start reads the signs
         self.S, self.abs_A, self.b, self.sign, self.slack_col_of_row = self.form
         self.cols = self.S.shape[1]
-        # internal objective is always a minimisation over the shifted vars
+        # internal objective is always a minimisation
         self.cc = np.zeros(self.cols)
         self.cc[:self.n] = (problem.objective if problem.objective_sense == MINIMIZE
                             else -problem.objective)
@@ -320,7 +273,10 @@ class _Simplex:
             elif isinstance(start, np.ndarray) and start.dtype.kind in "iu":
                 self.started, begun = CRASH, self._basis(start)
             else:
-                self.started, begun = CRASH, self._crash(np.asarray(start, dtype=float))
+                kind = f"ndarray of {start.dtype}" if isinstance(start, np.ndarray) \
+                    else type(start).__name__
+                raise ValidationError("start must be an integer array of basis columns or "
+                                      f"an LpSolution, got {kind}")
             factored = None if begun is None else self._factor(*begun, self.S)
             if factored is not None and not _negative(factored[1]):
                 (basis, row_keep), (inverse, start_rhs) = begun, factored
@@ -369,13 +325,6 @@ class _Simplex:
         return not _negative(rhs) and _slacks(self.form, x[:self.n]) is not None
 
     # -- starting bases ------------------------------------------------
-
-    def _crash(self, x):
-        """A basis at the feasible vertex ``x``, or None when ``x`` is not one."""
-        if x.shape != (self.n,) or not np.isfinite(x).all():
-            return None
-        basis = _crash_basis(self.form, x - self.problem.variable_lower_bounds)
-        return None if basis is None else (basis, list(range(self.m)))
 
     def _basis(self, basis):
         """A copy of the basis columns ``basis`` over every row, or None when out of range."""
@@ -515,10 +464,9 @@ class _Simplex:
                 _frozen(np.full(n, math.nan)), self.iterations, _frozen(np.zeros(m)),
                 _frozen(np.zeros(n)), _frozen(np.zeros(n, bool)), self.started,
             )
-        x_shift = np.zeros(self.cols)
-        x_shift[basis] = rhs
-        x = x_shift[:n] + prob.variable_lower_bounds
-        np.maximum(x, prob.variable_lower_bounds, out=x)  # what np.clip does without an upper bound
+        x_all = np.zeros(self.cols)
+        x_all[basis] = rhs
+        x = np.maximum(x_all[:n], 0.0)  # a basic value rounded below zero, or -0.0, reads 0.0
         # multipliers from the final basis' inverse, signed for the problem's sense
         y_int = np.zeros(m)
         y_int[row_keep] = inverse.T @ self.cc[basis]

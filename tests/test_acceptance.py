@@ -228,7 +228,6 @@ def test_c5_lp_oracle_equivalence():
         got = solve_lp(prob)
         status, value, _ = enumerate_solve(
             prob.objective_sense, prob.objective, prob.constraints,
-            prob.variable_lower_bounds,
         )
         if got.status != status:
             mismatches.append(f"case {i}: {got.status} vs {status}")

@@ -247,7 +247,7 @@ def test_solver_failure_exit_two(monkeypatch, capsys):
     def boom(args):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setitem(cli._COMMANDS, "summary", boom)
+    monkeypatch.setitem(cli._COMMANDS, "summary", cli._COMMANDS["summary"]._replace(body=boom))
     assert run(["summary", "--data", "whatever"]) == 2
     assert "solver failure" in capsys.readouterr().err
 
@@ -462,6 +462,17 @@ def test_wrongly_typed_topology_field_exit_one(path, value, message, two_stage_f
     Path(topo).write_text(json.dumps(doc), encoding="utf-8")
     assert run(["validate", "--data", data, "--topology", topo]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_deeply_nested_topology_exit_one(tmp_path, capsys):
+    """JSON nested deeper than the parser's recursion limit is a faulty topology, not a crash."""
+    topo = tmp_path / "deep.json"
+    topo.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    data = str(FIXTURES / "insurers_24.csv")
+    assert run(["validate", "--data", data, "--topology", str(topo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: topology is not valid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 # -- one parser per call ------------------------------------------------------

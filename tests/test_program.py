@@ -5,11 +5,12 @@ import pytest
 
 from dea_mpss.data import Dataset, load_dataset
 from dea_mpss.errors import SolverError
-from dea_mpss.lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _crash_basis, solve_lp
+from dea_mpss.lp import SLACK_SIGN, LpSolution, StandardForm, _crash_basis, solve_lp
 from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system
 from dea_mpss.program import FIXING_BAND, Program
 
 from conftest import FIXTURES, chain_topology, random_dataset, two_stage_topology
+from gen import lp_problem
 from test_network import named_instance
 from test_sweep import BUILDERS, insurers
 from test_sweep import log_spread as log_spread_with_chain
@@ -122,7 +123,7 @@ def test_problem_and_readback_by_name():
 def as_triples(problem):
     """The same program rebuilt from plain (list, relation, float) triples."""
     rows = [(a.tolist(), rel, float(rhs)) for a, rel, rhs in problem.constraints]
-    return LpProblem(problem.objective_sense, problem.objective.tolist(), rows)
+    return lp_problem(problem.objective_sense, problem.objective.tolist(), rows)
 
 
 def assert_same_solution(a, b):
@@ -147,9 +148,9 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
     """The radial system and both pinned stage solves, crash and warm started as the models do.
 
     The compiled program's standard form, pin rows with a negative right
-    side included, must solve exactly as the one the solver builds for the
-    same rows as triples, whose slack columns it numbers alike, so the
-    compiled crash basis starts both.  A pin at a score within the band of zero gives its
+    side included, must solve exactly as the one ``gen.lp_problem`` builds
+    for the same rows as triples, whose slack columns it numbers alike, so
+    the compiled crash basis starts both.  A pin at a score within the band of zero gives its
     ">=" row a negative right side; a negative stage-1 score gives the "<="
     row of the stage-2 pin one as well.  The pin rows stay as written.
     """

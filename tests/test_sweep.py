@@ -19,6 +19,7 @@ from dea_mpss.errors import SolverError, UnsupportedTopologyError
 from dea_mpss.program import Program, Unit
 
 from conftest import FIXTURES
+from gen import crash_start
 from test_acceptance import insurance_views
 
 
@@ -222,8 +223,8 @@ def test_compiled_crash_basis_is_each_units_own(monkeypatch, source, builder):
         call(dataset, chain_topology if reads_chain else topology, dmu)
     assert [unit.own for unit, _ in handed] == list(range(dataset.n_dmus))
     for unit, basis in handed:
-        found = lp._Simplex(unit.problem("maximize", {}))._crash(own_point(unit))
-        assert found is not None and basis.tolist() == found[0].tolist(), unit.own
+        found = crash_start(unit.problem("maximize", {}), own_point(unit))
+        assert found is not None and basis.tolist() == found.tolist(), unit.own
 
 
 @pytest.mark.parametrize("source", [log_spread, insurers])

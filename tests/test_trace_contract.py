@@ -19,6 +19,7 @@ from dea_mpss.lp import LpProblem
 from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system
 
 from conftest import FIXTURES
+from gen import lp_problem
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 DATA = FIXTURES / "log_spread.csv"
@@ -63,8 +64,7 @@ def test_problem_digest_reads_the_matrix_form_as_its_triples():
     unit.pin(0.5)  # the system gap, pinned for the stage-1 solve
     problem = unit.problem("maximize", SYSTEM_GAP)
     rows = [(np.array(a), rel, rhs) for a, rel, rhs in problem.constraints]
-    twin = LpProblem(problem.objective_sense, problem.objective, rows,
-                     problem.variable_lower_bounds)
+    twin = lp_problem(problem.objective_sense, problem.objective, rows)
     assert spans.problem_digest(problem) == spans.problem_digest(twin)
     assert [type(rhs) for _, _, rhs in problem.constraints] == [float] * problem.n_constraints
     other = _system(dataset, topology, "u1", SYSTEM_RADIAL)
