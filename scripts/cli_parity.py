@@ -11,6 +11,8 @@ line.  The list covers:
   with ``--format csv --raw``, plus a radial ``--stages --dmu`` call per unit;
 * the seed's ``pinned-stages-300`` and ``chain-300`` sweeps, in both formats,
   and a ``--dmu`` call per unit of their first sweep;
+* a ``chain-300`` unit under a ``nan`` and an ``inf`` chain weight, and
+  ``summary`` and ``validate`` given a ``--dmu`` they take no part in;
 * a ``--dmu`` call per log-spread unit, with variable and with radial
   ``--stages`` intermediates;
 * ``summary --min-epsilon`` on a file with nonpositive cells, with a good
@@ -103,6 +105,12 @@ def invocations(inputs: Path, tmp: Path) -> list:
                       "--dmu", dmu])
     for dmu in unit_ids(inputs / "chain-300" / "data.csv"):
         calls.append(["chain-mpss", *chain, "--targets", *CSV, "--dmu", dmu])
+    calls += [
+        ["chain-eff", *chain, "--w1", "nan", "--dmu", "u1"],
+        ["chain-mpss", *chain, "--w2", "inf", "--dmu", "u1"],
+        ["summary", "--data", str(FIXTURES / "insurers_24.csv"), "--dmu", "u1"],
+        ["validate", *insurers, "--dmu", "u1"],
+    ]
     spread = pair(small, "log_spread.csv", "log_spread_topology.json")
     for dmu in unit_ids(small / "log_spread.csv"):
         calls += [

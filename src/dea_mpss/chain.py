@@ -32,10 +32,10 @@ from typing import Mapping
 import numpy as np
 
 from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
-from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import solve_lp
-from .network import EPS_MPSS, _named, _solve
-from .program import Program, Unit
+from .errors import ValidationError
+from .lp import solve_lp  # noqa: F401  Tracer.install (perfbench/spans.py) wraps it here
+from .network import EPS_MPSS, _solve, _unit, _validated
+from .program import Program
 
 DOWN = "↓"
 UP = "↑"
@@ -58,7 +58,10 @@ class ChainWeights:
     w3: float = 1.0
 
     def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0 or self.w3 < 0:
+        weights = (self.w1, self.w2, self.w3)
+        if not np.isfinite(weights).all():
+            raise ValidationError(f"chain weights must be finite: {weights}")
+        if min(weights) < 0:
             raise ValidationError("chain weights must be nonnegative")
 
 
@@ -81,11 +84,7 @@ def _chain_program(dataset: Dataset, topology: NetworkTopology, model: str) -> P
     Radially, the operation intermediates scale with ``theta2`` and the
     research intermediates with ``theta4`` on both the supply and use side.
     """
-    if topology.shape_tag != SERIES_PARALLEL_CHAIN:
-        raise UnsupportedTopologyError(
-            f"unsupported topology: expected {SERIES_PARALLEL_CHAIN!r}, got {topology.shape_tag!r}"
-        )
-    topology.validate_against(dataset)
+    _validated(dataset, topology, SERIES_PARALLEL_CHAIN)
     operation, research = topology.stage_processes(1)
     market = topology.stage_processes(2)[0]
     zo, zr = operation.intermediate_outputs, research.intermediate_outputs
@@ -112,12 +111,6 @@ def _chain_program(dataset: Dataset, topology: NetworkTopology, model: str) -> P
     elif model == SPLIT:
         prog.pin(CHAIN_GAP)
     return prog.compile()
-
-
-def _chain(dataset: Dataset, topology: NetworkTopology, dmu: str, model: str) -> Unit:
-    """``dmu``'s copy of the chain program of ``model``, compiled once per dataset."""
-    prog = dataset.compiled((topology, model), lambda: _chain_program(dataset, topology, model))
-    return prog.unit(dataset.index_of(dmu))
 
 
 @dataclass(frozen=True)
@@ -150,12 +143,11 @@ def chain_efficiency(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainEfficiency:
     """Operation, research and marketability efficiencies in one solve."""
-    unit = _chain(dataset, topology, dmu, EFFICIENCY)
+    unit = _unit(dataset, topology, dmu, EFFICIENCY, _chain_program)
     prog = unit.program
     objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
                  "theta_market": -weights.w3}
-    sol = _solve(unit.problem("minimize", objective), f"chain efficiency of {dmu!r}",
-                 unit.crash_basis())
+    sol = _solve(unit, "minimize", objective, f"chain efficiency of {dmu!r}")
     factors = prog.factors(sol)
     return ChainEfficiency(
         dmu=str(dmu),
@@ -193,12 +185,11 @@ def chain_mpss(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainMpss:
     """Chain scale-size score; zero means most productive scale size."""
-    unit = _chain(dataset, topology, dmu, SCALE_SIZE)
+    unit = _unit(dataset, topology, dmu, SCALE_SIZE, _chain_program)
     prog = unit.program
     objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
                  "theta_rd": -weights.w3}
-    sol = _solve(unit.problem("maximize", objective), f"chain scale size of {dmu!r}",
-                 unit.crash_basis())
+    sol = _solve(unit, "maximize", objective, f"chain scale size of {dmu!r}")
     return ChainMpss(
         dmu=str(dmu),
         score=sol.objective_value,
@@ -258,17 +249,11 @@ def profitability_mpss(
     score may be unreachable; that raises a solver error rather than
     silently drifting off the band.
     """
-    unit = _chain(dataset, topology, dmu, SPLIT)
+    unit = _unit(dataset, topology, dmu, SPLIT, _chain_program)
     unit.pin(chain_score)
     objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
-    context = f"profitability split of {dmu!r}"
-    with _named(context):
-        sol = solve_lp(unit.problem("maximize", objective))
-    if sol.status != "optimal":
-        raise SolverError(
-            f"{context}: fixing band infeasible at chain score "
-            f"{chain_score!r} (radial intermediates cannot reach it)"
-        )
+    sol = _solve(unit, "maximize", objective, f"profitability split of {dmu!r}",
+                 band=f"chain score {chain_score!r} (radial intermediates cannot reach it)")
     return StageFactors(str(dmu), float(chain_score), **unit.program.factors(sol))
 
 

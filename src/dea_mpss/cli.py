@@ -126,7 +126,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_model_args(p, *, data=True, topo=True) -> None:
+def _add_model_args(p, *, data=True, topo=True, dmu=True) -> None:
     if data:
         p.add_argument("--data", required=True, help="CSV file: dmu column then measures")
     if topo:
@@ -136,6 +136,7 @@ def _add_model_args(p, *, data=True, topo=True) -> None:
     if data:
         p.add_argument("--min-epsilon", type=float, default=None,
                        help="replace nonpositive cells by this value")
+    if data and dmu:
         p.add_argument("--dmu", default=None, help="evaluate a single DMU")
 
 
@@ -436,10 +437,10 @@ def _cmd_kruskal(args) -> None:
 
 # every subcommand, in help order
 _COMMANDS = {
-    "validate": _Command("check a data/topology pair and report its shape", _add_model_args,
-                         _cmd_validate),
+    "validate": _Command("check a data/topology pair and report its shape",
+                         lambda p: _add_model_args(p, dmu=False), _cmd_validate),
     "summary": _Command("descriptive statistics per measure",
-                        lambda p: _add_model_args(p, topo=False), _cmd_summary),
+                        lambda p: _add_model_args(p, topo=False, dmu=False), _cmd_summary),
     "blackbox-mpss": _Command("scale-size scores ignoring internal structure", _add_model_args,
                               _cmd_blackbox),
     "network-mpss": _Command("two-stage system scale-size scores", _add_network_args,

@@ -22,7 +22,6 @@ narrow band while a stage objective is re-optimised.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpProblem, LpSolution, solve_lp
+from .lp import LpSolution, solve_lp
 from .program import Program, Unit
 
 EPS_MPSS = 1e-6
@@ -75,24 +74,46 @@ class MpssResult:
         return abs(self.score) <= EPS_MPSS
 
 
-@contextmanager
-def _named(context: str):
-    """Prefix a ``SolverError`` raised inside the block with ``context``."""
+def _unit(dataset: Dataset, view, dmu: str, model: str, build) -> Unit:
+    """``dmu``'s copy of ``build(dataset, view, model)``, compiled once per dataset."""
+    prog = dataset.compiled((view, model), lambda: build(dataset, view, model))
+    return prog.unit(dataset.index_of(dmu))
+
+
+def _validated(dataset: Dataset, topology: NetworkTopology, shape: str) -> None:
+    """Reject a topology of another shape, then check its measures against ``dataset``."""
+    if topology.shape_tag != shape:
+        raise UnsupportedTopologyError(
+            f"unsupported topology: expected {shape!r}, got {topology.shape_tag!r}")
+    topology.validate_against(dataset)
+
+
+def _solve(unit: Unit, sense: str, objective: Mapping[str, float], context: str,
+           start: LpSolution | None = None, band: str | None = None) -> LpSolution:
+    """Every model's solve: ``unit``'s program from its start to its verdict.
+
+    An unpinned program starts from the unit's crash basis, a pinned one from
+    ``start`` (the optimum of the program it extends) or cold.  A failure
+    raises ``SolverError`` naming ``context`` and a pinned solve's ``band``.
+    """
+    problem = unit.problem(sense, objective)
     try:
-        yield
+        sol = solve_lp(problem, start=start if unit.pinned else unit.crash_basis())
     except SolverError as exc:
         raise SolverError(f"{context}: {exc}") from exc
-
-
-def _solve(problem: LpProblem, context: str, start=None) -> LpSolution:
-    with _named(context):
-        sol = solve_lp(problem, start=start)
     if sol.status != "optimal":
-        raise SolverError(f"{context}: linear program is {sol.status}")
+        why = f"fixing band infeasible at {band}" if band else f"linear program is {sol.status}"
+        raise SolverError(f"{context}: {why}")
     return sol
 
 
-def _blackbox_program(dataset: Dataset, inputs, outputs) -> Program:
+def _blackbox_program(dataset: Dataset, view, model: str) -> Program:
+    """``view`` is a topology, read as its exogenous inputs and final outputs, or the two lists."""
+    if isinstance(view, NetworkTopology):
+        view.validate_against(dataset)
+        view = ([m for p in view.processes for m in p.exogenous_inputs],
+                [m for p in view.processes for m in p.final_outputs])
+    inputs, outputs = view
     if not inputs or not outputs:
         raise ValidationError("black-box evaluation needs >= 1 input and >= 1 output measure")
     prog = Program(dataset.n_dmus, ("inputs", "outputs"), ("system",))
@@ -116,35 +137,22 @@ def blackbox_mpss(
     inputs vs. all final outputs, intermediates dropped) or from explicit
     measure lists.
     """
-    if topology is not None:
-        def build():
-            topology.validate_against(dataset)
-            return _blackbox_program(
-                dataset, [m for p in topology.processes for m in p.exogenous_inputs],
-                [m for p in topology.processes for m in p.final_outputs])
-
-        prog = dataset.compiled((topology, BLACK_BOX), build)
-    else:
-        prog = dataset.compiled((BLACK_BOX, tuple(inputs or ()), tuple(outputs or ())),
-                                lambda: _blackbox_program(dataset, inputs, outputs))
-    unit = prog.unit(dataset.index_of(dmu))
-    sol = _solve(unit.problem("maximize", {"outputs": 1.0, "inputs": -1.0}),
-                 f"black-box evaluation of {dmu!r}", unit.crash_basis())
-    return MpssResult(BLACK_BOX, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol))
+    view = topology if topology is not None else (tuple(inputs or ()), tuple(outputs or ()))
+    unit = _unit(dataset, view, dmu, BLACK_BOX, _blackbox_program)
+    sol = _solve(unit, "maximize", {"outputs": 1.0, "inputs": -1.0},
+                 f"black-box evaluation of {dmu!r}")
+    return _result_from(sol, BLACK_BOX, dmu, unit)
 
 
-def _system_program(dataset: Dataset, topology: NetworkTopology, *, radial: bool) -> Program:
+def _system_program(dataset: Dataset, topology: NetworkTopology, model: str) -> Program:
     """Rows shared by the system, stage-1 and stage-2 models.
 
     Each intermediate gives a stage-1 supply row and a stage-2 use row, either
     against a free target or radially against the DMU's own level.  The
     radial program ends in the stage programs' pinned pairs, in stage order.
     """
-    if topology.shape_tag != TWO_STAGE_GENERAL:
-        raise UnsupportedTopologyError(
-            f"unsupported topology: expected {TWO_STAGE_GENERAL!r}, got {topology.shape_tag!r}"
-        )
-    topology.validate_against(dataset)
+    _validated(dataset, topology, TWO_STAGE_GENERAL)
+    radial = model == SYSTEM_RADIAL
     up = topology.stage_processes(1)[0]
     down = topology.stage_processes(2)[0]
     mids = topology.intermediate_measures()
@@ -168,14 +176,6 @@ def _system_program(dataset: Dataset, topology: NetworkTopology, *, radial: bool
     return prog.compile()
 
 
-def _system(dataset: Dataset, topology: NetworkTopology, dmu: str, model: str) -> Unit:
-    """``dmu``'s copy of the system program of ``model``, compiled once per dataset."""
-    radial = model == SYSTEM_RADIAL
-    prog = dataset.compiled((topology, model),
-                            lambda: _system_program(dataset, topology, radial=radial))
-    return prog.unit(dataset.index_of(dmu))
-
-
 def _result_from(sol: LpSolution, scope: str, dmu: str, unit: Unit) -> MpssResult:
     prog = unit.program
     free = bool(prog.target)
@@ -194,9 +194,8 @@ def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str)
     may consume at most the target.  The optimal targets are reported as
     ``optimal_intermediates``; they are generally not unique.
     """
-    unit = _system(dataset, topology, dmu, SYSTEM_VARIABLE)
-    sol = _solve(unit.problem("maximize", SYSTEM_GAP), f"system evaluation of {dmu!r}",
-                 unit.crash_basis())
+    unit = _unit(dataset, topology, dmu, SYSTEM_VARIABLE, _system_program)
+    sol = _solve(unit, "maximize", SYSTEM_GAP, f"system evaluation of {dmu!r}")
     return _result_from(sol, SYSTEM_VARIABLE, dmu, unit)
 
 
@@ -207,28 +206,23 @@ def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -
     levels together; the stage-2 input factor scales its intermediate and
     exogenous input levels together.
     """
-    return _radial(_system(dataset, topology, dmu, SYSTEM_RADIAL), dmu)[0]
+    return _radial(_unit(dataset, topology, dmu, SYSTEM_RADIAL, _system_program), dmu)[0]
 
 
 def _radial(unit: Unit, dmu: str):
-    sol = _solve(unit.problem("maximize", SYSTEM_GAP), f"radial system evaluation of {dmu!r}",
-                 unit.crash_basis())
+    sol = _solve(unit, "maximize", SYSTEM_GAP, f"radial system evaluation of {dmu!r}")
     return _result_from(sol, SYSTEM_RADIAL, dmu, unit), sol
 
 
-def _pinned_stage(unit: Unit, dmu: str, stage: int, score: float,
-                  start: LpSolution | None = None):
+def _pinned_stage(unit: Unit, dmu: str, stage: int, score: float, start=None):
     """Pin the gap solved before ``stage`` at ``score``, then solve the stage's gap.
 
     Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
     top of it.  ``unit`` holds the pins of the stages before ``stage``.
     """
     unit.pin(score)
-    context = f"stage-{stage} evaluation of {dmu!r}"
-    with _named(context):
-        sol = solve_lp(unit.problem("maximize", STAGE_GAP[stage]), start=start)
-    if sol.status != "optimal":
-        raise SolverError(f"{context}: fixing band infeasible at {PINS[stage][0]} score {score!r}")
+    sol = _solve(unit, "maximize", STAGE_GAP[stage], f"stage-{stage} evaluation of {dmu!r}",
+                 start, f"{PINS[stage][0]} score {score!r}")
     return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, unit), sol
 
 
@@ -238,7 +232,7 @@ def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
     Each pinned program appends two rows to the one solved before it, whose
     optimum satisfies them, so each stage solve starts from that optimum's basis.
     """
-    unit = _system(dataset, topology, dmu, SYSTEM_RADIAL)
+    unit = _unit(dataset, topology, dmu, SYSTEM_RADIAL, _system_program)
     system, sol = _radial(unit, dmu)
     first, sol = _pinned_stage(unit, dmu, 1, system.score, sol)
     second, _ = _pinned_stage(unit, dmu, 2, first.score, sol)

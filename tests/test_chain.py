@@ -226,6 +226,15 @@ def test_chain_weights_validated():
         ChainWeights(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", range(3))
+def test_chain_weights_must_be_finite(slot, bad):
+    weights = [1.0, 1.0, 1.0]
+    weights[slot] = bad
+    with pytest.raises(ValidationError, match="chain weights must be finite"):
+        ChainWeights(*weights)
+
+
 def test_wrong_shape_rejected():
     topo = two_stage_topology()
     ds = dataset_for(topo, [[1, 2, 3, 4, 5]])

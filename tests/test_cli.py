@@ -195,6 +195,31 @@ def test_chain_commands(chain_files, capsys):
     assert "strategy" in out
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("chain-eff", "--w1", "nan"), ("chain-mpss", "--w2", "nan"), ("chain-eff", "--w1", "inf"),
+    ("chain-mpss", "--w3", "-inf"),
+])
+def test_non_finite_chain_weight_exit_one(command, flag, value, chain_files, capsys):
+    data, topo = chain_files
+    assert run([command, "--data", data, "--topology", topo, f"{flag}={value}", "--dmu", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: chain weights must be finite")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["summary", "validate"])
+def test_dmu_flag_rejected_where_no_model_runs(command, two_stage_files, capsys):
+    data, topo = two_stage_files
+    argv = [command, "--data", data, "--dmu", "nope"]
+    if command == "validate":
+        argv += ["--topology", topo]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --dmu nope\n"
+
+
 def test_kruskal_wallis_command(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,18 +1,25 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import dataset_for, random_dataset, two_stage_topology, chain_topology
+from dea_mpss import chain, network
+from dea_mpss.chain import chain_efficiency, chain_mpss, profitability_mpss
 from dea_mpss.data import Dataset
 from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
 from dea_mpss.network import (
     SYSTEM_RADIAL,
     _pinned_stage,
-    _system,
+    _system_program,
+    _unit,
     blackbox_mpss,
     evaluate_stages,
     network_mpss_radial,
     network_mpss_variable,
 )
+from test_chain import named_chain
 
 # 3-DMU instance with 2 inputs per stage, 2 intermediates, 1 final output per
 # stage; expected optima frozen from an offline active-set enumeration of the
@@ -165,7 +172,7 @@ def test_stage_solutions_respect_the_band():
 
 def test_inconsistent_fixing_score_raises():
     ds, topo = named_instance()
-    unit = _system(ds, topo, "u1", SYSTEM_RADIAL)
+    unit = _unit(ds, topo, "u1", SYSTEM_RADIAL, _system_program)
     with pytest.raises(SolverError, match="fixing band infeasible at system score 1000000.0"):
         _pinned_stage(unit, "u1", 1, 1e6)
 
@@ -202,8 +209,7 @@ def test_model_solves_skip_phase_one(monkeypatch):
     ``profitability_mpss`` is left out: it takes no start and always runs
     both phases.
     """
-    from dea_mpss import chain, network
-    from dea_mpss.chain import ChainWeights, chain_efficiency, chain_mpss, intermediate_targets
+    from dea_mpss.chain import ChainWeights, intermediate_targets
     from test_acceptance import insurance_views
 
     started = []
@@ -231,3 +237,58 @@ def test_model_solves_skip_phase_one(monkeypatch):
     assert len(started) == 24 * 6 + 40 * 5
     assert "cold" not in started
     assert started.count("warm") == 24 * 2
+
+
+def split(ds, topo, dmu):
+    return profitability_mpss(ds, topo, dmu, chain_mpss(ds, topo, dmu).score)
+
+
+# solve site -> (its instance, the model call, which of the call's solves is
+# the site's, and the context its errors name)
+SOLVE_SITES = {
+    "blackbox": (named_instance, lambda d, t, u: blackbox_mpss(d, u, topology=t), 0,
+                 "black-box evaluation"),
+    "variable": (named_instance, network_mpss_variable, 0, "system evaluation"),
+    "radial": (named_instance, network_mpss_radial, 0, "radial system evaluation"),
+    "stage-1": (named_instance, evaluate_stages, 1, "stage-1 evaluation"),
+    "stage-2": (named_instance, evaluate_stages, 2, "stage-2 evaluation"),
+    "chain-efficiency": (named_chain, chain_efficiency, 0, "chain efficiency"),
+    "chain-scale-size": (named_chain, chain_mpss, 0, "chain scale size"),
+    "profitability-split": (named_chain, split, 1, "profitability split"),
+}
+# a pinned site's non-optimal verdict names the pin, at the score a clean run pins
+PINNED = {
+    "stage-1": lambda d, t, u: f"system score {evaluate_stages(d, t, u)[0].score!r}",
+    "stage-2": lambda d, t, u: f"stage-1 score {evaluate_stages(d, t, u)[1].score!r}",
+    "profitability-split": lambda d, t, u: (f"chain score {chain_mpss(d, t, u).score!r} "
+                                            "(radial intermediates cannot reach it)"),
+}
+
+
+@pytest.mark.parametrize("fault", ["raises", "infeasible", "unbounded"])
+@pytest.mark.parametrize("site", list(SOLVE_SITES))
+def test_every_solve_site_names_its_failure(site, fault, monkeypatch):
+    """A solver error or a non-optimal status raises one ``SolverError`` naming the model and DMU."""
+    instance, call, at, context = SOLVE_SITES[site]
+    ds, topo = instance()
+    if fault == "raises":
+        want = "x"
+    elif site in PINNED:
+        want = f"fixing band infeasible at {PINNED[site](ds, topo, 'u1')}"
+    else:
+        want = f"linear program is {fault}"
+    count = itertools.count()
+    for module in (network, chain):
+        def faulty(problem, *args, solve=module.solve_lp, **kwargs):
+            sol = solve(problem, *args, **kwargs)
+            if next(count) != at:
+                return sol
+            if fault == "raises":
+                raise SolverError("x")
+            return dataclasses.replace(sol, status=fault)
+
+        monkeypatch.setattr(module, "solve_lp", faulty)
+    with pytest.raises(SolverError) as raised:
+        call(ds, topo, "u1")
+    assert str(raised.value) == f"{context} of 'u1': {want}"
+    assert next(count) == at + 1  # the failing solve was the call's last

@@ -6,7 +6,7 @@ import pytest
 from dea_mpss.data import Dataset, load_dataset
 from dea_mpss.errors import SolverError
 from dea_mpss.lp import SLACK_SIGN, LpSolution, StandardForm, _crash_basis, solve_lp
-from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system
+from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
 from dea_mpss.program import FIXING_BAND, Program
 
 from conftest import FIXTURES, chain_topology, random_dataset, two_stage_topology
@@ -155,7 +155,7 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
     row of the stage-2 pin one as well.  The pin rows stay as written.
     """
     dataset, topology = source()
-    unit = _system(dataset, topology, dmu, SYSTEM_RADIAL)
+    unit = _unit(dataset, topology, dmu, SYSTEM_RADIAL, _system_program)
     problem = unit.problem("maximize", SYSTEM_GAP)
     start = unit.crash_basis()
     sol, twin = solve_lp(problem, start=start), solve_lp(as_triples(problem), start=start)

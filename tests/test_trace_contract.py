@@ -4,22 +4,26 @@
 counts solves where ``network`` and ``chain`` call ``solve_lp``, takes the
 DMU from the CLI's model calls, and tells repeated solves apart by
 ``problem_digest``, which reads ``LpProblem.constraints``.  These tests run
-its tracer over one CLI call without changing anything under ``perfbench/``.
+its tracer over single CLI calls and one library call, the chain's split
+solve included, without changing anything under ``perfbench/``.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dea_mpss
 import dea_mpss.cli
-from dea_mpss.data import load_dataset
+from dea_mpss import chain
+from dea_mpss.data import load_dataset, topology_to_json
 from dea_mpss.lp import LpProblem
-from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system
+from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
 
 from conftest import FIXTURES
 from gen import lp_problem
+from test_sweep import log_spread
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 DATA = FIXTURES / "log_spread.csv"
@@ -33,19 +37,25 @@ def load_spans():
     return module
 
 
-def test_traced_stages_call_counts_three_problems_and_solves(capsys):
+def traced(call):
+    """The tracer, installed over one invocation of ``call``, and what the call returned."""
     spans = load_spans()
-    init, evaluate_stages = LpProblem.__init__, dea_mpss.cli.evaluate_stages
     tracer = spans.Tracer()
     tracer.install(dea_mpss)
     try:
         tracer.new_invocation()
         with tracer.span("cli"):
-            code = dea_mpss.cli.run(["network-mpss", "--data", str(DATA), "--topology",
-                                     str(TOPOLOGY), "--intermediates", "radial", "--stages",
-                                     "--dmu", "u1"])
+            out = call()
     finally:
         tracer.uninstall()
+    return tracer, out
+
+
+def test_traced_stages_call_counts_three_problems_and_solves(capsys):
+    init, evaluate_stages = LpProblem.__init__, dea_mpss.cli.evaluate_stages
+    tracer, code = traced(lambda: dea_mpss.cli.run(
+        ["network-mpss", "--data", str(DATA), "--topology", str(TOPOLOGY),
+         "--intermediates", "radial", "--stages", "--dmu", "u1"]))
     assert code == 0, capsys.readouterr().err
     assert tracer.solves == 3
     assert tracer.calls["lp.problem"] == 3  # every problem went through LpProblem.__init__
@@ -60,14 +70,36 @@ def test_traced_stages_call_counts_three_problems_and_solves(capsys):
 def test_problem_digest_reads_the_matrix_form_as_its_triples():
     spans = load_spans()
     dataset, topology = load_dataset(DATA, TOPOLOGY)
-    unit = _system(dataset, topology, "u1", SYSTEM_RADIAL)
+    unit = _unit(dataset, topology, "u1", SYSTEM_RADIAL, _system_program)
     unit.pin(0.5)  # the system gap, pinned for the stage-1 solve
     problem = unit.problem("maximize", SYSTEM_GAP)
     rows = [(np.array(a), rel, rhs) for a, rel, rhs in problem.constraints]
     twin = lp_problem(problem.objective_sense, problem.objective, rows)
     assert spans.problem_digest(problem) == spans.problem_digest(twin)
     assert [type(rhs) for _, _, rhs in problem.constraints] == [float] * problem.n_constraints
-    other = _system(dataset, topology, "u1", SYSTEM_RADIAL)
+    other = _unit(dataset, topology, "u1", SYSTEM_RADIAL, _system_program)
     other.pin(0.25)
     assert spans.problem_digest(other.problem("maximize", SYSTEM_GAP)) != \
         spans.problem_digest(problem)
+
+
+@pytest.mark.parametrize("argv", [["chain-eff"], ["chain-mpss", "--targets"]])
+def test_traced_chain_call_counts_one_solve(argv, tmp_path, capsys):
+    topology = tmp_path / "chain.json"
+    topology.write_text(topology_to_json(log_spread()[1]), encoding="utf-8")
+    tracer, code = traced(lambda: dea_mpss.cli.run(
+        [*argv, "--data", str(DATA), "--topology", str(topology), "--dmu", "u1"]))
+    assert code == 0, capsys.readouterr().err
+    assert tracer.solves == tracer.calls["lp.problem"] == 1
+    assert tracer.dmus == {(1, "u1")}
+    assert tracer.errors == tracer.repeats == 0
+
+
+def test_traced_profitability_split_counts_one_solve():
+    load, topology = log_spread()
+    dataset = load()[0]
+    score = chain.chain_mpss(dataset, topology, "u1").score
+    tracer, split = traced(lambda: chain.profitability_mpss(dataset, topology, "u1", score))
+    assert split.chain_score == score
+    assert tracer.solves == tracer.calls["lp.problem"] == 1
+    assert tracer.errors == tracer.repeats == 0
