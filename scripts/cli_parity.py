@@ -12,7 +12,9 @@ line.  The list covers:
 * the seed's ``pinned-stages-300`` and ``chain-300`` sweeps, in both formats,
   and a ``--dmu`` call per unit of their first sweep;
 * a ``chain-300`` unit under a ``nan`` and an ``inf`` chain weight, and
-  ``summary`` and ``validate`` given a ``--dmu`` they take no part in;
+  ``summary`` and ``validate`` given a ``--dmu`` they take no part in, and
+  ``decompose --scores`` given a ``--dmu``, ``--data``, ``--topology`` or
+  ``--min-epsilon`` that only a data file's units would use;
 * a ``--dmu`` call per log-spread unit, with variable and with radial
   ``--stages`` intermediates;
 * ``summary --min-epsilon`` on a file with nonpositive cells, with a good
@@ -110,6 +112,9 @@ def invocations(inputs: Path, tmp: Path) -> list:
         ["chain-mpss", *chain, "--w2", "inf", "--dmu", "u1"],
         ["summary", "--data", str(FIXTURES / "insurers_24.csv"), "--dmu", "u1"],
         ["validate", *insurers, "--dmu", "u1"],
+        *(["decompose", "--scores", str(FIXTURES / "insurance_mpss_reference.csv"), flag, value]
+          for flag, value in (("--dmu", "nope"), ("--data", "nope.csv"),
+                              ("--topology", "nope.json"), ("--min-epsilon", "-3"))),
     ]
     spread = pair(small, "log_spread.csv", "log_spread_topology.json")
     for dmu in unit_ids(small / "log_spread.csv"):

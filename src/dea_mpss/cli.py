@@ -318,6 +318,10 @@ def _cmd_decompose(args) -> None:
     weights = (args.omega1, args.omega2)
     rows = []
     if args.scores is not None:
+        for flag in ("data", "topology", "min_epsilon", "dmu"):
+            if getattr(args, flag) is not None:  # each is about the --data file --scores replaces
+                raise ValidationError(f"argument --{flag.replace('_', '-')}: "
+                                      "not allowed with argument --scores")
         headers = ("dmu", "process1", "process2", "stage1", "stage2", "tandem")
         _check_weights(weights)  # so a row's error below is about its scores
         for k, (label, p1, p2) in enumerate(_read_score_rows(args.scores), start=1):

@@ -9,14 +9,16 @@ which ``LpProblem`` holds in the standard form the solver reads
 inequality row.  A model's compiled ``Program`` builds that once per model
 and hands it over with the problem.  Programs are small (about a dozen
 rows, a few hundred variables), so the solver keeps the m×m basis inverse
-dense and never forms the tableau.  Each pivot prices every column from
-the multipliers ``c_B B⁻¹``, forms only the entering column ``B⁻¹ a_q``
-and updates the inverse and the basic values, kept side by side, by one
-row operation; every ``REFACTOR_EVERY`` pivots the basis is factored
-afresh.  Both phases run the same pivot loop.  Phase
-one forms its columns in product form (Dantzig and Orchard-Hays), the
-pivots' row operations applied one at a time, which round exactly as a
-tableau's columns do: its verdict reads those values.
+dense.  Each pivot prices every column from the multipliers ``c_B B⁻¹``,
+takes the entering column ``B⁻¹ a_q`` and updates the inverse and the
+basic values, kept side by side, by one row operation; every
+``REFACTOR_EVERY`` pivots the basis is factored afresh.  Both phases run
+the same pivot loop.  Phase two forms only the entering column, from the
+inverse.  Phase one keeps the whole tableau ``B⁻¹S`` in front of the
+inverse, updated by the same row operation and formed again at each
+refactor, and reads its columns off it: from the exact start
+``diag(start) @ S`` they round as a dense tableau's do, and so do the
+basic values its verdict reads.
 Phase two starts from a primal feasible basis, found in one of three ways:
 
 * crash: the caller passes the basis columns of a feasible vertex, as an
@@ -363,7 +365,7 @@ class _Simplex:
         S[art_rows, art_cols] = start[art_rows]
         basis = self.slack_col_of_row.copy()
         basis[art_rows] = art_cols
-        inverse = _ProductForm(np.diag(start), np.abs(self.b))
+        inverse = _Tableau(S, np.diag(start), np.abs(self.b))
         cost = np.zeros(S.shape[1])
         cost[cols:] = 1.0
         if art_rows.size:
@@ -375,14 +377,12 @@ class _Simplex:
             if sum(inverse.rhs[basis >= cols]) > FEASIBILITY_TOL:
                 return None, None
         # pivot remaining zero-level artificials out, dropping redundant
-        # rows; row i of T = B⁻¹S is the artificial's row of the tableau
-        stay = np.flatnonzero(basis >= cols)
-        T = inverse.tableau(self.S) if stay.size else None
+        # rows; row i of the tableau is the artificial's
         drop = []
-        for i in stay:
-            piv = np.flatnonzero(np.abs(T[i]) > PIVOT_TOL)
+        for i in np.flatnonzero(basis >= cols):
+            piv = np.flatnonzero(np.abs(inverse.both[i, :cols]) > PIVOT_TOL)
             if piv.size:
-                inverse.pivot(i, T[:, piv[0]], T)
+                inverse.pivot(i, inverse.column(S, piv[0]))
                 basis[i] = piv[0]
             else:
                 drop.append(i)
@@ -393,13 +393,15 @@ class _Simplex:
         """Pivot until optimal or unbounded; mutates basis and inverse.
 
         A revised simplex over the kept rows of ``S``: ``inverse`` is the
-        basis' ``_Inverse``, with the basic values.  The entering column
-        is the most negative reduced cost (Dantzig) until this call has made
+        basis' ``_Inverse``, with the basic values; it gives the entering
+        variable's column of the tableau, which phase one's ``_Tableau``
+        copies off the tableau it keeps.  The entering variable is the most
+        negative reduced cost (Dantzig) until this call has made
         3·(rows+columns) pivots, and the first negative one (Bland, which
         cannot cycle) after that.  A candidate enters only if its reduced
-        cost, computed again from its formed column, still improves.  The
-        ratio test takes the lowest ratio; within ``PIVOT_TOL`` of it, the
-        lowest basis column.
+        cost, computed again from its column, still improves.  The ratio
+        test takes the lowest ratio; within ``PIVOT_TOL`` of it, the lowest
+        basis column.
         """
         tol = PIVOT_TOL
         A = S if len(row_keep) == self.m else S[row_keep]
@@ -423,7 +425,7 @@ class _Simplex:
                 # y carries the explicit inverse's rounding: a column whose
                 # own reduced cost does not improve is priced noise, and
                 # letting it in can cycle
-                col = inverse.solve(A[:, entering])
+                col = inverse.column(A, entering)
                 if cost[entering] - c_B @ col < -tol:
                     break
                 red[entering] = 0.0
@@ -484,68 +486,53 @@ class _Simplex:
 class _Inverse:
     """A basis inverse and the basic values, updated by each pivot; it prices and forms columns.
 
-    Both live in one m×(m+1) array, ``[B⁻¹ | B⁻¹b]``, so a pivot is one row
-    operation; ``explicit`` and ``rhs`` are views of it.
+    Both live in one array, ``[B⁻¹ | B⁻¹b]``, so a pivot is one row
+    operation; ``explicit`` and ``rhs`` are views of it.  A subclass may
+    keep ``ahead`` more columns in front of them, which that operation
+    updates alike.
     """
 
-    def __init__(self, inverse, rhs):
+    def __init__(self, inverse, rhs, ahead=0):
         m = rhs.size
-        self.both = np.empty((m, m + 1))
-        self.explicit, self.rhs = self.both[:, :m], self.both[:, m]
+        self.both = np.empty((m, ahead + m + 1))
+        self.explicit, self.rhs = self.both[:, ahead:-1], self.both[:, -1]
         self.restart(inverse, rhs)
 
     def restart(self, inverse, rhs) -> None:  # afresh from a factored inverse
         self.explicit[:] = inverse
         self.rhs[:] = rhs
 
-    def solve(self, a):
-        """``B⁻¹ a`` for a column ``a``."""
-        return self.explicit @ a
+    def column(self, A, q):
+        """``B⁻¹ A[:, q]``, the tableau's column ``q``."""
+        return self.explicit @ A[:, q]
 
-    def pivot(self, row, col, *also):
-        """Pivot on ``col[row]`` (``col = B⁻¹ a_q`` enters), ``also`` alike; returns the eta."""
+    def pivot(self, row, col) -> None:
+        """Pivot on ``col[row]``, ``col`` being the entering variable's column of the tableau."""
         factors = col.copy()
         factors[row] = 0.0
-        eta = (row, col[row], factors)
-        for x in (self.both, *also):
-            _eliminate(x, *eta)
-        return eta
+        _eliminate(self.both, row, col[row], factors)
 
 
-class _ProductForm(_Inverse):
-    """A basis inverse whose columns are formed from the pivots since its last refactor.
+class _Tableau(_Inverse):
+    """Phase one's basis inverse, with the whole tableau ``B⁻¹S`` of its columns ``S`` ahead.
 
-    ``solve`` multiplies by the refactored inverse, then applies the pivots'
-    row operations one at a time (Dantzig and Orchard-Hays): from the
-    identity, a column so formed gets a dense tableau's very roundings.  The
+    Phase one starts it from ``diag(start)``, whose product with ``S`` is
+    exact.  The tableau takes each pivot's row operation and is formed again
+    at each refactor, so a column copied off it has a dense tableau's very
+    roundings, and so do the basic values phase one's verdict reads.  The
     explicit inverse still prices.
     """
 
+    def __init__(self, S, inverse, rhs):
+        self.S = S
+        super().__init__(inverse, rhs, S.shape[1])
+
     def restart(self, inverse, rhs) -> None:
         super().restart(inverse, rhs)
-        self.base = inverse  # explicit holds the copy that pivots update
-        self.etas = []  # row operations of the pivots since, factors as a list
+        self.both[:, :self.S.shape[1]] = inverse @ self.S
 
-    def solve(self, a):
-        # in Python floats: the same roundings as numpy's, at a third of the
-        # cost on a column of a dozen rows
-        x = (self.base @ a).tolist()
-        for row, piv, factors in self.etas:
-            s = x[row] / piv
-            x = [v - f * s for v, f in zip(x, factors)]
-            x[row] = s
-        return np.array(x)
-
-    def tableau(self, S):
-        """``B⁻¹ S``, each column formed as ``solve`` forms one."""
-        T = self.base @ S
-        for row, piv, factors in self.etas:
-            _eliminate(T, row, piv, np.array(factors))
-        return T
-
-    def pivot(self, row, col, *also):
-        row, piv, factors = super().pivot(row, col, *also)
-        self.etas.append((row, float(piv), factors.tolist()))
+    def column(self, A, q):
+        return self.both[:, q].copy()
 
 
 def _eliminate(x, row, piv, factors) -> None:

@@ -220,6 +220,19 @@ def test_dmu_flag_rejected_where_no_model_runs(command, two_stage_files, capsys)
     assert captured.err == "error: unrecognized arguments: --dmu nope\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dmu", "nope"), ("--data", "nope.csv"), ("--topology", "nope.json"),
+    ("--min-epsilon", "-3"),
+])
+def test_decompose_scores_rejects_data_flags(flag, value, capsys):
+    # --scores reads the scores file alone, so a flag about a data file is a mistake
+    argv = ["decompose", "--scores", str(FIXTURES / "insurance_mpss_reference.csv"), flag, value]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {flag}: not allowed with argument --scores\n"
+
+
 def test_kruskal_wallis_command(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -284,6 +297,14 @@ LOG_SPREAD_CERTIFIED = {
     "u35": 762336.9976773832,
     "u49": 205334.25127940453,
     "u59": 1.176217874919655,
+    # units whose crash start fails, so their solve runs phase one
+    "u1": 522.7823295418583,
+    "u6": 5141268.067566935,
+    "u11": 83835852.3195136,
+    "u25": 2471.7319827084902,
+    "u42": 5.935610767637618,
+    "u48": 37.28780718629134,
+    "u56": 118.79494375030565,
 }
 
 

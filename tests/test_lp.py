@@ -372,27 +372,86 @@ def test_klee_minty_cube_refactors_on_the_way(monkeypatch):
     _assert_complementary(prob, sol)
 
 
-def test_product_form_columns_round_as_a_tableau():
-    """Phase one's columns, formed from the pivots' row operations, equal bit
-    for bit the columns of a dense tableau pivoted the same way, on data
-    spread over eight orders of magnitude."""
+def product_form(column, etas):
+    """A tableau column formed in product form (Dantzig and Orchard-Hays).
+
+    ``column`` is the refactored inverse's product with the column; each
+    pivot's row operation ``(row, pivot, factors)`` since then is applied in
+    turn, in Python floats, one entry at a time.
+    """
+    x = column.tolist()
+    for row, piv, factors in etas:
+        s = x[row] / piv
+        x = [v - f * s for v, f in zip(x, factors)]
+        x[row] = s
+    return np.array(x)
+
+
+def eta(row, col):
+    """The row operation of a pivot on ``col[row]``, as ``product_form`` applies it."""
+    factors = col.tolist()
+    factors[row] = 0.0
+    return row, float(col[row]), factors
+
+
+def test_phase_one_tableau_columns_round_as_the_product_form():
+    """The phase-one tableau's columns, updated by each pivot's row operation
+    on the whole tableau, equal bit for bit the same columns formed in
+    product form, on data spread over eight orders of magnitude."""
     rng = np.random.default_rng(7)
     m, n = 6, 15
     S = rng.normal(size=(m, n)) * 10.0 ** rng.integers(0, 8, size=(m, n))
-    T = S.copy()
-    inverse = lp._ProductForm(np.eye(m), np.zeros(m))
+    tableau = lp._Tableau(S, np.eye(m), np.zeros(m))
+    etas = []
     for row, q in [(0, 3), (2, 7), (0, 11), (4, 3), (1, 14), (5, 0)]:
-        col = inverse.solve(S[:, q])
-        assert np.array_equal(col, T[:, q])
-        inverse.pivot(row, col)
-        # the dense tableau's pivot
-        T[row] /= T[row, q]
-        factors = T[:, q].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row])
-        T[:, q] = 0.0
-        T[row, q] = 1.0
-        assert np.array_equal(inverse.tableau(S), T)
+        col = tableau.column(S, q)
+        assert np.array_equal(col, product_form(S[:, q], etas))
+        tableau.pivot(row, col)
+        etas.append(eta(row, col))
+        assert np.array_equal(tableau.column(S, q), np.eye(m)[row])
+        for j in range(n):
+            assert np.array_equal(tableau.column(S, j), product_form(S[:, j], etas))
+
+
+def test_long_phase_one_columns_round_as_the_product_form(monkeypatch):
+    """A phase one of more than ``REFACTOR_EVERY`` pivots, on rows spread over
+    eight orders of magnitude, reads every column off its tableau as the
+    product form forms it from the last factored inverse.  After a refactor
+    that form starts, as the tableau does, from the inverse's product with
+    all of phase one's columns at once: the inverse times one column alone
+    rounds differently (most columns differ in the last bit with OpenBLAS)."""
+    checked, restarts = [], 0
+
+    class Replayed(lp._Tableau):
+        def restart(self, inverse, rhs):
+            nonlocal restarts
+            super().restart(inverse, rhs)
+            self.base, self.etas = inverse @ self.S, []
+            restarts += 1
+
+        def column(self, A, q):
+            col = super().column(A, q)
+            assert np.array_equal(col, product_form(self.base[:, q], self.etas))
+            checked.append(q)
+            return col
+
+        def pivot(self, row, col):
+            super().pivot(row, col)
+            self.etas.append(eta(row, col))
+
+    monkeypatch.setattr(lp, "_Tableau", Replayed)
+    rng = np.random.default_rng(1)
+    m, n = 50, 100
+    A = rng.uniform(0.1, 1.0, size=(m, n)) * 10.0 ** rng.integers(0, 8, size=(m, n))
+    b = A @ (rng.uniform(size=n) * (rng.uniform(size=n) < 0.5))
+    prob = lp_problem("minimize", rng.uniform(1.0, 2.0, size=n),
+                      [(A[i], "=" if i % 2 else ">=", b[i]) for i in range(m)])
+    sol = solve_lp(prob)
+    assert sol.status == "optimal" and sol.started == "cold"
+    assert len(checked) > lp.REFACTOR_EVERY
+    assert restarts >= 2  # at the start, then at the refactor
+    _assert_primal_feasible(prob, sol)
+    _assert_complementary(prob, sol)
 
 
 # equality rows that phase one must drop: its artificial stays basic at
