@@ -27,6 +27,9 @@ line.  The list covers:
   ``processes`` 5 and [5], ``links`` [5] and null, a null
   ``importance_weight``, a ``stage`` of "x" and of 1.7, and a measure list
   given as a string;
+* ``validate`` on each topology of ``tests/files.REJECTED``, one per rule of
+  the ``data.SHAPES`` layout check, and a markdown ``blackbox-mpss`` run on
+  the insurer file with one DMU id holding ``|`` and one a line break;
 * the parser: top-level and per-command ``--help``, and per command a
   missing ``--data``, a bad ``--format`` choice, an unrecognized argument,
   a non-numeric ``--w1`` and an abbreviated ``--dat``.  ``--help`` exits
@@ -47,6 +50,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -55,6 +59,9 @@ from dea_mpss.cli import _COMMANDS, run
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
+sys.path.insert(0, str(ROOT / "tests"))
+from files import REJECTED  # noqa: E402
+
 CSV = ["--format", "csv", "--raw"]
 FORMATS = ([], CSV)
 
@@ -140,6 +147,7 @@ def invocations(inputs: Path, tmp: Path) -> list:
         ["kruskal-wallis", "--groups", f"{small / 'kw_2014.csv'},{tmp / 'long_group.csv'}"],
     ]
     calls += variant_calls(small / "insurers_topology.json", tmp)
+    calls += layout_calls(small / "insurers_topology.json", tmp)
     data = str(FIXTURES / "insurers_24.csv")
     calls += [["--help"], [], ["frobnicate"], ["--raw", "summary"]]
     for name in _COMMANDS:
@@ -193,6 +201,22 @@ def variant_calls(topology: Path, tmp: Path) -> list:
         (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
         calls.append(["validate", "--data", str(FIXTURES / "insurers_24.csv"),
                       "--topology", str(tmp / f"{name}.json")])
+    return calls
+
+
+def layout_calls(topology: Path, tmp: Path) -> list:
+    """``validate`` on each rejected layout; markdown rows of DMU ids holding ``|`` or ``\\n``."""
+    data = str(FIXTURES / "insurers_24.csv")
+    calls = []
+    for k, (_, doc, _, _) in enumerate(REJECTED):
+        (tmp / f"layout_{k}.json").write_text(json.dumps(doc), encoding="utf-8")
+        calls.append(["validate", "--data", data, "--topology", str(tmp / f"layout_{k}.json")])
+    head, first, second, rest = (FIXTURES / "insurers_24.csv").read_text(
+        encoding="utf-8").split("\n", 3)
+    ids = f'{head}\n"a|b"{first[first.index(","):]}\n"d\ne"{second[second.index(","):]}\n{rest}'
+    (tmp / "pipe_ids.csv").write_text(ids, encoding="utf-8", newline="")
+    calls.append(["blackbox-mpss", "--data", str(tmp / "pipe_ids.csv"),
+                  "--topology", str(topology)])
     return calls
 
 

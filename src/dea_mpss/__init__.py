@@ -20,12 +20,10 @@ from .data import (
     NetworkTopology,
     ProcessSpec,
     SummaryStats,
-    dataset_to_csv,
     load_dataset,
     parse_data_csv,
     parse_topology_json,
     summarize,
-    topology_to_json,
 )
 from .errors import DeaMpssError, SolverError, UnsupportedTopologyError, ValidationError
 from .lp import LpProblem, LpSolution, solve_lp
@@ -44,8 +42,7 @@ __all__ = [
     "StageFactors", "TargetReport", "TargetRow", "chain_efficiency", "chain_mpss",
     "classify_strategy", "intermediate_targets", "profitability_mpss",
     "Dataset", "Link", "NetworkTopology", "ProcessSpec", "SummaryStats",
-    "dataset_to_csv", "load_dataset", "parse_data_csv", "parse_topology_json",
-    "summarize", "topology_to_json",
+    "load_dataset", "parse_data_csv", "parse_topology_json", "summarize",
     "DeaMpssError", "SolverError", "UnsupportedTopologyError", "ValidationError",
     "LpProblem", "LpSolution", "solve_lp",
     "MpssResult", "blackbox_mpss", "evaluate_stages", "network_mpss_radial",

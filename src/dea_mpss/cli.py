@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import shutil
 import sys
 import warnings
@@ -69,9 +70,14 @@ class ReportTable:
             raise ValidationError("one precision entry per column required")
 
 
-def _cell(value, precision, raw) -> str:
+def _markdown_text(text: str) -> str:
+    """``text`` as one markdown table cell: ``|`` as ``\\|``, a line break as ``<br>``."""
+    return re.sub(r"\r\n|\r|\n", "<br>", text.replace("|", r"\|"))
+
+
+def _cell(value, precision, raw, escape) -> str:
     if precision is None or isinstance(value, str):
-        return str(value)
+        return escape(str(value))
     v = float(value)
     if raw:
         return repr(v)
@@ -84,9 +90,14 @@ def _cell(value, precision, raw) -> str:
 
 
 def render(table: ReportTable, format: str = "markdown") -> str:
-    """Render to CSV (load-compatible) or a markdown pipe table."""
+    """Render to CSV (load-compatible) or a markdown pipe table.
+
+    In markdown, the headers and text cells escape what would break the
+    table (``_markdown_text``); numeric cells and CSV are written as they are.
+    """
+    escape = _markdown_text if format == "markdown" else str
     cells = [
-        [_cell(v, p, table.raw) for v, p in zip(row, table.precisions)]
+        [_cell(v, p, table.raw, escape) for v, p in zip(row, table.precisions)]
         for row in table.rows
     ]
     if format == "csv":
@@ -97,7 +108,7 @@ def render(table: ReportTable, format: str = "markdown") -> str:
         return out.getvalue()
     if format == "markdown":
         lines = [f"### {table.title}", ""] if table.title else []
-        lines.append("| " + " | ".join(table.headers) + " |")
+        lines.append("| " + " | ".join(map(escape, table.headers)) + " |")
         lines.append("| " + " | ".join("---" for _ in table.headers) + " |")
         lines.extend("| " + " | ".join(row) + " |" for row in cells)
         return "\n".join(lines) + "\n"

@@ -2,18 +2,14 @@
 
 A :class:`Dataset` is a strictly positive measure matrix over decision
 making units (DMUs).  A :class:`NetworkTopology` declares how processes
-consume and produce those measures.  Two layouts are supported:
-
-``two_stage_general``
-    Two processes in series; stage 1 turns its own exogenous inputs into
-    final outputs plus intermediate measures, stage 2 consumes the
-    intermediates together with its own exogenous inputs.
-
-``series_parallel_chain``
-    Two parallel stage-1 processes, each feeding intermediate measures
-    into a single stage-2 process that yields the final outputs.
-
-Anything else is rejected as unsupported rather than silently mis-modeled.
+consume and produce those measures, in one of the two layouts of
+``SHAPES``: ``two_stage_general``, one process per stage in series, and
+``series_parallel_chain``, two parallel stage-1 processes feeding one
+stage-2 process.  The table gives each process, in stage order, the
+measure roles it must hold and those it may not.  A stage list other than
+the table's, or a forbidden role, is unsupported rather than silently
+mis-modeled; a missing role is invalid.  Each intermediate then needs one
+producer, one consumer and a link, so every link runs from stage 1 to 2.
 
 A data file is read on one of two paths.  A plain table, which is what
 a hand-written or generated file almost always is, goes through numpy's C
@@ -47,7 +43,18 @@ from .errors import UnsupportedTopologyError, ValidationError
 
 TWO_STAGE_GENERAL = "two_stage_general"
 SERIES_PARALLEL_CHAIN = "series_parallel_chain"
-SHAPES = (TWO_STAGE_GENERAL, SERIES_PARALLEL_CHAIN)
+
+# the measure roles of a process, in declaration order
+EXOGENOUS, MID_OUT, MID_IN, FINAL = ROLES = (
+    "exogenous_inputs", "intermediate_outputs", "intermediate_inputs", "final_outputs")
+# each shape's processes in stage order: (stage, roles it must hold, roles it may not hold)
+SHAPES = {
+    TWO_STAGE_GENERAL: ((1, (EXOGENOUS, MID_OUT), (MID_IN,)),
+                        (2, (MID_IN, FINAL), (MID_OUT,))),
+    SERIES_PARALLEL_CHAIN: ((1, (EXOGENOUS, MID_OUT), (MID_IN, FINAL)),
+                            (1, (EXOGENOUS, MID_OUT), (MID_IN, FINAL)),
+                            (2, (MID_IN, FINAL), (EXOGENOUS, MID_OUT))),
+}
 
 
 class DataWarning(UserWarning):
@@ -172,16 +179,14 @@ class ProcessSpec:
     importance_weight: float = 1.0
 
     def __post_init__(self):
-        for field in ("exogenous_inputs", "intermediate_outputs",
-                      "intermediate_inputs", "final_outputs"):
-            object.__setattr__(self, field, tuple(getattr(self, field)))
+        for role in ROLES:
+            object.__setattr__(self, role, tuple(getattr(self, role)))
         if self.stage < 1 or int(self.stage) != self.stage:
             raise ValidationError(f"process {self.name!r}: stage must be an integer >= 1")
         if not 0.0 <= self.importance_weight <= 1.0:
             raise ValidationError(f"process {self.name!r}: importance_weight outside [0, 1]")
         object.__setattr__(self, "importance_weight", float(self.importance_weight))
-        roles = (self.exogenous_inputs + self.intermediate_outputs
-                 + self.intermediate_inputs + self.final_outputs)
+        roles = self.measures
         if len(set(roles)) != len(roles):
             seen, dupes = set(), set()
             for r in roles:
@@ -192,8 +197,7 @@ class ProcessSpec:
 
     @property
     def measures(self) -> tuple:
-        return (self.exogenous_inputs + self.intermediate_outputs
-                + self.intermediate_inputs + self.final_outputs)
+        return sum((getattr(self, role) for role in ROLES), ())
 
 
 @dataclass(frozen=True)
@@ -219,18 +223,17 @@ class NetworkTopology:
         object.__setattr__(self, "shape_tag", str(shape_tag))
         self._validate_structure()
 
-    # -- structural checks (dataset-independent) ------------------------
-
     def _validate_structure(self) -> None:
-        if self.shape_tag not in SHAPES:
+        """Raise for the first fault: shape tag, names, links, weights, then ``SHAPES``."""
+        layout = SHAPES.get(self.shape_tag)
+        if layout is None:
             raise UnsupportedTopologyError(
-                f"unsupported topology shape {self.shape_tag!r}; expected one of {SHAPES}"
+                f"unsupported topology shape {self.shape_tag!r}; expected one of {tuple(SHAPES)}"
             )
         names = [p.name for p in self.processes]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate process names")
         by_name = {p.name: p for p in self.processes}
-        incoming = {n: 0 for n in names}
         for l in self.links:
             for end in (l.source, l.sink):
                 if end not in by_name:
@@ -243,99 +246,43 @@ class NetworkTopology:
                 raise ValidationError(
                     f"link measure {l.measure!r} is not an intermediate input of {l.sink!r}"
                 )
-            incoming[l.sink] += 1
-        self._check_acyclic()
-        for p in self.processes:
-            if incoming[p.name] == 0 and p.stage != 1:
-                raise ValidationError(
-                    f"process {p.name!r} has no incoming links and must be stage 1"
-                )
         for stage in sorted({p.stage for p in self.processes}):
             total = sum(p.importance_weight for p in self.stage_processes(stage))
             if not math.isclose(total, 1.0, abs_tol=1e-9):
                 raise ValidationError(
                     f"importance weights of stage {stage} sum to {total}, expected 1"
                 )
-        if self.shape_tag == TWO_STAGE_GENERAL:
-            self._validate_two_stage()
-        else:
-            self._validate_chain()
+        procs = sorted(self.processes, key=lambda p: p.stage)
+        stages = [stage for stage, _, _ in layout]
+        if [p.stage for p in procs] != stages:
+            got = ", ".join(f"{p.name!r} at stage {p.stage}" for p in self.processes)
+            raise UnsupportedTopologyError(f"unsupported topology: {self.shape_tag} needs "
+                                           f"processes at stages {stages}; got {got or 'none'}")
 
-    def _check_acyclic(self) -> None:
-        edges = {}
-        for l in self.links:
-            edges.setdefault(l.source, set()).add(l.sink)
-        state: dict[str, int] = {}
+        def at(p):
+            return f"{self.shape_tag} stage-{p.stage} process {p.name!r}"
 
-        def visit(node):
-            if state.get(node) == 1:
-                raise ValidationError(f"topology links contain a cycle through {node!r}")
-            if state.get(node) == 2:
-                return
-            state[node] = 1
-            for nxt in edges.get(node, ()):
-                visit(nxt)
-            state[node] = 2
-
-        for p in self.processes:
-            visit(p.name)
-
-    def _validate_two_stage(self) -> None:
-        if len(self.processes) != 2 or sorted(p.stage for p in self.processes) != [1, 2]:
-            raise UnsupportedTopologyError(
-                "unsupported topology: two_stage_general needs exactly one stage-1 "
-                "and one stage-2 process"
-            )
-        first = self.stage_processes(1)[0]
-        second = self.stage_processes(2)[0]
-        if first.intermediate_inputs or second.intermediate_outputs:
-            raise UnsupportedTopologyError(
-                "unsupported topology: intermediates must flow from stage 1 to stage 2"
-            )
-        if not first.exogenous_inputs or not second.final_outputs:
-            raise ValidationError("stage 1 needs exogenous inputs and stage 2 final outputs")
-        if not first.intermediate_outputs:
-            raise ValidationError("two_stage_general topology needs intermediate measures")
-        if set(first.intermediate_outputs) != set(second.intermediate_inputs):
-            raise ValidationError("stage-2 intermediate inputs must match stage-1 outputs")
+        for p, (_, _, forbids) in zip(procs, layout):  # every forbidden role before any missing one
+            for role in forbids:
+                if getattr(p, role):
+                    raise UnsupportedTopologyError(
+                        f"unsupported topology: {at(p)} may not hold {role.replace('_', ' ')}")
+        for p, (_, needs, _) in zip(procs, layout):
+            for role in needs:
+                if not getattr(p, role):
+                    raise ValidationError(f"{at(p)} needs {role.replace('_', ' ')}")
+        # the roles above leave each link one way to run, from stage 1 to stage 2
         linked = {l.measure for l in self.links}
-        if linked != set(first.intermediate_outputs):
-            raise ValidationError("links must cover every intermediate measure exactly")
-
-    def _validate_chain(self) -> None:
-        stage1 = self.stage_processes(1)
-        stage2 = self.stage_processes(2)
-        if len(self.processes) != 3 or len(stage1) != 2 or len(stage2) != 1:
-            raise UnsupportedTopologyError(
-                "unsupported topology: series_parallel_chain needs two stage-1 "
-                "processes and one stage-2 process"
-            )
-        sink = stage2[0]
-        produced = []
-        for p in stage1:
-            if p.intermediate_inputs or p.final_outputs:
-                raise UnsupportedTopologyError(
-                    f"unsupported topology: stage-1 process {p.name!r} may only map "
-                    "exogenous inputs to intermediate outputs"
-                )
-            if not p.exogenous_inputs or not p.intermediate_outputs:
-                raise ValidationError(
-                    f"stage-1 process {p.name!r} needs exogenous inputs and intermediate outputs"
-                )
-            produced.extend(p.intermediate_outputs)
-        if len(set(produced)) != len(produced):
-            raise ValidationError("each intermediate measure needs a unique producer")
-        if sink.exogenous_inputs or sink.intermediate_outputs:
-            raise UnsupportedTopologyError(
-                "unsupported topology: the chain's stage-2 process only consumes intermediates"
-            )
-        if not sink.final_outputs:
-            raise ValidationError("the stage-2 process needs final outputs")
-        if set(sink.intermediate_inputs) != set(produced):
-            raise ValidationError("stage-2 intermediate inputs must match stage-1 outputs")
-        linked = {l.measure for l in self.links}
-        if linked != set(produced):
-            raise ValidationError("links must cover every intermediate measure exactly")
+        for m in dict.fromkeys(m for p in self.processes
+                               for m in p.intermediate_outputs + p.intermediate_inputs):
+            producers = [p.name for p in self.processes if m in p.intermediate_outputs]
+            consumers = [p.name for p in self.processes if m in p.intermediate_inputs]
+            if len(producers) != 1 or len(consumers) != 1:
+                raise ValidationError(f"intermediate measure {m!r} needs one producer and one "
+                                      f"consumer; produced by {producers}, consumed by {consumers}")
+            if m not in linked:
+                raise ValidationError(f"intermediate measure {m!r} has no link from "
+                                      f"{producers[0]!r} to {consumers[0]!r}")
 
     # -- accessors -------------------------------------------------------
 
@@ -483,18 +430,7 @@ def parse_data_csv(text: str, *, min_epsilon: float | None = None) -> Dataset:
     return Dataset(ids, dict(zip(names, values)))
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["dmu", *dataset.measure_names])
-    for i, dmu in enumerate(dataset.dmu_ids):
-        writer.writerow([dmu] + [repr(float(dataset.measures[n][i])) for n in dataset.measure_names])
-    return out.getvalue()
-
-
-_PROCESS_FIELDS = ("name", "stage", "exogenous_inputs", "intermediate_outputs",
-                   "intermediate_inputs", "final_outputs", "importance_weight")
-_MEASURE_LISTS = _PROCESS_FIELDS[2:6]
+_PROCESS_FIELDS = ("name", "stage", *ROLES, "importance_weight")
 
 
 def _is_number(value) -> bool:
@@ -546,7 +482,7 @@ def parse_topology_json(text: str) -> NetworkTopology:
         name = _field(where, spec, "name", lambda v: isinstance(v, str), "a string")
         stage = _field(where, spec, "stage", _is_integer, "an integer")
         lists = {f: tuple(_field(where, spec, f, _is_names, "a list of measure names"))
-                 for f in _MEASURE_LISTS}
+                 for f in ROLES}
         weight = _field(where, spec, "importance_weight", _is_number, "a number")
         procs.append(ProcessSpec(name=name, stage=int(stage), **lists, importance_weight=weight))
     links = []
@@ -555,26 +491,6 @@ def parse_topology_json(text: str) -> NetworkTopology:
                 for f in ("from", "to", "measure")]
         links.append(Link(*ends))
     return NetworkTopology(procs, links, doc["shape"])
-
-
-def topology_to_json(topology: NetworkTopology) -> str:
-    doc = {
-        "shape": topology.shape_tag,
-        "processes": [
-            {
-                "name": p.name,
-                "stage": p.stage,
-                "exogenous_inputs": list(p.exogenous_inputs),
-                "intermediate_outputs": list(p.intermediate_outputs),
-                "intermediate_inputs": list(p.intermediate_inputs),
-                "final_outputs": list(p.final_outputs),
-                "importance_weight": p.importance_weight,
-            }
-            for p in topology.processes
-        ],
-        "links": [{"from": l.source, "to": l.sink, "measure": l.measure} for l in topology.links],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def read_text(path, what: str, *, newline: str | None = "") -> str:

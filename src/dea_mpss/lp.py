@@ -23,9 +23,7 @@ Phase two starts from a primal feasible basis, found in one of three ways:
 
 * crash: the caller passes the basis columns of a feasible vertex, as an
   integer array.  Every unpinned model passes the basis its compiled
-  ``Program`` found once at the evaluated unit set against itself.  At a
-  given vertex, ``_crash_basis`` finds one: its support and the slacks of
-  its loose rows, completed by slacks of tight rows;
+  ``Program`` found once at the evaluated unit set against itself;
 * warm: the caller passes the optimum of a program this one extends by
   appended rows (the pinned stage programs); its final basis plus the new
   rows' slacks form the basis;
@@ -223,34 +221,6 @@ def _slacks(form: StandardForm, xs):
     if np.where(form.sign != 0.0, slack < -row_tol, np.abs(resid) > row_tol).any():
         return None
     return slack, row_tol
-
-
-def _crash_basis(form: StandardForm, xs):
-    """The sorted basis columns of ``form`` at its feasible vertex ``xs``, or None.
-
-    None when ``xs`` is not a vertex.  The basis holds the support of ``xs``
-    and the slacks of its loose rows, filled up with slacks of tight
-    inequality rows whose removal leaves the support's rows nonsingular.
-    """
-    m, tol = form.b.size, FEASIBILITY_TOL
-    if xs.size and xs.min() < -tol:
-        return None
-    slacks = _slacks(form, xs)
-    if slacks is None:
-        return None
-    slack, row_tol = slacks
-    has_slack = form.sign != 0.0
-    loose = has_slack & (slack > row_tol)
-    tight = has_slack & ~loose
-    cols = np.concatenate((np.flatnonzero(xs > tol), form.slack_col_of_row[loose]))
-    if cols.size > m:
-        return None
-    kept = _independent_rows(form.S[:, cols], np.flatnonzero(~tight), np.flatnonzero(tight),
-                             cols.size)
-    if kept is None:
-        return None
-    tight[kept] = False  # the slacks of the tight rows left fill the basis
-    return np.sort(np.concatenate((cols, form.slack_col_of_row[tight])))
 
 
 class _Simplex:
@@ -545,29 +515,3 @@ def _eliminate(x, row, piv, factors) -> None:
 def _negative(v) -> bool:
     """Whether some entry of ``v`` lies below ``-FEASIBILITY_TOL``."""
     return v.min(initial=math.inf) < -FEASIBILITY_TOL
-
-
-def _independent_rows(R, fixed, optional, k):
-    """``k`` linearly independent rows of ``R``: every ``fixed`` row, then ``optional`` ones.
-
-    Returns the chosen row indices, or None when the fixed rows are
-    dependent or fewer than ``k`` independent rows exist.  Modified
-    Gram-Schmidt, in place: each row of ``R`` loses its projections on the
-    kept rows, and counts as independent when more than 1e-9 of its own norm
-    is left, so rows of any scale compare alike.
-    """
-    if len(fixed) > k:
-        return None
-    norms = np.sqrt(np.add.reduce(R * R, axis=1)).tolist()  # summed as np.linalg.norm sums
-    kept = []
-    for pos, i in enumerate(np.concatenate((fixed, optional)).tolist()):
-        if len(kept) == k:
-            break
-        left = math.sqrt(R[i] @ R[i])
-        if left > 1e-9 * norms[i]:
-            u = R[i] / left
-            R -= (R @ u)[:, None] * u
-            kept.append(i)
-        elif pos < len(fixed):
-            return None
-    return kept if len(kept) == k else None

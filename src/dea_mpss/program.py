@@ -63,7 +63,6 @@ class Program:
         # the rows name) and, one block of rows per envelope, the levels of
         # their measures (rows × DMUs)
         self.own_rows, self.own_levels = [], [np.zeros((0, n))]
-        self.levels = {}  # target -> the levels of its measure
         self.pins = 0     # pairs of pinned rows, after every other row
 
     def _append(self, A: np.ndarray, rel: str, rhs: float, names: Sequence[int]) -> None:
@@ -86,7 +85,6 @@ class Program:
         else:
             names = [self.target[t] for t in targets]
             A[np.arange(len(targets)), names] = -1.0
-            self.levels.update(zip(targets, data.T))
             names += [-1] * (len(A) - len(targets))
         self._append(A, rel, 0.0, names)
 
@@ -122,11 +120,8 @@ class Program:
         self._S = np.concatenate((np.concatenate(self.blocks), slack), axis=1)
         rows = np.array(self.own_rows, dtype=int)
         self._own_at = (rows, np.array(self.names, dtype=int)[rows])
-        # per unit, its own levels of the factor rows' measures and of the targets
+        # per unit, its own levels of the factor rows' measures
         self._own_levels = np.concatenate(self.own_levels)
-        self._target_levels = np.zeros((self.n, len(self.target)))
-        for d, t in enumerate(self.target):
-            self._target_levels[:, d] = self.levels.get(t, 0.0)
         self.fixed = m - 2 * self.pins
         # (rows, columns) of the program with k pinned pairs, k = 0 .. pins
         self._shape = [(r, w + sum(map(bool, self.sign[:r])))
@@ -134,13 +129,13 @@ class Program:
         self._crash, self._crash_own = self._own_basis()
         for a in self.template():
             a.setflags(write=False)
-        self.blocks = self.own_levels = self.levels = self.names = None  # in the template now
+        self.blocks = self.own_levels = self.names = None  # in the template now
         return self
 
     def template(self) -> tuple:
         """The compiled arrays, all read-only."""
         return (self._S, self._sign, self._rhs, self._slack_col, *self._own_at, self._own_levels,
-                self._target_levels, self._crash, self._crash_own)
+                self._crash, self._crash_own)
 
     def _own_basis(self):
         """The crash basis at the own point, with unit 0's weight columns, and their positions.

@@ -4,10 +4,14 @@ The solver takes only a program in standard form (``lp.StandardForm``) and
 a crash start only as basis columns; the test modules and
 ``scripts/lp_parity.py`` write their problems as ``(coefficients,
 relation, rhs)`` rows and their crash starts as points, through these
-helpers.
+helpers.  ``crash_basis`` is the Gram-Schmidt search for a vertex's basis;
+no model runs it (each compiled ``Program`` reads its basis off its rows,
+``Program._own_basis``), and the tests compare that basis against it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,7 +46,61 @@ def crash_start(problem: LpProblem, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_variables,) or not np.isfinite(x).all():
         return None
-    return lp._crash_basis(problem.standard_form, x)
+    return crash_basis(problem.standard_form, x)
+
+
+def crash_basis(form: lp.StandardForm, xs):
+    """The sorted basis columns of ``form`` at its feasible vertex ``xs``, or None.
+
+    None when ``xs`` is not a vertex.  The basis holds the support of ``xs``
+    and the slacks of its loose rows, filled up with slacks of tight
+    inequality rows whose removal leaves the support's rows nonsingular.
+    """
+    m, tol = form.b.size, lp.FEASIBILITY_TOL
+    if xs.size and xs.min() < -tol:
+        return None
+    slacks = lp._slacks(form, xs)
+    if slacks is None:
+        return None
+    slack, row_tol = slacks
+    has_slack = form.sign != 0.0
+    loose = has_slack & (slack > row_tol)
+    tight = has_slack & ~loose
+    cols = np.concatenate((np.flatnonzero(xs > tol), form.slack_col_of_row[loose]))
+    if cols.size > m:
+        return None
+    kept = independent_rows(form.S[:, cols], np.flatnonzero(~tight), np.flatnonzero(tight),
+                            cols.size)
+    if kept is None:
+        return None
+    tight[kept] = False  # the slacks of the tight rows left fill the basis
+    return np.sort(np.concatenate((cols, form.slack_col_of_row[tight])))
+
+
+def independent_rows(R, fixed, optional, k):
+    """``k`` linearly independent rows of ``R``: every ``fixed`` row, then ``optional`` ones.
+
+    Returns the chosen row indices, or None when the fixed rows are
+    dependent or fewer than ``k`` independent rows exist.  Modified
+    Gram-Schmidt, in place: each row of ``R`` loses its projections on the
+    kept rows, and counts as independent when more than 1e-9 of its own norm
+    is left, so rows of any scale compare alike.
+    """
+    if len(fixed) > k:
+        return None
+    norms = np.sqrt(np.add.reduce(R * R, axis=1)).tolist()  # summed as np.linalg.norm sums
+    kept = []
+    for pos, i in enumerate(np.concatenate((fixed, optional)).tolist()):
+        if len(kept) == k:
+            break
+        left = math.sqrt(R[i] @ R[i])
+        if left > 1e-9 * norms[i]:
+            u = R[i] / left
+            R -= (R @ u)[:, None] * u
+            kept.append(i)
+        elif pos < len(fixed):
+            return None
+    return kept if len(kept) == k else None
 
 
 def random_lp(rng: np.random.Generator, max_vars: int = 6, max_cons: int = 6) -> LpProblem:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import FIXTURES, chain_topology, two_stage_topology
 from dea_mpss.cli import _COMMANDS, ReportTable, render, run
-from dea_mpss.data import topology_to_json
+from files import topology_to_json
 from dea_mpss.errors import SolverError, ValidationError
 
 SINGLE_CSV = "dmu,in1_0,mid_0,out1_0,in2_0,out2_0\nonly,1,2,3,4,5\n"
@@ -69,6 +70,31 @@ def test_render_markdown_pipe_table():
     assert "| dmu | score |" in text
     assert "| --- | --- |" in text
     assert "| a | 1.0000 |" in text
+
+
+def test_render_markdown_escapes_text_cells_and_headers():
+    table = ReportTable("t", ("a|b", "c\nd"), (("x|y", 1.0), ("u\r\nv", 2.0)), (None, 4))
+    assert render(table, "markdown").splitlines()[2:] == [
+        r"| a\|b | c<br>d |", "| --- | --- |", r"| x\|y | 1.0000 |", "| u<br>v | 2.0000 |",
+    ]
+    assert render(table, "csv") == 'a|b,"c\nd"\nx|y,1.0000\n"u\r\nv",2.0000\n'
+
+
+def test_markdown_dmu_ids_with_pipe_and_line_break(tmp_path, capsys):
+    """Each DMU stays one row of five cells; ``--format csv`` keeps the ids as they are."""
+    data, topo = tmp_path / "d.csv", tmp_path / "t.json"
+    data.write_text(TRIO_CSV.replace("\na,", '\n"a|b",').replace("\nb,", '\n"d\ne",'),
+                    encoding="utf-8")
+    topo.write_text(topology_to_json(two_stage_topology()), encoding="utf-8")
+    argv = ["blackbox-mpss", "--data", str(data), "--topology", str(topo)]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert [row.split(" | ")[0] for row in lines[4:]] == [r"| a\|b", "| d<br>e", "| c"]
+    assert {len(re.split(r"(?<!\\)\|", row)) for row in lines[2:]} == {7}
+    assert run([*argv, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[0] for row in rows[1:]] == ["a|b", "d\ne", "c"]
 
 
 def test_render_csv_round_trips():

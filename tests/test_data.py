@@ -19,14 +19,13 @@ from dea_mpss.data import (
     NetworkTopology,
     ProcessSpec,
     csv_errors,
-    dataset_to_csv,
     load_dataset,
     parse_data_csv,
     parse_topology_json,
     summarize,
-    topology_to_json,
 )
 from dea_mpss.errors import UnsupportedTopologyError, ValidationError
+from files import REJECTED, TWO_STAGE, dataset_to_csv, topology_to_json, variant
 
 
 def write_pair(tmp_path, topology, csv_text):
@@ -112,8 +111,26 @@ def test_cycle_rejected():
                     final_outputs=["y"]),
     ]
     links = [Link("a", "b", "z1"), Link("b", "a", "z2")]
-    with pytest.raises(ValidationError, match="cycle"):
+    # a link back to stage 1 needs a role the layout forbids: 'a' consuming an intermediate
+    with pytest.raises(UnsupportedTopologyError, match="'a' may not hold intermediate inputs"):
         NetworkTopology(procs, links, "two_stage_general")
+
+
+@pytest.mark.parametrize("doc, error, process",
+                         [pytest.param(*case[1:], id=case[0]) for case in REJECTED])
+def test_each_layout_rule_rejects(doc, error, process):
+    """One topology per rule of the ``SHAPES`` layout check: its class, and the process named."""
+    with pytest.raises(ValidationError) as info:
+        parse_topology_json(json.dumps(doc))
+    assert info.type is error
+    assert repr(process) in str(info.value)
+
+
+def test_duplicated_link_accepted():
+    doc = variant(TWO_STAGE, links=[("upstream", "downstream", "mid_0")] * 2)
+    topology = parse_topology_json(json.dumps(doc))
+    assert len(topology.links) == 2
+    assert topology.processes == two_stage_topology().processes
 
 
 def test_measure_with_two_roles_rejected():

@@ -5,12 +5,12 @@ import pytest
 
 from dea_mpss.data import Dataset, load_dataset
 from dea_mpss.errors import SolverError
-from dea_mpss.lp import SLACK_SIGN, LpSolution, StandardForm, _crash_basis, solve_lp
+from dea_mpss.lp import SLACK_SIGN, LpSolution, StandardForm, solve_lp
 from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
 from dea_mpss.program import FIXING_BAND, Program
 
 from conftest import FIXTURES, chain_topology, random_dataset, two_stage_topology
-from gen import lp_problem
+from gen import crash_basis, lp_problem
 from test_network import named_instance
 from test_sweep import BUILDERS, insurers
 from test_sweep import log_spread as log_spread_with_chain
@@ -177,7 +177,7 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
 
 def searched_basis(prog):
     """The crash basis the way it was found before being read off the rows: a
-    Gram-Schmidt search (``lp._crash_basis``) on the signs of the unpinned
+    Gram-Schmidt search (``gen.crash_basis``) on the signs of the unpinned
     program's support and slack columns at the own point, all ones."""
     r, cols = prog._shape[0]
     f, starts = len(prog.factor), list(prog.block.values())
@@ -191,7 +191,7 @@ def searched_basis(prog):
     slack_col = np.where(slack_col < 0, -1, slack_col - prog.width + len(support))
     form = StandardForm(S, np.abs(S[:, :len(support)]), prog._rhs[:r], prog._sign[:r],
                         slack_col)
-    basis = _crash_basis(form, np.ones(len(support)))
+    basis = crash_basis(form, np.ones(len(support)))
     if basis is None:
         return [], []
     basis = keep[basis]

@@ -17,11 +17,12 @@ import pytest
 import dea_mpss
 import dea_mpss.cli
 from dea_mpss import chain
-from dea_mpss.data import load_dataset, topology_to_json
+from dea_mpss.data import load_dataset
 from dea_mpss.lp import LpProblem
 from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
 
 from conftest import FIXTURES
+from files import topology_to_json
 from gen import lp_problem
 from test_sweep import log_spread
 
