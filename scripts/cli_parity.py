@@ -16,7 +16,10 @@ line.  The list covers:
   ``decompose --scores`` given a ``--dmu``, ``--data``, ``--topology`` or
   ``--min-epsilon`` that only a data file's units would use;
 * a ``--dmu`` call per log-spread unit, with variable and with radial
-  ``--stages`` intermediates;
+  ``--stages`` intermediates, and whole-file log-spread sweeps, in
+  ``--format csv --raw``: ``blackbox-mpss``, and ``network-mpss`` with
+  variable intermediates, radial, and radial ``--stages`` (whose sweeps
+  hand many solves back to the per-unit solver);
 * ``summary --min-epsilon`` on a file with nonpositive cells, with a good
   epsilon and with -1, 0, ``nan`` and ``inf``, and a data, scores and group
   file each holding a cell longer than the csv module's field limit;
@@ -130,6 +133,12 @@ def invocations(inputs: Path, tmp: Path) -> list:
             ["network-mpss", *spread, "--intermediates", "radial", "--stages", *CSV,
              "--dmu", dmu],
         ]
+    calls += [
+        ["blackbox-mpss", *spread, *CSV],
+        ["network-mpss", *spread, "--intermediates", "variable", *CSV],
+        ["network-mpss", *spread, "--intermediates", "radial", *CSV],
+        ["network-mpss", *spread, "--intermediates", "radial", "--stages", *CSV],
+    ]
     long_cell = "1" * 200_000
     files = {
         "eps.csv": "dmu,a,b\nu1,0,1\nu2,2,-1\nu3,3,4\n",

@@ -1,0 +1,228 @@
+"""The lockstep phase two behind ``lp.solve_lockstep``.
+
+It lives apart from ``lp`` so that importing the package, and a single
+unit's solve, do not compile it: ``lp.solve_lockstep`` imports it on a
+sweep's first solve.  It reads ``lp``'s tolerances and pivot limits
+through the module at each solve, as ``_Simplex`` reads them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import lp
+from .lp import (CRASH, MAXIMIZE, MINIMIZE, OPTIMAL, WARM, Lockstep, LpSolution, _begun, _frozen,
+                 _leaving, _readonly)
+
+# a lockstep optimum whose rows hold by less than this share of their
+# tolerance is handed back: its check rounds otherwise than _Simplex._holds
+HOLD_MARGIN = 1e-5
+
+
+class _Lockstep:
+    """Phase two of many units' started solves; each step is ``_Simplex._iterate``'s, for all."""
+
+    def __init__(self, sense, objective, programs: Lockstep):
+        self.sense, self.c = sense, _readonly(objective)
+        self.S, self.sign, self.slack_col_of_row, self.heads, self.b = programs
+        self.m, self.cols = self.S.shape
+        self.n, self.w = self.c.size, self.heads.shape[2]
+        self.cc = np.zeros(self.cols)  # internal objective is always a minimisation
+        self.cc[:self.n] = self.c if sense == MINIMIZE else -self.c
+
+    def run(self, starts) -> list:
+        m, cc = self.m, self.cc
+        out = [None] * len(starts)
+        # one row per unit still stepping: its index, whether it started warm,
+        # its basis, heads and right sides, [B⁻¹ | B⁻¹b] and the basic costs
+        units, both = self._started(starts)
+        if not units[0].size:
+            return out
+        np.maximum(both[:, :, m], 0.0, out=both[:, :, m])  # rounding noise on degenerate basics
+        units += [both, cc[units[2]]]
+        red = np.empty((units[0].size, 1, self.cols))  # each step's reduced costs
+        limit = min(lp.REFACTOR_EVERY, lp.MAX_ITERATIONS + 1, 3 * (m + self.cols) + 1)
+        pivots = 0
+        optimal = []  # the units optimal after a pivot, with their pivot counts
+        while units[0].size:
+            entering, col = self._entering(self._priced(units, red), units)
+            done = entering < 0
+            if done.any():
+                optimal.append([*(a[done] for a in units[:5]), np.full(done.sum(), pivots)])
+            *units, entering, col = _rows(~done, [*units, entering, col])
+            if not units[0].size:
+                break
+            leaving = self._leaving(col, units[5][:, :, m], units[2])
+            # an unbounded unit is handed back
+            *units, entering, col, leaving = _rows(leaving >= 0, [*units, entering, col, leaving])
+            _, _, basis, _, _, both, c_B = units
+            ar = np.arange(basis.shape[0])
+            row = both[ar, leaving] / col[ar, leaving][:, None]
+            both[ar, leaving] = row
+            col[ar, leaving] = 0.0
+            both -= col[:, :, None] * row[:, None, :]
+            basis[ar, leaving] = entering
+            c_B[ar, leaving] = cc[entering]
+            pivots += 1
+            if pivots == limit:  # what is left would refactor, switch to Bland or stop
+                break
+        del red, units  # the verdicts' arrays take their place
+        if optimal:
+            self._verdicts(out, *(np.concatenate(a) for a in zip(*optimal)))
+        return out
+
+    def _started(self, starts):
+        """The units whose start is a nonsingular basis over every row with no negative
+        basic value, as ``[unit, warm, basis, heads, b]``, and ``[B⁻¹ | B⁻¹b]`` of each."""
+        begun = [(k, kind, got[0]) for k, start in enumerate(starts)
+                 for kind, got in [_begun(start, self.n, self.cols, self.slack_col_of_row)]
+                 if got is not None and len(got[1]) == self.m]
+        unit = np.array([k for k, _, _ in begun], dtype=int)
+        warm = np.array([kind == WARM for _, kind, _ in begun], dtype=bool)
+        basis = np.array([got for _, _, got in begun], dtype=int).reshape(len(begun), self.m)
+        heads, b = self.heads[unit], self.b[unit]
+        both = np.empty((unit.size, self.m, self.m + 1))
+        both[:, :, :-1], both[:, :, -1], ok = self._factor(self._block(heads, basis), b)
+        ok &= ~(both[:, :, -1].min(axis=1, initial=math.inf) < -lp.FEASIBILITY_TOL)
+        return [a[ok] for a in (unit, warm, basis, heads, b)], both[ok]
+
+    def _priced(self, units, out):
+        """Each unit's reduced costs, as ``_Simplex._iterate`` prices them, in ``out``."""
+        _, _, basis, heads, _, both, c_B = units
+        y = c_B[:, None, :] @ both[:, :, :self.m]
+        red = np.matmul(y, self.S, out=out[:len(y)])
+        red[:, :, :self.w] = y @ heads
+        red = np.subtract(self.cc, red, out=red)[:, 0]
+        red[np.arange(basis.shape[0])[:, None], basis] = 0.0
+        return red
+
+    def _block(self, heads, basis):
+        """Each unit's basis matrix: its columns ``basis[k]`` of ``S``, or of its heads."""
+        blocks = self.S.T[basis]  # unit, basis position, row: each block transposed
+        own = np.nonzero(basis < self.w)
+        blocks[own] = heads[own[0], :, basis[own]]
+        return blocks.transpose(0, 2, 1)
+
+    def _factor(self, block, b):
+        """Each basis' inverse and basic values, and which bases are nonsingular."""
+        ok = np.ones(len(block), dtype=bool)
+        try:
+            inverse = np.linalg.inv(block)
+        except np.linalg.LinAlgError:  # find the singular ones
+            inverse = np.zeros(block.shape)
+            for k, a in enumerate(block):
+                try:
+                    inverse[k] = np.linalg.inv(a)
+                except np.linalg.LinAlgError:
+                    ok[k] = False
+        return inverse, (inverse @ b[:, :, None])[:, :, 0], ok
+
+    def _entering(self, red, units):
+        """Each unit's entering column and its column of the tableau, or -1 when optimal.
+
+        As in ``_Simplex._iterate``: the lowest reduced cost enters if it
+        improves and its reduced cost, taken again from its column, still
+        does; if not that, it is set to 0 and the next lowest is tried.
+        """
+        _, _, _, heads, _, both, c_B = units
+        entering = red.argmin(axis=1)
+        improving = ~(red[np.arange(len(red)), entering] >= -lp.PIVOT_TOL)
+        col = self._column(entering, heads, both)
+        priced = self.cc[entering] - (c_B[:, None, :] @ col[:, :, None])[:, 0, 0] < -lp.PIVOT_TOL
+        for k in (improving & ~priced).nonzero()[0]:  # priced noise: one unit at a time
+            while improving[k] and not priced[k]:
+                red[k, entering[k]] = 0.0
+                entering[k] = red[k].argmin()
+                improving[k] = not red[k, entering[k]] >= -lp.PIVOT_TOL
+                col[k] = self._column(entering[k:k + 1], heads[k:k + 1], both[k:k + 1])[0]
+                priced[k] = self.cc[entering[k]] - c_B[k] @ col[k] < -lp.PIVOT_TOL
+        entering[~improving] = -1
+        return entering, col
+
+    def _column(self, q, heads, both):
+        """Each unit's column ``q[k]`` of its tableau, ``B⁻¹ a_q``."""
+        a = self.S.T[q]
+        own = (q < self.w).nonzero()[0]
+        a[own] = heads[own, :, q[own]]
+        return (both[:, :, :self.m] @ a[:, :, None])[:, :, 0]
+
+    def _leaving(self, col, rhs, basis):
+        """Each unit's leaving row, as ``lp._leaving`` finds it; -1 when unbounded.
+
+        A unit's ratios below its lowest plus ``lp.PIVOT_TOL`` are its band.
+        When the band is narrower than ``lp.PIVOT_TOL`` and the lowest ratio
+        beyond it clears it by ``lp.PIVOT_TOL``, as the scan compares them, the
+        scan ends on the band's lowest basis column, the tie rule, whatever
+        the order of the rows; the row of that column leaves.  Any other unit
+        runs the scan.
+        """
+        tol = lp.PIVOT_TOL
+        ratio = np.full(col.shape, math.inf)
+        np.divide(rhs, col, out=ratio, where=col > tol)
+        low = np.minimum.reduce(ratio, axis=1)
+        band = ratio < (low + tol)[:, None]
+        high = np.maximum.reduce(np.where(band, ratio, -math.inf), axis=1)
+        beyond = np.minimum.reduce(np.where(band, math.inf, ratio), axis=1)
+        clear = ((high > -math.inf) & (low >= high - tol) & (beyond >= high + tol)
+                 & (beyond - tol > high))
+        leaving = np.where(band, basis, self.cols).argmin(axis=1)
+        for k in (~clear).nonzero()[0]:
+            leaving[k] = _leaving(col[k], rhs[k], basis[k])
+        return leaving
+
+    def _verdicts(self, out, unit, warm, basis, heads, b, pivots):
+        """The optimum of each unit whose basis holds once refactored, as ``_Simplex._verdict``
+        gives it after ``pivots[k]`` pivots.  Without a pivot ``_Simplex`` reuses the
+        start's factors, which the refactor repeats bit for bit."""
+        block = self._block(heads, basis)
+        inverse, rhs, ok = self._factor(block, b)
+        ok &= self._holding(block, rhs, b, basis)
+        unit, warm, basis, heads, pivots, inverse, rhs = (
+            a[ok] for a in (unit, warm, basis, heads, pivots, inverse, rhs))
+        n, m = self.n, self.m
+        structural = np.nonzero(basis < n)
+        x = np.zeros((unit.size, n))
+        x[structural[0], basis[structural]] = rhs[structural]
+        np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
+        value = (x[:, None, :] @ self.c[:, None])[:, 0, 0]
+        # multipliers from the final basis' inverse, signed for the problem's sense
+        y = (inverse.transpose(0, 2, 1) @ self.cc[basis][:, :, None])[:, :, 0]
+        duals = (-1.0 if self.sense == MAXIMIZE else 1.0) * y
+        reduced = np.matmul(self.S[:, :n].T, duals[:, :, None])[:, :, 0]
+        own = min(self.w, n)
+        reduced[:, :own] = np.matmul(heads[:, :, :own].transpose(0, 2, 1),
+                                     duals[:, :, None])[:, :, 0]
+        np.subtract(self.c, reduced, out=reduced)
+        basic = np.zeros((unit.size, n), dtype=bool)
+        basic[structural[0], basis[structural]] = True
+        rows = tuple(range(m))
+        for a in (x, duals, reduced, basic):
+            _frozen(a)
+        for k, (u, iterations) in enumerate(zip(unit.tolist(), pivots.tolist())):
+            out[u] = LpSolution(
+                OPTIMAL, float(value[k]), x[k], iterations, duals[k], reduced[k], basic[k],
+                WARM if warm[k] else CRASH, (tuple(basis[k].tolist()), rows, m),
+            )
+
+    def _holding(self, block, rhs, b, basis):
+        """Which basic points surely hold, as ``_Simplex._holds`` would say.
+
+        A point holds when no basic value is negative and no row breaks its
+        tolerance (``_slacks``).  The rows are summed over the basis block,
+        not over the whole row, so a row within ``HOLD_MARGIN`` of its
+        tolerance counts as not holding.
+        """
+        xs = np.where(basis < self.n, rhs, 0.0)
+        resid = b - (block @ xs[:, :, None])[:, :, 0]
+        scale = (np.abs(block) @ np.abs(xs)[:, :, None])[:, :, 0] + np.abs(b)
+        row_tol = lp.FEASIBILITY_TOL * np.maximum(1.0, scale)
+        gap = np.where(self.sign != 0.0, resid * self.sign + row_tol, row_tol - np.abs(resid))
+        return ((rhs.min(axis=1, initial=math.inf) >= -lp.FEASIBILITY_TOL)
+                & (gap > HOLD_MARGIN * row_tol).all(axis=1))
+
+
+def _rows(keep, arrays) -> list:
+    """Each of ``arrays`` at the rows ``keep`` marks; the arrays themselves when it marks all."""
+    return arrays if keep.all() else [a[keep] for a in arrays]

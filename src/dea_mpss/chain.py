@@ -27,14 +27,14 @@ band and re-optimises radial stage factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
 from .errors import ValidationError
 from .lp import solve_lp  # noqa: F401  Tracer.install (perfbench/spans.py) wraps it here
-from .network import EPS_MPSS, _solve, _unit, _validated
+from .network import EPS_MPSS, _Model, _solve, _sweep, _unit, _validated
 from .program import Program
 
 DOWN = "↓"
@@ -136,6 +136,26 @@ class ChainEfficiency:
         return self.objective >= ideal - EPS_MPSS
 
 
+def _efficiency(weights: ChainWeights) -> _Model:
+    objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
+                 "theta_market": -weights.w3}
+
+    def result(sol, prog, dmu):
+        factors = prog.factors(sol)
+        return ChainEfficiency(
+            dmu=str(dmu),
+            objective=sol.objective_value,
+            weights=weights,
+            marketability=1.0 / factors["theta_market"],
+            intermediates=prog.targets(sol),
+            reference_weights=prog.weights(sol),
+            **factors,
+        )
+
+    return _Model(EFFICIENCY, _chain_program, "minimize", objective, "chain efficiency of {!r}",
+                  result)
+
+
 def chain_efficiency(
     dataset: Dataset,
     topology: NetworkTopology,
@@ -143,21 +163,13 @@ def chain_efficiency(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainEfficiency:
     """Operation, research and marketability efficiencies in one solve."""
-    unit = _unit(dataset, topology, dmu, EFFICIENCY, _chain_program)
-    prog = unit.program
-    objective = {"theta_operation": weights.w1, "theta_rd": weights.w2,
-                 "theta_market": -weights.w3}
-    sol = _solve(unit, "minimize", objective, f"chain efficiency of {dmu!r}")
-    factors = prog.factors(sol)
-    return ChainEfficiency(
-        dmu=str(dmu),
-        objective=sol.objective_value,
-        weights=weights,
-        marketability=1.0 / factors["theta_market"],
-        intermediates=prog.targets(sol),
-        reference_weights=prog.weights(sol),
-        **factors,
-    )
+    return next(chain_efficiency_sweep(dataset, topology, [dmu], weights))
+
+
+def chain_efficiency_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str],
+                           weights: ChainWeights = ChainWeights()) -> Iterator[ChainEfficiency]:
+    """``chain_efficiency`` of each of ``dmus``, in order."""
+    return _sweep(dataset, topology, dmus, _efficiency(weights))
 
 
 @dataclass(frozen=True)
@@ -178,6 +190,25 @@ class ChainMpss:
         return abs(self.score) <= EPS_MPSS
 
 
+def _scale_size(weights: ChainWeights) -> _Model:
+    objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
+                 "theta_rd": -weights.w3}
+
+    def result(sol, prog, dmu):
+        return ChainMpss(
+            dmu=str(dmu),
+            score=sol.objective_value,
+            weights=weights,
+            intermediates=prog.targets(sol),
+            intermediates_unique=prog.targets_unique(sol),
+            reference_weights=prog.weights(sol),
+            **prog.factors(sol),
+        )
+
+    return _Model(SCALE_SIZE, _chain_program, "maximize", objective, "chain scale size of {!r}",
+                  result)
+
+
 def chain_mpss(
     dataset: Dataset,
     topology: NetworkTopology,
@@ -185,20 +216,13 @@ def chain_mpss(
     weights: ChainWeights = ChainWeights(),
 ) -> ChainMpss:
     """Chain scale-size score; zero means most productive scale size."""
-    unit = _unit(dataset, topology, dmu, SCALE_SIZE, _chain_program)
-    prog = unit.program
-    objective = {"theta_market": weights.w1, "theta_operation": -weights.w2,
-                 "theta_rd": -weights.w3}
-    sol = _solve(unit, "maximize", objective, f"chain scale size of {dmu!r}")
-    return ChainMpss(
-        dmu=str(dmu),
-        score=sol.objective_value,
-        weights=weights,
-        intermediates=prog.targets(sol),
-        intermediates_unique=prog.targets_unique(sol),
-        reference_weights=prog.weights(sol),
-        **prog.factors(sol),
-    )
+    return next(chain_mpss_sweep(dataset, topology, [dmu], weights))
+
+
+def chain_mpss_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str],
+                     weights: ChainWeights = ChainWeights()) -> Iterator[ChainMpss]:
+    """``chain_mpss`` of each of ``dmus``, in order."""
+    return _sweep(dataset, topology, dmus, _scale_size(weights))
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,23 @@ from typing import Callable, NamedTuple
 from .chain import (
     ChainWeights,
     chain_efficiency,
+    chain_efficiency_sweep,
     chain_mpss,
+    chain_mpss_sweep,
     intermediate_targets,
 )
 from .data import DataWarning, csv_errors, load_dataset, parse_data_csv, read_text, summarize
 from .errors import DeaMpssError, SolverError, ValidationError
-from .network import blackbox_mpss, evaluate_stages, network_mpss_radial, network_mpss_variable
+from .network import (
+    blackbox_mpss,
+    blackbox_sweep,
+    evaluate_stages,
+    network_mpss_radial,
+    network_mpss_variable,
+    network_radial_sweep,
+    network_variable_sweep,
+    stages_sweep,
+)
 from .rank_tests import kruskal_wallis
 from .tandem import _check_weights, decompose
 
@@ -221,11 +232,18 @@ def _load(args):
     return load_dataset(args.data, args.topology, min_epsilon=args.min_epsilon)
 
 
-def _pick_dmus(dataset, args):
+def _evaluated(dataset, args, one, sweep):
+    """``(dmu, result)`` per DMU the call evaluates, in dataset order.
+
+    A ``--dmu`` call solves its one unit through ``one(dmu)``; a whole-file
+    call goes through ``sweep(dmus)``, which solves the units in lockstep
+    and raises the first failure in dataset order, as a loop over ``one``
+    would.
+    """
     if args.dmu is None:
-        return dataset.dmu_ids
+        return zip(dataset.dmu_ids, sweep(dataset.dmu_ids))
     dataset.index_of(args.dmu)
-    return (args.dmu,)
+    return [(args.dmu, one(args.dmu))]
 
 
 def _emit(table: ReportTable, args) -> None:
@@ -264,8 +282,9 @@ def _cmd_summary(args) -> None:
 def _cmd_blackbox(args) -> None:
     dataset, topology = _load(args)
     rows = []
-    for dmu in _pick_dmus(dataset, args):
-        res = blackbox_mpss(dataset, dmu, topology=topology)
+    for dmu, res in _evaluated(dataset, args,
+                               lambda dmu: blackbox_mpss(dataset, dmu, topology=topology),
+                               lambda dmus: blackbox_sweep(dataset, dmus, topology=topology)):
         rows.append((dmu, res.score, res.scale_factors["inputs"],
                      res.scale_factors["outputs"], "yes" if res.is_mpss() else "no"))
     table = ReportTable(
@@ -279,28 +298,38 @@ def _cmd_blackbox(args) -> None:
 
 def _cmd_network(args) -> None:
     dataset, topology = _load(args)
-    solve = network_mpss_variable if args.intermediates == "variable" else network_mpss_radial
+    variable = args.intermediates == "variable"
     headers = ["dmu", "score", "stage1_inputs", "stage1_outputs",
                "stage2_inputs", "stage2_outputs", "mpss"]
     precisions = [None] + [MPSS_DECIMALS] * 5 + [None]
     if args.stages:
         headers += ["stage1_score", "stage2_score"]
         precisions += [MPSS_DECIMALS, MPSS_DECIMALS]
+
+    # each unit's system result, then its stage results with --stages; the
+    # radial system row is the first of the three staged solves
+    def one(dmu):
+        if args.stages and not variable:
+            return evaluate_stages(dataset, topology, dmu)
+        res = (network_mpss_variable if variable else network_mpss_radial)(dataset, topology, dmu)
+        return (res, *evaluate_stages(dataset, topology, dmu)[1:]) if args.stages else (res,)
+
+    def sweep(dmus):
+        if args.stages and not variable:
+            return stages_sweep(dataset, topology, dmus)
+        solved = (network_variable_sweep if variable else network_radial_sweep)(
+            dataset, topology, dmus)
+        if not args.stages:
+            return ((res,) for res in solved)
+        return ((res, *staged[1:]) for res, staged in zip(solved, stages_sweep(
+            dataset, topology, dmus)))
+
     rows = []
-    for dmu in _pick_dmus(dataset, args):
-        if args.stages and args.intermediates == "radial":
-            # the radial system row is the first of the three staged solves
-            res, st1, st2 = evaluate_stages(dataset, topology, dmu)
-        else:
-            res = solve(dataset, topology, dmu)
-            if args.stages:
-                _, st1, st2 = evaluate_stages(dataset, topology, dmu)
+    for dmu, (res, *stages) in _evaluated(dataset, args, one, sweep):
         f = res.scale_factors
         row = [dmu, res.score, f["stage1_inputs"], f["stage1_outputs"],
                f["stage2_inputs"], f["stage2_outputs"], "yes" if res.is_mpss() else "no"]
-        if args.stages:
-            row += [st1.score, st2.score]
-        rows.append(tuple(row))
+        rows.append((*row, *(st.score for st in stages)))
     table = ReportTable(
         f"network scale size ({args.intermediates} intermediates)",
         tuple(headers), tuple(rows), tuple(precisions), raw=args.raw,
@@ -344,8 +373,9 @@ def _cmd_decompose(args) -> None:
     elif args.data and args.topology:
         headers = ("dmu", "process1", "process2", "stage1", "stage2", "tandem", "system")
         dataset, topology = _load(args)
-        for dmu in _pick_dmus(dataset, args):
-            system, st1, st2 = evaluate_stages(dataset, topology, dmu)
+        for dmu, (system, st1, st2) in _evaluated(
+                dataset, args, lambda dmu: evaluate_stages(dataset, topology, dmu),
+                lambda dmus: stages_sweep(dataset, topology, dmus)):
             for stage, res in ((1, st1), (2, st2)):
                 if res.score < 0.0:
                     raise _ModelOutcomeError(
@@ -367,8 +397,10 @@ def _cmd_chain_eff(args) -> None:
     dataset, topology = _load(args)
     weights = ChainWeights(args.w1, args.w2, args.w3)
     rows = []
-    for dmu in _pick_dmus(dataset, args):
-        res = chain_efficiency(dataset, topology, dmu, weights)
+    for dmu, res in _evaluated(dataset, args,
+                               lambda dmu: chain_efficiency(dataset, topology, dmu, weights),
+                               lambda dmus: chain_efficiency_sweep(dataset, topology, dmus,
+                                                                   weights)):
         rows.append((dmu, res.objective, res.theta_operation, res.theta_rd,
                      res.marketability, "yes" if res.is_efficient() else "no"))
     table = ReportTable(
@@ -384,8 +416,9 @@ def _cmd_chain_mpss(args) -> None:
     weights = ChainWeights(args.w1, args.w2, args.w3)
     mids = topology.intermediate_measures()
     rows, target_rows = [], []
-    for dmu in _pick_dmus(dataset, args):
-        res = chain_mpss(dataset, topology, dmu, weights)
+    for dmu, res in _evaluated(dataset, args,
+                               lambda dmu: chain_mpss(dataset, topology, dmu, weights),
+                               lambda dmus: chain_mpss_sweep(dataset, topology, dmus, weights)):
         rows.append((dmu, res.score, res.theta_operation, res.theta_rd,
                      res.theta_market, "yes" if res.is_mpss() else "no"))
         if args.targets:

@@ -38,6 +38,17 @@ infeasible, and when phase two from a start ends unbounded or on a basis
 that is infeasible once refactored from the original rows.  Pivoting uses
 Dantzig's rule and falls back to Bland's rule after 3·(rows+columns) pivots
 of a phase, which guarantees termination.
+
+``solve_lockstep`` runs the started phase twos of many units of one
+compiled program at once (``Lockstep``: a shared matrix, and per unit its
+first columns and right sides), one numpy call per step for every unit
+not yet done: a stacked product prices them, a stacked inverse factors
+them, and each unit takes the pivots and gets the ``LpSolution``
+``solve_lp`` gives it, bit for bit.  A unit that would leave that path (a
+start that fails, an unbounded step, a refactor, the Bland switch, an
+optimum that does not hold) is handed back, for ``solve_lp`` to solve
+alone from the same start.  A batch of one costs more per step than the
+scalar loop, so a single solve stays with ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -223,6 +234,56 @@ def _slacks(form: StandardForm, xs):
     return slack, row_tol
 
 
+def _begun(start, n, cols, slack_col_of_row):
+    """The kind of ``start`` and its basis columns and kept rows, or None when it fails.
+
+    A crash start fails when it is out of range, a warm one when its program
+    has other variables or more rows, or a row appended since has no slack.
+    Any other start raises ``ValidationError``.
+    """
+    m = slack_col_of_row.size
+    if isinstance(start, LpSolution):
+        if start._basis is None or start.variable_values.size != n:
+            return WARM, None
+        basis, row_keep, rows = start._basis
+        added = slack_col_of_row[rows:]
+        if rows > m or added.min(initial=0) < 0:
+            return WARM, None
+        basis = np.concatenate((basis, added)).astype(int, copy=False)
+        if basis.max(initial=-1) >= cols:
+            return WARM, None
+        return WARM, (basis, [*row_keep, *range(rows, m)])
+    if isinstance(start, np.ndarray) and start.dtype.kind in "iu":
+        if start.shape != (m,) or start.min(initial=0) < 0 or start.max(initial=-1) >= cols:
+            return CRASH, None
+        return CRASH, (start.astype(int), list(range(m)))
+    kind = f"ndarray of {start.dtype}" if isinstance(start, np.ndarray) else type(start).__name__
+    raise ValidationError("start must be an integer array of basis columns or "
+                          f"an LpSolution, got {kind}")
+
+
+def _leaving(col, rhs, basis) -> int:
+    """The ratio test: the row whose basic variable leaves for the entering column ``col``.
+
+    The lowest ratio of a basic value to a column entry above
+    ``PIVOT_TOL``; within ``PIVOT_TOL`` of the lowest so far, the row of the
+    lowest basis column.  -1 when no entry is above ``PIVOT_TOL``
+    (unbounded).
+    """
+    tol = PIVOT_TOL
+    leaving = low = -1
+    best_ratio = math.inf
+    for i, (c, r, j) in enumerate(zip(col.tolist(), rhs.tolist(), basis.tolist())):
+        if c <= tol:
+            continue
+        ratio = r / c
+        if ratio < best_ratio - tol:
+            best_ratio, leaving, low = ratio, i, j
+        elif ratio < best_ratio + tol and j < low:
+            leaving, low = i, j
+    return leaving
+
+
 class _Simplex:
     """One solve over the problem's standard form; walks the two phases."""
 
@@ -240,15 +301,7 @@ class _Simplex:
 
     def run(self, start=None) -> LpSolution:
         if start is not None:
-            if isinstance(start, LpSolution):
-                self.started, begun = WARM, self._warm(start)
-            elif isinstance(start, np.ndarray) and start.dtype.kind in "iu":
-                self.started, begun = CRASH, self._basis(start)
-            else:
-                kind = f"ndarray of {start.dtype}" if isinstance(start, np.ndarray) \
-                    else type(start).__name__
-                raise ValidationError("start must be an integer array of basis columns or "
-                                      f"an LpSolution, got {kind}")
+            self.started, begun = _begun(start, self.n, self.cols, self.slack_col_of_row)
             factored = None if begun is None else self._factor(*begun, self.S)
             if factored is not None and not _negative(factored[1]):
                 (basis, row_keep), (inverse, start_rhs) = begun, factored
@@ -295,28 +348,6 @@ class _Simplex:
         x = np.zeros(self.cols)
         x[basis] = rhs
         return not _negative(rhs) and _slacks(self.form, x[:self.n]) is not None
-
-    # -- starting bases ------------------------------------------------
-
-    def _basis(self, basis):
-        """A copy of the basis columns ``basis`` over every row, or None when out of range."""
-        if basis.shape != (self.m,) or basis.min(initial=0) < 0 or \
-                basis.max(initial=-1) >= self.cols:
-            return None
-        return basis.astype(int), list(range(self.m))
-
-    def _warm(self, sol):
-        """The final basis of ``sol`` plus the slacks of the rows appended since."""
-        if sol._basis is None or sol.variable_values.size != self.n:
-            return None
-        basis, row_keep, rows = sol._basis
-        added = self.slack_col_of_row[rows:]
-        if rows > self.m or added.min(initial=0) < 0:
-            return None
-        basis = np.concatenate((basis, added)).astype(int, copy=False)
-        if basis.max(initial=-1) >= self.cols:
-            return None
-        return basis, [*row_keep, *range(rows, self.m)]
 
     # -- phases --------------------------------------------------------
 
@@ -370,8 +401,7 @@ class _Simplex:
         3·(rows+columns) pivots, and the first negative one (Bland, which
         cannot cycle) after that.  A candidate enters only if its reduced
         cost, computed again from its column, still improves.  The ratio
-        test takes the lowest ratio; within ``PIVOT_TOL`` of it, the lowest
-        basis column.
+        test is ``_leaving``.
         """
         tol = PIVOT_TOL
         A = S if len(row_keep) == self.m else S[row_keep]
@@ -399,16 +429,7 @@ class _Simplex:
                 if cost[entering] - c_B @ col < -tol:
                     break
                 red[entering] = 0.0
-            leaving = low = -1
-            best_ratio = math.inf
-            for i, (c, r, j) in enumerate(zip(col.tolist(), rhs.tolist(), basis.tolist())):
-                if c <= tol:
-                    continue
-                ratio = r / c
-                if ratio < best_ratio - tol:
-                    best_ratio, leaving, low = ratio, i, j
-                elif ratio < best_ratio + tol and j < low:
-                    leaving, low = i, j
+            leaving = _leaving(col, rhs, basis)
             if leaving < 0:
                 return UNBOUNDED
             inverse.pivot(leaving, col)
@@ -451,6 +472,48 @@ class _Simplex:
             _frozen(duals), _frozen(reduced), _frozen(basic),
             self.started, (tuple(basis.tolist()), tuple(row_keep), m),
         )
+
+
+class Lockstep(NamedTuple):
+    """The programs of many units that differ only in their first columns and right sides.
+
+    Unit ``k``'s standard form is ``S`` with its first ``heads.shape[2]``
+    columns replaced by ``heads[k]``, and ``b[k]`` its right sides;
+    ``sign`` and ``slack_col_of_row`` are as in ``StandardForm``.  A
+    product with ``S`` rounds every column but the heads as the same
+    product with a unit's own matrix does, so only the heads are taken per
+    unit.  A product with a block of a few columns need not round those
+    columns as the product with the whole row does; the heads are made
+    wide enough that it does (``program.HEAD_COLUMNS``), or are the whole
+    row, and the tests check every lockstep solution against ``solve_lp``
+    bit for bit.
+    """
+
+    S: np.ndarray
+    sign: np.ndarray
+    slack_col_of_row: np.ndarray
+    heads: np.ndarray
+    b: np.ndarray
+
+
+def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockstep,
+                   starts: Sequence) -> list:
+    """``solve_lp`` of each unit of ``programs`` from ``starts[k]``, all units in lockstep.
+
+    Phase two runs for every unit at once, one numpy call per step: each
+    step prices, picks, ratio-tests and pivots every unit not yet done,
+    by the arithmetic ``_Simplex`` does for one, so a unit gets the very
+    ``LpSolution`` ``solve_lp`` would return.  A unit whose solve would
+    leave that path is handed back as None, for ``solve_lp`` to solve from
+    the same start: a start that fails (out of range, singular or
+    negative, or a warm start whose rows were dropped), an unbounded step,
+    a refactor or the Bland switch (``REFACTOR_EVERY`` pivots come first),
+    or an optimum that does not hold once refactored, or holds too near
+    its row tolerances for a check of other rounding to tell.
+    """
+    from ._lockstep import _Lockstep  # compiled on a sweep's first solve, not at import
+
+    return _Lockstep(objective_sense, objective, programs).run(starts)
 
 
 class _Inverse:

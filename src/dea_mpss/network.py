@@ -18,21 +18,39 @@ decision variable per intermediate) or radially (stage-1 output factor and
 stage-2 input factor scale the DMU's own intermediate levels).  Stage
 scores are solved lexicographically: the system score is pinned inside a
 narrow band while a stage objective is re-optimised.
+
+Each model is written once, as a sweep over a list of units
+(``blackbox_sweep``, ...); its per-unit form (``blackbox_mpss``, ...) is
+the sweep of one unit.  A sweep takes ``SWEEP_CHUNK`` units at a time and
+solves them in lockstep (``lp.solve_lockstep``): the stage sweep solves a
+chunk's radial systems, then its stage-1 and its stage-2 programs, each
+batch warm-started from the optima of the one before.  A unit whose solve
+leaves the lockstep path (a failed start, an unbounded step, a refactor, a
+failed or too close hold, a warm start whose rows were dropped) is solved
+alone through ``_solve`` from the same start, so every solution, and the
+first failure in unit order with its message, is the per-unit loop's.  A
+lone unit (a ``--dmu`` call, or a chunk of one) is solved by ``_solve``
+with no lockstep: a batch of one costs more per step than the scalar
+pivot loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpSolution, solve_lp
+from .lp import LpSolution, solve_lockstep, solve_lp
 from .program import Program, Unit
 
 EPS_MPSS = 1e-6
+# units a sweep solves in lockstep at once: a wider chunk takes fewer numpy
+# calls a unit but holds more units' solutions at once, so a sweep's peak
+# resident memory grows with it
+SWEEP_CHUNK = 10
 
 BLACK_BOX = "black_box"
 SYSTEM_VARIABLE = "system_variable"
@@ -74,9 +92,14 @@ class MpssResult:
         return abs(self.score) <= EPS_MPSS
 
 
+def _program(dataset: Dataset, view, model: str, build) -> Program:
+    """``build(dataset, view, model)``, compiled once per dataset."""
+    return dataset.compiled((view, model), lambda: build(dataset, view, model))
+
+
 def _unit(dataset: Dataset, view, dmu: str, model: str, build) -> Unit:
     """``dmu``'s copy of ``build(dataset, view, model)``, compiled once per dataset."""
-    prog = dataset.compiled((view, model), lambda: build(dataset, view, model))
+    prog = _program(dataset, view, model, build)
     return prog.unit(dataset.index_of(dmu))
 
 
@@ -107,6 +130,89 @@ def _solve(unit: Unit, sense: str, objective: Mapping[str, float], context: str,
     return sol
 
 
+def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], sense: str,
+            objective: Mapping[str, float], context: str, starts=None, pinned=(),
+            bands=None, units=None) -> list:
+    """Each unit's ``_solve`` of ``prog``: its ``LpSolution``, or the ``SolverError`` it raised.
+
+    Two or more units run in lockstep (``lp.solve_lockstep``) from their
+    crash bases, or from ``starts`` pinned at ``pinned[k]``; a lone unit, or
+    one handed back, is solved by ``_solve`` from the same start, on its
+    ``Unit`` in ``units`` (by owner) if an earlier solve made one, which
+    takes the pins it lacks.  ``context`` names the DMU through
+    ``str.format``; ``bands[k]`` is unit ``k``'s band.
+    """
+    if not owns:
+        return []
+    pinned = np.array(pinned, dtype=float).reshape(len(owns), -1)
+    sols = [None]
+    if len(owns) > 1:
+        sols = solve_lockstep(sense, prog.objective(objective), prog.lockstep(owns, pinned),
+                              prog.crash_bases(owns) if starts is None else starts)
+    units = {} if units is None else units
+    for k, sol in enumerate(sols):
+        if sol is None:
+            unit = units.get(owns[k])
+            if unit is None:
+                unit = units[owns[k]] = prog.unit(owns[k])
+            for value in pinned[k, unit.pinned:].tolist():
+                unit.pin(value)
+            try:
+                sols[k] = _solve(unit, sense, objective, context.format(dmus[k]),
+                                 None if starts is None else starts[k], bands and bands[k])
+            except SolverError as exc:
+                sols[k] = exc
+    return sols
+
+
+def _swept(dataset: Dataset, view, dmus: Sequence[str], model: str, build,
+           solve_chunk: Callable) -> Iterator:
+    """``solve_chunk(program, dmus, owns)``'s outcome for each of ``dmus``, in order.
+
+    The units go ``SWEEP_CHUNK`` at a time, and each chunk's outcomes are
+    handed on before the next is solved.  A failure, an unknown DMU among
+    them, is raised when its unit is reached, as a loop over the units
+    raises it.
+    """
+    dmus = list(dmus)
+    for first in range(0, len(dmus), SWEEP_CHUNK):
+        prog = _program(dataset, view, model, build)
+        part, owns, unknown = dmus[first:first + SWEEP_CHUNK], [], None
+        for dmu in part:
+            try:
+                owns.append(dataset.index_of(dmu))
+            except ValidationError as exc:
+                unknown = exc
+                break
+        for outcome in solve_chunk(prog, part[:len(owns)], owns) if owns else ():
+            if isinstance(outcome, SolverError):
+                raise outcome
+            yield outcome
+        if unknown is not None:
+            raise unknown
+
+
+class _Model(NamedTuple):
+    """One model solve: its program, objective and failure context, and its result."""
+
+    name: str                       # the compiled program's model
+    build: Callable                 # (dataset, view, model) -> Program
+    sense: str
+    objective: Mapping[str, float]
+    context: str                    # names the DMU through str.format
+    result: Callable                # (LpSolution, Program, dmu) -> the model's result
+
+
+def _sweep(dataset: Dataset, view, dmus: Sequence[str], model: _Model) -> Iterator:
+    """``model``'s result for each of ``dmus``, in order, the units of a chunk in lockstep."""
+    def solve_chunk(prog, part, owns):
+        sols = _solves(prog, part, owns, model.sense, model.objective, model.context)
+        return [sol if isinstance(sol, SolverError) else model.result(sol, prog, dmu)
+                for dmu, sol in zip(part, sols)]
+
+    return _swept(dataset, view, dmus, model.name, model.build, solve_chunk)
+
+
 def _blackbox_program(dataset: Dataset, view, model: str) -> Program:
     """``view`` is a topology, read as its exogenous inputs and final outputs, or the two lists."""
     if isinstance(view, NetworkTopology):
@@ -123,6 +229,10 @@ def _blackbox_program(dataset: Dataset, view, model: str) -> Program:
     return prog.compile()
 
 
+def _blackbox_view(inputs, outputs, topology):
+    return topology if topology is not None else (tuple(inputs or ()), tuple(outputs or ()))
+
+
 def blackbox_mpss(
     dataset: Dataset,
     dmu: str,
@@ -137,11 +247,15 @@ def blackbox_mpss(
     inputs vs. all final outputs, intermediates dropped) or from explicit
     measure lists.
     """
-    view = topology if topology is not None else (tuple(inputs or ()), tuple(outputs or ()))
-    unit = _unit(dataset, view, dmu, BLACK_BOX, _blackbox_program)
-    sol = _solve(unit, "maximize", {"outputs": 1.0, "inputs": -1.0},
-                 f"black-box evaluation of {dmu!r}")
-    return _result_from(sol, BLACK_BOX, dmu, unit)
+    return next(blackbox_sweep(dataset, [dmu], inputs=inputs, outputs=outputs,
+                               topology=topology))
+
+
+def blackbox_sweep(dataset: Dataset, dmus: Sequence[str], *,
+                   inputs: Sequence[str] | None = None, outputs: Sequence[str] | None = None,
+                   topology: NetworkTopology | None = None) -> Iterator[MpssResult]:
+    """``blackbox_mpss`` of each of ``dmus``, in order."""
+    return _sweep(dataset, _blackbox_view(inputs, outputs, topology), dmus, _BLACK_BOX)
 
 
 def _system_program(dataset: Dataset, topology: NetworkTopology, model: str) -> Program:
@@ -176,14 +290,26 @@ def _system_program(dataset: Dataset, topology: NetworkTopology, model: str) -> 
     return prog.compile()
 
 
-def _result_from(sol: LpSolution, scope: str, dmu: str, unit: Unit) -> MpssResult:
-    prog = unit.program
+def _result_from(sol: LpSolution, scope: str, dmu: str, prog: Program) -> MpssResult:
     free = bool(prog.target)
     return MpssResult(
         scope, str(dmu), sol.objective_value, prog.factors(sol), prog.weights(sol),
         optimal_intermediates=prog.targets(sol) if free else None,
         intermediates_unique=prog.targets_unique(sol) if free else None,
     )
+
+
+def _scored(scope: str) -> Callable:
+    return lambda sol, prog, dmu: _result_from(sol, scope, dmu, prog)
+
+
+_BLACK_BOX = _Model(BLACK_BOX, _blackbox_program, "maximize", {"outputs": 1.0, "inputs": -1.0},
+                    "black-box evaluation of {!r}", _scored(BLACK_BOX))
+_VARIABLE = _Model(SYSTEM_VARIABLE, _system_program, "maximize", SYSTEM_GAP,
+                   "system evaluation of {!r}", _scored(SYSTEM_VARIABLE))
+_RADIAL = _Model(SYSTEM_RADIAL, _system_program, "maximize", SYSTEM_GAP,
+                 "radial system evaluation of {!r}", _scored(SYSTEM_RADIAL))
+STAGE_SCOPES = {1: STAGE_1, 2: STAGE_2}
 
 
 def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str) -> MpssResult:
@@ -194,9 +320,13 @@ def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str)
     may consume at most the target.  The optimal targets are reported as
     ``optimal_intermediates``; they are generally not unique.
     """
-    unit = _unit(dataset, topology, dmu, SYSTEM_VARIABLE, _system_program)
-    sol = _solve(unit, "maximize", SYSTEM_GAP, f"system evaluation of {dmu!r}")
-    return _result_from(sol, SYSTEM_VARIABLE, dmu, unit)
+    return next(network_variable_sweep(dataset, topology, [dmu]))
+
+
+def network_variable_sweep(dataset: Dataset, topology: NetworkTopology,
+                           dmus: Sequence[str]) -> Iterator[MpssResult]:
+    """``network_mpss_variable`` of each of ``dmus``, in order."""
+    return _sweep(dataset, topology, dmus, _VARIABLE)
 
 
 def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -> MpssResult:
@@ -206,24 +336,13 @@ def network_mpss_radial(dataset: Dataset, topology: NetworkTopology, dmu: str) -
     levels together; the stage-2 input factor scales its intermediate and
     exogenous input levels together.
     """
-    return _radial(_unit(dataset, topology, dmu, SYSTEM_RADIAL, _system_program), dmu)[0]
+    return next(network_radial_sweep(dataset, topology, [dmu]))
 
 
-def _radial(unit: Unit, dmu: str):
-    sol = _solve(unit, "maximize", SYSTEM_GAP, f"radial system evaluation of {dmu!r}")
-    return _result_from(sol, SYSTEM_RADIAL, dmu, unit), sol
-
-
-def _pinned_stage(unit: Unit, dmu: str, stage: int, score: float, start=None):
-    """Pin the gap solved before ``stage`` at ``score``, then solve the stage's gap.
-
-    Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
-    top of it.  ``unit`` holds the pins of the stages before ``stage``.
-    """
-    unit.pin(score)
-    sol = _solve(unit, "maximize", STAGE_GAP[stage], f"stage-{stage} evaluation of {dmu!r}",
-                 start, f"{PINS[stage][0]} score {score!r}")
-    return _result_from(sol, STAGE_1 if stage == 1 else STAGE_2, dmu, unit), sol
+def network_radial_sweep(dataset: Dataset, topology: NetworkTopology,
+                         dmus: Sequence[str]) -> Iterator[MpssResult]:
+    """``network_mpss_radial`` of each of ``dmus``, in order."""
+    return _sweep(dataset, topology, dmus, _RADIAL)
 
 
 def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
@@ -232,8 +351,46 @@ def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
     Each pinned program appends two rows to the one solved before it, whose
     optimum satisfies them, so each stage solve starts from that optimum's basis.
     """
-    unit = _unit(dataset, topology, dmu, SYSTEM_RADIAL, _system_program)
-    system, sol = _radial(unit, dmu)
-    first, sol = _pinned_stage(unit, dmu, 1, system.score, sol)
-    second, _ = _pinned_stage(unit, dmu, 2, first.score, sol)
-    return system, first, second
+    return next(stages_sweep(dataset, topology, [dmu]))
+
+
+def _staged(prog: Program, dmus: Sequence[str], owns: Sequence[int], stage: int, starts,
+            pinned: Sequence[Sequence[float]], units=None) -> list:
+    """Each unit's ``stage`` solve (``_solves``), the scores solved before it pinned.
+
+    Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
+    top of it.  Unit ``k`` holds ``pinned[k]`` and starts from ``starts[k]``.
+    """
+    return _solves(prog, dmus, owns, "maximize", STAGE_GAP[stage],
+                   f"stage-{stage} evaluation of {{!r}}", starts, pinned,
+                   [f"{PINS[stage][0]} score {p[-1]!r}" for p in pinned], units)
+
+
+def stages_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str]) -> Iterator:
+    """``evaluate_stages`` of each of ``dmus``, in order.
+
+    The units of a chunk solve their radial systems in lockstep, then their
+    stage-1 and stage-2 programs, each batch warm-started from the optima of
+    the batch before.  A unit solved alone keeps its copy of the program for
+    its later solves, as each pinned program extends the one before.
+    """
+    def solve_chunk(prog, part, owns):
+        units = {}
+        sols = _solves(prog, part, owns, "maximize", SYSTEM_GAP, _RADIAL.context, units=units)
+        # each unit's results so far, or None once a solve failed (its last outcome)
+        results = [None if isinstance(sol, SolverError) else
+                   [_result_from(sol, SYSTEM_RADIAL, dmu, prog)] for dmu, sol in zip(part, sols)]
+        for stage in (1, 2):
+            live = [k for k, res in enumerate(results) if res is not None]
+            pinned = [[res.score for res in results[k]] for k in live]
+            staged = _staged(prog, [part[k] for k in live], [owns[k] for k in live], stage,
+                             [sols[k] for k in live], pinned, units)
+            for k, sol in zip(live, staged):
+                sols[k] = sol
+                if isinstance(sol, SolverError):
+                    results[k] = None
+                else:
+                    results[k].append(_result_from(sol, STAGE_SCOPES[stage], part[k], prog))
+        return [sol if res is None else tuple(res) for sol, res in zip(sols, results)]
+
+    return _swept(dataset, topology, dmus, SYSTEM_RADIAL, _system_program, solve_chunk)

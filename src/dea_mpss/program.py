@@ -16,7 +16,9 @@ on ``o``; the intensity blocks, the slack columns (laid out by ``lp``), the
 row signs and the pinned rows' coefficients are built once, into read-only
 arrays, the rows and slacks as one matrix in the standard form the simplex
 reads (``lp.StandardForm``).  ``Program.unit`` copies that matrix once per
-unit, writes the unit's levels in and takes ``|A|``.  Pinned rows come
+unit, writes the unit's levels in and takes ``|A|``; a sweep's units copy
+nothing, as ``Program.lockstep`` hands the solver the template and each
+unit's first columns and right sides.  Pinned rows come
 last, in pairs; ``Unit.pin`` fills the next pair's right sides, which may
 be negative (the solver's phase one reads their signs), so a pinned program
 is a row and column prefix of the unit's arrays and each ``Unit.problem``
@@ -37,10 +39,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lp import SLACK_SIGN, LpProblem, LpSolution, StandardForm, _frozen, _slack_columns
+from .lp import (SLACK_SIGN, Lockstep, LpProblem, LpSolution, StandardForm, _frozen,
+                 _slack_columns)
 
 # half-width of a pinned score's band: an exact equality rarely re-solves
 FIXING_BAND = 1e-6
+# leading columns (the factors among them) a lockstep solve takes per unit,
+# or all columns of a narrower program
+HEAD_COLUMNS = 16
 
 
 class Program:
@@ -169,6 +175,36 @@ class Program:
         """The program of unit ``own``: the template, copied, with that unit's levels."""
         return Unit(self, own)
 
+    def objective(self, coeffs: Mapping[str, float]) -> np.ndarray:
+        """The objective vector giving each named factor its coefficient."""
+        c = np.zeros(self.width)
+        for f, v in coeffs.items():
+            c[self.factor[f]] = v
+        return c
+
+    def crash_bases(self, owns: Sequence[int]) -> np.ndarray:
+        """``Unit.crash_basis`` of each unit of ``owns``, one a row."""
+        basis = np.repeat(self._crash[None], len(owns), axis=0)
+        basis[:, self._crash_own] += np.asarray(owns)[:, None]
+        return basis
+
+    def lockstep(self, owns: Sequence[int], pinned: np.ndarray) -> Lockstep:
+        """The programs of units ``owns``, unit ``k`` pinned at ``pinned[k]``, as one ``Lockstep``.
+
+        No unit copies the template: each gets its first ``HEAD_COLUMNS``
+        columns, or all of them in a narrower program, as its heads (the
+        factors, so its own levels, are among them), and its right sides,
+        the pinned pairs' written as ``Unit.pin`` writes them.
+        """
+        k, pins = pinned.shape
+        m, cols = self._shape[pins]
+        heads = np.repeat(self._S[None, :m, :min(HEAD_COLUMNS, cols)], k, axis=0)
+        heads[(slice(None), *self._own_at)] = -self._own_levels[:, owns].T
+        b = np.repeat(self._rhs[None, :m], k, axis=0)
+        b[:, self.fixed:m:2] = pinned + FIXING_BAND
+        b[:, self.fixed + 1:m:2] = pinned - FIXING_BAND
+        return Lockstep(self._S[:m, :cols], self._sign[:m], self._slack_col[:m], heads, b)
+
     # -- reading a solution by column name --------------------------------
 
     def factors(self, sol: LpSolution) -> dict:
@@ -212,12 +248,9 @@ class Unit:
         """The program with the pairs pinned so far, given in standard form."""
         p = self.program
         m, cols = p._shape[self.pinned]
-        c = np.zeros(p.width)
-        for f, v in objective.items():
-            c[p.factor[f]] = v
         form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m], _frozen(self._b[:m]),
                             p._sign[:m], p._slack_col[:m])
-        return LpProblem(sense, c, standard_form=form)
+        return LpProblem(sense, p.objective(objective), standard_form=form)
 
     def crash_basis(self) -> np.ndarray:
         """The crash basis of the unpinned program at the own point, as ``solve_lp`` takes it.

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dea_mpss import lp
+from dea_mpss import _lockstep, lp
 from dea_mpss.errors import SolverError, ValidationError
 from dea_mpss.lp import LpProblem, solve_lp
 from gen import crash_start, lp_problem, random_lp
@@ -524,3 +526,64 @@ def test_hypothesis_agrees_with_enumeration(data):
     assert got.status == want_status
     if want_status == "optimal":
         assert got.objective_value == pytest.approx(want_val, abs=1e-6)
+
+
+# ratios a ratio test meets: exact ties, ties within and just past PIVOT_TOL, zeros
+# of both signs, tiny and huge values, entries at and below the pivot tolerance
+_RATIO_PARTS = st.sampled_from([0.0, -0.0, 1e-17, -1e-17, 1e-9, 2e-9, 0.5e-9, 1.0, 1.0 + 1e-9,
+                                1.0 + 2e-9, 1.0 + 0.9e-9, 1e8, 1e8 + 1e-9, 3.0, 1e200, math.nan])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_lockstep_ratio_test_is_the_scan(data):
+    """For every unit, the lockstep ratio test picks the scan's row (``lp._leaving``)."""
+    k = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 8))
+    rhs = np.array(data.draw(st.lists(_RATIO_PARTS, min_size=k * m, max_size=k * m))).reshape(k, m)
+    col = np.array(data.draw(st.lists(st.sampled_from([2.0, 1.0, 0.5, 1e-9, 2e-9, 0.0, -1.0, 3.0]),
+                                      min_size=k * m, max_size=k * m))).reshape(k, m)
+    basis = np.array([data.draw(st.permutations(range(3 * m)))[:m] for _ in range(k)])
+    programs = lp.Lockstep(np.zeros((m, 3 * m)), np.zeros(m), np.full(m, -1),
+                           np.zeros((k, m, 1)), np.zeros((k, m)))
+    got = _lockstep._Lockstep(lp.MINIMIZE, np.zeros(1), programs)._leaving(col, rhs, basis)
+    assert got.tolist() == [lp._leaving(col[i], rhs[i], basis[i]) for i in range(k)]
+
+
+def _scalar_entering(red, cost, c_B, explicit, A):
+    """``_Simplex._iterate``'s choice of the entering column, as the reference."""
+    red = red.copy()
+    while True:
+        entering = int(red.argmin())
+        if red[entering] >= -lp.PIVOT_TOL:
+            return -1, None
+        col = explicit @ A[:, entering]
+        if cost[entering] - c_B @ col < -lp.PIVOT_TOL:
+            return entering, col
+        red[entering] = 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_lockstep_entering_column_is_the_scalar_loops(data):
+    """Reduced costs that the entering column's own price contradicts send the lockstep
+    on to the next lowest, unit by unit, as the scalar loop goes."""
+    k, m, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)), 8
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    S = rng.integers(-3, 4, (m, cols)).astype(float)
+    heads = rng.integers(-3, 4, (k, m, 2)).astype(float)
+    both = rng.integers(-2, 3, (k, m, m + 1)).astype(float)
+    c_B = rng.integers(-2, 3, (k, m)).astype(float)
+    cost = rng.integers(-3, 4, cols).astype(float)
+    red = rng.choice([-2.0, -1.0, -1e-10, 0.0, 1.0], (k, cols))
+    programs = lp.Lockstep(S, np.zeros(m), np.full(m, -1), heads, np.zeros((k, m)))
+    step = _lockstep._Lockstep(lp.MINIMIZE, cost, programs)
+    units = [None, None, None, heads, None, both, c_B]
+    entering, col = step._entering(red.copy(), units)
+    for i in range(k):
+        A = S.copy()
+        A[:, :2] = heads[i]
+        want, want_col = _scalar_entering(red[i], cost, c_B[i], both[i, :, :m], A)
+        assert entering[i] == want
+        if want >= 0:
+            assert col[i].tobytes() == want_col.tobytes()

@@ -11,9 +11,9 @@ from dea_mpss.data import Dataset
 from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
 from dea_mpss.network import (
     SYSTEM_RADIAL,
-    _pinned_stage,
+    _program,
+    _staged,
     _system_program,
-    _unit,
     blackbox_mpss,
     evaluate_stages,
     network_mpss_radial,
@@ -172,9 +172,10 @@ def test_stage_solutions_respect_the_band():
 
 def test_inconsistent_fixing_score_raises():
     ds, topo = named_instance()
-    unit = _unit(ds, topo, "u1", SYSTEM_RADIAL, _system_program)
+    prog = _program(ds, topo, SYSTEM_RADIAL, _system_program)
+    (outcome,) = _staged(prog, ["u1"], [ds.index_of("u1")], 1, [None], [[1e6]])
     with pytest.raises(SolverError, match="fixing band infeasible at system score 1000000.0"):
-        _pinned_stage(unit, "u1", 1, 1e6)
+        raise outcome
 
 
 def test_variable_intermediates_reported_with_uniqueness_flag():

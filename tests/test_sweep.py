@@ -5,20 +5,32 @@ A patch that leaked from one unit into the next, or a pin left in the
 shared template, would make a unit's solves depend on the units evaluated
 before it.  These tests compare every solve of a sweep, bit for bit, with
 the same unit evaluated in the other order and on a freshly loaded dataset.
+
+The sweep forms solve a chunk of units in lockstep (``lp.solve_lockstep``)
+and hand a unit that leaves the started path back to ``solve_lp``; the
+tests at the end compare each of their solves, and their first failure,
+with the per-unit calls'.
 """
 
 import contextlib
+import functools
+import importlib.util
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dea_mpss import chain, lp, network
+from dea_mpss import _lockstep, chain, cli, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
 from dea_mpss.errors import SolverError, UnsupportedTopologyError
 from dea_mpss.program import Program, Unit
 
 from conftest import FIXTURES
+from files import topology_to_json
 from gen import crash_start
 from test_acceptance import insurance_views
 
@@ -248,3 +260,249 @@ def test_crash_search_runs_once_per_program(monkeypatch, source):
     assert len(dataset._compiled) == 6
     assert len(calls) == len(dataset._compiled)
     assert not any(hasattr(lp, name) for name in ("_crash_basis", "_independent_rows"))
+
+
+# -- sweeps: the units of a chunk in lockstep, each solve the per-unit call's ----------
+
+# builder -> its sweep form, called as (dataset, topology, dmus); the profitability
+# split, which no command sweeps, has none
+SWEEPS = {
+    "blackbox": lambda d, t, us: network.blackbox_sweep(d, us, topology=t),
+    "variable": network.network_variable_sweep,
+    "radial": network.network_radial_sweep,
+    "stages": network.stages_sweep,
+    "chain-efficiency": chain.chain_efficiency_sweep,
+    "chain-efficiency w3=0": lambda d, t, us: chain.chain_efficiency_sweep(
+        d, t, us, ChainWeights(1.0, 1.0, 0.0)),
+    "chain-mpss": chain.chain_mpss_sweep,
+}
+TWO_STAGE_SWEEPS = ("blackbox", "variable", "radial", "stages")
+CHAIN_SWEEPS = ("blackbox", "chain-efficiency", "chain-efficiency w3=0", "chain-mpss")
+
+
+def benchmark_set(name):
+    """The seed-1 300-unit two-stage or chain set, as ``perfbench/inputs.py`` writes it."""
+    def load():
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        write = inputs.write_two_stage if name == "pinned-stages-300" else inputs.write_chain
+        with tempfile.TemporaryDirectory() as tmp:
+            write(Path(tmp), np.random.default_rng([1, inputs.STREAMS[name]]), 300)
+            return load_dataset(Path(tmp) / "data.csv", Path(tmp) / "topology.json")
+
+    return load
+
+
+def first_units(k):
+    """The first ``k`` units of the log-spread fixture, as a data file of their own.
+
+    Their programs are narrower than ``program.HEAD_COLUMNS``, or barely
+    wider, so a unit's heads are its whole matrix or take slack columns.
+    """
+    def load():
+        lines = (FIXTURES / "log_spread.csv").read_text(encoding="utf-8").splitlines(True)
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "data.csv").write_text("".join(lines[:k + 1]), encoding="utf-8")
+            return load_dataset(Path(tmp) / "data.csv",
+                                FIXTURES / "log_spread_topology.json")
+
+    return load
+
+
+FIRST_UNITS = {f"log-spread first {k}": k for k in (1, 3, 5, 13)}
+# (source, builder): every fixture and small file under every sweep, each 300-unit
+# set under its own
+SWEPT = [(source, builder) for source in ("log-spread", "insurers", *FIRST_UNITS)
+         for builder in SWEEPS]
+SWEPT += [("pinned-stages-300", b) for b in TWO_STAGE_SWEEPS]
+SWEPT += [("chain-300", b) for b in CHAIN_SWEEPS]
+
+
+@functools.lru_cache(maxsize=None)
+def loaded(source):
+    """The dataset and the two-stage and chain views of ``source``, loaded once."""
+    if source in ("log-spread", "insurers"):
+        load, chain_topology = (log_spread if source == "log-spread" else insurers)()
+        dataset, topology = load()
+        return dataset, topology, chain_topology
+    if source in FIRST_UNITS:
+        dataset, topology = first_units(FIRST_UNITS[source])()
+        return dataset, topology, log_spread()[1]
+    dataset, topology = benchmark_set(source)()
+    return dataset, topology, topology
+
+
+def per_unit(source, builder):
+    """Each unit's solves by the per-unit call, as ``fingerprints``, with the first failure."""
+    dataset, topology, chain_topology = loaded(source)
+    reads_chain, call = BUILDERS[builder]
+    view = chain_topology if reads_chain else topology
+    with pytest.MonkeyPatch.context() as mp:
+        outcome = solves(mp, [(u, lambda u=u: call(dataset, view, u)) for u in dataset.dmu_ids])
+    first = next((o[1] for o in outcome.values() if isinstance(o, tuple)), None)
+    # a failed solve is seen in a sweep by its message alone
+    outcome = {u: (o[0][:-1], o[1]) if isinstance(o, tuple) and o[0][-1:] and
+               o[0][-1].status != "optimal" else o for u, o in outcome.items()}
+    return {u: fingerprints(o) for u, o in outcome.items()}, first
+
+
+_per_unit = functools.lru_cache(maxsize=None)(per_unit)
+
+
+def swept(source, builder):
+    """Each unit's solves in the sweep, as ``fingerprints``, and the error it raised.
+
+    The solves are caught as ``network._solves`` hands them on, batched or
+    handed back, so a unit solved after the raised failure is caught too.
+    """
+    dataset, topology, chain_topology = loaded(source)
+    view = chain_topology if BUILDERS[builder][0] else topology
+    caught = {}
+    original = network._solves
+
+    def recording(prog, part, *args, **kwargs):
+        sols = original(prog, part, *args, **kwargs)
+        for dmu, sol in zip(part, sols):
+            caught.setdefault(dmu, []).append(sol)
+        return sols
+
+    error = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_solves", recording)
+        try:
+            list(SWEEPS[builder](dataset, view, dataset.dmu_ids))
+        except SolverError as exc:
+            error = str(exc)
+    out = {}
+    for dmu, sols in caught.items():
+        done = [s for s in sols if not isinstance(s, SolverError)]
+        failed = [str(s) for s in sols if isinstance(s, SolverError)]
+        out[dmu] = ([fingerprint(s) for s in done], failed[0]) if failed else \
+            [fingerprint(s) for s in done]
+    return out, error
+
+
+@pytest.mark.parametrize("source,builder", SWEPT)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(chunk=st.integers(1, 48))
+def test_sweep_solves_as_the_per_unit_calls(source, builder, chunk):
+    """Whatever the chunk size, every solve of a sweep is the per-unit call's, bit for bit,
+    and a failing sweep raises the per-unit loop's first failure."""
+    want, first = _per_unit(source, builder)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "SWEEP_CHUNK", chunk)
+        got, error = swept(source, builder)
+    assert error == first
+    assert got, "the sweep solved nothing"
+    for dmu, outcome in got.items():
+        assert outcome == want[dmu], dmu
+
+
+@pytest.mark.parametrize("source,builder", [
+    ("log-spread", "stages"), ("log-spread", "variable"), ("insurers", "stages"),
+    ("insurers", "chain-efficiency"), ("pinned-stages-300", "stages"),
+    ("chain-300", "chain-mpss")])
+def test_every_pivoting_unit_is_handed_back_at_a_refactor(monkeypatch, source, builder):
+    """With a refactor after every pivot, a unit leaves the lockstep at its first pivot;
+    solved alone from the same start, it gets the per-unit call's solution."""
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    batched, handed = [], []
+    solve_lockstep = network.solve_lockstep
+
+    def counted(*args):
+        sols = solve_lockstep(*args)
+        batched.extend(s for s in sols if s is not None)
+        handed.extend(s for s in sols if s is None)
+        return sols
+
+    monkeypatch.setattr(network, "solve_lockstep", counted)
+    want, first = per_unit(source, builder)
+    got, error = swept(source, builder)
+    assert error == first
+    assert all(sol.iterations == 0 for sol in batched)
+    assert handed
+    for dmu, outcome in got.items():
+        assert outcome == want[dmu], dmu
+
+
+def test_failing_stage_sweep_raises_the_first_failure(capsys):
+    """The log-spread stage sweep fails; it raises the per-unit loop's first error."""
+    dataset, topology, _ = loaded("log-spread")
+    first = None
+    for dmu in dataset.dmu_ids:
+        try:
+            network.evaluate_stages(dataset, topology, dmu)
+        except SolverError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    with pytest.raises(SolverError) as raised:
+        list(network.stages_sweep(dataset, topology, dataset.dmu_ids))
+    assert str(raised.value) == first
+    argv = ["network-mpss", "--data", str(FIXTURES / "log_spread.csv"),
+            "--topology", str(FIXTURES / "log_spread_topology.json"),
+            "--intermediates", "radial", "--stages"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"solver failure: {first}\n"
+
+
+@pytest.mark.parametrize("data,topology", [
+    ("log_spread.csv", "log_spread_topology.json"), ("insurers_24.csv", None)])
+def test_decompose_sweep_fails_on_the_first_unit(tmp_path, capsys, data, topology):
+    """``decompose --data --topology`` stops at the first unit, in file order, whose
+    stages fail or score below zero, with the message of that unit's ``--dmu`` call."""
+    if topology is None:
+        topology = tmp_path / "insurers.json"
+        topology.write_text(topology_to_json(insurance_views()[1]), encoding="utf-8")
+    argv = ["decompose", "--data", str(FIXTURES / data), "--topology", str(FIXTURES / topology),
+            "--format", "csv", "--raw"]
+    code = cli.run(argv)
+    whole = capsys.readouterr()
+    lines = []
+    for dmu in parse_data_csv((FIXTURES / data).read_text(encoding="utf-8")).dmu_ids:
+        status = cli.run([*argv, "--dmu", dmu])
+        one = capsys.readouterr()
+        if status:
+            assert (code, whole.err) == (status, one.err)
+            assert whole.out == ""
+            return
+        lines.append(one.out.splitlines()[1])
+    assert code == 0 and whole.err == ""
+    assert whole.out.splitlines()[1:] == lines
+
+
+COMMANDS = [
+    ["blackbox-mpss"],
+    ["network-mpss", "--intermediates", "variable", "--stages"],
+    ["network-mpss", "--intermediates", "radial"],
+    ["network-mpss", "--intermediates", "radial", "--stages"],
+    ["decompose"],
+    ["chain-eff"],
+    ["chain-mpss", "--targets"],
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_a_single_unit_makes_no_lockstep_step(monkeypatch, tmp_path, capsys, command):
+    """A ``--dmu`` call solves its unit alone; the whole file is swept in lockstep."""
+    topology = tmp_path / "topology.json"
+    chain_command = command[0].startswith("chain")
+    view = insurers()[1] if chain_command else insurance_views()[1]
+    topology.write_text(topology_to_json(view), encoding="utf-8")
+    argv = [command[0], "--data", str(FIXTURES / "insurers_24.csv"), "--topology",
+            str(topology), *command[1:]]
+    steps = []
+    run = _lockstep._Lockstep.run
+
+    def counted(self, starts):
+        steps.append(len(starts))
+        return run(self, starts)
+
+    monkeypatch.setattr(_lockstep._Lockstep, "run", counted)
+    # decompose stops at a negative stage score (C7-sign), exit 2, once its chunk is solved
+    assert cli.run([*argv, "--dmu", "1"]) in (0, 2), capsys.readouterr().err
+    assert steps == []
+    assert cli.run(argv) in (0, 2), capsys.readouterr().err
+    assert steps

@@ -4,8 +4,10 @@
 counts solves where ``network`` and ``chain`` call ``solve_lp``, takes the
 DMU from the CLI's model calls, and tells repeated solves apart by
 ``problem_digest``, which reads ``LpProblem.constraints``.  These tests run
-its tracer over single CLI calls and one library call, the chain's split
-solve included, without changing anything under ``perfbench/``.
+its tracer over single CLI calls, a whole-file sweep and one library call,
+the chain's split solve included, and check that every name it and
+``perfbench/speed.py`` wrap is bound, without changing anything under
+``perfbench/``.
 """
 
 import importlib.util
@@ -24,9 +26,11 @@ from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
 from conftest import FIXTURES
 from files import topology_to_json
 from gen import lp_problem
+from test_acceptance import insurance_views
 from test_sweep import log_spread
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SPEED = SPANS.parent / "speed.py"
 DATA = FIXTURES / "log_spread.csv"
 TOPOLOGY = FIXTURES / "log_spread_topology.json"
 
@@ -104,3 +108,38 @@ def test_traced_profitability_split_counts_one_solve():
     assert split.chain_score == score
     assert tracer.solves == tracer.calls["lp.problem"] == 1
     assert tracer.errors == tracer.repeats == 0
+
+
+def load_speed():
+    spec = importlib.util.spec_from_file_location("perfbench_speed", SPEED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_binds_every_wrapped_name():
+    """The tracer and the speed probe wrap these names of ``dea_mpss.cli``; one unbound
+    stops every benchmark run before anything is measured."""
+    for attr, _, _ in load_spans().CLI_WRAPS:
+        assert callable(getattr(dea_mpss.cli, attr, None)), attr
+
+
+def test_speed_hook_installs_on_every_name_that_takes_a_dmu(monkeypatch):
+    log = load_speed().SpeedLog()
+    hooked = [attr for attr, _, dmu_arg in load_spans().CLI_WRAPS if dmu_arg is not None]
+    assert hooked
+    for attr in hooked:
+        original = getattr(dea_mpss.cli, attr)
+        monkeypatch.setattr(dea_mpss.cli, attr, original)  # undone after the test
+        log.hook(dea_mpss.cli, attr)
+        assert getattr(dea_mpss.cli, attr).__wrapped__ is original, attr
+
+
+def test_traced_whole_file_stage_sweep_exits_zero(tmp_path, capsys):
+    topology = tmp_path / "insurers.json"
+    topology.write_text(topology_to_json(insurance_views()[1]), encoding="utf-8")
+    tracer, code = traced(lambda: dea_mpss.cli.run(
+        ["network-mpss", "--data", str(FIXTURES / "insurers_24.csv"), "--topology",
+         str(topology), "--intermediates", "radial", "--stages"]))
+    assert code == 0, capsys.readouterr().err
+    assert tracer.errors == 0
