@@ -28,13 +28,23 @@ in the sign of zeros alone can be told apart.  The set is:
   start: phase ones of 14 to 117 pivots (median 21) on a 15 × 924
   program, two of which refactor on the way;
 * every model solve of the 60 log-spread units (``tests/fixtures``) under
-  ``evaluate_stages``, ``network_mpss_variable`` and ``network_mpss_radial``.
+  ``evaluate_stages``, ``network_mpss_variable`` and ``network_mpss_radial``;
+* every outcome ``network._solves`` hands on in whole-file sweeps, batched
+  or solved alone: of the ``pinned-stages-300`` units under
+  ``stages_sweep``, ``network_variable_sweep`` and ``blackbox_sweep``; of
+  the ``chain-300`` units under ``chain_efficiency_sweep`` with weights
+  (1, 1, 1) and (1, 1, 0) and ``chain_mpss_sweep``; and of the log-spread
+  units under ``network_variable_sweep``, ``network_radial_sweep`` and
+  ``stages_sweep``, which stops at its first failure.  A sweep line's
+  label is the per-unit call's with ``sweep`` in front, and a failure is
+  recorded with the message the sweep raises for it.
 
-On the seed-1 inputs that is 7,119 solves.
+On the seed-1 inputs that is 9,668 solves, 2,549 of them sweep outcomes.
 
-Model solves are caught where ``network`` and ``chain`` call ``solve_lp``,
-so a solve that raises is recorded with the solver's own message.  The
-package comes from ``PYTHONPATH``.  ``--compare A B`` reads two such files
+Per-unit model solves are caught where ``network`` calls ``solve_lp`` (and
+``chain``, for a checkout whose profitability split calls it there), so a
+solve that raises is recorded with the solver's own message.  The package
+comes from ``PYTHONPATH``.  ``--compare A B`` reads two such files
 and lists every solve whose error, status, ``started`` or iteration count
 changed, or whose objective moved by more than 1e-9 relative, then every
 line whose digest differs with the fields that differ, then the counts, by
@@ -103,17 +113,25 @@ def field_digests(sol) -> dict:
     return fields
 
 
+def record(label: str, outcome) -> None:
+    """Print the line of one solve: its ``LpSolution``, or the error it raised."""
+    if isinstance(outcome, DeaMpssError):
+        print(json.dumps({"case": label, "error": f"{type(outcome).__name__}: {outcome}"}))
+        return
+    print(json.dumps({"case": label, "status": outcome.status,
+                      "objective": repr(outcome.objective_value),
+                      "iterations": outcome.iterations, "started": outcome.started,
+                      "sha256": digest(outcome), "fields": field_digests(outcome)}))
+
+
 def emit(label: str, solve):
     """Run ``solve`` and print its line; an error is printed, then raised again."""
     try:
         sol = solve()
     except DeaMpssError as exc:
-        print(json.dumps({"case": label, "error": f"{type(exc).__name__}: {exc}"}))
+        record(label, exc)
         raise
-    print(json.dumps({"case": label, "status": sol.status,
-                      "objective": repr(sol.objective_value), "iterations": sol.iterations,
-                      "started": sol.started, "sha256": digest(sol),
-                      "fields": field_digests(sol)}))
+    record(label, sol)
     return sol
 
 
@@ -172,6 +190,31 @@ def model_solves(data: Path, topology: Path, label: str, calls, cold: bool = Fal
         network.solve_lp, chain.solve_lp = originals
 
 
+def sweep_solves(data: Path, topology: Path, label: str, sweeps) -> None:
+    """Every outcome ``network._solves`` hands on in each whole-file sweep of ``sweeps``.
+
+    A unit's outcomes are numbered in the order they are handed on.  A
+    sweep that raises stops there.
+    """
+    dataset, topo = load_dataset(data, topology)
+    original = network._solves
+
+    def recording(prog, dmus, *args, **kwargs):
+        outcomes = original(prog, dmus, *args, **kwargs)
+        for dmu, outcome in zip(dmus, outcomes):
+            record(f"sweep {label} {dmu} {name} {next(counts[dmu])}", outcome)
+        return outcomes
+
+    network._solves = recording
+    try:
+        for name, sweep in sweeps:
+            counts = collections.defaultdict(itertools.count)
+            with suppress(DeaMpssError):
+                list(sweep(dataset, topo, dataset.dmu_ids))
+    finally:
+        network._solves = original
+
+
 def chain_split(dataset, topo, dmu):
     score = chain.chain_mpss(dataset, topo, dmu).score
     return chain.profitability_mpss(dataset, topo, dmu, score)
@@ -193,6 +236,23 @@ SPREAD_CALLS = [
     ("stages", network.evaluate_stages),
     ("variable", network.network_mpss_variable),
     ("radial", network.network_mpss_radial),
+]
+
+STAGE_SWEEPS = [
+    ("stages", network.stages_sweep),
+    ("variable", network.network_variable_sweep),
+    ("blackbox", lambda d, t, us: network.blackbox_sweep(d, us, topology=t)),
+]
+CHAIN_SWEEPS = [
+    ("efficiency", chain.chain_efficiency_sweep),
+    ("efficiency w3=0",
+     lambda d, t, us: chain.chain_efficiency_sweep(d, t, us, ChainWeights(1, 1, 0))),
+    ("mpss", chain.chain_mpss_sweep),
+]
+SPREAD_SWEEPS = [
+    ("variable", network.network_variable_sweep),
+    ("radial", network.network_radial_sweep),
+    ("stages", network.stages_sweep),
 ]
 
 
@@ -276,6 +336,11 @@ def main() -> None:
     model_solves(d / "data.csv", d / "topology.json", "chain-300", COLD_CALLS, cold=True)
     model_solves(FIXTURES / "log_spread.csv", FIXTURES / "log_spread_topology.json",
                  "log-spread", SPREAD_CALLS)
+    for name, sweeps in (("pinned-stages-300", STAGE_SWEEPS), ("chain-300", CHAIN_SWEEPS)):
+        d = inputs / name
+        sweep_solves(d / "data.csv", d / "topology.json", name, sweeps)
+    sweep_solves(FIXTURES / "log_spread.csv", FIXTURES / "log_spread_topology.json",
+                 "log-spread", SPREAD_SWEEPS)
 
 
 if __name__ == "__main__":

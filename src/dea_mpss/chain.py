@@ -32,9 +32,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .data import SERIES_PARALLEL_CHAIN, Dataset, NetworkTopology
-from .errors import ValidationError
-from .lp import solve_lp  # noqa: F401  Tracer.install (perfbench/spans.py) wraps it here
-from .network import EPS_MPSS, _Model, _solve, _sweep, _unit, _validated
+from .errors import SolverError, ValidationError
+# Tracer.install (perfbench/spans.py) wraps it here; every solve is made in network._solves
+from .lp import solve_lp  # noqa: F401
+from .network import EPS_MPSS, _Model, _program, _solves, _sweep, _validated
 from .program import Program
 
 DOWN = "↓"
@@ -273,12 +274,14 @@ def profitability_mpss(
     score may be unreachable; that raises a solver error rather than
     silently drifting off the band.
     """
-    unit = _unit(dataset, topology, dmu, SPLIT, _chain_program)
-    unit.pin(chain_score)
+    prog = _program(dataset, topology, SPLIT, _chain_program)
     objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
-    sol = _solve(unit, "maximize", objective, f"profitability split of {dmu!r}",
-                 band=f"chain score {chain_score!r} (radial intermediates cannot reach it)")
-    return StageFactors(str(dmu), float(chain_score), **unit.program.factors(sol))
+    (sol,) = _solves(prog, [dmu], [dataset.index_of(dmu)], "maximize", objective,
+                     "profitability split of {!r}", pinned=[[chain_score]],
+                     bands=[f"chain score {chain_score!r} (radial intermediates cannot reach it)"])
+    if isinstance(sol, SolverError):
+        raise sol
+    return StageFactors(str(dmu), float(chain_score), **prog.factors(sol))
 
 
 @dataclass(frozen=True)

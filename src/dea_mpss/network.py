@@ -21,17 +21,18 @@ narrow band while a stage objective is re-optimised.
 
 Each model is written once, as a sweep over a list of units
 (``blackbox_sweep``, ...); its per-unit form (``blackbox_mpss``, ...) is
-the sweep of one unit.  A sweep takes ``SWEEP_CHUNK`` units at a time and
-solves them in lockstep (``lp.solve_lockstep``): the stage sweep solves a
-chunk's radial systems, then its stage-1 and its stage-2 programs, each
-batch warm-started from the optima of the one before.  A unit whose solve
-leaves the lockstep path (a failed start, an unbounded step, a refactor, a
-failed or too close hold, a warm start whose rows were dropped) is solved
-alone through ``_solve`` from the same start, so every solution, and the
-first failure in unit order with its message, is the per-unit loop's.  A
-lone unit (a ``--dmu`` call, or a chunk of one) is solved by ``_solve``
-with no lockstep: a batch of one costs more per step than the scalar
-pivot loop.
+the sweep of one unit.  Every model solve, the chain's profitability
+split too, goes through ``_solves``.  A sweep takes ``SWEEP_CHUNK`` units
+at a time and solves them in lockstep (``lp.solve_lockstep``): the stage
+sweep solves a chunk's radial systems, then its stage-1 and its stage-2
+programs, each batch warm-started from the optima of the one before.  A
+unit whose solve leaves the lockstep path (a failed start, an unbounded
+step, a refactor, a failed or too close hold, a warm start whose rows
+were dropped) is solved alone by ``solve_lp`` from the same start, so
+every solution, and the first failure in unit order with its message, is
+the per-unit loop's.  A lone unit (a ``--dmu`` call, or a chunk of one)
+is solved by ``solve_lp`` with no lockstep: a batch of one costs more per
+step than the scalar pivot loop.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
 from .lp import LpSolution, solve_lockstep, solve_lp
-from .program import Program, Unit
+from .program import Program
 
 EPS_MPSS = 1e-6
 # units a sweep solves in lockstep at once: a wider chunk takes fewer numpy
@@ -97,12 +98,6 @@ def _program(dataset: Dataset, view, model: str, build) -> Program:
     return dataset.compiled((view, model), lambda: build(dataset, view, model))
 
 
-def _unit(dataset: Dataset, view, dmu: str, model: str, build) -> Unit:
-    """``dmu``'s copy of ``build(dataset, view, model)``, compiled once per dataset."""
-    prog = _program(dataset, view, model, build)
-    return prog.unit(dataset.index_of(dmu))
-
-
 def _validated(dataset: Dataset, topology: NetworkTopology, shape: str) -> None:
     """Reject a topology of another shape, then check its measures against ``dataset``."""
     if topology.shape_tag != shape:
@@ -111,57 +106,46 @@ def _validated(dataset: Dataset, topology: NetworkTopology, shape: str) -> None:
     topology.validate_against(dataset)
 
 
-def _solve(unit: Unit, sense: str, objective: Mapping[str, float], context: str,
-           start: LpSolution | None = None, band: str | None = None) -> LpSolution:
-    """Every model's solve: ``unit``'s program from its start to its verdict.
-
-    An unpinned program starts from the unit's crash basis, a pinned one from
-    ``start`` (the optimum of the program it extends) or cold.  A failure
-    raises ``SolverError`` naming ``context`` and a pinned solve's ``band``.
-    """
-    problem = unit.problem(sense, objective)
-    try:
-        sol = solve_lp(problem, start=start if unit.pinned else unit.crash_basis())
-    except SolverError as exc:
-        raise SolverError(f"{context}: {exc}") from exc
-    if sol.status != "optimal":
-        why = f"fixing band infeasible at {band}" if band else f"linear program is {sol.status}"
-        raise SolverError(f"{context}: {why}")
-    return sol
-
-
 def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], sense: str,
             objective: Mapping[str, float], context: str, starts=None, pinned=(),
             bands=None, units=None) -> list:
-    """Each unit's ``_solve`` of ``prog``: its ``LpSolution``, or the ``SolverError`` it raised.
+    """Every model's solve: each unit's ``LpSolution`` of ``prog``, or the ``SolverError`` it raised.
 
-    Two or more units run in lockstep (``lp.solve_lockstep``) from their
-    crash bases, or from ``starts`` pinned at ``pinned[k]``; a lone unit, or
-    one handed back, is solved by ``_solve`` from the same start, on its
-    ``Unit`` in ``units`` (by owner) if an earlier solve made one, which
-    takes the pins it lacks.  ``context`` names the DMU through
-    ``str.format``; ``bands[k]`` is unit ``k``'s band.
+    Unit ``k`` holds ``pinned[k]`` (``Program.right_sides``).  An unpinned
+    program starts from the unit's crash basis, a pinned one from
+    ``starts[k]`` (the optimum of the program it extends), or, a lone
+    unit, cold.  Two or more units run in lockstep
+    (``lp.solve_lockstep``); a lone unit, or one handed back, is solved by
+    ``solve_lp`` from the same start, on its ``Unit`` in ``units`` (by
+    owner) if an earlier solve made one.  A failure names the DMU through
+    ``context.format`` and, for a pinned solve, its band ``bands[k]``.
     """
     if not owns:
         return []
     pinned = np.array(pinned, dtype=float).reshape(len(owns), -1)
-    sols = [None]
+    if not pinned.shape[1]:
+        starts = prog.crash_bases(owns)
+    sols = [None] * len(owns)
     if len(owns) > 1:
         sols = solve_lockstep(sense, prog.objective(objective), prog.lockstep(owns, pinned),
-                              prog.crash_bases(owns) if starts is None else starts)
+                              starts)
     units = {} if units is None else units
     for k, sol in enumerate(sols):
-        if sol is None:
-            unit = units.get(owns[k])
-            if unit is None:
-                unit = units[owns[k]] = prog.unit(owns[k])
-            for value in pinned[k, unit.pinned:].tolist():
-                unit.pin(value)
-            try:
-                sols[k] = _solve(unit, sense, objective, context.format(dmus[k]),
-                                 None if starts is None else starts[k], bands and bands[k])
-            except SolverError as exc:
-                sols[k] = exc
+        if sol is not None:
+            continue
+        unit = units.get(owns[k])
+        if unit is None:
+            unit = units[owns[k]] = prog.unit(owns[k])
+        try:
+            sol = solve_lp(unit.problem(sense, objective, pinned[k]),
+                           start=None if starts is None else starts[k])
+            if sol.status != "optimal":
+                raise SolverError(f"fixing band infeasible at {bands[k]}" if bands else
+                                  f"linear program is {sol.status}")
+        except SolverError as exc:
+            sol = SolverError(f"{context.format(dmus[k])}: {exc}")
+            sol.__cause__ = exc
+        sols[k] = sol
     return sols
 
 
@@ -230,7 +214,11 @@ def _blackbox_program(dataset: Dataset, view, model: str) -> Program:
 
 
 def _blackbox_view(inputs, outputs, topology):
-    return topology if topology is not None else (tuple(inputs or ()), tuple(outputs or ()))
+    if topology is None:
+        return tuple(inputs or ()), tuple(outputs or ())
+    if inputs is not None or outputs is not None:
+        raise ValidationError("black-box evaluation takes a topology or measure lists, not both")
+    return topology
 
 
 def blackbox_mpss(

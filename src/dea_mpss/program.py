@@ -19,10 +19,11 @@ reads (``lp.StandardForm``).  ``Program.unit`` copies that matrix once per
 unit, writes the unit's levels in and takes ``|A|``; a sweep's units copy
 nothing, as ``Program.lockstep`` hands the solver the template and each
 unit's first columns and right sides.  Pinned rows come
-last, in pairs; ``Unit.pin`` fills the next pair's right sides, which may
-be negative (the solver's phase one reads their signs), so a pinned program
-is a row and column prefix of the unit's arrays and each ``Unit.problem``
-reads the prefix pinned so far.  The unit set against itself (every factor
+last, in pairs, so a program with ``k`` pairs pinned is a row and column
+prefix of the unit's arrays; ``Program.right_sides`` holds each pair
+within ``FIXING_BAND`` of its score, on right sides that may be negative
+(the solver's phase one reads their signs), for a lone unit's problem
+and for a lockstep batch alike.  The unit set against itself (every factor
 1, all weight on itself, every target at its own level) meets every row
 but the pinned ones with equality, so a basis there starts the solve.  On
 that point's support the rows form a signed incidence matrix: a
@@ -30,7 +31,7 @@ convexity row is nonzero at its block only, and every other row at most
 at its block and at one factor or target, the column it names.  Which rows
 the basis keeps therefore follows from which column each row names, not
 from the data, so the compile reads it off once and each unit's copy is
-that basis with the unit's own weight columns (``Unit.crash_basis``).
+that basis with the unit's own weight columns (``Program.crash_bases``).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class Program:
         self._append(self._row({factor: 1.0}), rel, 1.0, [self.factor[factor]])
 
     def pin(self, coeffs: Mapping[str, float]) -> None:
-        """A pair of rows that ``Unit.pin`` holds within ``FIXING_BAND`` of a value."""
+        """A pair of rows held within ``FIXING_BAND`` of a score (``right_sides``)."""
         a = self._row(coeffs)
         self._append(a, "<=", 0.0, [-1])
         self._append(a, ">=", 0.0, [-1])
@@ -144,7 +145,7 @@ class Program:
                 self._crash, self._crash_own)
 
     def _own_basis(self):
-        """The crash basis at the own point, with unit 0's weight columns, and their positions.
+        """The crash basis at the own point, with unit 0's weight columns, and 1 at each of those.
 
         The support is the factors, each block's first weight and the
         targets; every unpinned row is tight.  Take every convexity row and
@@ -169,7 +170,9 @@ class Program:
         kept = set(first.values())
         slacks = [self._slack_col[i] for i in range(self.fixed) if self.sign[i] and i not in kept]
         basis = np.array(support + slacks)  # ascending: slacks follow the rows' columns
-        return basis, np.searchsorted(basis, starts)
+        own = np.zeros(basis.size, dtype=int)
+        own[np.searchsorted(basis, starts)] = 1
+        return basis, own
 
     def unit(self, own: int) -> "Unit":
         """The program of unit ``own``: the template, copied, with that unit's levels."""
@@ -183,27 +186,43 @@ class Program:
         return c
 
     def crash_bases(self, owns: Sequence[int]) -> np.ndarray:
-        """``Unit.crash_basis`` of each unit of ``owns``, one a row."""
-        basis = np.repeat(self._crash[None], len(owns), axis=0)
-        basis[:, self._crash_own] += np.asarray(owns)[:, None]
-        return basis
+        """Each unit's crash basis of the unpinned program, one a row, as ``solve_lp`` takes it.
+
+        It is the basis at the own point, the evaluated DMU against itself
+        (every factor 1, all weight on itself, every target at its own
+        level), a feasible vertex of the unpinned rows.  Empty when the
+        compile found none.
+        """
+        return self._crash + self._crash_own * np.asarray(owns)[:, None]
+
+    def right_sides(self, pinned: np.ndarray) -> np.ndarray:
+        """Each unit's right sides, a fresh row each, its pinned pairs within ``FIXING_BAND``.
+
+        Unit ``k``'s first ``pinned.shape[1]`` pairs hold ``pinned[k]``.
+        Only right sides are written, of any sign: the rows stay as
+        compiled, and the solver's phase one reads the signs.
+        """
+        k, pins = pinned.shape
+        m = self._shape[pins][0]
+        b = np.empty((k, m))
+        b[:] = self._rhs[:m]
+        b[:, self.fixed:m:2] = pinned + FIXING_BAND
+        b[:, self.fixed + 1:m:2] = pinned - FIXING_BAND
+        return b
 
     def lockstep(self, owns: Sequence[int], pinned: np.ndarray) -> Lockstep:
         """The programs of units ``owns``, unit ``k`` pinned at ``pinned[k]``, as one ``Lockstep``.
 
         No unit copies the template: each gets its first ``HEAD_COLUMNS``
         columns, or all of them in a narrower program, as its heads (the
-        factors, so its own levels, are among them), and its right sides,
-        the pinned pairs' written as ``Unit.pin`` writes them.
+        factors, so its own levels, are among them), and its right sides.
         """
         k, pins = pinned.shape
         m, cols = self._shape[pins]
         heads = np.repeat(self._S[None, :m, :min(HEAD_COLUMNS, cols)], k, axis=0)
         heads[(slice(None), *self._own_at)] = -self._own_levels[:, owns].T
-        b = np.repeat(self._rhs[None, :m], k, axis=0)
-        b[:, self.fixed:m:2] = pinned + FIXING_BAND
-        b[:, self.fixed + 1:m:2] = pinned - FIXING_BAND
-        return Lockstep(self._S[:m, :cols], self._sign[:m], self._slack_col[:m], heads, b)
+        return Lockstep(self._S[:m, :cols], self._sign[:m], self._slack_col[:m], heads,
+                        self.right_sides(pinned))
 
     # -- reading a solution by column name --------------------------------
 
@@ -223,7 +242,7 @@ class Program:
 
 
 class Unit:
-    """One unit's copy of a compiled program; rows once written never change."""
+    """One unit's copy of a compiled program; it is never written after it is made."""
 
     def __init__(self, program: Program, own: int):
         p = self.program = program
@@ -231,34 +250,13 @@ class Unit:
         self._S = p._S.copy()
         self._S[p._own_at] = -p._own_levels[:, own]
         self._abs_A = _frozen(np.abs(self._S[:, :p.width]))
-        self._b = p._rhs.copy()  # the pinned rows' right sides are written per pin
-        self.pinned = 0
 
-    def pin(self, value: float) -> None:
-        """Hold the next pair of pinned rows within ``FIXING_BAND`` of ``value``.
-
-        Only the two right sides are written, of any sign: the rows stay as
-        compiled, and the solver's phase one reads the signs.
-        """
-        r = self.program.fixed + 2 * self.pinned
-        self._b[r:r + 2] = value + FIXING_BAND, value - FIXING_BAND
-        self.pinned += 1
-
-    def problem(self, sense: str, objective: Mapping[str, float]) -> LpProblem:
-        """The program with the pairs pinned so far, given in standard form."""
+    def problem(self, sense: str, objective: Mapping[str, float],
+                pinned: Sequence[float]) -> LpProblem:
+        """The program with its first ``len(pinned)`` pairs held at ``pinned``, in standard form."""
         p = self.program
-        m, cols = p._shape[self.pinned]
-        form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m], _frozen(self._b[:m]),
+        m, cols = p._shape[len(pinned)]
+        b = p.right_sides(np.array([pinned], dtype=float))[0]
+        form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m], _frozen(b),
                             p._sign[:m], p._slack_col[:m])
         return LpProblem(sense, p.objective(objective), standard_form=form)
-
-    def crash_basis(self) -> np.ndarray:
-        """The crash basis of the unpinned program at the own point, as ``solve_lp`` takes it.
-
-        The own point is the evaluated DMU against itself (every factor 1,
-        all weight on itself, every target at its own level), a feasible
-        vertex of the unpinned rows.  Empty when the compile found none.
-        """
-        basis = self.program._crash.copy()
-        basis[self.program._crash_own] += self.own
-        return basis

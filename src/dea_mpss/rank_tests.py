@@ -18,16 +18,17 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
         raise ValidationError("ranks need a nonempty 1-d vector")
     if not np.isfinite(v).all():  # each NaN would take a rank of its own
         raise ValidationError("ranks need finite values")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # average of ranks i+1 .. j+1
-        i = j + 1
-    return ranks
+    return _midranks(v)[0]
+
+
+def _midranks(v: np.ndarray):
+    """Each value's midrank, and the size of each run of tied values, from one sort.
+
+    A run of ``c`` ties ending at rank ``e`` shares ``e - (c - 1) / 2``,
+    the average of ranks ``e - c + 1 .. e``, exact in float.
+    """
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]], *, tie_correction: bool = 
             raise ValidationError(f"group {k} holds a non-finite value")
     pooled = np.concatenate(vecs)
     n_total = pooled.size
-    ranks = average_ranks(pooled)
+    ranks, counts = _midranks(pooled)
     h = 0.0
     start = 0
     for g in vecs:
@@ -63,7 +64,6 @@ def kruskal_wallis(groups: Sequence[Sequence[float]], *, tie_correction: bool = 
         start += g.size
     h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
     if tie_correction:
-        _, counts = np.unique(pooled, return_counts=True)
         correction = 1.0 - float(((counts ** 3) - counts).sum()) / (n_total ** 3 - n_total)
         if correction <= 0.0:
             return KwResult(0.0, len(groups) - 1, 1.0, True)

@@ -204,6 +204,17 @@ def test_blackbox_needs_inputs_and_outputs():
         blackbox_mpss(ds, "A", inputs=["x"], outputs=[])
 
 
+@pytest.mark.parametrize("lists", [{"inputs": ["x"]}, {"outputs": ["y"]},
+                                   {"inputs": [], "outputs": []}])
+def test_blackbox_rejects_a_topology_with_measure_lists(lists):
+    """A topology and measure lists both name the split: neither is dropped silently."""
+    ds, topo = named_instance()
+    with pytest.raises(ValidationError, match="not both"):
+        blackbox_mpss(ds, "u1", topology=topo, **lists)
+    with pytest.raises(ValidationError, match="not both"):
+        list(network.blackbox_sweep(ds, ds.dmu_ids, topology=topo, **lists))
+
+
 def test_model_solves_skip_phase_one(monkeypatch):
     """Every model solve given a start reports it, so a silent fall-back to phase one fails here.
 

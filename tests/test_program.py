@@ -6,7 +6,7 @@ import pytest
 from dea_mpss.data import Dataset, load_dataset
 from dea_mpss.errors import SolverError
 from dea_mpss.lp import SLACK_SIGN, LpSolution, StandardForm, solve_lp
-from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
+from dea_mpss.network import STAGE_GAP, SYSTEM_GAP, SYSTEM_RADIAL, _program, _system_program
 from dea_mpss.program import FIXING_BAND, Program
 
 from conftest import FIXTURES, chain_topology, random_dataset, two_stage_topology
@@ -26,10 +26,7 @@ def program():
 
 def rows_of(prog, *pins):
     """Unit "b"'s rows as (coefficients, relation, rhs), read from its problem's matrix."""
-    unit = prog.compile().unit(DATA.index_of("b"))
-    for value in pins:
-        unit.pin(value)
-    p = unit.problem("maximize", {})
+    p = prog.compile().unit(DATA.index_of("b")).problem("maximize", {}, pins)
     assert p.A.shape == (p.n_constraints, prog.width)
     return [(list(a), RELATION[s], rhs) for a, s, rhs in zip(p.A, p.row_sign.tolist(), p.b.tolist())]
 
@@ -88,7 +85,7 @@ def test_blocks_stack_in_append_order():
 def test_problem_arrays_are_read_only_copies():
     prog = program()
     prog.convexity()
-    problem = prog.compile().unit(1).problem("maximize", {"t_out": 1.0})
+    problem = prog.compile().unit(1).problem("maximize", {"t_out": 1.0}, ())
     for a in (problem.A, problem.row_sign, problem.b, problem.objective,
               problem.variable_lower_bounds, *problem.standard_form):
         assert not a.flags.writeable
@@ -103,7 +100,7 @@ def test_problem_arrays_are_read_only_copies():
 def test_problem_and_readback_by_name():
     prog = program()
     prog.convexity()
-    problem = prog.compile().unit(1).problem("maximize", {"t_out": 1.0, "t_in": -1.0})
+    problem = prog.compile().unit(1).problem("maximize", {"t_out": 1.0, "t_in": -1.0}, ())
     assert list(problem.objective) == [-1.0, 1.0, 0, 0, 0, 0, 0, 0, 0]
     assert problem.n_constraints == 2
     x = np.arange(9.0)
@@ -155,14 +152,16 @@ def test_program_and_triples_solve_bit_identically(source, dmu, negative):
     row of the stage-2 pin one as well.  The pin rows stay as written.
     """
     dataset, topology = source()
-    unit = _unit(dataset, topology, dmu, SYSTEM_RADIAL, _system_program)
-    problem = unit.problem("maximize", SYSTEM_GAP)
-    start = unit.crash_basis()
+    prog = _program(dataset, topology, SYSTEM_RADIAL, _system_program)
+    unit = prog.unit(dataset.index_of(dmu))
+    problem = unit.problem("maximize", SYSTEM_GAP, ())
+    (start,) = prog.crash_bases([unit.own])
     sol, twin = solve_lp(problem, start=start), solve_lp(as_triples(problem), start=start)
     assert_same_solution(sol, twin)
+    pinned = []
     for stage in (1, 2):
-        unit.pin(sol.objective_value)
-        problem = unit.problem("maximize", STAGE_GAP[stage])
+        pinned.append(sol.objective_value)
+        problem = unit.problem("maximize", STAGE_GAP[stage], pinned)
         negative_rhs = problem.b < 0.0
         assert problem.row_sign[-2:].tolist() == [1.0, -1.0]
         sol, twin = solve_lp(problem, start=sol), solve_lp(as_triples(problem), start=twin)
@@ -269,13 +268,51 @@ def test_crash_basis_read_off_rows_matches_the_search(programs):
     for prog in programs:
         basis, own = searched_basis(prog)
         assert basis, "the search finds a basis on every builder's program"
-        assert (prog._crash.tolist(), prog._crash_own.tolist()) == (basis, own)
+        assert (prog._crash.tolist(), np.flatnonzero(prog._crash_own).tolist()) == (basis, own)
 
 
 def test_crash_basis_of_degenerate_programs():
     programs = degenerate_programs()
     for name, prog in programs.items():
-        assert (prog._crash.tolist(), prog._crash_own.tolist()) == searched_basis(prog), name
+        assert (prog._crash.tolist(), np.flatnonzero(prog._crash_own).tolist()) == \
+            searched_basis(prog), name
     # only the complete program names every support column
     assert [name for name, prog in programs.items() if prog._crash.size] == ["complete"]
     assert programs["pin"]._crash.dtype.kind == "i"
+
+
+# -- a unit alone and in a lockstep batch -------------------------------------
+
+# per unit, the scores its pairs are pinned at: a negative one, one within the
+# band of zero, zero itself
+PINNED = np.array([[0.25, -0.0399], [0.0, 5e-7], [-0.41865, 0.0], [1.0, 0.75]])
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("source", [insurers, log_spread_with_chain],
+                         ids=["insurers", "log_spread"])
+def test_lone_and_batched_programs_are_one_program(source):
+    """Every compiled model program, pinned 0, 1 or 2 times: a unit's lone problem and its
+    place in a lockstep batch agree bit for bit, right sides, heads and the rest alike."""
+    programs = fixture_programs(source)
+    assert len(programs) >= 6
+    owns = [0, 5, 17, 23]
+    seen = set()
+    for prog in programs:
+        for pins in range(min(prog.pins, 2) + 1):
+            seen.add(pins)
+            pinned = PINNED[:, :pins]
+            batch = prog.lockstep(owns, pinned)
+            h = batch.heads.shape[2]
+            for k, own in enumerate(owns):
+                form = prog.unit(own).problem("maximize", {}, pinned[k]).standard_form
+                assert same_bytes(batch.b[k], form.b)
+                assert same_bytes(batch.heads[k], form.S[:, :h])
+                assert same_bytes(batch.S[:, h:], form.S[:, h:])
+                assert same_bytes(batch.sign, form.sign)
+                assert same_bytes(batch.slack_col_of_row, form.slack_col_of_row)
+    assert seen == {0, 1, 2}

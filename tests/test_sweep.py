@@ -27,7 +27,7 @@ from dea_mpss import _lockstep, chain, cli, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
 from dea_mpss.errors import SolverError, UnsupportedTopologyError
-from dea_mpss.program import Program, Unit
+from dea_mpss.program import Program
 
 from conftest import FIXTURES
 from files import topology_to_json
@@ -176,6 +176,14 @@ def test_earlier_results_and_problems_never_change():
         network.evaluate_stages(dataset, topology, dmu)
         network.network_mpss_variable(dataset, topology, dmu)
     assert snapshot() == before
+    # one unit asked for its problem at two pins: the first problem keeps its band
+    unit = network._program(dataset, topology, network.SYSTEM_RADIAL,
+                            network._system_program).unit(0)
+    low = unit.problem("maximize", network.STAGE_GAP[1], [0.25])
+    b = low.b.tobytes()
+    high = unit.problem("maximize", network.STAGE_GAP[1], [-0.5])
+    assert low.b.tobytes() == b != high.b.tobytes()
+    assert low.A.tobytes() == high.A.tobytes()
     programs = list(dataset._compiled.values())
     assert len(programs) == 2  # one radial and one variable program for the whole sweep
     for prog in programs:
@@ -203,15 +211,14 @@ def test_compiled_once_per_model_and_dataset():
 UNPINNED = ("blackbox", "variable", "radial", "chain-efficiency", "chain-mpss")
 
 
-def own_point(unit, dataset):
-    """The evaluated unit against itself: every factor 1, all weight on itself,
-    every target at its own level, the unit's value of the measure it names."""
-    p = unit.program
+def own_point(p, own, dataset):
+    """Unit ``own`` of program ``p`` against itself: every factor 1, all weight on
+    itself, every target at its own level, the unit's value of the measure it names."""
     x = np.zeros(p.width)
     x[:len(p.factor)] = 1.0
     for start in p.block.values():
-        x[start + unit.own] = 1.0
-    x[list(p.target.values())] = dataset.matrix(list(p.target))[unit.own]
+        x[start + own] = 1.0
+    x[list(p.target.values())] = dataset.matrix(list(p.target))[own]
     return x
 
 
@@ -223,20 +230,21 @@ def test_compiled_crash_basis_is_each_units_own(monkeypatch, source, builder):
     dataset, topology = load()
     reads_chain, call = BUILDERS[builder]
     handed = []
-    crash_basis = Unit.crash_basis
+    crash_bases = Program.crash_bases
 
-    def recording(unit):
-        basis = crash_basis(unit)
-        handed.append((unit, basis))
-        return basis
+    def recording(prog, owns):
+        bases = crash_bases(prog, owns)
+        handed.extend(zip([prog] * len(owns), owns, bases))
+        return bases
 
-    monkeypatch.setattr(Unit, "crash_basis", recording)
+    monkeypatch.setattr(Program, "crash_bases", recording)
     for dmu in dataset.dmu_ids:
         call(dataset, chain_topology if reads_chain else topology, dmu)
-    assert [unit.own for unit, _ in handed] == list(range(dataset.n_dmus))
-    for unit, basis in handed:
-        found = crash_start(unit.problem("maximize", {}), own_point(unit, dataset))
-        assert found is not None and basis.tolist() == found.tolist(), unit.own
+    assert [own for _, own, _ in handed] == list(range(dataset.n_dmus))
+    for prog, own, basis in handed:
+        found = crash_start(prog.unit(own).problem("maximize", {}, ()),
+                            own_point(prog, own, dataset))
+        assert found is not None and basis.tolist() == found.tolist(), own
 
 
 @pytest.mark.parametrize("source", [log_spread, insurers])

@@ -21,7 +21,7 @@ import dea_mpss.cli
 from dea_mpss import chain
 from dea_mpss.data import load_dataset
 from dea_mpss.lp import LpProblem
-from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _system_program, _unit
+from dea_mpss.network import SYSTEM_GAP, SYSTEM_RADIAL, _program, _system_program
 
 from conftest import FIXTURES
 from files import topology_to_json
@@ -75,16 +75,15 @@ def test_traced_stages_call_counts_three_problems_and_solves(capsys):
 def test_problem_digest_reads_the_matrix_form_as_its_triples():
     spans = load_spans()
     dataset, topology = load_dataset(DATA, TOPOLOGY)
-    unit = _unit(dataset, topology, "u1", SYSTEM_RADIAL, _system_program)
-    unit.pin(0.5)  # the system gap, pinned for the stage-1 solve
-    problem = unit.problem("maximize", SYSTEM_GAP)
+    prog = _program(dataset, topology, SYSTEM_RADIAL, _system_program)
+    unit = prog.unit(dataset.index_of("u1"))
+    problem = unit.problem("maximize", SYSTEM_GAP, [0.5])  # the system gap, pinned for stage 1
     rows = [(np.array(a), rel, rhs) for a, rel, rhs in problem.constraints]
     twin = lp_problem(problem.objective_sense, problem.objective, rows)
     assert spans.problem_digest(problem) == spans.problem_digest(twin)
     assert [type(rhs) for _, _, rhs in problem.constraints] == [float] * problem.n_constraints
-    other = _unit(dataset, topology, "u1", SYSTEM_RADIAL, _system_program)
-    other.pin(0.25)
-    assert spans.problem_digest(other.problem("maximize", SYSTEM_GAP)) != \
+    other = prog.unit(dataset.index_of("u1"))
+    assert spans.problem_digest(other.problem("maximize", SYSTEM_GAP, [0.25])) != \
         spans.problem_digest(problem)
 
 
