@@ -200,10 +200,9 @@ def sweep_solves(data: Path, topology: Path, label: str, sweeps) -> None:
     original = network._solves
 
     def recording(prog, dmus, *args, **kwargs):
-        outcomes = original(prog, dmus, *args, **kwargs)
-        for dmu, outcome in zip(dmus, outcomes):
+        for dmu, outcome in zip(dmus, original(prog, dmus, *args, **kwargs)):
             record(f"sweep {label} {dmu} {name} {next(counts[dmu])}", outcome)
-        return outcomes
+            yield outcome
 
     network._solves = recording
     try:

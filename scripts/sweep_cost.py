@@ -1,0 +1,125 @@
+"""The in-process cost of each benchmark sweep: wall time, lockstep steps, traced memory.
+
+For every whole-file sweep the benchmark workloads run (``perfbench/workloads.py``),
+on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
+
+* ``ms``: the median wall time of ``--repeat`` sweeps, each on a freshly
+  loaded ``Dataset``, so the program is compiled inside the timing as a
+  command compiles it;
+* ``steps`` and ``live``: the lockstep steps one sweep makes
+  (``_Lockstep._entering`` runs once a step) and the mean number of units
+  stepping in them;
+* ``peak_mb``: the ``tracemalloc`` peak of one sweep above what was traced
+  before it, the results consumed one at a time as a command's loop does.
+
+The package comes from ``PYTHONPATH``, so two checkouts can be compared on
+the same inputs.  From the repository root::
+
+    PYTHONPATH=src python3 scripts/sweep_cost.py --seed 1
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+from dea_mpss import _lockstep, chain, network
+from dea_mpss.data import load_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# workload -> (data file, topology file) under its inputs, and its sweeps by name
+SWEEPS = {
+    "pinned-stages-300": (("data.csv", "topology.json"), {
+        "stages": network.stages_sweep,
+    }),
+    "chain-300": (("data.csv", "topology.json"), {
+        "chain-mpss": chain.chain_mpss_sweep,
+        "chain-eff": chain.chain_efficiency_sweep,
+    }),
+    "small-cli": ((None, "insurers_topology.json"), {
+        "blackbox": lambda d, t, us: network.blackbox_sweep(d, us, topology=t),
+        "variable": network.network_variable_sweep,
+        "radial": network.network_radial_sweep,
+        "stages": network.stages_sweep,
+    }),
+}
+
+
+def _counted():
+    """Patch ``_Lockstep._entering`` to count steps and live units; return the counts."""
+    counts = [0, 0]
+    entering = _lockstep._Lockstep._entering
+
+    def counted(self, red, units):
+        counts[0] += 1
+        counts[1] += len(units[0])
+        return entering(self, red, units)
+
+    _lockstep._Lockstep._entering = counted
+    return counts, lambda: setattr(_lockstep._Lockstep, "_entering", entering)
+
+
+def _swept(sweep, dataset, topology) -> None:
+    for _ in sweep(dataset, topology, dataset.dmu_ids):
+        pass
+
+
+def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
+    times = []
+    for _ in range(repeat):
+        dataset, topo = load_dataset(data, topology)
+        start = time.perf_counter()
+        _swept(sweep, dataset, topo)
+        times.append(time.perf_counter() - start)
+    dataset, topo = load_dataset(data, topology)
+    counts, restore = _counted()
+    try:
+        _swept(sweep, dataset, topo)
+    finally:
+        restore()
+    dataset, topo = load_dataset(data, topology)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _swept(sweep, dataset, topo)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return {"ms": 1e3 * statistics.median(times), "steps": counts[0],
+            "live": counts[1] / counts[0] if counts[0] else 0.0, "peak_mb": peak / 1e6}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=7)
+    args = ap.parse_args()
+    inputs = _inputs()
+    print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'peak_mb':>8}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, ((data, topology), sweeps) in SWEEPS.items():
+            d = inputs.generate(workload, args.seed, Path(tmp))
+            data = inputs.INSURERS if data is None else d / data
+            for name, sweep in sweeps.items():
+                got = measure(data, d / topology, sweep, args.repeat)
+                print(f"{workload:<18} {name:<10} {got['ms']:>8.1f} {got['steps']:>6} "
+                      f"{got['live']:>6.1f} {got['peak_mb']:>8.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,11 +4,19 @@ It lives apart from ``lp`` so that importing the package, and a single
 unit's solve, do not compile it: ``lp.solve_lockstep`` imports it on a
 sweep's first solve.  It reads ``lp``'s tolerances and pivot limits
 through the module at each solve, as ``_Simplex`` reads them.
+
+A batch may be wide (a sweep steps ``network.SWEEP_WIDTH`` units), so what
+it holds per stepping unit is kept small: its basis, ``[B⁻¹ | B⁻¹b]`` and
+basic costs.  Its heads are written into a buffer when a step needs them,
+the reduced costs are priced a block of units at a time, and a finished
+unit keeps only its basis and pivot count; its solution is formed with
+its group's (``run``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -26,83 +34,121 @@ class _Lockstep:
 
     def __init__(self, sense, objective, programs: Lockstep):
         self.sense, self.c = sense, _readonly(objective)
-        self.S, self.sign, self.slack_col_of_row, self.heads, self.b = programs
+        self.programs = programs
+        self.S, self.sign, self.slack_col_of_row, self.b = (
+            programs.S, programs.sign, programs.slack_col_of_row, programs.b)
+        self.heads, self.held = programs.head[None][:0], None  # _heads' buffer and its units
         self.m, self.cols = self.S.shape
-        self.n, self.w = self.c.size, self.heads.shape[2]
+        self.n, self.w = self.c.size, programs.head.shape[1]
         self.cc = np.zeros(self.cols)  # internal objective is always a minimisation
         self.cc[:self.n] = self.c if sense == MINIMIZE else -self.c
 
-    def run(self, starts) -> list:
+    def run(self, starts, group: int) -> Iterator:
+        """Each unit's ``LpSolution``, or None when it is handed back, in unit order.
+
+        Every unit steps at once, and an optimal one keeps only its start's
+        kind, its basis and its pivot count.  Its verdict is formed as it is
+        handed on, ``group`` units at a time, so the solutions' arrays of no
+        more than ``group`` units are made together.
+        """
+        done = self._stepped(starts, group)
+        unit = done[0]
+        for lo in range(0, len(starts), group):
+            at = slice(*np.searchsorted(unit, (lo, lo + group)))
+            out = self._verdicts(*(a[at] for a in done))
+            yield from (out.get(k) for k in range(lo, min(lo + group, len(starts))))
+
+    def _stepped(self, starts, group):
+        """``[unit, warm, basis, pivots]`` of each unit optimal on the lockstep path, by unit."""
         m, cc = self.m, self.cc
-        out = [None] * len(starts)
         # one row per unit still stepping: its index, whether it started warm,
-        # its basis, heads and right sides, [B⁻¹ | B⁻¹b] and the basic costs
-        units, both = self._started(starts)
-        if not units[0].size:
-            return out
+        # its basis, [B⁻¹ | B⁻¹b] and the basic costs
+        units, both = self._started(starts, group)
+        optimal = [[a[:0] for a in units] + [np.zeros(0, dtype=int)]]
         np.maximum(both[:, :, m], 0.0, out=both[:, :, m])  # rounding noise on degenerate basics
         units += [both, cc[units[2]]]
-        red = np.empty((units[0].size, 1, self.cols))  # each step's reduced costs
+        # each step's reduced costs, priced a block of units at a time: a group,
+        # or as many units as take no more room than every unit's [B⁻¹ | B⁻¹b]
+        red = np.empty((min(units[0].size, max(group, both.size // self.cols)), 1, self.cols))
         limit = min(lp.REFACTOR_EVERY, lp.MAX_ITERATIONS + 1, 3 * (m + self.cols) + 1)
         pivots = 0
-        optimal = []  # the units optimal after a pivot, with their pivot counts
         while units[0].size:
-            entering, col = self._entering(self._priced(units, red), units)
+            entering, col = self._entering(red, units)
             done = entering < 0
             if done.any():
-                optimal.append([*(a[done] for a in units[:5]), np.full(done.sum(), pivots)])
+                optimal.append([*(a[done] for a in units[:3]), np.full(done.sum(), pivots)])
             *units, entering, col = _rows(~done, [*units, entering, col])
             if not units[0].size:
                 break
-            leaving = self._leaving(col, units[5][:, :, m], units[2])
+            leaving = self._leaving(col, units[3][:, :, m], units[2])
             # an unbounded unit is handed back
             *units, entering, col, leaving = _rows(leaving >= 0, [*units, entering, col, leaving])
-            _, _, basis, _, _, both, c_B = units
+            _, _, basis, both, c_B = units
             ar = np.arange(basis.shape[0])
             row = both[ar, leaving] / col[ar, leaving][:, None]
             both[ar, leaving] = row
             col[ar, leaving] = 0.0
-            both -= col[:, :, None] * row[:, None, :]
+            for lo in range(0, ar.size, len(red)):  # a block's product at a time
+                at = slice(lo, lo + len(red))
+                both[at] -= col[at, :, None] * row[at, None, :]
             basis[ar, leaving] = entering
             c_B[ar, leaving] = cc[entering]
             pivots += 1
             if pivots == limit:  # what is left would refactor, switch to Bland or stop
                 break
-        del red, units  # the verdicts' arrays take their place
-        if optimal:
-            self._verdicts(out, *(np.concatenate(a) for a in zip(*optimal)))
-        return out
+        done = [np.concatenate(a) for a in zip(*optimal)]
+        order = done[0].argsort()
+        return [a[order] for a in done]
 
-    def _started(self, starts):
+    def _started(self, starts, group):
         """The units whose start is a nonsingular basis over every row with no negative
-        basic value, as ``[unit, warm, basis, heads, b]``, and ``[B⁻¹ | B⁻¹b]`` of each."""
+        basic value, as ``[unit, warm, basis]``, and ``[B⁻¹ | B⁻¹b]`` of each.  The
+        bases are factored ``group`` at a time."""
         begun = [(k, kind, got[0]) for k, start in enumerate(starts)
                  for kind, got in [_begun(start, self.n, self.cols, self.slack_col_of_row)]
                  if got is not None and len(got[1]) == self.m]
         unit = np.array([k for k, _, _ in begun], dtype=int)
         warm = np.array([kind == WARM for _, kind, _ in begun], dtype=bool)
         basis = np.array([got for _, _, got in begun], dtype=int).reshape(len(begun), self.m)
-        heads, b = self.heads[unit], self.b[unit]
         both = np.empty((unit.size, self.m, self.m + 1))
-        both[:, :, :-1], both[:, :, -1], ok = self._factor(self._block(heads, basis), b)
+        ok = np.ones(unit.size, dtype=bool)
+        for lo in range(0, unit.size, group):
+            at = slice(lo, lo + group)
+            both[at, :, :-1], both[at, :, -1], ok[at] = self._factor(
+                self._block(unit[at], basis[at]), self.b[unit[at]])
         ok &= ~(both[:, :, -1].min(axis=1, initial=math.inf) < -lp.FEASIBILITY_TOL)
-        return [a[ok] for a in (unit, warm, basis, heads, b)], both[ok]
+        *units, both = _rows(ok, [unit, warm, basis, both])
+        return units, both
+
+    def _heads(self, unit):
+        """The heads of units ``unit`` (``Lockstep.heads``), written over the last call's.
+
+        No array of unit indices is ever written, so when ``unit`` is the
+        array of the last call its heads are in place already.
+        """
+        if unit is not self.held:
+            if len(unit) > len(self.heads):
+                self.heads = np.repeat(self.programs.head[None], len(unit), axis=0)
+            self.programs.heads(unit, out=self.heads)
+            self.held = unit
+        return self.heads[:len(unit)]
 
     def _priced(self, units, out):
         """Each unit's reduced costs, as ``_Simplex._iterate`` prices them, in ``out``."""
-        _, _, basis, heads, _, both, c_B = units
+        unit, _, basis, both, c_B = units
         y = c_B[:, None, :] @ both[:, :, :self.m]
         red = np.matmul(y, self.S, out=out[:len(y)])
-        red[:, :, :self.w] = y @ heads
+        red[:, :, :self.w] = y @ self._heads(unit)
         red = np.subtract(self.cc, red, out=red)[:, 0]
         red[np.arange(basis.shape[0])[:, None], basis] = 0.0
         return red
 
-    def _block(self, heads, basis):
-        """Each unit's basis matrix: its columns ``basis[k]`` of ``S``, or of its heads."""
+    def _block(self, unit, basis):
+        """Each unit's basis matrix: unit ``unit[k]``'s columns ``basis[k]`` of ``S``,
+        or of its heads."""
         blocks = self.S.T[basis]  # unit, basis position, row: each block transposed
         own = np.nonzero(basis < self.w)
-        blocks[own] = heads[own[0], :, basis[own]]
+        blocks[own] = self._heads(unit)[own[0], :, basis[own]]
         return blocks.transpose(0, 2, 1)
 
     def _factor(self, block, b):
@@ -120,32 +166,43 @@ class _Lockstep:
         return inverse, (inverse @ b[:, :, None])[:, :, 0], ok
 
     def _entering(self, red, units):
+        """Each unit's entering column and its column of the tableau, or -1 when optimal
+        (``_chosen``); the units are priced ``len(red)`` at a time, into ``red``."""
+        if units[0].size <= len(red):
+            return self._chosen(self._priced(units, red), units)
+        chosen = [self._chosen(self._priced(part, red), part)
+                  for lo in range(0, units[0].size, len(red))
+                  for part in [[a[lo:lo + len(red)] for a in units]]]
+        return tuple(np.concatenate(a) for a in zip(*chosen))
+
+    def _chosen(self, red, units):
         """Each unit's entering column and its column of the tableau, or -1 when optimal.
 
         As in ``_Simplex._iterate``: the lowest reduced cost enters if it
         improves and its reduced cost, taken again from its column, still
         does; if not that, it is set to 0 and the next lowest is tried.
         """
-        _, _, _, heads, _, both, c_B = units
+        unit, _, _, both, c_B = units
         entering = red.argmin(axis=1)
         improving = ~(red[np.arange(len(red)), entering] >= -lp.PIVOT_TOL)
-        col = self._column(entering, heads, both)
+        col = self._column(entering, unit, both)
         priced = self.cc[entering] - (c_B[:, None, :] @ col[:, :, None])[:, 0, 0] < -lp.PIVOT_TOL
         for k in (improving & ~priced).nonzero()[0]:  # priced noise: one unit at a time
             while improving[k] and not priced[k]:
                 red[k, entering[k]] = 0.0
                 entering[k] = red[k].argmin()
                 improving[k] = not red[k, entering[k]] >= -lp.PIVOT_TOL
-                col[k] = self._column(entering[k:k + 1], heads[k:k + 1], both[k:k + 1])[0]
+                col[k] = self._column(entering[k:k + 1], unit[k:k + 1], both[k:k + 1])[0]
                 priced[k] = self.cc[entering[k]] - c_B[k] @ col[k] < -lp.PIVOT_TOL
         entering[~improving] = -1
         return entering, col
 
-    def _column(self, q, heads, both):
-        """Each unit's column ``q[k]`` of its tableau, ``B⁻¹ a_q``."""
-        a = self.S.T[q]
-        own = (q < self.w).nonzero()[0]
-        a[own] = heads[own, :, q[own]]
+    def _column(self, q, unit, both):
+        """Unit ``unit[k]``'s column ``q[k]`` of its tableau, ``B⁻¹ a_q``."""
+        a = self.S.T[q]  # the template's column, the unit's own levels written in
+        rows, cols = self.programs.own_at
+        k, at = (q[:, None] == cols).nonzero()
+        a[k, rows[at]] = self.programs.own[unit[k], at]
         return (both[:, :, :self.m] @ a[:, :, None])[:, :, 0]
 
     def _leaving(self, col, rhs, basis):
@@ -172,15 +229,17 @@ class _Lockstep:
             leaving[k] = _leaving(col[k], rhs[k], basis[k])
         return leaving
 
-    def _verdicts(self, out, unit, warm, basis, heads, b, pivots):
+    def _verdicts(self, unit, warm, basis, pivots) -> dict:
         """The optimum of each unit whose basis holds once refactored, as ``_Simplex._verdict``
-        gives it after ``pivots[k]`` pivots.  Without a pivot ``_Simplex`` reuses the
-        start's factors, which the refactor repeats bit for bit."""
-        block = self._block(heads, basis)
+        gives it after ``pivots[k]`` pivots, by unit.  Without a pivot ``_Simplex`` reuses
+        the start's factors, which the refactor repeats bit for bit."""
+        b = self.b[unit]
+        block = self._block(unit, basis)
         inverse, rhs, ok = self._factor(block, b)
         ok &= self._holding(block, rhs, b, basis)
-        unit, warm, basis, heads, pivots, inverse, rhs = (
-            a[ok] for a in (unit, warm, basis, heads, pivots, inverse, rhs))
+        unit, warm, basis, pivots, inverse, rhs = (
+            a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
+        heads = self._heads(unit)
         n, m = self.n, self.m
         structural = np.nonzero(basis < n)
         x = np.zeros((unit.size, n))
@@ -200,11 +259,10 @@ class _Lockstep:
         rows = tuple(range(m))
         for a in (x, duals, reduced, basic):
             _frozen(a)
-        for k, (u, iterations) in enumerate(zip(unit.tolist(), pivots.tolist())):
-            out[u] = LpSolution(
-                OPTIMAL, float(value[k]), x[k], iterations, duals[k], reduced[k], basic[k],
-                WARM if warm[k] else CRASH, (tuple(basis[k].tolist()), rows, m),
-            )
+        return {u: LpSolution(OPTIMAL, float(value[k]), x[k], iterations, duals[k], reduced[k],
+                              basic[k], WARM if warm[k] else CRASH,
+                              (tuple(basis[k].tolist()), rows, m))
+                for k, (u, iterations) in enumerate(zip(unit.tolist(), pivots.tolist()))}
 
     def _holding(self, block, rhs, b, basis):
         """Which basic points surely hold, as ``_Simplex._holds`` would say.

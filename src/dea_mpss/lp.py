@@ -41,14 +41,18 @@ of a phase, which guarantees termination.
 
 ``solve_lockstep`` runs the started phase twos of many units of one
 compiled program at once (``Lockstep``: a shared matrix, and per unit its
-first columns and right sides), one numpy call per step for every unit
-not yet done: a stacked product prices them, a stacked inverse factors
-them, and each unit takes the pivots and gets the ``LpSolution``
-``solve_lp`` gives it, bit for bit.  A unit that would leave that path (a
-start that fails, an unbounded step, a refactor, the Bland switch, an
-optimum that does not hold) is handed back, for ``solve_lp`` to solve
-alone from the same start.  A batch of one costs more per step than the
-scalar loop, so a single solve stays with ``solve_lp``.
+own levels in its first columns and its right sides), one numpy call per
+step for every unit not yet done: stacked products price them, a block
+of units at a time, stacked inverses factor them, and each unit takes the
+pivots and gets the ``LpSolution`` ``solve_lp`` gives it, bit for bit.
+An optimal unit is held as its basis and pivot count until its solution
+is asked for; the solutions are formed a group of units at a time, in
+unit order, so a wide batch holds no more of them at once than a narrow
+one.  A unit that would leave that path (a start that fails, an
+unbounded step, a refactor, the Bland switch, an optimum that does not
+hold) is handed back, for ``solve_lp`` to solve alone from the same
+start.  A batch of one costs more per step than the scalar loop, so a
+single solve stays with ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -475,12 +479,14 @@ class _Simplex:
 
 
 class Lockstep(NamedTuple):
-    """The programs of many units that differ only in their first columns and right sides.
+    """The programs of many units that differ only in a few entries of their first columns,
+    and in their right sides.
 
-    Unit ``k``'s standard form is ``S`` with its first ``heads.shape[2]``
-    columns replaced by ``heads[k]``, and ``b[k]`` its right sides;
-    ``sign`` and ``slack_col_of_row`` are as in ``StandardForm``.  A
-    product with ``S`` rounds every column but the heads as the same
+    Unit ``k``'s standard form is ``S`` with its first ``head.shape[1]``
+    columns replaced by its heads, ``head`` with the entries at ``own_at``
+    (rows, columns) set to ``own[k]`` (``heads``), and ``b[k]`` its right
+    sides; ``sign`` and ``slack_col_of_row`` are as in ``StandardForm``.
+    A product with ``S`` rounds every column but the heads as the same
     product with a unit's own matrix does, so only the heads are taken per
     unit.  A product with a block of a few columns need not round those
     columns as the product with the whole row does; the heads are made
@@ -492,12 +498,21 @@ class Lockstep(NamedTuple):
     S: np.ndarray
     sign: np.ndarray
     slack_col_of_row: np.ndarray
-    heads: np.ndarray
+    head: np.ndarray
+    own_at: tuple
+    own: np.ndarray
     b: np.ndarray
+
+    def heads(self, unit, out=None) -> np.ndarray:
+        """The heads of units ``unit``, one a row: in the first rows of ``out``, whose rows
+        hold ``head`` but at ``own_at``, if it is given, else in a new array."""
+        heads = np.repeat(self.head[None], len(unit), axis=0) if out is None else out[:len(unit)]
+        heads[(slice(None), *self.own_at)] = self.own[unit]
+        return heads
 
 
 def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockstep,
-                   starts: Sequence) -> list:
+                   starts: Sequence, group: int) -> Iterator:
     """``solve_lp`` of each unit of ``programs`` from ``starts[k]``, all units in lockstep.
 
     Phase two runs for every unit at once, one numpy call per step: each
@@ -510,10 +525,15 @@ def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockst
     a refactor or the Bland switch (``REFACTOR_EVERY`` pivots come first),
     or an optimum that does not hold once refactored, or holds too near
     its row tolerances for a check of other rounding to tell.
+
+    The outcomes come one at a time, in unit order.  The units step on the
+    first one asked for; an optimal unit is held as its basis and pivot
+    count only, and the solutions are formed ``group`` units at a time as
+    they are asked for.
     """
     from ._lockstep import _Lockstep  # compiled on a sweep's first solve, not at import
 
-    return _Lockstep(objective_sense, objective, programs).run(starts)
+    return _Lockstep(objective_sense, objective, programs).run(starts, group)
 
 
 class _Inverse:

@@ -22,17 +22,20 @@ narrow band while a stage objective is re-optimised.
 Each model is written once, as a sweep over a list of units
 (``blackbox_sweep``, ...); its per-unit form (``blackbox_mpss``, ...) is
 the sweep of one unit.  Every model solve, the chain's profitability
-split too, goes through ``_solves``.  A sweep takes ``SWEEP_CHUNK`` units
-at a time and solves them in lockstep (``lp.solve_lockstep``): the stage
-sweep solves a chunk's radial systems, then its stage-1 and its stage-2
-programs, each batch warm-started from the optima of the one before.  A
-unit whose solve leaves the lockstep path (a failed start, an unbounded
-step, a refactor, a failed or too close hold, a warm start whose rows
-were dropped) is solved alone by ``solve_lp`` from the same start, so
-every solution, and the first failure in unit order with its message, is
-the per-unit loop's.  A lone unit (a ``--dmu`` call, or a chunk of one)
-is solved by ``solve_lp`` with no lockstep: a batch of one costs more per
-step than the scalar pivot loop.
+split too, goes through ``_solves``.  A one-model sweep takes
+``SWEEP_WIDTH`` units at a time and solves them in lockstep
+(``lp.solve_lockstep``); their solutions are formed ``SWEEP_CHUNK`` units
+at a time, in unit order, as the sweep hands them on.  The stage sweep
+takes ``SWEEP_CHUNK`` units at a time: it solves a chunk's radial
+systems, then its stage-1 and its stage-2 programs, each batch
+warm-started from the optima of the one before.  A unit whose solve
+leaves the lockstep path (a failed start, an unbounded step, a refactor,
+a failed or too close hold, a warm start whose rows were dropped) is
+solved alone by ``solve_lp`` from the same start, so every solution, and
+the first failure in unit order with its message, is the per-unit
+loop's.  A lone unit (a ``--dmu`` call, or a batch of one) is solved by
+``solve_lp`` with no lockstep: a batch of one costs more per step than
+the scalar pivot loop.
 """
 
 from __future__ import annotations
@@ -48,10 +51,14 @@ from .lp import LpSolution, solve_lockstep, solve_lp
 from .program import Program
 
 EPS_MPSS = 1e-6
-# units a sweep solves in lockstep at once: a wider chunk takes fewer numpy
-# calls a unit but holds more units' solutions at once, so a sweep's peak
-# resident memory grows with it
+# units whose solutions a sweep holds at once: a lockstep batch forms its
+# solutions this many units at a time, and the stage sweep, which holds each
+# unit's three results until its tuple is handed on, steps this many at once
 SWEEP_CHUNK = 10
+# units a one-model sweep steps in lockstep at once: a wider batch takes
+# fewer numpy calls a unit, and holds each stepping unit's basis inverse and
+# reduced costs, but no more solutions
+SWEEP_WIDTH = 150
 
 BLACK_BOX = "black_box"
 SYSTEM_VARIABLE = "system_variable"
@@ -108,30 +115,33 @@ def _validated(dataset: Dataset, topology: NetworkTopology, shape: str) -> None:
 
 def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], sense: str,
             objective: Mapping[str, float], context: str, starts=None, pinned=(),
-            bands=None, units=None) -> list:
-    """Every model's solve: each unit's ``LpSolution`` of ``prog``, or the ``SolverError`` it raised.
+            bands=None, units=None) -> Iterator:
+    """Every model's solve: each unit's ``LpSolution`` of ``prog``, or the ``SolverError`` it
+    raised, one at a time in unit order.
 
     Unit ``k`` holds ``pinned[k]`` (``Program.right_sides``).  An unpinned
     program starts from the unit's crash basis, a pinned one from
     ``starts[k]`` (the optimum of the program it extends), or, a lone
     unit, cold.  Two or more units run in lockstep
-    (``lp.solve_lockstep``); a lone unit, or one handed back, is solved by
-    ``solve_lp`` from the same start, on its ``Unit`` in ``units`` (by
+    (``lp.solve_lockstep``), their solutions formed ``SWEEP_CHUNK`` at a
+    time as they are handed on; a lone unit, or one handed back, is solved
+    by ``solve_lp`` from the same start, on its ``Unit`` in ``units`` (by
     owner) if an earlier solve made one.  A failure names the DMU through
     ``context.format`` and, for a pinned solve, its band ``bands[k]``.
     """
     if not owns:
-        return []
+        return
     pinned = np.array(pinned, dtype=float).reshape(len(owns), -1)
     if not pinned.shape[1]:
         starts = prog.crash_bases(owns)
-    sols = [None] * len(owns)
+    sols = [None]
     if len(owns) > 1:
         sols = solve_lockstep(sense, prog.objective(objective), prog.lockstep(owns, pinned),
-                              starts)
+                              starts, SWEEP_CHUNK)
     units = {} if units is None else units
     for k, sol in enumerate(sols):
         if sol is not None:
+            yield sol
             continue
         unit = units.get(owns[k])
         if unit is None:
@@ -145,30 +155,28 @@ def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], sense: str,
         except SolverError as exc:
             sol = SolverError(f"{context.format(dmus[k])}: {exc}")
             sol.__cause__ = exc
-        sols[k] = sol
-    return sols
+        yield sol
 
 
 def _swept(dataset: Dataset, view, dmus: Sequence[str], model: str, build,
-           solve_chunk: Callable) -> Iterator:
-    """``solve_chunk(program, dmus, owns)``'s outcome for each of ``dmus``, in order.
+           solve_batch: Callable, width: int) -> Iterator:
+    """``solve_batch(program, dmus, owns)``'s outcome for each of ``dmus``, in order.
 
-    The units go ``SWEEP_CHUNK`` at a time, and each chunk's outcomes are
-    handed on before the next is solved.  A failure, an unknown DMU among
-    them, is raised when its unit is reached, as a loop over the units
-    raises it.
+    The units go ``width`` at a time, and each batch's outcomes are handed
+    on before the next is solved.  A failure, an unknown DMU among them,
+    is raised when its unit is reached, as a loop over the units raises it.
     """
     dmus = list(dmus)
-    for first in range(0, len(dmus), SWEEP_CHUNK):
+    for first in range(0, len(dmus), width):
         prog = _program(dataset, view, model, build)
-        part, owns, unknown = dmus[first:first + SWEEP_CHUNK], [], None
+        part, owns, unknown = dmus[first:first + width], [], None
         for dmu in part:
             try:
                 owns.append(dataset.index_of(dmu))
             except ValidationError as exc:
                 unknown = exc
                 break
-        for outcome in solve_chunk(prog, part[:len(owns)], owns) if owns else ():
+        for outcome in solve_batch(prog, part[:len(owns)], owns) if owns else ():
             if isinstance(outcome, SolverError):
                 raise outcome
             yield outcome
@@ -188,13 +196,13 @@ class _Model(NamedTuple):
 
 
 def _sweep(dataset: Dataset, view, dmus: Sequence[str], model: _Model) -> Iterator:
-    """``model``'s result for each of ``dmus``, in order, the units of a chunk in lockstep."""
-    def solve_chunk(prog, part, owns):
+    """``model``'s result for each of ``dmus``, in order, ``SWEEP_WIDTH`` units in lockstep."""
+    def solve_batch(prog, part, owns):
         sols = _solves(prog, part, owns, model.sense, model.objective, model.context)
-        return [sol if isinstance(sol, SolverError) else model.result(sol, prog, dmu)
-                for dmu, sol in zip(part, sols)]
+        return (sol if isinstance(sol, SolverError) else model.result(sol, prog, dmu)
+                for dmu, sol in zip(part, sols))
 
-    return _swept(dataset, view, dmus, model.name, model.build, solve_chunk)
+    return _swept(dataset, view, dmus, model.name, model.build, solve_batch, SWEEP_WIDTH)
 
 
 def _blackbox_program(dataset: Dataset, view, model: str) -> Program:
@@ -343,7 +351,7 @@ def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
 
 
 def _staged(prog: Program, dmus: Sequence[str], owns: Sequence[int], stage: int, starts,
-            pinned: Sequence[Sequence[float]], units=None) -> list:
+            pinned: Sequence[Sequence[float]], units=None) -> Iterator:
     """Each unit's ``stage`` solve (``_solves``), the scores solved before it pinned.
 
     Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
@@ -357,6 +365,8 @@ def _staged(prog: Program, dmus: Sequence[str], owns: Sequence[int], stage: int,
 def stages_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str]) -> Iterator:
     """``evaluate_stages`` of each of ``dmus``, in order.
 
+    The units go ``SWEEP_CHUNK`` at a time, not ``SWEEP_WIDTH``: a unit's
+    results are held until its tuple is handed on, three solutions a unit.
     The units of a chunk solve their radial systems in lockstep, then their
     stage-1 and stage-2 programs, each batch warm-started from the optima of
     the batch before.  A unit solved alone keeps its copy of the program for
@@ -364,7 +374,8 @@ def stages_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str
     """
     def solve_chunk(prog, part, owns):
         units = {}
-        sols = _solves(prog, part, owns, "maximize", SYSTEM_GAP, _RADIAL.context, units=units)
+        sols = list(_solves(prog, part, owns, "maximize", SYSTEM_GAP, _RADIAL.context,
+                            units=units))
         # each unit's results so far, or None once a solve failed (its last outcome)
         results = [None if isinstance(sol, SolverError) else
                    [_result_from(sol, SYSTEM_RADIAL, dmu, prog)] for dmu, sol in zip(part, sols)]
@@ -381,4 +392,5 @@ def stages_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str
                     results[k].append(_result_from(sol, STAGE_SCOPES[stage], part[k], prog))
         return [sol if res is None else tuple(res) for sol, res in zip(sols, results)]
 
-    return _swept(dataset, topology, dmus, SYSTEM_RADIAL, _system_program, solve_chunk)
+    return _swept(dataset, topology, dmus, SYSTEM_RADIAL, _system_program, solve_chunk,
+                  SWEEP_CHUNK)

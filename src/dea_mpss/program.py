@@ -18,7 +18,7 @@ arrays, the rows and slacks as one matrix in the standard form the simplex
 reads (``lp.StandardForm``).  ``Program.unit`` copies that matrix once per
 unit, writes the unit's levels in and takes ``|A|``; a sweep's units copy
 nothing, as ``Program.lockstep`` hands the solver the template and each
-unit's first columns and right sides.  Pinned rows come
+unit's own levels and right sides.  Pinned rows come
 last, in pairs, so a program with ``k`` pairs pinned is a row and column
 prefix of the unit's arrays; ``Program.right_sides`` holds each pair
 within ``FIXING_BAND`` of its score, on right sides that may be negative
@@ -213,16 +213,16 @@ class Program:
     def lockstep(self, owns: Sequence[int], pinned: np.ndarray) -> Lockstep:
         """The programs of units ``owns``, unit ``k`` pinned at ``pinned[k]``, as one ``Lockstep``.
 
-        No unit copies the template: each gets its first ``HEAD_COLUMNS``
-        columns, or all of them in a narrower program, as its heads (the
-        factors, so its own levels, are among them), and its right sides.
+        No unit copies the template: each unit's heads are its first
+        ``HEAD_COLUMNS`` columns, or all of them in a narrower program (the
+        factors, so its own levels, are among them), and the batch holds
+        only the template's and each unit's own levels and right sides.
         """
-        k, pins = pinned.shape
+        _, pins = pinned.shape
         m, cols = self._shape[pins]
-        heads = np.repeat(self._S[None, :m, :min(HEAD_COLUMNS, cols)], k, axis=0)
-        heads[(slice(None), *self._own_at)] = -self._own_levels[:, owns].T
-        return Lockstep(self._S[:m, :cols], self._sign[:m], self._slack_col[:m], heads,
-                        self.right_sides(pinned))
+        return Lockstep(self._S[:m, :cols], self._sign[:m], self._slack_col[:m],
+                        self._S[:m, :min(HEAD_COLUMNS, cols)], self._own_at,
+                        -self._own_levels[:, owns].T, self.right_sides(pinned))
 
     # -- reading a solution by column name --------------------------------
 

@@ -545,7 +545,7 @@ def test_lockstep_ratio_test_is_the_scan(data):
                                       min_size=k * m, max_size=k * m))).reshape(k, m)
     basis = np.array([data.draw(st.permutations(range(3 * m)))[:m] for _ in range(k)])
     programs = lp.Lockstep(np.zeros((m, 3 * m)), np.zeros(m), np.full(m, -1),
-                           np.zeros((k, m, 1)), np.zeros((k, m)))
+                           np.zeros((m, 1)), ((), ()), np.zeros((k, 0)), np.zeros((k, m)))
     got = _lockstep._Lockstep(lp.MINIMIZE, np.zeros(1), programs)._leaving(col, rhs, basis)
     assert got.tolist() == [lp._leaving(col[i], rhs[i], basis[i]) for i in range(k)]
 
@@ -576,10 +576,12 @@ def test_lockstep_entering_column_is_the_scalar_loops(data):
     c_B = rng.integers(-2, 3, (k, m)).astype(float)
     cost = rng.integers(-3, 4, cols).astype(float)
     red = rng.choice([-2.0, -1.0, -1e-10, 0.0, 1.0], (k, cols))
-    programs = lp.Lockstep(S, np.zeros(m), np.full(m, -1), heads, np.zeros((k, m)))
+    every = np.indices((m, 2)).reshape(2, -1)  # each unit's heads are its own entries
+    programs = lp.Lockstep(S, np.zeros(m), np.full(m, -1), np.zeros((m, 2)), tuple(every),
+                           heads.reshape(k, -1), np.zeros((k, m)))
     step = _lockstep._Lockstep(lp.MINIMIZE, cost, programs)
-    units = [None, None, None, heads, None, both, c_B]
-    entering, col = step._entering(red.copy(), units)
+    units = [np.arange(k), None, None, both, c_B]  # unit k's heads are heads[k]
+    entering, col = step._chosen(red.copy(), units)
     for i in range(k):
         A = S.copy()
         A[:, :2] = heads[i]

@@ -307,11 +307,12 @@ def test_lone_and_batched_programs_are_one_program(source):
             seen.add(pins)
             pinned = PINNED[:, :pins]
             batch = prog.lockstep(owns, pinned)
-            h = batch.heads.shape[2]
+            h = batch.head.shape[1]
+            heads = batch.heads(np.arange(len(owns)))
             for k, own in enumerate(owns):
                 form = prog.unit(own).problem("maximize", {}, pinned[k]).standard_form
                 assert same_bytes(batch.b[k], form.b)
-                assert same_bytes(batch.heads[k], form.S[:, :h])
+                assert same_bytes(heads[k], form.S[:, :h])
                 assert same_bytes(batch.S[:, h:], form.S[:, h:])
                 assert same_bytes(batch.sign, form.sign)
                 assert same_bytes(batch.slack_col_of_row, form.slack_col_of_row)

@@ -6,10 +6,10 @@ shared template, would make a unit's solves depend on the units evaluated
 before it.  These tests compare every solve of a sweep, bit for bit, with
 the same unit evaluated in the other order and on a freshly loaded dataset.
 
-The sweep forms solve a chunk of units in lockstep (``lp.solve_lockstep``)
-and hand a unit that leaves the started path back to ``solve_lp``; the
-tests at the end compare each of their solves, and their first failure,
-with the per-unit calls'.
+The sweep forms solve a batch of units in lockstep (``lp.solve_lockstep``),
+form its solutions a group at a time, and hand a unit that leaves the
+started path back to ``solve_lp``; the tests at the end compare each of
+their solves, and their first failure, with the per-unit calls'.
 """
 
 import contextlib
@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dea_mpss import _lockstep, chain, cli, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
-from dea_mpss.errors import SolverError, UnsupportedTopologyError
+from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
 from dea_mpss.program import Program
 
 from conftest import FIXTURES
@@ -270,7 +270,7 @@ def test_crash_search_runs_once_per_program(monkeypatch, source):
     assert not any(hasattr(lp, name) for name in ("_crash_basis", "_independent_rows"))
 
 
-# -- sweeps: the units of a chunk in lockstep, each solve the per-unit call's ----------
+# -- sweeps: the units of a batch in lockstep, each solve the per-unit call's ----------
 
 # builder -> its sweep form, called as (dataset, topology, dmus); the profitability
 # split, which no command sweeps, has none
@@ -359,11 +359,13 @@ def per_unit(source, builder):
 _per_unit = functools.lru_cache(maxsize=None)(per_unit)
 
 
-def swept(source, builder):
-    """Each unit's solves in the sweep, as ``fingerprints``, and the error it raised.
+def swept(source, builder, dmus=None, kept=None):
+    """Each unit's solves in the sweep of ``dmus`` (all units), as ``fingerprints``, and
+    the error it raised.
 
     The solves are caught as ``network._solves`` hands them on, batched or
-    handed back, so a unit solved after the raised failure is caught too.
+    handed back, so a unit solved after the raised failure, in a batch
+    solved whole, is caught too.  ``kept``, a list, gets every solution.
     """
     dataset, topology, chain_topology = loaded(source)
     view = chain_topology if BUILDERS[builder][0] else topology
@@ -371,18 +373,20 @@ def swept(source, builder):
     original = network._solves
 
     def recording(prog, part, *args, **kwargs):
-        sols = original(prog, part, *args, **kwargs)
-        for dmu, sol in zip(part, sols):
+        for dmu, sol in zip(part, original(prog, part, *args, **kwargs)):
             caught.setdefault(dmu, []).append(sol)
-        return sols
+            yield sol
 
     error = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_solves", recording)
         try:
-            list(SWEEPS[builder](dataset, view, dataset.dmu_ids))
+            list(SWEEPS[builder](dataset, view, dataset.dmu_ids if dmus is None else dmus))
         except SolverError as exc:
             error = str(exc)
+    if kept is not None:
+        kept.extend(s for sols in caught.values() for s in sols
+                    if not isinstance(s, SolverError))
     out = {}
     for dmu, sols in caught.items():
         done = [s for s in sols if not isinstance(s, SolverError)]
@@ -394,12 +398,16 @@ def swept(source, builder):
 
 @pytest.mark.parametrize("source,builder", SWEPT)
 @settings(max_examples=4, deadline=None, derandomize=True)
-@given(chunk=st.integers(1, 48))
-def test_sweep_solves_as_the_per_unit_calls(source, builder, chunk):
-    """Whatever the chunk size, every solve of a sweep is the per-unit call's, bit for bit,
+@given(width=st.integers(1, 300), chunk=st.integers(1, 48))
+@example(width=300, chunk=network.SWEEP_CHUNK)
+@example(width=network.SWEEP_WIDTH, chunk=network.SWEEP_CHUNK)
+def test_sweep_solves_as_the_per_unit_calls(source, builder, width, chunk):
+    """Whatever the loop width, up to a whole 300-unit set, and whatever the group of
+    solutions formed at once, every solve of a sweep is the per-unit call's, bit for bit,
     and a failing sweep raises the per-unit loop's first failure."""
     want, first = _per_unit(source, builder)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "SWEEP_WIDTH", width)
         mp.setattr(network, "SWEEP_CHUNK", chunk)
         got, error = swept(source, builder)
     assert error == first
@@ -414,25 +422,101 @@ def test_sweep_solves_as_the_per_unit_calls(source, builder, chunk):
     ("chain-300", "chain-mpss")])
 def test_every_pivoting_unit_is_handed_back_at_a_refactor(monkeypatch, source, builder):
     """With a refactor after every pivot, a unit leaves the lockstep at its first pivot;
-    solved alone from the same start, it gets the per-unit call's solution."""
+    solved alone from the same start, it gets the per-unit call's solution.  The loop
+    runs a group wide and ``SWEEP_WIDTH`` wide."""
     monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
-    batched, handed = [], []
     solve_lockstep = network.solve_lockstep
 
     def counted(*args):
-        sols = solve_lockstep(*args)
-        batched.extend(s for s in sols if s is not None)
-        handed.extend(s for s in sols if s is None)
-        return sols
+        for sol in solve_lockstep(*args):
+            (handed if sol is None else batched).append(sol)
+            yield sol
 
     monkeypatch.setattr(network, "solve_lockstep", counted)
     want, first = per_unit(source, builder)
+    for width in (network.SWEEP_CHUNK, network.SWEEP_WIDTH):
+        batched, handed = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "SWEEP_WIDTH", width)
+            got, error = swept(source, builder)
+        assert error == first
+        assert all(sol.iterations == 0 for sol in batched)
+        assert handed
+        for dmu, outcome in got.items():
+            assert outcome == want[dmu], dmu
+
+
+@pytest.mark.parametrize("source,builder", [("log-spread", "variable"),
+                                            ("chain-300", "chain-efficiency w3=0")])
+def test_a_unit_handed_back_inside_a_group_keeps_its_place(monkeypatch, source, builder):
+    """A unit the lockstep hands back between two units of its group whose solutions it
+    forms is solved alone in its place: every solve is the per-unit call's."""
+    outcomes = []
+    solve_lockstep = network.solve_lockstep
+
+    def recorded(*args):
+        for sol in solve_lockstep(*args):
+            outcomes.append(sol)
+            yield sol
+
+    monkeypatch.setattr(network, "solve_lockstep", recorded)
+    want, first = _per_unit(source, builder)
     got, error = swept(source, builder)
     assert error == first
-    assert all(sol.iterations == 0 for sol in batched)
-    assert handed
+    chunk = network.SWEEP_CHUNK
+    inside = [k for k, sol in enumerate(outcomes) if sol is None and 0 < k % chunk < chunk - 1
+              and outcomes[k - 1] is not None and outcomes[k + 1] is not None]
+    assert inside, "no unit was handed back inside a group"
     for dmu, outcome in got.items():
         assert outcome == want[dmu], dmu
+
+
+def test_an_unknown_unit_in_a_wide_batch_is_raised_after_the_units_before_it():
+    """The units before an unknown DMU in a batch wider than a group are handed on, each
+    the per-unit call's result, and then its ``ValidationError`` is raised."""
+    dataset, topology, _ = loaded("chain-300")
+    ids = dataset.dmu_ids
+    before = network.SWEEP_CHUNK * 4 + 5
+    assert before < network.SWEEP_WIDTH
+    handed = []
+    with pytest.raises(ValidationError, match="nope"):
+        for res in chain.chain_mpss_sweep(dataset, topology, [*ids[:before], "nope", *ids]):
+            handed.append(res)
+    assert [res.dmu for res in handed] == list(ids[:before])
+    for res in handed:
+        alone = chain.chain_mpss(dataset, topology, res.dmu)
+        assert (res.score, res.theta_operation, res.theta_rd, res.theta_market) == \
+            (alone.score, alone.theta_operation, alone.theta_rd, alone.theta_market)
+
+
+def test_a_stage_failure_beyond_the_first_group_is_raised_in_unit_order():
+    """The log-spread units in an order whose first failing stage unit lies beyond the
+    first group: the sweep hands on the units before it as the per-unit calls give
+    them, then raises that unit's error."""
+    dataset, topology, _ = loaded("log-spread")
+    want, _ = _per_unit("log-spread", "stages")
+    failing = [u for u in dataset.dmu_ids if isinstance(want[u], tuple)]
+    fine = [u for u in dataset.dmu_ids if u not in failing]
+    ahead = 2 * network.SWEEP_CHUNK + 3
+    order = [*fine[:ahead], *failing, *fine[ahead:]]
+    got, error = swept("log-spread", "stages", order)
+    assert error == want[failing[0]][1]
+    assert set(fine[:ahead]) <= set(got)
+    for dmu, outcome in got.items():
+        assert outcome == want[dmu], dmu
+
+
+@pytest.mark.parametrize("source,builder", [(s, b) for s, b in SWEPT
+                                            if s in ("chain-300", "pinned-stages-300")])
+def test_a_kept_solution_pins_no_more_than_a_group(source, builder):
+    """Each array of every ``LpSolution`` a sweep hands on is its own or a view of an array
+    of at most ``SWEEP_CHUNK`` units, so a kept result never pins a wide batch's arrays."""
+    kept = []
+    swept(source, builder, kept=kept)
+    assert kept
+    for sol in kept:
+        for a in (sol.variable_values, sol.dual_values, sol.reduced_costs, sol.basic):
+            assert a.base is None or a.base.size <= network.SWEEP_CHUNK * a.size
 
 
 def test_failing_stage_sweep_raises_the_first_failure(capsys):
@@ -504,12 +588,12 @@ def test_a_single_unit_makes_no_lockstep_step(monkeypatch, tmp_path, capsys, com
     steps = []
     run = _lockstep._Lockstep.run
 
-    def counted(self, starts):
+    def counted(self, starts, group):
         steps.append(len(starts))
-        return run(self, starts)
+        return run(self, starts, group)
 
     monkeypatch.setattr(_lockstep._Lockstep, "run", counted)
-    # decompose stops at a negative stage score (C7-sign), exit 2, once its chunk is solved
+    # decompose stops at a negative stage score (C7-sign), exit 2, once its unit is reached
     assert cli.run([*argv, "--dmu", "1"]) in (0, 2), capsys.readouterr().err
     assert steps == []
     assert cli.run(argv) in (0, 2), capsys.readouterr().err
