@@ -29,7 +29,7 @@ in the sign of zeros alone can be told apart.  The set is:
   program, two of which refactor on the way;
 * every model solve of the 60 log-spread units (``tests/fixtures``) under
   ``evaluate_stages``, ``network_mpss_variable`` and ``network_mpss_radial``;
-* every outcome ``network._solves`` hands on in whole-file sweeps, batched
+* every outcome ``network._handed`` hands on in whole-file sweeps, batched
   or solved alone: of the ``pinned-stages-300`` units under
   ``stages_sweep``, ``network_variable_sweep`` and ``blackbox_sweep``; of
   the ``chain-300`` units under ``chain_efficiency_sweep`` with weights
@@ -191,27 +191,28 @@ def model_solves(data: Path, topology: Path, label: str, calls, cold: bool = Fal
 
 
 def sweep_solves(data: Path, topology: Path, label: str, sweeps) -> None:
-    """Every outcome ``network._solves`` hands on in each whole-file sweep of ``sweeps``.
+    """Every outcome ``network._handed`` hands on in each whole-file sweep of ``sweeps``.
 
     A unit's outcomes are numbered in the order they are handed on.  A
     sweep that raises stops there.
     """
     dataset, topo = load_dataset(data, topology)
-    original = network._solves
+    original = network._handed
 
-    def recording(prog, dmus, *args, **kwargs):
-        for dmu, outcome in zip(dmus, original(prog, dmus, *args, **kwargs)):
+    def recording(dmus, outcomes):
+        handed = original(dmus, outcomes)
+        for dmu, outcome in handed:
             record(f"sweep {label} {dmu} {name} {next(counts[dmu])}", outcome)
-            yield outcome
+        return handed
 
-    network._solves = recording
+    network._handed = recording
     try:
         for name, sweep in sweeps:
             counts = collections.defaultdict(itertools.count)
             with suppress(DeaMpssError):
                 list(sweep(dataset, topo, dataset.dmu_ids))
     finally:
-        network._solves = original
+        network._handed = original
 
 
 def chain_split(dataset, topo, dmu):

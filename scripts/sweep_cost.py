@@ -11,6 +11,8 @@ on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
   stepping in them;
 * ``peak_mb``: the ``tracemalloc`` peak of one sweep above what was traced
   before it, the results consumed one at a time as a command's loop does.
+  A peak above ``BUDGET_MB`` is flagged ``over``, and the script then exits
+  1 once every sweep is printed; it exits 0 when every peak is within it.
 
 The package comes from ``PYTHONPATH``, so two checkouts can be compared on
 the same inputs.  From the repository root::
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -32,6 +35,8 @@ from dea_mpss import _lockstep, chain, network
 from dea_mpss.data import load_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
+# the traced peak, in MB, that no sweep may exceed (tests/test_sweep.py checks two of them)
+BUDGET_MB = 1.5
 
 
 def _inputs():
@@ -111,14 +116,22 @@ def main() -> None:
     args = ap.parse_args()
     inputs = _inputs()
     print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'peak_mb':>8}")
+    over = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload, ((data, topology), sweeps) in SWEEPS.items():
             d = inputs.generate(workload, args.seed, Path(tmp))
             data = inputs.INSURERS if data is None else d / data
             for name, sweep in sweeps.items():
                 got = measure(data, d / topology, sweep, args.repeat)
+                flag = ""
+                if got["peak_mb"] > BUDGET_MB:
+                    flag = "  over"
+                    over.append(f"{workload} {name}")
                 print(f"{workload:<18} {name:<10} {got['ms']:>8.1f} {got['steps']:>6} "
-                      f"{got['live']:>6.1f} {got['peak_mb']:>8.2f}")
+                      f"{got['live']:>6.1f} {got['peak_mb']:>8.2f}{flag}")
+    if over:
+        print(f"traced peak above {BUDGET_MB} MB: {', '.join(over)}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

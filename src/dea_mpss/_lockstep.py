@@ -8,21 +8,23 @@ through the module at each solve, as ``_Simplex`` reads them.
 A batch may be wide (a sweep steps ``network.SWEEP_WIDTH`` units), so what
 it holds per stepping unit is kept small: its basis, ``[B⁻¹ | B⁻¹b]`` and
 basic costs.  Its heads are written into a buffer when a step needs them,
-the reduced costs are priced a block of units at a time, and a finished
-unit keeps only its basis and pivot count; its solution is formed with
-its group's (``run``).
+and the reduced costs are priced a block of units at a time.  A finished
+unit keeps only its basis and pivot count until the stepping ends; it is
+then refactored and checked with its group, and the batch keeps its
+basis, basic values and multipliers, O(rows) a unit, for its
+``lp.Optimum`` (``run``).  Its solution is formed from those when it is
+asked for, with the others asked for at once (``solutions``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 from . import lp
-from .lp import (CRASH, MAXIMIZE, MINIMIZE, OPTIMAL, WARM, Lockstep, LpSolution, _begun, _frozen,
-                 _leaving, _readonly)
+from .lp import (CRASH, MAXIMIZE, MINIMIZE, OPTIMAL, WARM, Basis, Lockstep, LpSolution, Optimum,
+                 _begun, _frozen, _leaving, _readonly)
 
 # a lockstep optimum whose rows hold by less than this share of their
 # tolerance is handed back: its check rounds otherwise than _Simplex._holds
@@ -43,20 +45,25 @@ class _Lockstep:
         self.cc = np.zeros(self.cols)  # internal objective is always a minimisation
         self.cc[:self.n] = self.c if sense == MINIMIZE else -self.c
 
-    def run(self, starts, group: int) -> Iterator:
-        """Each unit's ``LpSolution``, or None when it is handed back, in unit order.
+    def run(self, starts, group: int) -> list:
+        """Each unit's ``lp.Optimum``, or None when it is handed back, in unit order.
 
         Every unit steps at once, and an optimal one keeps only its start's
-        kind, its basis and its pivot count.  Its verdict is formed as it is
-        handed on, ``group`` units at a time, so the solutions' arrays of no
-        more than ``group`` units are made together.
+        kind, its basis and its pivot count.  Once every unit is done, the
+        optimal ones are refactored and checked ``group`` units at a time.
         """
-        done = self._stepped(starts, group)
-        unit = done[0]
-        for lo in range(0, len(starts), group):
-            at = slice(*np.searchsorted(unit, (lo, lo + group)))
-            out = self._verdicts(*(a[at] for a in done))
-            yield from (out.get(k) for k in range(lo, min(lo + group, len(starts))))
+        unit, warm, basis, pivots = self._stepped(starts, group)
+        # no buffer as wide as the batch outlives the steps
+        self.heads, self.held = self.programs.head[None][:0], None
+        # each optimal unit's final basis, refactored basic values and multipliers, by unit
+        self.basis = np.zeros((len(starts), self.m), dtype=int)
+        self.rhs, self.y = np.zeros((2, len(starts), self.m))
+        self.rows = tuple(range(self.m))
+        out = [None] * len(starts)
+        for lo in range(0, unit.size, group):
+            for optimum in self._optima(*(a[lo:lo + group] for a in (unit, warm, basis, pivots))):
+                out[optimum.unit] = optimum
+        return out
 
     def _stepped(self, starts, group):
         """``[unit, warm, basis, pivots]`` of each unit optimal on the lockstep path, by unit."""
@@ -229,40 +236,58 @@ class _Lockstep:
             leaving[k] = _leaving(col[k], rhs[k], basis[k])
         return leaving
 
-    def _verdicts(self, unit, warm, basis, pivots) -> dict:
+    def _optima(self, unit, warm, basis, pivots) -> list:
         """The optimum of each unit whose basis holds once refactored, as ``_Simplex._verdict``
-        gives it after ``pivots[k]`` pivots, by unit.  Without a pivot ``_Simplex`` reuses
-        the start's factors, which the refactor repeats bit for bit."""
+        values it after ``pivots[k]`` pivots; its basis, basic values and multipliers are
+        kept by unit.  Without a pivot ``_Simplex`` reuses the start's factors, which the
+        refactor repeats bit for bit."""
         b = self.b[unit]
         block = self._block(unit, basis)
         inverse, rhs, ok = self._factor(block, b)
         ok &= self._holding(block, rhs, b, basis)
         unit, warm, basis, pivots, inverse, rhs = (
             a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
-        heads = self._heads(unit)
-        n, m = self.n, self.m
-        structural = np.nonzero(basis < n)
-        x = np.zeros((unit.size, n))
-        x[structural[0], basis[structural]] = rhs[structural]
-        np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
-        value = (x[:, None, :] @ self.c[:, None])[:, 0, 0]
-        # multipliers from the final basis' inverse, signed for the problem's sense
-        y = (inverse.transpose(0, 2, 1) @ self.cc[basis][:, :, None])[:, :, 0]
-        duals = (-1.0 if self.sense == MAXIMIZE else 1.0) * y
+        value = (self._x(basis, rhs)[:, None, :] @ self.c[:, None])[:, 0, 0]
+        self.basis[unit], self.rhs[unit] = basis, rhs
+        # multipliers from the final basis' inverse
+        self.y[unit] = (inverse.transpose(0, 2, 1) @ self.cc[basis][:, :, None])[:, :, 0]
+        return [Optimum(v, iterations, WARM if w else CRASH, u, self) for u, w, iterations, v in
+                zip(unit.tolist(), warm.tolist(), pivots.tolist(), value.tolist())]
+
+    def warm_basis(self, unit: int) -> Basis:
+        """Unit ``unit``'s final basis, as a warm start reads it."""
+        return Basis(self.basis[unit], self.rows, self.m, self.n)
+
+    def solutions(self, optima) -> list:
+        """The ``LpSolution`` of each of ``optima``, this batch's, as ``_Simplex._verdict``
+        gives it; their arrays are formed together, and each solution's are views of them."""
+        unit = np.array([o.unit for o in optima], dtype=int)
+        basis = self.basis[unit]
+        x = self._x(basis, self.rhs[unit])
+        n = self.n
+        # the multipliers signed for the problem's sense
+        duals = (-1.0 if self.sense == MAXIMIZE else 1.0) * self.y[unit]
         reduced = np.matmul(self.S[:, :n].T, duals[:, :, None])[:, :, 0]
         own = min(self.w, n)
-        reduced[:, :own] = np.matmul(heads[:, :, :own].transpose(0, 2, 1),
+        reduced[:, :own] = np.matmul(self._heads(unit)[:, :, :own].transpose(0, 2, 1),
                                      duals[:, :, None])[:, :, 0]
         np.subtract(self.c, reduced, out=reduced)
         basic = np.zeros((unit.size, n), dtype=bool)
+        structural = np.nonzero(basis < n)
         basic[structural[0], basis[structural]] = True
-        rows = tuple(range(m))
         for a in (x, duals, reduced, basic):
             _frozen(a)
-        return {u: LpSolution(OPTIMAL, float(value[k]), x[k], iterations, duals[k], reduced[k],
-                              basic[k], WARM if warm[k] else CRASH,
-                              (tuple(basis[k].tolist()), rows, m))
-                for k, (u, iterations) in enumerate(zip(unit.tolist(), pivots.tolist()))}
+        return [LpSolution(OPTIMAL, o.objective_value, x[k], o.iterations, duals[k], reduced[k],
+                           basic[k], o.started, (tuple(columns), self.rows, self.m))
+                for k, (o, columns) in enumerate(zip(optima, basis.tolist()))]
+
+    def _x(self, basis, rhs):
+        """Each unit's structural values: its basic values placed, then clipped at 0."""
+        structural = np.nonzero(basis < self.n)
+        x = np.zeros((basis.shape[0], self.n))
+        x[structural[0], basis[structural]] = rhs[structural]
+        np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
+        return x
 
     def _holding(self, block, rhs, b, basis):
         """Which basic points surely hold, as ``_Simplex._holds`` would say.

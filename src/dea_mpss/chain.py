@@ -260,6 +260,13 @@ class StageFactors:
         return self.chain_score - self.profitability_mpss
 
 
+# the split is solved one unit at a time, never swept, so it has no result of its own
+_SPLIT = _Model(SPLIT, _chain_program, "maximize",
+                {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0},
+                "profitability split of {!r}", None,
+                "chain score {!r} (radial intermediates cannot reach it)")
+
+
 def profitability_mpss(
     dataset: Dataset,
     topology: NetworkTopology,
@@ -274,11 +281,8 @@ def profitability_mpss(
     score may be unreachable; that raises a solver error rather than
     silently drifting off the band.
     """
-    prog = _program(dataset, topology, SPLIT, _chain_program)
-    objective = {"theta2": 1.0, "theta1": -1.0, "theta4": 1.0, "theta3": -1.0}
-    (sol,) = _solves(prog, [dmu], [dataset.index_of(dmu)], "maximize", objective,
-                     "profitability split of {!r}", pinned=[[chain_score]],
-                     bands=[f"chain score {chain_score!r} (radial intermediates cannot reach it)"])
+    prog = _program(dataset, topology, _SPLIT.name, _SPLIT.build)
+    (sol,) = _solves(prog, [dmu], [dataset.index_of(dmu)], _SPLIT, pinned=[[chain_score]])
     if isinstance(sol, SolverError):
         raise sol
     return StageFactors(str(dmu), float(chain_score), **prog.factors(sol))

@@ -25,8 +25,8 @@ Phase two starts from a primal feasible basis, found in one of three ways:
   integer array.  Every unpinned model passes the basis its compiled
   ``Program`` found once at the evaluated unit set against itself;
 * warm: the caller passes the optimum of a program this one extends by
-  appended rows (the pinned stage programs); its final basis plus the new
-  rows' slacks form the basis;
+  appended rows (the pinned stage programs), or that optimum's ``Basis``;
+  its final basis plus the new rows' slacks form the basis;
 * cold: phase one minimises the sum of artificial variables.  It starts
   from the signed diagonal basis ``diag(start)``, ``start`` being -1 on
   the rows whose rhs is negative and 1 elsewhere: the slack of a row whose
@@ -44,15 +44,17 @@ compiled program at once (``Lockstep``: a shared matrix, and per unit its
 own levels in its first columns and its right sides), one numpy call per
 step for every unit not yet done: stacked products price them, a block
 of units at a time, stacked inverses factor them, and each unit takes the
-pivots and gets the ``LpSolution`` ``solve_lp`` gives it, bit for bit.
-An optimal unit is held as its basis and pivot count until its solution
-is asked for; the solutions are formed a group of units at a time, in
-unit order, so a wide batch holds no more of them at once than a narrow
-one.  A unit that would leave that path (a start that fails, an
-unbounded step, a refactor, the Bland switch, an optimum that does not
-hold) is handed back, for ``solve_lp`` to solve alone from the same
-start.  A batch of one costs more per step than the scalar loop, so a
-single solve stays with ``solve_lp``.
+pivots ``solve_lp`` takes.  An optimal unit is refactored and checked,
+a group at a time, and kept as an ``Optimum``: its value, its basis and
+the O(rows) values its ``LpSolution`` is formed from.  That solution,
+bit for bit the one ``solve_lp`` gives, is formed only when it is asked
+for (``solutions``), a group of units at a time, so a wide batch, or a
+sequence of them each started from the optima of the one before, holds
+no more solutions at once than a narrow one.  A unit that would leave
+that path (a start that fails, an unbounded step, a refactor, the Bland
+switch, an optimum that does not hold) is handed back, for ``solve_lp``
+to solve alone from the same start.  A batch of one costs more per step
+than the scalar loop, so a single solve stays with ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,18 +196,34 @@ class LpSolution:
     _basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | None = None) -> LpSolution:
+class Basis(NamedTuple):
+    """An optimum's final basis, all that a warm start reads of it.
+
+    ``columns`` are the basis columns over the rows ``row_keep`` of a
+    program of ``rows`` rows and ``variables`` variables (``LpSolution``
+    keeps the first three as ``_basis``).
+    """
+
+    columns: Sequence[int]
+    row_keep: tuple
+    rows: int
+    variables: int
+
+
+def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | Basis | None = None
+             ) -> LpSolution:
     """Solve ``problem``, classifying it as optimal, infeasible or unbounded.
 
     ``start`` skips phase one.  It is a crash start, an integer array of
     the columns of a basis at a feasible vertex: one column of
     ``problem``'s standard form per row, structural columns first, then the
-    slacks in row order.  Or it is the optimum of a program that
-    ``problem`` extends by appended rows (a warm start from its final
-    basis).  Any other start raises ``ValidationError``.  When the start
-    fails, in the ways the module docstring lists (a basis that is
-    singular, infeasible or out of range among them), the solve runs both
-    phases as without it; ``LpSolution.started`` says which way it went.
+    slacks in row order.  Or it is a warm start from the final basis of a
+    program that ``problem`` extends by appended rows: that program's
+    optimal ``LpSolution``, or its ``Basis``, which starts alike, to the
+    bit.  Any other start raises ``ValidationError``.  When the start fails, in
+    the ways the module docstring lists (a basis that is singular,
+    infeasible or out of range among them), the solve runs both phases as
+    without it; ``LpSolution.started`` says which way it went.
     """
     return _Simplex(problem).run(start)
 
@@ -247,9 +265,13 @@ def _begun(start, n, cols, slack_col_of_row):
     """
     m = slack_col_of_row.size
     if isinstance(start, LpSolution):
-        if start._basis is None or start.variable_values.size != n:
+        if start._basis is None:
             return WARM, None
-        basis, row_keep, rows = start._basis
+        start = Basis(*start._basis, start.variable_values.size)
+    if isinstance(start, Basis):
+        basis, row_keep, rows, variables = start
+        if variables != n:
+            return WARM, None
         added = slack_col_of_row[rows:]
         if rows > m or added.min(initial=0) < 0:
             return WARM, None
@@ -262,8 +284,8 @@ def _begun(start, n, cols, slack_col_of_row):
             return CRASH, None
         return CRASH, (start.astype(int), list(range(m)))
     kind = f"ndarray of {start.dtype}" if isinstance(start, np.ndarray) else type(start).__name__
-    raise ValidationError("start must be an integer array of basis columns or "
-                          f"an LpSolution, got {kind}")
+    raise ValidationError("start must be an integer array of basis columns or an LpSolution "
+                          f"or a Basis, got {kind}")
 
 
 def _leaving(col, rhs, basis) -> int:
@@ -511,29 +533,56 @@ class Lockstep(NamedTuple):
         return heads
 
 
+class Optimum(NamedTuple):
+    """A lockstep unit's optimum whose ``LpSolution`` is not formed yet (``solutions``).
+
+    It holds what a later solve reads, the value and, through ``basis``,
+    the final basis.  The lockstep batch ``batch`` keeps, by unit, what the
+    solution is formed from: the basis, the refactored basic values and
+    the multipliers of unit ``unit``, O(rows) values a unit.
+    """
+
+    objective_value: float
+    iterations: int
+    started: str
+    unit: int
+    batch: Any
+
+    @property
+    def basis(self) -> Basis:
+        """The final basis, the warm start of a program that extends this one."""
+        return self.batch.warm_basis(self.unit)
+
+
 def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockstep,
-                   starts: Sequence, group: int) -> Iterator:
+                   starts: Sequence, group: int) -> list:
     """``solve_lp`` of each unit of ``programs`` from ``starts[k]``, all units in lockstep.
 
     Phase two runs for every unit at once, one numpy call per step: each
     step prices, picks, ratio-tests and pivots every unit not yet done,
     by the arithmetic ``_Simplex`` does for one, so a unit gets the very
-    ``LpSolution`` ``solve_lp`` would return.  A unit whose solve would
-    leave that path is handed back as None, for ``solve_lp`` to solve from
-    the same start: a start that fails (out of range, singular or
-    negative, or a warm start whose rows were dropped), an unbounded step,
-    a refactor or the Bland switch (``REFACTOR_EVERY`` pivots come first),
-    or an optimum that does not hold once refactored, or holds too near
-    its row tolerances for a check of other rounding to tell.
+    optimum ``solve_lp`` would reach.  A start is any form ``solve_lp``
+    takes: a crash basis, or an earlier optimum's ``LpSolution`` or
+    ``Basis``.  A unit whose solve would leave that path is handed back as
+    None, for ``solve_lp`` to solve from the same start: a start that fails
+    (out of range, singular or negative, or a warm start whose rows were
+    dropped), an unbounded step, a refactor or the Bland switch
+    (``REFACTOR_EVERY`` pivots come first), or an optimum that does not
+    hold once refactored, or holds too near its row tolerances for a check
+    of other rounding to tell.
 
-    The outcomes come one at a time, in unit order.  The units step on the
-    first one asked for; an optimal unit is held as its basis and pivot
-    count only, and the solutions are formed ``group`` units at a time as
-    they are asked for.
+    Returns each unit's ``Optimum``, or None, in unit order; the optima
+    are refactored and checked ``group`` units at a time.
     """
     from ._lockstep import _Lockstep  # compiled on a sweep's first solve, not at import
 
     return _Lockstep(objective_sense, objective, programs).run(starts, group)
+
+
+def solutions(optima: Sequence[Optimum]) -> list:
+    """The ``LpSolution`` of each of ``optima``, all of one lockstep batch, bit for bit the one
+    ``solve_lp`` gives; their arrays are formed together."""
+    return optima[0].batch.solutions(optima) if optima else []
 
 
 class _Inverse:

@@ -21,21 +21,22 @@ narrow band while a stage objective is re-optimised.
 
 Each model is written once, as a sweep over a list of units
 (``blackbox_sweep``, ...); its per-unit form (``blackbox_mpss``, ...) is
-the sweep of one unit.  Every model solve, the chain's profitability
-split too, goes through ``_solves``.  A one-model sweep takes
-``SWEEP_WIDTH`` units at a time and solves them in lockstep
-(``lp.solve_lockstep``); their solutions are formed ``SWEEP_CHUNK`` units
-at a time, in unit order, as the sweep hands them on.  The stage sweep
-takes ``SWEEP_CHUNK`` units at a time: it solves a chunk's radial
-systems, then its stage-1 and its stage-2 programs, each batch
-warm-started from the optima of the one before.  A unit whose solve
-leaves the lockstep path (a failed start, an unbounded step, a refactor,
-a failed or too close hold, a warm start whose rows were dropped) is
-solved alone by ``solve_lp`` from the same start, so every solution, and
-the first failure in unit order with its message, is the per-unit
-loop's.  A lone unit (a ``--dmu`` call, or a batch of one) is solved by
-``solve_lp`` with no lockstep: a batch of one costs more per step than
-the scalar pivot loop.
+the sweep of one unit.  The stage sweep is the sweep of one sequence of
+models, the radial system, stage 1 and stage 2, each pinned at the
+scores before it.  Every model solve, the chain's profitability split
+too, goes through ``_solves``.  A sweep takes ``SWEEP_WIDTH`` units at a
+time and solves them in lockstep (``lp.solve_lockstep``), a sequence's
+models one after the other, each warm-started from the bases of the
+optima before.  A lockstep optimum is kept as an ``lp.Optimum``, its
+value, basis and O(rows) values, and its solution is formed
+``SWEEP_CHUNK`` units at a time, in unit order, as the sweep hands it on
+(``_handed``).  A unit whose solve leaves the lockstep path (a failed
+start, an unbounded step, a refactor, a failed or too close hold, a warm
+start whose rows were dropped) is solved alone by ``solve_lp`` from the
+same start, so every solution, and the first failure in unit order with
+its message, is the per-unit loop's.  A lone unit (a ``--dmu`` call, or
+a batch of one) is solved by ``solve_lp`` with no lockstep: a batch of
+one costs more per step than the scalar pivot loop.
 """
 
 from __future__ import annotations
@@ -47,17 +48,18 @@ import numpy as np
 
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpSolution, solve_lockstep, solve_lp
+from .lp import LpSolution, Optimum, solutions, solve_lockstep, solve_lp
 from .program import Program
 
 EPS_MPSS = 1e-6
-# units whose solutions a sweep holds at once: a lockstep batch forms its
-# solutions this many units at a time, and the stage sweep, which holds each
-# unit's three results until its tuple is handed on, steps this many at once
+# units whose solutions a sweep holds at once: it forms each model's
+# solutions, and refactors and checks a lockstep batch's optima, this many
+# units at a time
 SWEEP_CHUNK = 10
-# units a one-model sweep steps in lockstep at once: a wider batch takes
-# fewer numpy calls a unit, and holds each stepping unit's basis inverse and
-# reduced costs, but no more solutions
+# units a sweep steps in lockstep at once: a wider batch takes fewer numpy
+# calls a unit, and holds each stepping unit's basis inverse and reduced
+# costs, and each finished unit's basis and O(rows) values, but no more
+# solutions
 SWEEP_WIDTH = 150
 
 BLACK_BOX = "black_box"
@@ -73,8 +75,6 @@ STAGE_GAP = {
     1: {"stage1_outputs": 1.0, "stage1_inputs": -1.0},
     2: {"stage2_outputs": 1.0, "stage2_inputs": -1.0},
 }
-# stage -> the score pinned before its solve, and that score's gap
-PINS = {1: ("system", SYSTEM_GAP), 2: ("stage-1", STAGE_GAP[1])}
 
 
 @dataclass(frozen=True)
@@ -113,77 +113,6 @@ def _validated(dataset: Dataset, topology: NetworkTopology, shape: str) -> None:
     topology.validate_against(dataset)
 
 
-def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], sense: str,
-            objective: Mapping[str, float], context: str, starts=None, pinned=(),
-            bands=None, units=None) -> Iterator:
-    """Every model's solve: each unit's ``LpSolution`` of ``prog``, or the ``SolverError`` it
-    raised, one at a time in unit order.
-
-    Unit ``k`` holds ``pinned[k]`` (``Program.right_sides``).  An unpinned
-    program starts from the unit's crash basis, a pinned one from
-    ``starts[k]`` (the optimum of the program it extends), or, a lone
-    unit, cold.  Two or more units run in lockstep
-    (``lp.solve_lockstep``), their solutions formed ``SWEEP_CHUNK`` at a
-    time as they are handed on; a lone unit, or one handed back, is solved
-    by ``solve_lp`` from the same start, on its ``Unit`` in ``units`` (by
-    owner) if an earlier solve made one.  A failure names the DMU through
-    ``context.format`` and, for a pinned solve, its band ``bands[k]``.
-    """
-    if not owns:
-        return
-    pinned = np.array(pinned, dtype=float).reshape(len(owns), -1)
-    if not pinned.shape[1]:
-        starts = prog.crash_bases(owns)
-    sols = [None]
-    if len(owns) > 1:
-        sols = solve_lockstep(sense, prog.objective(objective), prog.lockstep(owns, pinned),
-                              starts, SWEEP_CHUNK)
-    units = {} if units is None else units
-    for k, sol in enumerate(sols):
-        if sol is not None:
-            yield sol
-            continue
-        unit = units.get(owns[k])
-        if unit is None:
-            unit = units[owns[k]] = prog.unit(owns[k])
-        try:
-            sol = solve_lp(unit.problem(sense, objective, pinned[k]),
-                           start=None if starts is None else starts[k])
-            if sol.status != "optimal":
-                raise SolverError(f"fixing band infeasible at {bands[k]}" if bands else
-                                  f"linear program is {sol.status}")
-        except SolverError as exc:
-            sol = SolverError(f"{context.format(dmus[k])}: {exc}")
-            sol.__cause__ = exc
-        yield sol
-
-
-def _swept(dataset: Dataset, view, dmus: Sequence[str], model: str, build,
-           solve_batch: Callable, width: int) -> Iterator:
-    """``solve_batch(program, dmus, owns)``'s outcome for each of ``dmus``, in order.
-
-    The units go ``width`` at a time, and each batch's outcomes are handed
-    on before the next is solved.  A failure, an unknown DMU among them,
-    is raised when its unit is reached, as a loop over the units raises it.
-    """
-    dmus = list(dmus)
-    for first in range(0, len(dmus), width):
-        prog = _program(dataset, view, model, build)
-        part, owns, unknown = dmus[first:first + width], [], None
-        for dmu in part:
-            try:
-                owns.append(dataset.index_of(dmu))
-            except ValidationError as exc:
-                unknown = exc
-                break
-        for outcome in solve_batch(prog, part[:len(owns)], owns) if owns else ():
-            if isinstance(outcome, SolverError):
-                raise outcome
-            yield outcome
-        if unknown is not None:
-            raise unknown
-
-
 class _Model(NamedTuple):
     """One model solve: its program, objective and failure context, and its result."""
 
@@ -193,16 +122,134 @@ class _Model(NamedTuple):
     objective: Mapping[str, float]
     context: str                    # names the DMU through str.format
     result: Callable                # (LpSolution, Program, dmu) -> the model's result
+    band: str = ""                  # names the last pinned score through str.format
 
 
-def _sweep(dataset: Dataset, view, dmus: Sequence[str], model: _Model) -> Iterator:
-    """``model``'s result for each of ``dmus``, in order, ``SWEEP_WIDTH`` units in lockstep."""
-    def solve_batch(prog, part, owns):
-        sols = _solves(prog, part, owns, model.sense, model.objective, model.context)
-        return (sol if isinstance(sol, SolverError) else model.result(sol, prog, dmu)
-                for dmu, sol in zip(part, sols))
+def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], model: _Model, starts=None,
+            pinned=(), units=None) -> list:
+    """Every model's solve: each unit's outcome of ``model`` on ``prog``, in unit order: its
+    ``lp.Optimum`` from the lockstep, its ``LpSolution`` when solved alone, or the
+    ``SolverError`` it raised.
 
-    return _swept(dataset, view, dmus, model.name, model.build, solve_batch, SWEEP_WIDTH)
+    Unit ``k`` holds ``pinned[k]`` (``Program.right_sides``).  An unpinned
+    program starts from the unit's crash basis, a pinned one from
+    ``starts[k]`` (the optimum of the program it extends, or that optimum's
+    ``lp.Basis``), or, a lone unit, cold.  Two or more units run in
+    lockstep (``lp.solve_lockstep``); a lone unit, or one handed back, is
+    solved by ``solve_lp`` from the same start, on a copy of the program
+    (``Program.unit``), which ``units``, if given, keeps by owner for a
+    later solve.  A failure names the DMU through ``model.context`` and,
+    for a pinned solve, its last pinned score through ``model.band``.
+    """
+    if not owns:
+        return []
+    pinned = np.array(pinned, dtype=float).reshape(len(owns), -1)
+    if not pinned.shape[1]:
+        starts = prog.crash_bases(owns)
+    outcomes = [None]
+    if len(owns) > 1:
+        outcomes = solve_lockstep(model.sense, prog.objective(model.objective),
+                                  prog.lockstep(owns, pinned), starts, SWEEP_CHUNK)
+    out = []
+    for k, sol in enumerate(outcomes):
+        if sol is None:
+            unit = None if units is None else units.get(owns[k])
+            if unit is None:
+                unit = prog.unit(owns[k])
+                if units is not None:
+                    units[owns[k]] = unit
+            try:
+                sol = solve_lp(unit.problem(model.sense, model.objective, pinned[k]),
+                               start=None if starts is None else starts[k])
+                if sol.status != "optimal":
+                    raise SolverError(
+                        f"fixing band infeasible at {model.band.format(pinned[k, -1].item())}"
+                        if pinned.shape[1] else f"linear program is {sol.status}")
+            except SolverError as exc:
+                sol = SolverError(f"{model.context.format(dmus[k])}: {exc}")
+                sol.__cause__ = exc
+        out.append(sol)
+    return out
+
+
+def _solved(prog: Program, dmus: Sequence[str], owns: Sequence[int], models) -> list:
+    """Each of ``models``' outcomes (``_solves``), a list a model, each in unit order; a unit
+    whose solve failed has None at every later model.
+
+    Each model after the first is pinned at the scores of the models before
+    it and starts from the optimum of the one before: its ``lp.Basis``, or
+    the ``LpSolution`` of a unit solved alone.  A lone unit (a ``--dmu``
+    call) keeps its copy of the program for its later solves; a unit handed
+    back from a batch copies it afresh each time, so a wide batch holds no
+    copies.
+    """
+    solved, units = [], {} if len(owns) == 1 else None
+    live = list(range(len(owns)))
+    scores = [[] for _ in owns]  # each unit's scores so far
+    for i, model in enumerate(models):
+        starts = [o.basis if isinstance(o, Optimum) else o
+                  for o in (solved[-1][k] for k in live)] if i else None
+        outcomes = [None] * len(owns)
+        for k, outcome in zip(live, _solves(prog, [dmus[k] for k in live],
+                                            [owns[k] for k in live], model, starts,
+                                            [scores[k] for k in live], units)):
+            outcomes[k] = outcome
+        solved.append(outcomes)
+        live = [k for k in live if not isinstance(outcomes[k], SolverError)]
+        for k in live:
+            scores[k].append(outcomes[k].objective_value)
+    return solved
+
+
+def _handed(dmus: Sequence[str], outcomes: Sequence) -> list:
+    """Each of ``dmus`` with its outcome of one model solve (``_solves``), as a sweep hands it
+    on: its ``LpSolution``, the lockstep optima's formed here together, or its
+    ``SolverError``."""
+    formed = iter(solutions([o for o in outcomes if isinstance(o, Optimum)]))
+    return [(dmu, next(formed) if isinstance(o, Optimum) else o) for dmu, o in zip(dmus, outcomes)]
+
+
+def _sweep(dataset: Dataset, view, dmus: Sequence[str], *models: _Model) -> Iterator:
+    """Each of ``dmus``' result under ``models``, in order: the one model's result, or a
+    tuple of a sequence's results, whose models share one program (``_solved``).
+
+    The units go ``SWEEP_WIDTH`` at a time, each batch solved whole and
+    handed on (``_batch``) before the next is solved.  A failure, an
+    unknown DMU among them, is raised when its unit is reached, as a loop
+    over the units raises it.
+    """
+    dmus = list(dmus)
+    for first in range(0, len(dmus), SWEEP_WIDTH):
+        prog = _program(dataset, view, models[0].name, models[0].build)
+        part, owns, unknown = dmus[first:first + SWEEP_WIDTH], [], None
+        for dmu in part:
+            try:
+                owns.append(dataset.index_of(dmu))
+            except ValidationError as exc:
+                unknown = exc
+                break
+        yield from _batch(prog, part, owns, models)
+        if unknown is not None:
+            raise unknown
+
+
+def _batch(prog: Program, dmus: Sequence[str], owns: Sequence[int], models) -> Iterator:
+    """One batch of ``_sweep``: its units' results, handed on ``SWEEP_CHUNK`` units at a time,
+    each model's solutions of a chunk formed together; a failure is raised at its unit.
+    What the batch holds goes with it, before the next batch is solved."""
+    solved = _solved(prog, dmus, owns, models)
+    for lo in range(0, len(owns), SWEEP_CHUNK):
+        results = {k: [] for k in range(lo, min(lo + SWEEP_CHUNK, len(owns)))}
+        for model, outcomes in zip(models, solved):
+            live = [k for k in results if outcomes[k] is not None]
+            handed = _handed([dmus[k] for k in live], [outcomes[k] for k in live])
+            for k, (dmu, sol) in zip(live, handed):
+                results[k].append(sol if isinstance(sol, SolverError) else
+                                  model.result(sol, prog, dmu))
+        for res in results.values():
+            if isinstance(res[-1], SolverError):
+                raise res[-1]
+            yield res[0] if len(models) == 1 else tuple(res)
 
 
 def _blackbox_program(dataset: Dataset, view, model: str) -> Program:
@@ -280,9 +327,9 @@ def _system_program(dataset: Dataset, topology: NetworkTopology, model: str) -> 
     prog.envelope("stage2", dataset.matrix(down.exogenous_inputs), "<=", factor="stage2_inputs")
     prog.envelope("stage2", dataset.matrix(down.final_outputs), ">=", factor="stage2_outputs")
     prog.convexity()
-    if radial:
-        for stage in (1, 2):
-            prog.pin(PINS[stage][1])
+    if radial:  # each stage pins the score of the model before it (_STAGES)
+        prog.pin(SYSTEM_GAP)
+        prog.pin(STAGE_GAP[1])
     return prog.compile()
 
 
@@ -305,7 +352,14 @@ _VARIABLE = _Model(SYSTEM_VARIABLE, _system_program, "maximize", SYSTEM_GAP,
                    "system evaluation of {!r}", _scored(SYSTEM_VARIABLE))
 _RADIAL = _Model(SYSTEM_RADIAL, _system_program, "maximize", SYSTEM_GAP,
                  "radial system evaluation of {!r}", _scored(SYSTEM_RADIAL))
-STAGE_SCOPES = {1: STAGE_1, 2: STAGE_2}
+# the stage sweep's sequence: the radial system, then each stage pinned at the scores before it
+_STAGES = (
+    _RADIAL,
+    _Model(SYSTEM_RADIAL, _system_program, "maximize", STAGE_GAP[1], "stage-1 evaluation of {!r}",
+           _scored(STAGE_1), "system score {!r}"),
+    _Model(SYSTEM_RADIAL, _system_program, "maximize", STAGE_GAP[2], "stage-2 evaluation of {!r}",
+           _scored(STAGE_2), "stage-1 score {!r}"),
+)
 
 
 def network_mpss_variable(dataset: Dataset, topology: NetworkTopology, dmu: str) -> MpssResult:
@@ -350,47 +404,14 @@ def evaluate_stages(dataset: Dataset, topology: NetworkTopology, dmu: str):
     return next(stages_sweep(dataset, topology, [dmu]))
 
 
-def _staged(prog: Program, dmus: Sequence[str], owns: Sequence[int], stage: int, starts,
-            pinned: Sequence[Sequence[float]], units=None) -> Iterator:
-    """Each unit's ``stage`` solve (``_solves``), the scores solved before it pinned.
-
-    Stage 1 pins the radial system score; stage 2 pins the stage-1 score on
-    top of it.  Unit ``k`` holds ``pinned[k]`` and starts from ``starts[k]``.
-    """
-    return _solves(prog, dmus, owns, "maximize", STAGE_GAP[stage],
-                   f"stage-{stage} evaluation of {{!r}}", starts, pinned,
-                   [f"{PINS[stage][0]} score {p[-1]!r}" for p in pinned], units)
-
-
 def stages_sweep(dataset: Dataset, topology: NetworkTopology, dmus: Sequence[str]) -> Iterator:
-    """``evaluate_stages`` of each of ``dmus``, in order.
+    """``evaluate_stages`` of each of ``dmus``, in order: the sweep of the sequence radial
+    system, stage 1, stage 2 (``_STAGES``).
 
-    The units go ``SWEEP_CHUNK`` at a time, not ``SWEEP_WIDTH``: a unit's
-    results are held until its tuple is handed on, three solutions a unit.
-    The units of a chunk solve their radial systems in lockstep, then their
-    stage-1 and stage-2 programs, each batch warm-started from the optima of
-    the batch before.  A unit solved alone keeps its copy of the program for
-    its later solves, as each pinned program extends the one before.
+    ``SWEEP_WIDTH`` units solve their radial systems in lockstep, then their
+    stage-1 and stage-2 programs, each warm-started from the bases of the
+    optima before.  Between the stages a unit keeps its scores and its
+    ``lp.Optimum``s, not its solutions; its three results are formed as its
+    tuple is handed on.
     """
-    def solve_chunk(prog, part, owns):
-        units = {}
-        sols = list(_solves(prog, part, owns, "maximize", SYSTEM_GAP, _RADIAL.context,
-                            units=units))
-        # each unit's results so far, or None once a solve failed (its last outcome)
-        results = [None if isinstance(sol, SolverError) else
-                   [_result_from(sol, SYSTEM_RADIAL, dmu, prog)] for dmu, sol in zip(part, sols)]
-        for stage in (1, 2):
-            live = [k for k, res in enumerate(results) if res is not None]
-            pinned = [[res.score for res in results[k]] for k in live]
-            staged = _staged(prog, [part[k] for k in live], [owns[k] for k in live], stage,
-                             [sols[k] for k in live], pinned, units)
-            for k, sol in zip(live, staged):
-                sols[k] = sol
-                if isinstance(sol, SolverError):
-                    results[k] = None
-                else:
-                    results[k].append(_result_from(sol, STAGE_SCOPES[stage], part[k], prog))
-        return [sol if res is None else tuple(res) for sol, res in zip(sols, results)]
-
-    return _swept(dataset, topology, dmus, SYSTEM_RADIAL, _system_program, solve_chunk,
-                  SWEEP_CHUNK)
+    return _sweep(dataset, topology, dmus, *_STAGES)

@@ -294,6 +294,61 @@ def test_point_start_is_rejected(start):
         solve_lp(prob, start=start)
 
 
+def _appended(rng, prob, sol):
+    """``prob`` with a row appended that its optimum ``sol`` satisfies, loose or tight."""
+    a = rng.integers(-5, 6, size=prob.n_variables).astype(float)
+    rel = rng.choice(["<=", ">="])
+    rhs = float(a @ sol.variable_values) + (1.0 if rel == "<=" else -1.0) * rng.integers(2)
+    return _with_row(prob, (a, rel, rhs))
+
+
+def test_a_basis_starts_as_the_solution_it_came_from():
+    """A warm start from an optimum's bare ``lp.Basis`` is the start from its ``LpSolution``,
+    bit for bit, iterations and ``started`` included, on its own program and on one with
+    a row appended."""
+    rng = np.random.default_rng(61)
+    warm = 0
+    for _ in range(400):
+        prob = random_lp(rng)
+        sol = solve_lp(prob)
+        if sol.status != "optimal":
+            continue
+        basis = lp.Basis(*sol._basis, prob.n_variables)
+        for problem in (prob, _appended(rng, prob, sol)):
+            got = solve_lp(problem, start=basis)
+            assert_same_solution(got, solve_lp(problem, start=sol))
+            warm += got.started == "warm"
+    assert warm > 100
+
+
+def test_a_basis_of_another_program_solves_cold():
+    """A basis from a program with other variables, or with more rows, falls back to a cold
+    solve, as a start from the ``LpSolution`` it came from does."""
+    rows = [([1.0, 1.0], "<=", 4.0), ([1.0, -1.0], ">=", -2.0), ([1.0, 0.0], "<=", 3.0)]
+    prob = lp_problem("maximize", [1.0, 1.0], rows)
+    sol = solve_lp(prob)
+    wider = lp_problem("maximize", [1.0, 1.0, 0.0],
+                       [(np.append(a, 1.0), rel, rhs) for a, rel, rhs in rows])
+    longer = solve_lp(_with_row(prob, ([0.0, 1.0], "<=", 5.0)), start=sol)
+    assert longer.started == "warm"
+    for problem, start in ((wider, sol), (prob, longer)):
+        cold = solve_lp(problem)
+        for given in (start, lp.Basis(*start._basis, start.variable_values.size)):
+            got = solve_lp(problem, start=given)
+            assert got.started == "cold"
+            assert_same_solution(got, cold)
+
+
+def test_an_unknown_start_names_every_accepted_form():
+    prob = lp_problem("minimize", [1.0, 2.0], [([1.0, 1.0], "<=", 1.0)])
+    with pytest.raises(ValidationError) as raised:
+        solve_lp(prob, start=((0,), (0,), 1, 2))
+    message = str(raised.value)
+    assert message.endswith("got tuple")
+    for form in ("integer array of basis columns", "LpSolution", "Basis"):
+        assert form in message
+
+
 def test_concurrent_solves_are_safe():
     from concurrent.futures import ThreadPoolExecutor
 

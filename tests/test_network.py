@@ -12,7 +12,8 @@ from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationErr
 from dea_mpss.network import (
     SYSTEM_RADIAL,
     _program,
-    _staged,
+    _STAGES,
+    _solves,
     _system_program,
     blackbox_mpss,
     evaluate_stages,
@@ -173,7 +174,7 @@ def test_stage_solutions_respect_the_band():
 def test_inconsistent_fixing_score_raises():
     ds, topo = named_instance()
     prog = _program(ds, topo, SYSTEM_RADIAL, _system_program)
-    (outcome,) = _staged(prog, ["u1"], [ds.index_of("u1")], 1, [None], [[1e6]])
+    (outcome,) = _solves(prog, ["u1"], [ds.index_of("u1")], _STAGES[1], [None], [[1e6]])
     with pytest.raises(SolverError, match="fixing band infeasible at system score 1000000.0"):
         raise outcome
 

@@ -16,6 +16,7 @@ import contextlib
 import functools
 import importlib.util
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from dea_mpss import _lockstep, chain, cli, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
 from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
+from dea_mpss.lp import LpSolution
 from dea_mpss.program import Program
 
 from conftest import FIXTURES
@@ -363,23 +365,24 @@ def swept(source, builder, dmus=None, kept=None):
     """Each unit's solves in the sweep of ``dmus`` (all units), as ``fingerprints``, and
     the error it raised.
 
-    The solves are caught as ``network._solves`` hands them on, batched or
-    handed back, so a unit solved after the raised failure, in a batch
-    solved whole, is caught too.  ``kept``, a list, gets every solution.
+    The solves are caught as ``network._handed`` hands them on, batched or
+    handed back, so a unit solved after the raised failure, in a group
+    handed on whole, is caught too.  ``kept``, a list, gets every solution.
     """
     dataset, topology, chain_topology = loaded(source)
     view = chain_topology if BUILDERS[builder][0] else topology
     caught = {}
-    original = network._solves
+    original = network._handed
 
-    def recording(prog, part, *args, **kwargs):
-        for dmu, sol in zip(part, original(prog, part, *args, **kwargs)):
+    def recording(part, outcomes):
+        handed = original(part, outcomes)
+        for dmu, sol in handed:
             caught.setdefault(dmu, []).append(sol)
-            yield sol
+        return handed
 
     error = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network, "_solves", recording)
+        mp.setattr(network, "_handed", recording)
         try:
             list(SWEEPS[builder](dataset, view, dataset.dmu_ids if dmus is None else dmus))
         except SolverError as exc:
@@ -517,6 +520,101 @@ def test_a_kept_solution_pins_no_more_than_a_group(source, builder):
     for sol in kept:
         for a in (sol.variable_values, sol.dual_values, sol.reduced_costs, sol.basic):
             assert a.base is None or a.base.size <= network.SWEEP_CHUNK * a.size
+
+
+# the traced peak a wide sweep may reach above its loaded data, in bytes
+MEMORY_BUDGET = 1.5e6
+
+
+@pytest.mark.parametrize("source,builder", [("pinned-stages-300", "stages"),
+                                            ("chain-300", "chain-efficiency")])
+def test_a_wide_sweep_stays_within_its_memory_budget(source, builder):
+    """The seed-1 stage sweep and chain-efficiency sweep, each ``SWEEP_WIDTH`` units wide,
+    trace no more than ``MEMORY_BUDGET`` at their peak above the freshly loaded data,
+    their results consumed one at a time."""
+    dataset, topology = benchmark_set(source)()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in SWEEPS[builder](dataset, topology, dataset.dmu_ids):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_BUDGET, f"{peak / 1e6:.2f} MB"
+
+
+def test_a_stage_unit_handed_back_in_a_wide_batch_starts_stage_2_from_its_own_solve(
+        monkeypatch):
+    """With a refactor after every pivot, units of a ``SWEEP_WIDTH`` stage batch leave the
+    lockstep at stage 1.  Each one's stage-2 solve, in the lockstep or alone, starts from
+    the very ``LpSolution`` its stage-1 ``solve_lp`` gave, and its tuple is handed on in
+    its place, the per-unit call's."""
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    dataset, topology, _ = loaded("pinned-stages-300")
+    prog = network._program(dataset, topology, network.SYSTEM_RADIAL, network._system_program)
+    stage_of = {rows: stage for stage, (rows, _) in enumerate(prog._shape)}  # by row count
+    alone = {0: [], 1: [], 2: []}  # each stage's solve_lp calls: (start, solution)
+    batched = {0: [], 1: [], 2: []}  # each stage's lockstep calls: (starts, outcomes)
+    solve_lp, solve_lockstep = network.solve_lp, network.solve_lockstep
+
+    def scalar(problem, start=None):
+        sol = solve_lp(problem, start=start)
+        alone[stage_of[problem.n_constraints]].append((start, sol))
+        return sol
+
+    def lockstep(sense, objective, programs, starts, group):
+        outcomes = solve_lockstep(sense, objective, programs, starts, group)
+        batched[stage_of[programs.b.shape[1]]].append((list(starts), list(outcomes)))
+        return outcomes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "solve_lp", scalar)
+        mp.setattr(network, "solve_lockstep", lockstep)
+        got = list(network.stages_sweep(dataset, topology, dataset.dmu_ids))
+    wide = [outcomes for _, outcomes in batched[1] if len(outcomes) > network.SWEEP_CHUNK]
+    assert any(o is None for outcomes in wide for o in outcomes[1:-1]), \
+        "no unit was handed back inside a wide stage-1 batch"
+    # every stage-2 start that is a solution is a stage-1 scalar solve's, in unit order
+    starts = [s for batch, _ in batched[2] for s in batch if isinstance(s, LpSolution)]
+    own = [sol for _, sol in alone[1]]
+    assert len(starts) == len(own) > 0
+    assert all(a is b for a, b in zip(starts, own))
+    # a unit handed back again at stage 2 is solved alone from that same start
+    again = [s for batch, outcomes in batched[2] for s, o in zip(batch, outcomes) if o is None]
+    assert len(again) == len(alone[2])
+    assert all(a is b for a, (b, _) in zip(again, alone[2]))
+    assert len(got) == dataset.n_dmus
+    for dmu, results in zip(dataset.dmu_ids, got):
+        want = network.evaluate_stages(dataset, topology, dmu)
+        assert [(r.scope, r.dmu, repr(r.score)) for r in results] == \
+            [(r.scope, r.dmu, repr(r.score)) for r in want]
+
+
+def test_a_stage_failure_in_a_wide_batch_follows_exactly_the_units_before_it():
+    """The log-spread units share one stage batch: the sweep hands on the results of
+    exactly the units before the first failing one, each the per-unit call's, and then
+    raises that unit's error."""
+    dataset, topology, _ = loaded("log-spread")
+    assert dataset.n_dmus <= network.SWEEP_WIDTH
+    want, first = [], None
+    for dmu in dataset.dmu_ids:
+        try:
+            want.append(network.evaluate_stages(dataset, topology, dmu))
+        except SolverError as exc:
+            first = str(exc)
+            break
+    assert first is not None and want
+    handed = []
+    with pytest.raises(SolverError) as raised:
+        for results in network.stages_sweep(dataset, topology, dataset.dmu_ids):
+            handed.append(results)
+    assert str(raised.value) == first
+
+    def read(results):
+        return [(r.scope, r.dmu, repr(r.score), r.scale_factors) for r in results]
+
+    assert [read(r) for r in handed] == [read(r) for r in want]
 
 
 def test_failing_stage_sweep_raises_the_first_failure(capsys):
