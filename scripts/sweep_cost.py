@@ -9,6 +9,9 @@ on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
 * ``steps`` and ``live``: the lockstep steps one sweep makes
   (``_Lockstep._entering`` runs once a step) and the mean number of units
   stepping in them;
+* ``alone``: the units of one sweep solved by ``solve_lp`` (``network``
+  calls it for a unit the lockstep hands back and for a lone unit), one
+  per model solve;
 * ``peak_mb``: the ``tracemalloc`` peak of one sweep above what was traced
   before it, the results consumed one at a time as a command's loop does.
   A peak above ``BUDGET_MB`` is flagged ``over``, and the script then exits
@@ -66,17 +69,25 @@ SWEEPS = {
 
 
 def _counted():
-    """Patch ``_Lockstep._entering`` to count steps and live units; return the counts."""
-    counts = [0, 0]
-    entering = _lockstep._Lockstep._entering
+    """Patch ``_Lockstep._entering`` to count steps and live units, and ``network.solve_lp``
+    to count units solved alone; return the counts and what restores both."""
+    counts = [0, 0, 0]
+    entering, solve_lp = _lockstep._Lockstep._entering, network.solve_lp
 
     def counted(self, red, units):
         counts[0] += 1
         counts[1] += len(units[0])
         return entering(self, red, units)
 
-    _lockstep._Lockstep._entering = counted
-    return counts, lambda: setattr(_lockstep._Lockstep, "_entering", entering)
+    def alone(*args, **kwargs):
+        counts[2] += 1
+        return solve_lp(*args, **kwargs)
+
+    def restore():
+        _lockstep._Lockstep._entering, network.solve_lp = entering, solve_lp
+
+    _lockstep._Lockstep._entering, network.solve_lp = counted, alone
+    return counts, restore
 
 
 def _swept(sweep, dataset, topology) -> None:
@@ -106,7 +117,8 @@ def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
     finally:
         tracemalloc.stop()
     return {"ms": 1e3 * statistics.median(times), "steps": counts[0],
-            "live": counts[1] / counts[0] if counts[0] else 0.0, "peak_mb": peak / 1e6}
+            "live": counts[1] / counts[0] if counts[0] else 0.0, "alone": counts[2],
+            "peak_mb": peak / 1e6}
 
 
 def main() -> None:
@@ -115,7 +127,8 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
     inputs = _inputs()
-    print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'peak_mb':>8}")
+    print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'alone':>6} "
+          f"{'peak_mb':>8}")
     over = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload, ((data, topology), sweeps) in SWEEPS.items():
@@ -128,7 +141,7 @@ def main() -> None:
                     flag = "  over"
                     over.append(f"{workload} {name}")
                 print(f"{workload:<18} {name:<10} {got['ms']:>8.1f} {got['steps']:>6} "
-                      f"{got['live']:>6.1f} {got['peak_mb']:>8.2f}{flag}")
+                      f"{got['live']:>6.1f} {got['alone']:>6} {got['peak_mb']:>8.2f}{flag}")
     if over:
         print(f"traced peak above {BUDGET_MB} MB: {', '.join(over)}")
         sys.exit(1)

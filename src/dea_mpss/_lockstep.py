@@ -10,10 +10,11 @@ it holds per stepping unit is kept small: its basis, ``[B⁻¹ | B⁻¹b]`` and
 basic costs.  Its heads are written into a buffer when a step needs them,
 and the reduced costs are priced a block of units at a time.  A finished
 unit keeps only its basis and pivot count until the stepping ends; it is
-then refactored and checked with its group, and the batch keeps its
-basis, basic values and multipliers, O(rows) a unit, for its
-``lp.Optimum`` (``run``).  Its solution is formed from those when it is
-asked for, with the others asked for at once (``solutions``).
+then refactored and checked with its group, by the hold check a lone
+solve makes (``lp._holding``), and the batch keeps its basis, basic
+values and multipliers, O(rows) a unit, for its ``lp.Optimum``
+(``run``).  Its solution is formed from those when it is asked for,
+with the others asked for at once (``solutions``).
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ import numpy as np
 
 from . import lp
 from .lp import (CRASH, MAXIMIZE, MINIMIZE, OPTIMAL, WARM, Basis, Lockstep, LpSolution, Optimum,
-                 _begun, _frozen, _leaving, _readonly)
-
-# a lockstep optimum whose rows hold by less than this share of their
-# tolerance is handed back: its check rounds otherwise than _Simplex._holds
-HOLD_MARGIN = 1e-5
+                 _begun, _frozen, _holding, _leaving, _readonly)
 
 
 class _Lockstep:
@@ -237,14 +234,15 @@ class _Lockstep:
         return leaving
 
     def _optima(self, unit, warm, basis, pivots) -> list:
-        """The optimum of each unit whose basis holds once refactored, as ``_Simplex._verdict``
-        values it after ``pivots[k]`` pivots; its basis, basic values and multipliers are
-        kept by unit.  Without a pivot ``_Simplex`` reuses the start's factors, which the
-        refactor repeats bit for bit."""
+        """The optimum of each unit whose basis holds once refactored (``lp._holding``, the
+        check ``_Simplex._holds`` makes), as ``_Simplex._verdict`` values it after
+        ``pivots[k]`` pivots; its basis, basic values and multipliers are kept by unit.
+        Without a pivot ``_Simplex`` reuses the start's factors, which the refactor repeats
+        bit for bit."""
         b = self.b[unit]
         block = self._block(unit, basis)
         inverse, rhs, ok = self._factor(block, b)
-        ok &= self._holding(block, rhs, b, basis)
+        ok &= _holding(block, rhs, b, basis < self.n, self.sign)
         unit, warm, basis, pivots, inverse, rhs = (
             a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
         value = (self._x(basis, rhs)[:, None, :] @ self.c[:, None])[:, 0, 0]
@@ -288,22 +286,6 @@ class _Lockstep:
         x[structural[0], basis[structural]] = rhs[structural]
         np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
         return x
-
-    def _holding(self, block, rhs, b, basis):
-        """Which basic points surely hold, as ``_Simplex._holds`` would say.
-
-        A point holds when no basic value is negative and no row breaks its
-        tolerance (``_slacks``).  The rows are summed over the basis block,
-        not over the whole row, so a row within ``HOLD_MARGIN`` of its
-        tolerance counts as not holding.
-        """
-        xs = np.where(basis < self.n, rhs, 0.0)
-        resid = b - (block @ xs[:, :, None])[:, :, 0]
-        scale = (np.abs(block) @ np.abs(xs)[:, :, None])[:, :, 0] + np.abs(b)
-        row_tol = lp.FEASIBILITY_TOL * np.maximum(1.0, scale)
-        gap = np.where(self.sign != 0.0, resid * self.sign + row_tol, row_tol - np.abs(resid))
-        return ((rhs.min(axis=1, initial=math.inf) >= -lp.FEASIBILITY_TOL)
-                & (gap > HOLD_MARGIN * row_tol).all(axis=1))
 
 
 def _rows(keep, arrays) -> list:

@@ -45,7 +45,8 @@ own levels in its first columns and its right sides), one numpy call per
 step for every unit not yet done: stacked products price them, a block
 of units at a time, stacked inverses factor them, and each unit takes the
 pivots ``solve_lp`` takes.  An optimal unit is refactored and checked,
-a group at a time, and kept as an ``Optimum``: its value, its basis and
+a group at a time, by the hold check ``solve_lp`` makes on a stack of
+one (``_holding``), and kept as an ``Optimum``: its value, its basis and
 the O(rows) values its ``LpSolution`` is formed from.  That solution,
 bit for bit the one ``solve_lp`` gives, is formed only when it is asked
 for (``solutions``), a group of units at a time, so a wide batch, or a
@@ -106,13 +107,11 @@ class StandardForm(NamedTuple):
 
     ``S`` is ``[A | slacks]``: the rows as written, then one slack column per
     inequality row, in row order, whose entry is the row's ``sign``
-    (``_slack_columns``).  ``b`` may hold any sign.  ``abs_A`` is ``|A|``,
-    which scales the row tolerances; ``slack_col_of_row`` is each row's slack
-    column, or -1 for an "=" row.
+    (``_slack_columns``).  ``b`` may hold any sign.  ``slack_col_of_row``
+    is each row's slack column, or -1 for an "=" row.
     """
 
     S: np.ndarray
-    abs_A: np.ndarray
     b: np.ndarray
     sign: np.ndarray
     slack_col_of_row: np.ndarray
@@ -242,18 +241,24 @@ def _slack_columns(sign: np.ndarray, n: int):
     return slack, slack_col_of_row
 
 
-def _slacks(form: StandardForm, xs):
-    """Slack values and per-row tolerances of ``form``'s rows at the point ``xs``.
+def _holding(block, rhs, b, structural, sign) -> np.ndarray:
+    """Which of a stack of basic points hold: each is nonnegative and meets every row.
 
-    None when ``xs`` breaks a row by more than ``FEASIBILITY_TOL`` times
-    the row's scale, the size of its terms at ``xs``.
+    Point ``k`` has basic values ``rhs[k]`` on ``block[k]``, its basis
+    columns over every row, a row the basis dropped too; ``structural[k]``
+    marks its structural columns, ``b[k]`` holds its right sides and
+    ``sign`` the rows' slack signs.  It holds when no basic value lies
+    below ``-FEASIBILITY_TOL`` and each row is met within
+    ``FEASIBILITY_TOL · max(1, |B|·|x_B| + |b|)``, the size of the row's
+    terms.  A point's rows are summed in one order whatever the stack, so
+    its verdict alone is its verdict in any stack.
     """
-    resid = form.b - form.S[:, :xs.size] @ xs
-    row_tol = FEASIBILITY_TOL * np.maximum(1.0, form.abs_A @ np.abs(xs) + np.abs(form.b))
-    slack = resid * form.sign
-    if np.where(form.sign != 0.0, slack < -row_tol, np.abs(resid) > row_tol).any():
-        return None
-    return slack, row_tol
+    block = np.ascontiguousarray(block)  # one layout, so a row sums alike on either path
+    xs =np.where(structural, rhs, 0.0)[:, :, None]
+    resid = b - (block @ xs)[:, :, 0]
+    row_tol = FEASIBILITY_TOL * np.maximum(1.0, (np.abs(block) @ np.abs(xs))[:, :, 0] + np.abs(b))
+    met = np.where(sign != 0.0, resid * sign >= -row_tol, np.abs(resid) <= row_tol)
+    return (rhs.min(axis=1, initial=math.inf) >= -FEASIBILITY_TOL) & met.all(axis=1)
 
 
 def _begun(start, n, cols, slack_col_of_row):
@@ -316,9 +321,8 @@ class _Simplex:
     def __init__(self, problem: LpProblem):
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
-        self.form = problem.standard_form
         # the rows as written, any rhs sign: phase one's start reads the signs
-        self.S, self.abs_A, self.b, self.sign, self.slack_col_of_row = self.form
+        self.S, self.b, self.sign, self.slack_col_of_row = problem.standard_form
         self.cols = self.S.shape[1]
         # internal objective is always a minimisation
         self.cc = np.zeros(self.cols)
@@ -370,10 +374,9 @@ class _Simplex:
         return inverse, inverse @ b
 
     def _holds(self, basis, rhs) -> bool:
-        """Whether the basic point with values ``rhs`` is nonnegative and satisfies every row."""
-        x = np.zeros(self.cols)
-        x[basis] = rhs
-        return not _negative(rhs) and _slacks(self.form, x[:self.n]) is not None
+        """Whether the basic point with values ``rhs`` holds (``_holding``, a stack of one)."""
+        return bool(_holding(self.S[:, basis][None], rhs[None], self.b[None],
+                             (basis < self.n)[None], self.sign)[0])
 
     # -- phases --------------------------------------------------------
 
@@ -568,8 +571,7 @@ def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockst
     (out of range, singular or negative, or a warm start whose rows were
     dropped), an unbounded step, a refactor or the Bland switch
     (``REFACTOR_EVERY`` pivots come first), or an optimum that does not
-    hold once refactored, or holds too near its row tolerances for a check
-    of other rounding to tell.
+    hold once refactored (``_holding``, as ``solve_lp`` checks it).
 
     Returns each unit's ``Optimum``, or None, in unit order; the optima
     are refactored and checked ``group`` units at a time.

@@ -31,9 +31,9 @@ optima before.  A lockstep optimum is kept as an ``lp.Optimum``, its
 value, basis and O(rows) values, and its solution is formed
 ``SWEEP_CHUNK`` units at a time, in unit order, as the sweep hands it on
 (``_handed``).  A unit whose solve leaves the lockstep path (a failed
-start, an unbounded step, a refactor, a failed or too close hold, a warm
-start whose rows were dropped) is solved alone by ``solve_lp`` from the
-same start, so every solution, and the first failure in unit order with
+start, an unbounded step, a refactor, a failed hold, a warm start whose
+rows were dropped) is solved alone by ``solve_lp`` from the same start,
+so every solution, and the first failure in unit order with
 its message, is the per-unit loop's.  A lone unit (a ``--dmu`` call, or
 a batch of one) is solved by ``solve_lp`` with no lockstep: a batch of
 one costs more per step than the scalar pivot loop.

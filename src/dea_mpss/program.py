@@ -16,16 +16,16 @@ on ``o``; the intensity blocks, the slack columns (laid out by ``lp``), the
 row signs and the pinned rows' coefficients are built once, into read-only
 arrays, the rows and slacks as one matrix in the standard form the simplex
 reads (``lp.StandardForm``).  ``Program.unit`` copies that matrix once per
-unit, writes the unit's levels in and takes ``|A|``; a sweep's units copy
-nothing, as ``Program.lockstep`` hands the solver the template and each
-unit's own levels and right sides.  Pinned rows come
-last, in pairs, so a program with ``k`` pairs pinned is a row and column
-prefix of the unit's arrays; ``Program.right_sides`` holds each pair
-within ``FIXING_BAND`` of its score, on right sides that may be negative
-(the solver's phase one reads their signs), for a lone unit's problem
-and for a lockstep batch alike.  The unit set against itself (every factor
-1, all weight on itself, every target at its own level) meets every row
-but the pinned ones with equality, so a basis there starts the solve.  On
+unit and writes the unit's levels in; a sweep's units copy nothing, as
+``Program.lockstep`` hands the solver the template and each unit's own
+levels and right sides.  Pinned rows come last, in pairs, so a program
+with ``k`` pairs pinned is a row and column prefix of the unit's arrays;
+``Program.right_sides`` holds each pair within ``FIXING_BAND`` of its
+score, on right sides that may be negative (the solver's phase one reads
+their signs), for a lone unit's problem and for a lockstep batch alike.
+The unit set against itself (every factor 1, all weight on itself, every
+target at its own level) meets every row but the pinned ones with
+equality, so a basis there starts the solve.  On
 that point's support the rows form a signed incidence matrix: a
 convexity row is nonzero at its block only, and every other row at most
 at its block and at one factor or target, the column it names.  Which rows
@@ -249,7 +249,6 @@ class Unit:
         self.own = own
         self._S = p._S.copy()
         self._S[p._own_at] = -p._own_levels[:, own]
-        self._abs_A = _frozen(np.abs(self._S[:, :p.width]))
 
     def problem(self, sense: str, objective: Mapping[str, float],
                 pinned: Sequence[float]) -> LpProblem:
@@ -257,6 +256,6 @@ class Unit:
         p = self.program
         m, cols = p._shape[len(pinned)]
         b = p.right_sides(np.array([pinned], dtype=float))[0]
-        form = StandardForm(_frozen(self._S[:m, :cols]), self._abs_A[:m], _frozen(b),
-                            p._sign[:m], p._slack_col[:m])
+        form = StandardForm(_frozen(self._S[:m, :cols]), _frozen(b), p._sign[:m],
+                            p._slack_col[:m])
         return LpProblem(sense, p.objective(objective), standard_form=form)

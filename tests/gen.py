@@ -23,16 +23,15 @@ def lp_problem(sense: str, c, rows) -> LpProblem:
     """The program ``sense c'x`` over ``x >= 0`` with ``(coefficients, relation, rhs)`` rows.
 
     Its standard form holds the rows as written, then one slack column per
-    inequality row (``lp._slack_columns``), with ``|A|``, the rhs and each
-    row's relation as its slack sign (``lp.SLACK_SIGN``).
+    inequality row (``lp._slack_columns``), with the rhs and each row's
+    relation as its slack sign (``lp.SLACK_SIGN``).
     """
     c = np.asarray(c, dtype=float)
     A = np.reshape([np.asarray(a, dtype=float) for a, _, _ in rows], (len(rows), c.size))
     sign = np.array([lp.SLACK_SIGN[rel] for _, rel, _ in rows], dtype=float)
     b = np.array([float(rhs) for _, _, rhs in rows])
     slack, slack_col_of_row = lp._slack_columns(sign, c.size)
-    form = lp.StandardForm(np.concatenate((A, slack), axis=1), np.abs(A), b, sign,
-                           slack_col_of_row)
+    form = lp.StandardForm(np.concatenate((A, slack), axis=1), b, sign, slack_col_of_row)
     for a in form:
         a.setflags(write=False)
     return LpProblem(sense, c, standard_form=form)
@@ -59,10 +58,13 @@ def crash_basis(form: lp.StandardForm, xs):
     m, tol = form.b.size, lp.FEASIBILITY_TOL
     if xs.size and xs.min() < -tol:
         return None
-    slacks = lp._slacks(form, xs)
-    if slacks is None:
+    # the row rule of lp._holding, each row summed over every column
+    A = form.S[:, :xs.size]
+    resid = form.b - A @ xs
+    row_tol = tol * np.maximum(1.0, np.abs(A) @ np.abs(xs) + np.abs(form.b))
+    slack = resid * form.sign
+    if np.where(form.sign != 0.0, slack < -row_tol, np.abs(resid) > row_tol).any():
         return None
-    slack, row_tol = slacks
     has_slack = form.sign != 0.0
     loose = has_slack & (slack > row_tol)
     tight = has_slack & ~loose

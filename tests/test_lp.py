@@ -644,3 +644,90 @@ def test_lockstep_entering_column_is_the_scalar_loops(data):
         assert entering[i] == want
         if want >= 0:
             assert col[i].tobytes() == want_col.tobytes()
+
+
+# -- the hold check (lp._holding) ---------------------------------------------
+
+_SIGNS = np.array([1.0, -1.0, 0.0])  # "<=", ">=", "="
+
+
+def _missed(rel, f, b=1000.0):
+    """A basic value on the row ``x rel b`` that misses it by ``f`` times the row's tolerance,
+    ``FEASIBILITY_TOL · (|x| + |b|)`` (for ``f`` < 0, that meets it with room to spare)."""
+    if rel == ">=":  # below b, so the row's scale shrinks by the miss
+        return b - f * lp.FEASIBILITY_TOL * 2 * b / (1 + f * lp.FEASIBILITY_TOL)
+    return b + f * lp.FEASIBILITY_TOL * 2 * b / (1 - f * lp.FEASIBILITY_TOL)
+
+
+def _hold_cases():
+    """``(label, block, rhs, b, structural, verdict)`` for points of three structural
+    columns on the rows ``x_i rel 1000``, one row missed or one basic value negative."""
+    cases = []
+    for i, rel in enumerate(["<=", ">=", "="]):
+        for f, verdict in [(0.5, True), (1.5, False), (-10.0, rel != "=")]:
+            rhs = np.full(3, 1000.0)
+            rhs[i] = _missed(rel, f)
+            cases.append((f"{rel} by {f}", np.eye(3), rhs, np.full(3, 1000.0),
+                          np.ones(3, bool), verdict))
+    for value, verdict in [(-lp.FEASIBILITY_TOL, True),
+                           (np.nextafter(-lp.FEASIBILITY_TOL, -1.0), False)]:
+        rhs, b = np.full(3, 1000.0), np.full(3, 1000.0)
+        rhs[2] = b[2] = value  # the "=" row is met exactly
+        cases.append((f"basic value {value!r}", np.eye(3), rhs, b, np.ones(3, bool), verdict))
+    # a slack's basic value counts among the basic values, not among the point's values
+    cases.append(("negative slack", np.eye(3), np.array([1000.0, 1000.0, -1e-6]),
+                  np.array([1000.0, 1000.0, 0.0]), np.array([True, True, False]), False))
+    return cases
+
+
+def _holds_alone(block, rhs, b, structural):
+    return bool(lp._holding(block[None], rhs[None], b[None], structural[None], _SIGNS)[0])
+
+
+@pytest.mark.parametrize("label,block,rhs,b,structural,verdict", _hold_cases(),
+                         ids=[c[0] for c in _hold_cases()])
+def test_holding_tolerance_boundary(label, block, rhs, b, structural, verdict):
+    """A row missed by half its tolerance holds and by one and a half does not, in each
+    relation; a basic value at -FEASIBILITY_TOL holds and one just below it does not."""
+    assert _holds_alone(block, rhs, b, structural) is verdict
+
+
+def test_holding_checks_every_row_when_the_basis_keeps_fewer():
+    """With a row dropped from the basis (two columns on three rows), the dropped row is
+    still checked against the point."""
+    block = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    rhs = np.array([400.0, 600.0])
+    for f, verdict in [(0.5, True), (1.5, False)]:
+        b = np.array([400.0, 600.0, 1000.0])
+        # the "=" row x_0 + x_1 = b_2 reads 1000, b_2 off by f times its tolerance
+        b[2] = 1000.0 - f * lp.FEASIBILITY_TOL * 2000.0 / (1 + f * lp.FEASIBILITY_TOL)
+        assert _holds_alone(block, rhs, b, np.ones(2, bool)) is verdict
+
+
+def test_holding_verdict_is_the_same_in_any_stack():
+    """Each point's verdict in a stack is its verdict alone, however the stack is ordered
+    or laid out in memory; points near their rows' tolerances included."""
+    rng = np.random.default_rng(7)
+    k, m = 300, 3
+    block = rng.normal(size=(k, m, m)) * 10.0 ** rng.integers(-3, 4, (k, 1, m))
+    rhs = np.abs(rng.normal(size=(k, m))) * 10.0 ** rng.integers(-2, 5, (k, m))
+    structural = rng.random((k, m)) < 0.8
+    xs = np.where(structural, rhs, 0.0)
+    scale = (np.abs(block) @ np.abs(xs)[:, :, None])[:, :, 0]
+    # right sides that the rows miss by their tolerances, give or take a few roundings, either
+    # way, so a sum taken in another order would tell some verdicts otherwise
+    off = lp.FEASIBILITY_TOL * np.maximum(1.0, 2 * scale) * rng.uniform(1 - 1e-9, 1 + 1e-9, (k, m))
+    b = (block @ xs[:, :, None])[:, :, 0] + off * rng.choice([-1.0, 1.0], (k, m))
+    alone = [_holds_alone(block[j], rhs[j], b[j], structural[j]) for j in range(k)]
+    assert 0 < sum(alone) < k
+    for order in (np.arange(k), rng.permutation(k)):
+        stacked = lp._holding(block[order], rhs[order], b[order], structural[order], _SIGNS)
+        assert stacked.tolist() == [alone[j] for j in order]
+    # the lockstep hands its blocks over as transposed views
+    transposed = np.ascontiguousarray(block.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert lp._holding(transposed, rhs, b, structural, _SIGNS).tolist() == alone
+    for j, case in enumerate(_hold_cases()):
+        _, cb, crhs, cb_, cs, verdict = case
+        got = lp._holding(np.stack([cb, block[j]]), np.stack([crhs, rhs[j]]),
+                          np.stack([cb_, b[j]]), np.stack([cs, structural[j]]), _SIGNS)
+        assert got.tolist() == [verdict, alone[j]]

@@ -188,8 +188,7 @@ def searched_basis(prog):
     S[:, weights] = np.sign(S[:, weights])
     slack_col = prog._slack_col[:r]
     slack_col = np.where(slack_col < 0, -1, slack_col - prog.width + len(support))
-    form = StandardForm(S, np.abs(S[:, :len(support)]), prog._rhs[:r], prog._sign[:r],
-                        slack_col)
+    form = StandardForm(S, prog._rhs[:r], prog._sign[:r], slack_col)
     basis = crash_basis(form, np.ones(len(support)))
     if basis is None:
         return [], []
