@@ -18,16 +18,28 @@ on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
   1 once every sweep is printed; it exits 0 when every peak is within it.
 
 The package comes from ``PYTHONPATH``, so two checkouts can be compared on
-the same inputs.  From the repository root::
+the same inputs.  ``--against OTHER_SRC`` compares them directly: it
+writes the seed's inputs once, then runs ``--repeat`` pairs of
+subprocesses, this package's and the one in the ``src`` directory
+``OTHER_SRC``, in turn, the first of a pair alternating.  Each subprocess
+runs every sweep once to warm it, then times it once on a freshly loaded
+``Dataset``.  For each sweep it prints the median ms of each side and the
+ratio of this side's ms to the other's in the same pair: its median and
+quartiles.  A ratio below 1 means this package is faster.  From the
+repository root::
 
     PYTHONPATH=src python3 scripts/sweep_cost.py --seed 1
+    PYTHONPATH=src python3 scripts/sweep_cost.py --seed 1 --against ../parent/src
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -90,6 +102,16 @@ def _counted():
     return counts, restore
 
 
+def _paths(inputs, seed: int, root: Path):
+    """Each workload's (data file, topology file) and its sweeps by name, its inputs written
+    under ``root`` if they are not there yet."""
+    for workload, ((data, topology), sweeps) in SWEEPS.items():
+        d = root / f"seed-{seed}" / workload
+        if not d.is_dir():
+            d = inputs.generate(workload, seed, root)
+        yield workload, (inputs.INSURERS if data is None else d / data), d / topology, sweeps
+
+
 def _swept(sweep, dataset, topology) -> None:
     for _ in sweep(dataset, topology, dataset.dmu_ids):
         pass
@@ -121,21 +143,67 @@ def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
             "peak_mb": peak / 1e6}
 
 
+def times(inputs, seed: int, root: Path) -> dict:
+    """The ms of one sweep of each kind, each run once before to warm it, by
+    ``"workload sweep"``."""
+    out = {}
+    for workload, data, topology, sweeps in _paths(inputs, seed, root):
+        for name, sweep in sweeps.items():
+            _swept(sweep, *load_dataset(data, topology))
+            dataset, topo = load_dataset(data, topology)
+            start = time.perf_counter()
+            _swept(sweep, dataset, topo)
+            out[f"{workload} {name}"] = 1e3 * (time.perf_counter() - start)
+    return out
+
+
+def against(inputs, other: Path, seed: int, pairs: int, root: Path) -> None:
+    """Print each sweep's median ms on this side and in ``other``, and this side's ratio."""
+    for _ in _paths(inputs, seed, root):  # written before any subprocess runs
+        pass
+    sides = [Path(network.__file__).resolve().parents[1], other.resolve()]
+    got = [[], []]
+    for k in range(pairs):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            env = {**os.environ, "PYTHONPATH": str(sides[side])}
+            run = subprocess.run([sys.executable, __file__, "--seed", str(seed), "--times",
+                                  str(root)], env=env, capture_output=True, text=True, check=True)
+            got[side].append(json.loads(run.stdout))
+    print(f"{'workload':<18} {'sweep':<10} {'this_ms':>8} {'other_ms':>8} {'ratio':>6} "
+          f"{'q1':>6} {'q3':>6}")
+    for key in got[0][0]:
+        mine, theirs = ([t[key] for t in side] for side in got)
+        ratio = [a / b for a, b in zip(mine, theirs)]
+        q1, _, q3 = statistics.quantiles(ratio, n=4) if pairs > 1 else ratio * 3
+        print(f"{key.split()[0]:<18} {key.split()[1]:<10} {statistics.median(mine):>8.1f} "
+              f"{statistics.median(theirs):>8.1f} {statistics.median(ratio):>6.3f} "
+              f"{q1:>6.3f} {q3:>6.3f}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeat", type=int, default=7)
+    ap.add_argument("--repeat", type=int, default=7,
+                    help="sweeps a median is taken of; with --against, pairs of subprocesses")
+    ap.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                    help="the src directory of another checkout to time against this one")
+    ap.add_argument("--times", type=Path, help=argparse.SUPPRESS)  # an --against subprocess
     args = ap.parse_args()
     inputs = _inputs()
+    if args.times is not None:
+        print(json.dumps(times(inputs, args.seed, args.times)))
+        return
+    if args.against is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            against(inputs, args.against, args.seed, args.repeat, Path(tmp))
+        return
     print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'alone':>6} "
           f"{'peak_mb':>8}")
     over = []
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, ((data, topology), sweeps) in SWEEPS.items():
-            d = inputs.generate(workload, args.seed, Path(tmp))
-            data = inputs.INSURERS if data is None else d / data
+        for workload, data, topology, sweeps in _paths(inputs, args.seed, Path(tmp)):
             for name, sweep in sweeps.items():
-                got = measure(data, d / topology, sweep, args.repeat)
+                got = measure(data, topology, sweep, args.repeat)
                 flag = ""
                 if got["peak_mb"] > BUDGET_MB:
                     flag = "  over"

@@ -7,14 +7,18 @@ through the module at each solve, as ``_Simplex`` reads them.
 
 A batch may be wide (a sweep steps ``network.SWEEP_WIDTH`` units), so what
 it holds per stepping unit is kept small: its basis, ``[B⁻¹ | B⁻¹b]`` and
-basic costs.  Its heads are written into a buffer when a step needs them,
-and the reduced costs are priced a block of units at a time.  A finished
-unit keeps only its basis and pivot count until the stepping ends; it is
-then refactored and checked with its group, by the hold check a lone
-solve makes (``lp._holding``), and the batch keeps its basis, basic
-values and multipliers, O(rows) a unit, for its ``lp.Optimum``
-(``run``).  Its solution is formed from those when it is asked for,
-with the others asked for at once (``solutions``).
+basic costs, and a unit that finishes leaves them in place (``_kept``).
+Whatever else is formed per unit is formed a block of units at a time,
+as many as take no more room than the batch's ``[B⁻¹ | B⁻¹b]``
+(``_wide``): the start's factors, a step's heads and reduced costs, and
+the final refactor.  A start is read a unit at a time, or whole when it
+is one array (``_begun``).  A finished unit keeps only its basis and
+pivot count until the stepping ends; it is then refactored and checked
+with its block, by the hold check a lone solve makes (``lp._holding``),
+and the batch keeps its basis, basic values and multipliers, O(rows) a
+unit, for its ``lp.Optimum`` (``run``).  Its solution is formed from
+those when it is asked for, with the others asked for at once
+(``solutions``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import numpy as np
 
 from . import lp
-from .lp import (CRASH, MAXIMIZE, MINIMIZE, OPTIMAL, WARM, Basis, Lockstep, LpSolution, Optimum,
+from .lp import (CRASH, MAXIMIZE, MINIMIZE, OPTIMAL, WARM, Bases, Lockstep, LpSolution, Optimum,
                  _begun, _frozen, _holding, _leaving, _readonly)
 
 
@@ -42,38 +46,46 @@ class _Lockstep:
         self.cc = np.zeros(self.cols)  # internal objective is always a minimisation
         self.cc[:self.n] = self.c if sense == MINIMIZE else -self.c
 
-    def run(self, starts, group: int) -> list:
+    def run(self, starts) -> list:
         """Each unit's ``lp.Optimum``, or None when it is handed back, in unit order.
 
         Every unit steps at once, and an optimal one keeps only its start's
         kind, its basis and its pivot count.  Once every unit is done, the
-        optimal ones are refactored and checked ``group`` units at a time.
+        optimal ones are refactored and checked a block at a time.
         """
-        unit, warm, basis, pivots = self._stepped(starts, group)
+        self.wide = self._wide(len(starts))
+        unit, warm, basis, pivots = self._stepped(starts)
         # no buffer as wide as the batch outlives the steps
         self.heads, self.held = self.programs.head[None][:0], None
         # each optimal unit's final basis, refactored basic values and multipliers, by unit
         self.basis = np.zeros((len(starts), self.m), dtype=int)
         self.rhs, self.y = np.zeros((2, len(starts), self.m))
         self.rows = tuple(range(self.m))
+        self.x = np.zeros((min(self.wide, unit.size), self.n))  # a block's x, for its values
         out = [None] * len(starts)
-        for lo in range(0, unit.size, group):
-            for optimum in self._optima(*(a[lo:lo + group] for a in (unit, warm, basis, pivots))):
+        for lo in range(0, unit.size, self.wide):
+            at = slice(lo, lo + self.wide)
+            for optimum in self._optima(unit[at], warm[at], basis[at], pivots[at]):
                 out[optimum.unit] = optimum
+        self.x = None
         return out
 
-    def _stepped(self, starts, group):
+    def _wide(self, k):
+        """The units a block of a batch of ``k`` holds: as many as take no more room, at
+        ``cols`` values a unit, than the larger of the batch's ``[B⁻¹ | B⁻¹b]`` and ``S``."""
+        m = self.m
+        return max(1, min(k, max(m, k * m * (m + 1) // self.cols)))
+
+    def _stepped(self, starts):
         """``[unit, warm, basis, pivots]`` of each unit optimal on the lockstep path, by unit."""
         m, cc = self.m, self.cc
         # one row per unit still stepping: its index, whether it started warm,
         # its basis, [B⁻¹ | B⁻¹b] and the basic costs
-        units, both = self._started(starts, group)
+        units, both = self._started(starts)
         optimal = [[a[:0] for a in units] + [np.zeros(0, dtype=int)]]
         np.maximum(both[:, :, m], 0.0, out=both[:, :, m])  # rounding noise on degenerate basics
         units += [both, cc[units[2]]]
-        # each step's reduced costs, priced a block of units at a time: a group,
-        # or as many units as take no more room than every unit's [B⁻¹ | B⁻¹b]
-        red = np.empty((min(units[0].size, max(group, both.size // self.cols)), 1, self.cols))
+        red = np.empty((min(units[0].size, self.wide), 1, self.cols))  # a block's reduced costs
         limit = min(lp.REFACTOR_EVERY, lp.MAX_ITERATIONS + 1, 3 * (m + self.cols) + 1)
         pivots = 0
         while units[0].size:
@@ -81,12 +93,12 @@ class _Lockstep:
             done = entering < 0
             if done.any():
                 optimal.append([*(a[done] for a in units[:3]), np.full(done.sum(), pivots)])
-            *units, entering, col = _rows(~done, [*units, entering, col])
+            *units, entering, col = _kept(~done, [*units, entering, col])
             if not units[0].size:
                 break
             leaving = self._leaving(col, units[3][:, :, m], units[2])
             # an unbounded unit is handed back
-            *units, entering, col, leaving = _rows(leaving >= 0, [*units, entering, col, leaving])
+            *units, entering, col, leaving = _kept(leaving >= 0, [*units, entering, col, leaving])
             _, _, basis, both, c_B = units
             ar = np.arange(basis.shape[0])
             row = both[ar, leaving] / col[ar, leaving][:, None]
@@ -104,25 +116,49 @@ class _Lockstep:
         order = done[0].argsort()
         return [a[order] for a in done]
 
-    def _started(self, starts, group):
+    def _started(self, starts):
         """The units whose start is a nonsingular basis over every row with no negative
         basic value, as ``[unit, warm, basis]``, and ``[B⁻¹ | B⁻¹b]`` of each.  The
-        bases are factored ``group`` at a time."""
-        begun = [(k, kind, got[0]) for k, start in enumerate(starts)
-                 for kind, got in [_begun(start, self.n, self.cols, self.slack_col_of_row)]
-                 if got is not None and len(got[1]) == self.m]
-        unit = np.array([k for k, _, _ in begun], dtype=int)
-        warm = np.array([kind == WARM for _, kind, _ in begun], dtype=bool)
-        basis = np.array([got for _, _, got in begun], dtype=int).reshape(len(begun), self.m)
+        bases are factored a block at a time."""
+        unit, warm, basis = self._begun(starts)
         both = np.empty((unit.size, self.m, self.m + 1))
         ok = np.ones(unit.size, dtype=bool)
-        for lo in range(0, unit.size, group):
-            at = slice(lo, lo + group)
+        for lo in range(0, unit.size, self.wide):
+            at = slice(lo, lo + self.wide)
             both[at, :, :-1], both[at, :, -1], ok[at] = self._factor(
                 self._block(unit[at], basis[at]), self.b[unit[at]])
         ok &= ~(both[:, :, -1].min(axis=1, initial=math.inf) < -lp.FEASIBILITY_TOL)
-        *units, both = _rows(ok, [unit, warm, basis, both])
+        *units, both = _kept(ok, [unit, warm, basis, both])
         return units, both
+
+    def _begun(self, starts):
+        """``[unit, warm, basis]`` of each unit whose start ``lp._begun`` takes, with a basis
+        over every row.  A crash array of one basis a row, or the ``lp.Bases`` of an earlier
+        batch, is read whole, by ``lp._begun``'s checks; any other starts one at a time."""
+        m, cols, k = self.m, self.cols, len(starts)
+        if isinstance(starts, Bases):  # its program's rows, then the slacks of those added
+            added = self.slack_col_of_row[starts.rows:]
+            fits = (starts.variables == self.n and starts.rows <= m
+                    and added.min(initial=0) >= 0 and len(starts.row_keep) == starts.rows)
+            basis = (np.concatenate((starts.columns, np.broadcast_to(added, (k, added.size))), 1)
+                     if fits else np.zeros((k, m), dtype=int))
+            ok = np.full(k, fits) & (basis.max(axis=1, initial=-1) < cols)
+            kind = WARM
+        elif isinstance(starts, np.ndarray) and starts.ndim == 2 and starts.dtype.kind in "iu":
+            fits = starts.shape[1] == m
+            basis = starts.astype(int) if fits else np.zeros((k, m), dtype=int)
+            ok = (np.full(k, fits) & (basis.min(axis=1, initial=0) >= 0)
+                  & (basis.max(axis=1, initial=-1) < cols))
+            kind = CRASH
+        else:
+            begun = [(j, kind, got[0]) for j, start in enumerate(starts)
+                     for kind, got in [_begun(start, self.n, cols, self.slack_col_of_row)]
+                     if got is not None and len(got[1]) == m]
+            return [np.array([j for j, _, _ in begun], dtype=int),
+                    np.array([kind == WARM for _, kind, _ in begun], dtype=bool),
+                    np.array([got for _, _, got in begun], dtype=int).reshape(len(begun), m)]
+        unit = np.flatnonzero(ok)
+        return [unit, np.full(unit.size, kind == WARM), basis[unit]]
 
     def _heads(self, unit):
         """The heads of units ``unit`` (``Lockstep.heads``), written over the last call's.
@@ -245,16 +281,28 @@ class _Lockstep:
         ok &= _holding(block, rhs, b, basis < self.n, self.sign)
         unit, warm, basis, pivots, inverse, rhs = (
             a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
-        value = (self._x(basis, rhs)[:, None, :] @ self.c[:, None])[:, 0, 0]
+        value = self._values(basis, rhs)
         self.basis[unit], self.rhs[unit] = basis, rhs
         # multipliers from the final basis' inverse
         self.y[unit] = (inverse.transpose(0, 2, 1) @ self.cc[basis][:, :, None])[:, :, 0]
         return [Optimum(v, iterations, WARM if w else CRASH, u, self) for u, w, iterations, v in
                 zip(unit.tolist(), warm.tolist(), pivots.tolist(), value.tolist())]
 
-    def warm_basis(self, unit: int) -> Basis:
-        """Unit ``unit``'s final basis, as a warm start reads it."""
-        return Basis(self.basis[unit], self.rows, self.m, self.n)
+    def _values(self, basis, rhs):
+        """Each unit's objective value, ``_Simplex._verdict``'s product of the objective with
+        the structural values ``_x`` forms: they are placed in ``x``, a block's zeros, and
+        taken out again after the product."""
+        structural = np.nonzero(basis < self.n)
+        at = structural[0], basis[structural]
+        x = self.x[:basis.shape[0]]
+        x[at] = np.maximum(rhs[structural], 0.0)  # _x's clip, on the values it places
+        value = (x[:, None, :] @ self.c[:, None])[:, 0, 0]
+        x[at] = 0.0
+        return value
+
+    def bases(self, units) -> Bases:
+        """The final bases of units ``units``, stacked, as a batch's warm starts read them."""
+        return Bases(self.basis[units], self.rows, self.m, self.n)
 
     def solutions(self, optima) -> list:
         """The ``LpSolution`` of each of ``optima``, this batch's, as ``_Simplex._verdict``
@@ -288,6 +336,18 @@ class _Lockstep:
         return x
 
 
-def _rows(keep, arrays) -> list:
-    """Each of ``arrays`` at the rows ``keep`` marks; the arrays themselves when it marks all."""
-    return arrays if keep.all() else [a[keep] for a in arrays]
+def _kept(keep, arrays) -> list:
+    """Each of ``arrays`` cut, in place, to the rows ``keep`` marks, as a view of its first
+    rows; the arrays themselves when it marks all.
+
+    Each row dropped among the first ``keep.sum()`` takes a kept row from
+    beyond them, so only as many rows move as are dropped, and the rows'
+    order changes.
+    """
+    if keep.all():
+        return arrays
+    k = np.count_nonzero(keep)
+    holes, fill = np.flatnonzero(~keep[:k]), k + np.flatnonzero(keep[k:])
+    for a in arrays:
+        a[holes] = a[fill]
+    return [a[:k] for a in arrays]

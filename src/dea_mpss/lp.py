@@ -42,25 +42,29 @@ of a phase, which guarantees termination.
 ``solve_lockstep`` runs the started phase twos of many units of one
 compiled program at once (``Lockstep``: a shared matrix, and per unit its
 own levels in its first columns and its right sides), one numpy call per
-step for every unit not yet done: stacked products price them, a block
-of units at a time, stacked inverses factor them, and each unit takes the
-pivots ``solve_lp`` takes.  An optimal unit is refactored and checked,
-a group at a time, by the hold check ``solve_lp`` makes on a stack of
-one (``_holding``), and kept as an ``Optimum``: its value, its basis and
-the O(rows) values its ``LpSolution`` is formed from.  That solution,
-bit for bit the one ``solve_lp`` gives, is formed only when it is asked
-for (``solutions``), a group of units at a time, so a wide batch, or a
-sequence of them each started from the optima of the one before, holds
-no more solutions at once than a narrow one.  A unit that would leave
-that path (a start that fails, an unbounded step, a refactor, the Bland
-switch, an optimum that does not hold) is handed back, for ``solve_lp``
-to solve alone from the same start.  A batch of one costs more per step
-than the scalar loop, so a single solve stays with ``solve_lp``.
+step for every unit not yet done: stacked products price them, stacked
+inverses factor them, and each unit takes the pivots ``solve_lp`` takes.
+It starts, prices, and refactors and checks its optima a block of units
+at a time, as many as take no more room than the batch's ``[B⁻¹ | B⁻¹b]``.
+Its starts come one a unit, or whole: a crash array, or the stacked
+final bases of an earlier batch (``Bases``, ``warm_starts``).  An optimal
+unit is checked by the hold check ``solve_lp`` makes on a stack of one
+(``_holding``), and kept as an ``Optimum``: its value, its basis and the
+O(rows) values its ``LpSolution`` is formed from.  That solution, bit
+for bit the one ``solve_lp`` gives, is formed only when it is asked for
+(``solutions``), so a wide batch, or a sequence of them each started
+from the optima of the one before, holds no more solutions at once than
+its caller asks for.  A unit that would leave that path (a start that
+fails, an unbounded step, a refactor, the Bland switch, an optimum that
+does not hold) is handed back, for ``solve_lp`` to solve alone from the
+same start.  A batch of one costs more per step than the scalar loop, so
+a single solve stays with ``solve_lp``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, NamedTuple, Sequence
@@ -207,6 +211,25 @@ class Basis(NamedTuple):
     row_keep: tuple
     rows: int
     variables: int
+
+
+class Bases(abc.Sequence):
+    """The final bases of many optima of one program, stacked, as one lockstep batch keeps them.
+
+    ``columns[k]`` is the ``k``th optimum's basis columns over the rows
+    ``row_keep`` of a program of ``rows`` rows and ``variables`` variables.
+    Item ``k`` is that optimum's ``Basis``; ``solve_lockstep`` reads the
+    array whole.
+    """
+
+    def __init__(self, columns: np.ndarray, row_keep: tuple, rows: int, variables: int):
+        self.columns, self.row_keep, self.rows, self.variables = columns, row_keep, rows, variables
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, k: int) -> Basis:
+        return Basis(self.columns[k], self.row_keep, self.rows, self.variables)
 
 
 def solve_lp(problem: LpProblem, start: np.ndarray | LpSolution | Basis | None = None
@@ -554,11 +577,11 @@ class Optimum(NamedTuple):
     @property
     def basis(self) -> Basis:
         """The final basis, the warm start of a program that extends this one."""
-        return self.batch.warm_basis(self.unit)
+        return self.batch.bases([self.unit])[0]
 
 
 def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockstep,
-                   starts: Sequence, group: int) -> list:
+                   starts: Sequence) -> list:
     """``solve_lp`` of each unit of ``programs`` from ``starts[k]``, all units in lockstep.
 
     Phase two runs for every unit at once, one numpy call per step: each
@@ -566,19 +589,32 @@ def solve_lockstep(objective_sense: str, objective: np.ndarray, programs: Lockst
     by the arithmetic ``_Simplex`` does for one, so a unit gets the very
     optimum ``solve_lp`` would reach.  A start is any form ``solve_lp``
     takes: a crash basis, or an earlier optimum's ``LpSolution`` or
-    ``Basis``.  A unit whose solve would leave that path is handed back as
-    None, for ``solve_lp`` to solve from the same start: a start that fails
-    (out of range, singular or negative, or a warm start whose rows were
+    ``Basis``.  A crash array of one basis a row, or the ``Bases`` of an
+    earlier batch (``warm_starts``), is read whole, with the checks a
+    start at a time would make.  A unit whose solve would leave that path
+    is handed back as None, for ``solve_lp`` to solve from the same start:
+    a start that fails (out of range, singular or negative, or a warm
+    start of a program with other variables, more rows or rows since
     dropped), an unbounded step, a refactor or the Bland switch
     (``REFACTOR_EVERY`` pivots come first), or an optimum that does not
     hold once refactored (``_holding``, as ``solve_lp`` checks it).
 
-    Returns each unit's ``Optimum``, or None, in unit order; the optima
-    are refactored and checked ``group`` units at a time.
+    Returns each unit's ``Optimum``, or None, in unit order; the bases are
+    factored, and the optima refactored and checked, a block at a time.
     """
     from ._lockstep import _Lockstep  # compiled on a sweep's first solve, not at import
 
-    return _Lockstep(objective_sense, objective, programs).run(starts, group)
+    return _Lockstep(objective_sense, objective, programs).run(starts)
+
+
+def warm_starts(outcomes: Sequence) -> Sequence:
+    """The warm starts that ``outcomes``, each an ``Optimum`` or an optimal ``LpSolution``, give
+    the programs that extend theirs, in order: the optima's stacked ``Bases`` when all are of
+    one lockstep batch, else each optimum's ``Basis`` and each solution itself."""
+    batch = outcomes[0].batch if outcomes and isinstance(outcomes[0], Optimum) else None
+    if batch is not None and all(isinstance(o, Optimum) and o.batch is batch for o in outcomes):
+        return batch.bases([o.unit for o in outcomes])
+    return [o.basis if isinstance(o, Optimum) else o for o in outcomes]
 
 
 def solutions(optima: Sequence[Optimum]) -> list:

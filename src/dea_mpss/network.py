@@ -48,13 +48,12 @@ import numpy as np
 
 from .data import TWO_STAGE_GENERAL, Dataset, NetworkTopology
 from .errors import SolverError, UnsupportedTopologyError, ValidationError
-from .lp import LpSolution, Optimum, solutions, solve_lockstep, solve_lp
+from .lp import LpSolution, Optimum, solutions, solve_lockstep, solve_lp, warm_starts
 from .program import Program
 
 EPS_MPSS = 1e-6
 # units whose solutions a sweep holds at once: it forms each model's
-# solutions, and refactors and checks a lockstep batch's optima, this many
-# units at a time
+# solutions this many units at a time (_handed)
 SWEEP_CHUNK = 10
 # units a sweep steps in lockstep at once: a wider batch takes fewer numpy
 # calls a unit, and holds each stepping unit's basis inverse and reduced
@@ -134,7 +133,8 @@ def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], model: _Mod
     Unit ``k`` holds ``pinned[k]`` (``Program.right_sides``).  An unpinned
     program starts from the unit's crash basis, a pinned one from
     ``starts[k]`` (the optimum of the program it extends, or that optimum's
-    ``lp.Basis``), or, a lone unit, cold.  Two or more units run in
+    ``lp.Basis``; ``starts`` may be an ``lp.Bases``, read whole by the
+    lockstep), or, a lone unit, cold.  Two or more units run in
     lockstep (``lp.solve_lockstep``); a lone unit, or one handed back, is
     solved by ``solve_lp`` from the same start, on a copy of the program
     (``Program.unit``), which ``units``, if given, keeps by owner for a
@@ -149,7 +149,7 @@ def _solves(prog: Program, dmus: Sequence[str], owns: Sequence[int], model: _Mod
     outcomes = [None]
     if len(owns) > 1:
         outcomes = solve_lockstep(model.sense, prog.objective(model.objective),
-                                  prog.lockstep(owns, pinned), starts, SWEEP_CHUNK)
+                                  prog.lockstep(owns, pinned), starts)
     out = []
     for k, sol in enumerate(outcomes):
         if sol is None:
@@ -177,18 +177,18 @@ def _solved(prog: Program, dmus: Sequence[str], owns: Sequence[int], models) -> 
     whose solve failed has None at every later model.
 
     Each model after the first is pinned at the scores of the models before
-    it and starts from the optimum of the one before: its ``lp.Basis``, or
-    the ``LpSolution`` of a unit solved alone.  A lone unit (a ``--dmu``
-    call) keeps its copy of the program for its later solves; a unit handed
-    back from a batch copies it afresh each time, so a wide batch holds no
-    copies.
+    it and starts from the optimum of the one before (``lp.warm_starts``):
+    the stacked bases of one lockstep batch's optima, or each optimum's
+    ``lp.Basis`` and the ``LpSolution`` of each unit solved alone.  A lone
+    unit (a ``--dmu`` call) keeps its copy of the program for its later
+    solves; a unit handed back from a batch copies it afresh each time, so
+    a wide batch holds no copies.
     """
     solved, units = [], {} if len(owns) == 1 else None
     live = list(range(len(owns)))
     scores = [[] for _ in owns]  # each unit's scores so far
     for i, model in enumerate(models):
-        starts = [o.basis if isinstance(o, Optimum) else o
-                  for o in (solved[-1][k] for k in live)] if i else None
+        starts = warm_starts([solved[-1][k] for k in live]) if i else None
         outcomes = [None] * len(owns)
         for k, outcome in zip(live, _solves(prog, [dmus[k] for k in live],
                                             [owns[k] for k in live], model, starts,

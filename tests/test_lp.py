@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dea_mpss import _lockstep, lp
+from dea_mpss import _lockstep, lp, network
 from dea_mpss.errors import SolverError, ValidationError
 from dea_mpss.lp import LpProblem, solve_lp
 from gen import crash_start, lp_problem, random_lp
 from lp_enum import _as_rows, _vertices, enumerate_solve
-from test_program import assert_same_solution
+from test_program import assert_same_solution, log_spread
 
 
 def test_box_constraints():
@@ -731,3 +731,95 @@ def test_holding_verdict_is_the_same_in_any_stack():
         got = lp._holding(np.stack([cb, block[j]]), np.stack([crhs, rhs[j]]),
                           np.stack([cb_, b[j]]), np.stack([cs, structural[j]]), _SIGNS)
         assert got.tolist() == [verdict, alone[j]]
+
+
+def _same_lockstep(prog, owns, pinned, objective, whole, each):
+    """``solve_lockstep`` from ``whole`` gives the outcomes it gives from ``each``, the same
+    starts one at a time, and so does ``solve_lp`` for each unit handed back."""
+    sense, c = "maximize", prog.objective(objective)
+    got = lp.solve_lockstep(sense, c, prog.lockstep(owns, pinned), whole)
+    want = lp.solve_lockstep(sense, c, prog.lockstep(owns, pinned), each)
+    assert [o is None for o in got] == [o is None for o in want]
+    optima = [(a, b) for a, b in zip(got, want) if a is not None]
+    assert [a[:4] for a, _ in optima] == [b[:4] for _, b in optima]
+    for a, b in zip(lp.solutions([a for a, _ in optima]), lp.solutions([b for _, b in optima])):
+        assert_same_solution(a, b)
+    for k in [k for k, o in enumerate(got) if o is None]:
+        problem = prog.unit(owns[k]).problem(sense, objective, pinned[k])
+        alone = [_alone(problem, start) for start in (whole[k], each[k])]
+        if isinstance(alone[0], str) or isinstance(alone[1], str):
+            assert alone[0] == alone[1]
+        else:
+            assert_same_solution(*alone)
+    return got
+
+
+def _alone(problem, start):
+    """``solve_lp``'s solution from ``start``, or the repr of the ``SolverError`` it raises."""
+    try:
+        return solve_lp(problem, start=start)
+    except SolverError as exc:
+        return repr(exc)
+
+
+def test_whole_starts_start_as_the_same_starts_one_at_a_time():
+    """A crash array and an earlier batch's stacked ``Bases`` start a lockstep batch as
+    their rows and ``Basis`` items do, one at a time: the same optima, bit for bit, the
+    same units handed back, and the same ``solve_lp`` solution for each of those.  A start
+    out of range, of a program with other variables or more rows, or with a row dropped
+    fails alike; an ``LpSolution`` among ``Basis`` starts starts as its ``Basis``."""
+    dataset, topology = log_spread()
+    prog = network._program(dataset, topology, network.SYSTEM_RADIAL, network._system_program)
+    owns = list(range(dataset.n_dmus))
+    crash = prog.crash_bases(owns)
+    cols = prog.lockstep(owns[:1], np.zeros((1, 0))).S.shape[1]
+    crash[3, 0] -= cols  # out of range below, though numpy would read it as the same column
+    crash[7, -1] = cols
+    none = np.zeros((len(owns), 0))
+    system = _same_lockstep(prog, owns, none, network.SYSTEM_GAP, crash, list(crash))
+    assert system[3] is None and system[7] is None
+    assert 0 < sum(o is None for o in system) < len(owns) - 20
+
+    live = [k for k, o in enumerate(system) if o is not None]
+    optima = [system[k] for k in live]
+    bases = lp.warm_starts(optima)
+    assert isinstance(bases, lp.Bases) and len(bases) == len(live)
+    pinned = np.array([[o.objective_value] for o in optima])
+    each = [o.basis for o in optima]
+    stage = _same_lockstep(prog, live, pinned, network.STAGE_GAP[1], bases, each)
+    assert any(o is not None for o in stage) and any(o is None for o in stage)
+
+    # one earlier optimum's solution, whose basis is its Basis, among Basis starts
+    k = next(j for j, o in enumerate(stage) if o is not None)
+    sol = solve_lp(prog.unit(live[k]).problem("maximize", network.SYSTEM_GAP, []),
+                   start=crash[live[k]])
+    assert sol._basis == (tuple(each[k].columns.tolist()), each[k].row_keep, each[k].rows)
+    mixed = lp.warm_starts([*optima[:k], sol, *optima[k + 1:]])
+    assert isinstance(mixed, list) and mixed[k] is sol
+    again = _same_lockstep(prog, live, pinned, network.STAGE_GAP[1], bases, mixed)
+    assert [o and o[:4] for o in again] == [o and o[:4] for o in stage]
+
+    # starts that fail whole fail as each of them fails
+    rows, n = bases.rows, bases.variables
+    for other in (lp.Bases(bases.columns, bases.row_keep, rows, n + 1),
+                  lp.Bases(bases.columns, bases.row_keep[:-1], rows, n),
+                  lp.Bases(np.concatenate((bases.columns, bases.columns[:, :2]), axis=1),
+                           (*bases.row_keep, rows, rows + 1), rows + 2, n)):
+        failed = _same_lockstep(prog, live, pinned, network.STAGE_GAP[1], other, list(other))
+        assert failed == [None] * len(live)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.booleans(), min_size=1, max_size=40))
+def test_kept_rows_are_cut_in_place(keep):
+    """``_kept`` keeps each marked row once, in the same order in every array, as a view of
+    the array's first rows, and moves no more rows than it drops."""
+    keep = np.array(keep)
+    rows = np.arange(keep.size)
+    arrays = [rows.copy(), np.repeat(rows[:, None, None], 6, axis=1).astype(float)]
+    got = _lockstep._kept(keep, arrays)
+    assert sorted(got[0].tolist()) == rows[keep].tolist()
+    assert (got[1] == got[0][:, None, None]).all()
+    for a, b in zip(got, arrays):
+        assert a is b if keep.all() else a.base is b
+    assert np.count_nonzero(got[0] != rows[:got[0].size]) <= np.count_nonzero(~keep)

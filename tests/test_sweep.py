@@ -527,9 +527,10 @@ MEMORY_BUDGET = 1.5e6
 
 
 @pytest.mark.parametrize("source,builder", [("pinned-stages-300", "stages"),
-                                            ("chain-300", "chain-efficiency")])
+                                            ("chain-300", "chain-efficiency"),
+                                            ("chain-300", "chain-mpss")])
 def test_a_wide_sweep_stays_within_its_memory_budget(source, builder):
-    """The seed-1 stage sweep and chain-efficiency sweep, each ``SWEEP_WIDTH`` units wide,
+    """The seed-1 stage, chain-efficiency and chain-mpss sweeps, each ``SWEEP_WIDTH`` units wide,
     trace no more than ``MEMORY_BUDGET`` at their peak above the freshly loaded data,
     their results consumed one at a time."""
     dataset, topology = benchmark_set(source)()
@@ -563,8 +564,8 @@ def test_a_stage_unit_handed_back_in_a_wide_batch_starts_stage_2_from_its_own_so
         alone[stage_of[problem.n_constraints]].append((start, sol))
         return sol
 
-    def lockstep(sense, objective, programs, starts, group):
-        outcomes = solve_lockstep(sense, objective, programs, starts, group)
+    def lockstep(sense, objective, programs, starts):
+        outcomes = solve_lockstep(sense, objective, programs, starts)
         batched[stage_of[programs.b.shape[1]]].append((list(starts), list(outcomes)))
         return outcomes
 
@@ -686,9 +687,9 @@ def test_a_single_unit_makes_no_lockstep_step(monkeypatch, tmp_path, capsys, com
     steps = []
     run = _lockstep._Lockstep.run
 
-    def counted(self, starts, group):
+    def counted(self, starts):
         steps.append(len(starts))
-        return run(self, starts, group)
+        return run(self, starts)
 
     monkeypatch.setattr(_lockstep._Lockstep, "run", counted)
     # decompose stops at a negative stage score (C7-sign), exit 2, once its unit is reached
