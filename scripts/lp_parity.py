@@ -3,7 +3,13 @@
 Each solve gives one JSON line: a label, and either the error it raised as
 ``Name: message`` or the solution's status, the repr of its objective
 value, its iteration count, ``started`` and the sha256 of the whole
-``LpSolution``.  The digest covers those four fields, the final basis and
+``LpSolution``.  An optimal line whose problem is at hand (every line but
+the sweep lines) also records its certificate (``certificate``): whether
+it passes, the worst relative row residual, by the rule ``lp._holding``
+checks a basic point by, and the worst reduced-cost sign, from the
+solution's own dual values.  Such a line also records how many candidate
+columns its problem prices first (``lp.StandardForm.candidates``): null or
+0 for none.  The digest covers those four fields, the final basis and
 the bytes of the variable values, the dual values, the reduced costs and
 the ``basic`` flags (hashed as booleans, whatever their dtype), so two
 lines agree only when the two solutions are bit for bit the same.  A line
@@ -44,12 +50,20 @@ On the seed-1 inputs that is 9,668 solves, 2,549 of them sweep outcomes.
 Per-unit model solves are caught where ``network`` calls ``solve_lp`` (and
 ``chain``, for a checkout whose profitability split calls it there), so a
 solve that raises is recorded with the solver's own message.  The package
-comes from ``PYTHONPATH``.  ``--compare A B`` reads two such files
-and lists every solve whose error, status, ``started`` or iteration count
-changed, or whose objective moved by more than 1e-9 relative, then every
-line whose digest differs with the fields that differ, then the counts, by
-field; it exits 1 when any solve changed or any digest differs, and 0
-otherwise.  From the repository root::
+comes from ``PYTHONPATH``.
+
+``--compare A B`` reads two such files, A the parent's and B the change's,
+and applies the parity rule for a change that moves pivots.  A solve whose
+error, status or ``started`` changed, or that is made on one side only,
+fails it.  A solve whose digest changed is accepted in two cases only:
+both sides certify and the objective moved by at most 1e-9 relative, or
+the old side failed its certificate; the second kind is listed.  A verdict
+with no point (infeasible, unbounded) may change its pivot count alone.  A solve
+of a problem with no candidate columns (the random problems) must keep its
+digest.  Every sweep line of B must have the digest of its per-unit line
+(its label without ``sweep``), a solve it shares with the per-unit loop.
+It prints every solve that fails the rule, then the counts, and exits 1
+when any solve fails it, and 0 otherwise.  From the repository root::
 
     python3 perfbench/inputs.py --seed 1
     PYTHONPATH=<parent checkout>/src python3 scripts/lp_parity.py > parent.jsonl
@@ -71,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dea_mpss import chain, network
+from dea_mpss import chain, lp, network
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import load_dataset
 from dea_mpss.errors import DeaMpssError
@@ -85,7 +99,10 @@ from gen import crash_start, lp_problem, random_lp  # noqa: E402
 
 RANDOM_SEED = 2024
 RANDOM_PROBLEMS = 3000
-OBJECTIVE_RTOL = 1e-9  # relative move of an objective that --compare reports
+OBJECTIVE_RTOL = 1e-9  # relative move of a certified objective that --compare accepts
+# the worst relative reduced cost of the wrong sign a certified optimum may
+# show: the solver's own least improvement, PIVOT_TOL
+DUAL_TOL = 1e-9
 SCALARS = ("status", "objective_value", "iterations", "started", "_basis")
 ARRAYS = ("variable_values", "dual_values", "reduced_costs")
 
@@ -113,25 +130,60 @@ def field_digests(sol) -> dict:
     return fields
 
 
-def record(label: str, outcome) -> None:
-    """Print the line of one solve: its ``LpSolution``, or the error it raised."""
+def certificate(problem, sol) -> dict:
+    """Whether the optimum ``sol`` of ``problem`` certifies, with its worst relative row
+    residual and its worst relative reduced cost of the wrong sign.
+
+    A row's residual is scaled as ``lp._holding`` scales it, by
+    ``max(1, |a|·|x| + |b|)``; it certifies within ``lp.FEASIBILITY_TOL``.
+    The reduced costs are those of every column, slacks included, in the
+    solver's minimisation, from the solution's dual values, each scaled by
+    ``max(1, |c| + |a|·|y|)``; none may lie below ``-DUAL_TOL``.
+    """
+    S, b, sign = problem.standard_form[:3]
+    x = sol.variable_values
+    A = S[:, :x.size]
+    resid = b - A @ x
+    missed = np.where(sign != 0.0, np.maximum(-resid * sign, 0.0), np.abs(resid))
+    residual = float((missed / np.maximum(1.0, np.abs(A) @ np.abs(x) + np.abs(b))).max(
+        initial=0.0))
+    flip = -1.0 if problem.objective_sense == lp.MAXIMIZE else 1.0
+    cost = np.zeros(S.shape[1])
+    cost[:x.size] = flip * problem.objective
+    y = flip * sol.dual_values  # the minimisation's multipliers
+    red = cost - S.T @ y
+    dual = float((-red / np.maximum(1.0, np.abs(cost) + np.abs(S).T @ np.abs(y))).max(
+        initial=0.0))
+    return {"pass": residual <= lp.FEASIBILITY_TOL and x.min(initial=0.0) >= 0.0
+            and dual <= DUAL_TOL, "residual": residual, "dual": max(dual, 0.0)}
+
+
+def record(label: str, outcome, problem=None) -> None:
+    """Print the line of one solve: its ``LpSolution``, with its certificate when its
+    ``problem`` is given and it is optimal, or the error it raised."""
     if isinstance(outcome, DeaMpssError):
         print(json.dumps({"case": label, "error": f"{type(outcome).__name__}: {outcome}"}))
         return
-    print(json.dumps({"case": label, "status": outcome.status,
-                      "objective": repr(outcome.objective_value),
-                      "iterations": outcome.iterations, "started": outcome.started,
-                      "sha256": digest(outcome), "fields": field_digests(outcome)}))
+    line = {"case": label, "status": outcome.status, "objective": repr(outcome.objective_value),
+            "iterations": outcome.iterations, "started": outcome.started,
+            "sha256": digest(outcome), "fields": field_digests(outcome)}
+    if problem is not None:
+        candidates = getattr(problem.standard_form, "candidates", None)  # none in older checkouts
+        line["candidates"] = None if candidates is None else int(candidates.size)
+        if outcome.status == "optimal":
+            line["certificate"] = certificate(problem, outcome)
+    print(json.dumps(line))
 
 
-def emit(label: str, solve):
-    """Run ``solve`` and print its line; an error is printed, then raised again."""
+def emit(label: str, solve, problem=None):
+    """Run ``solve`` and print its line, certified on ``problem`` if given; an error is
+    printed, then raised again."""
     try:
         sol = solve()
     except DeaMpssError as exc:
         record(label, exc)
         raise
-    record(label, sol)
+    record(label, sol, problem)
     return sol
 
 
@@ -141,7 +193,7 @@ def random_solves() -> None:
     for k in range(RANDOM_PROBLEMS):
         prob, sol = random_lp(rng), None
         with suppress(DeaMpssError):
-            sol = emit(f"random {k}", lambda: solve_lp(prob))
+            sol = emit(f"random {k}", lambda: solve_lp(prob), prob)
             if sol.status == "optimal":
                 optimal += 1
         if sol is None or sol.status != "optimal" or optimal % 5:
@@ -162,7 +214,7 @@ def random_solves() -> None:
                                      ("outside", prob, crash_start(prob, x - 1.0)),
                                      ("redundant", redundant, None)):
             with suppress(DeaMpssError):
-                emit(f"random {k} {name}", lambda: solve_lp(problem, start=start))
+                emit(f"random {k} {name}", lambda: solve_lp(problem, start=start), problem)
 
 
 def model_solves(data: Path, topology: Path, label: str, calls, cold: bool = False) -> None:
@@ -175,7 +227,7 @@ def model_solves(data: Path, topology: Path, label: str, calls, cold: bool = Fal
     def recorder(original):
         def solve(problem, start=None):
             return emit(f"{label} {dmu} {name} {next(count)}",
-                        lambda: original(problem, start=None if cold else start))
+                        lambda: original(problem, start=None if cold else start), problem)
         return solve
 
     originals = network.solve_lp, chain.solve_lp
@@ -257,13 +309,30 @@ SPREAD_SWEEPS = [
 
 
 def changes(old: dict, new: dict) -> list:
-    """What differs between two lines of one solve, beyond rounding of the objective."""
-    fields = [k for k in ("error", "status", "started", "iterations") if old.get(k) != new.get(k)]
-    if "objective" in old and "objective" in new and old["objective"] != new["objective"]:
-        a, b = float(old["objective"]), float(new["objective"])
-        if not math.isclose(a, b, rel_tol=OBJECTIVE_RTOL):
-            fields.append("objective")
-    return [f"{k} {old.get(k)} -> {new.get(k)}" for k in fields]
+    """What differs between two lines of one solve that the parity rule never accepts: its
+    error, status or ``started``."""
+    return [f"{k} {old.get(k)} -> {new.get(k)}" for k in ("error", "status", "started")
+            if old.get(k) != new.get(k)]
+
+
+def certifies(line: dict) -> bool:
+    return bool(line.get("certificate", {}).get("pass"))
+
+
+def moved(old: dict, new: dict) -> str | None:
+    """Why the parity rule accepts a solve whose digest changed, or None when it does not.
+
+    A solve of a problem with no candidate columns is never accepted.
+    """
+    if not new.get("candidates"):
+        return None
+    if old["status"] != "optimal":  # a verdict with no point: only its pivots may change
+        return "same verdict, other pivots" if differing_fields(old, new) == "iterations" else None
+    if not certifies(old):
+        return "old side fails its certificate"
+    close = math.isclose(float(old["objective"]), float(new["objective"]),
+                         rel_tol=OBJECTIVE_RTOL)
+    return "both certify" if certifies(new) and close else None
 
 
 def differing_fields(old: dict, new: dict) -> str:
@@ -281,41 +350,50 @@ def differing_fields(old: dict, new: dict) -> str:
 
 
 def compare(old_path: Path, new_path: Path) -> bool:
-    """Print every changed solve of two output files, then the counts.
+    """Print every solve of two output files that fails the parity rule, the solves it
+    accepts because the old side failed its certificate, and the counts.
 
-    Returns whether the two files agree: no solve changed and every digest
-    is the same.
-
-    Lines pair up by label; a solve made on one side only (a model call that
-    raised earlier or later) is listed as such.
+    Returns whether every solve passes the rule.  Lines pair up by label; a
+    solve made on one side only (a model call that raised earlier or later)
+    fails it.
     """
     def read(path):
         with open(path, encoding="utf-8") as fh:
             return {r["case"]: r for r in map(json.loads, fh)}
 
     old, new = read(old_path), read(new_path)
-    changed, differ = 0, []
+    failed, accepted, by_fields = 0, collections.Counter(), collections.Counter()
     for case in [*old, *(c for c in new if c not in old)]:
         a, b = old.get(case), new.get(case)
         if a is None or b is None:
             diff = [f"only in {new_path if a is None else old_path}"]
         else:
             diff = changes(a, b)
-            if a.get("sha256") != b.get("sha256"):
-                differ.append(case)
+            if not diff and a.get("sha256") != b.get("sha256"):
+                twin = old.get(case.removeprefix("sweep ")) if case.startswith("sweep ") else a
+                why = moved(twin, new.get(case.removeprefix("sweep "), b)) if twin else None
+                if why is None:
+                    diff = [f"digest differs in {differing_fields(a, b)}"]
+                else:
+                    accepted[why] += 1
+                    by_fields[differing_fields(a, b)] += 1
+                    if why.startswith("old"):
+                        print(f"{case}: accepted, {why}: objective {a['objective']} -> "
+                              f"{b['objective']}")
+        if b is not None and case.startswith("sweep ") and "sha256" in b:
+            twin = new.get(case.removeprefix("sweep "))
+            if twin is None or twin.get("sha256") != b["sha256"]:
+                diff.append("digest is not its per-unit line's")
         if diff:
-            changed += 1
+            failed += 1
             print(f"{case}: " + "; ".join(diff))
-    by_fields = collections.Counter()
-    for case in differ:
-        fields = differing_fields(old[case], new[case])
-        by_fields[fields] += 1
-        print(f"{case}: digest differs in {fields}")
-    print(f"{len(old)} and {len(new)} solves: {changed} changed; "
-          f"{len(differ)} of the solves on both sides differ in their digest")
+    print(f"{len(old)} and {len(new)} solves: {failed} fail the parity rule; "
+          f"{sum(accepted.values())} changed digests accepted")
+    for why, count in accepted.most_common():
+        print(f"  {count} accepted: {why}")
     for fields, count in by_fields.most_common():
-        print(f"  {count} in {fields}")
-    return not changed and not differ
+        print(f"  {count} differ in {fields}")
+    return not failed
 
 
 def main() -> None:

@@ -12,6 +12,14 @@ on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
 * ``alone``: the units of one sweep solved by ``solve_lp`` (``network``
   calls it for a unit the lockstep hands back and for a lone unit), one
   per model solve;
+* ``full``: the pricing passes over every column that one sweep's phase
+  twos make, in the lockstep (a unit priced by ``_Lockstep._priced`` with
+  no candidate columns) and alone (an ``lp._entering`` call over every
+  column), per model solve handed on: one a solve certifies its optimum,
+  and each one more is a step whose candidate columns held no entering
+  column;
+* ``cand``: the columns each of the sweep's programs prices first
+  (``lp.StandardForm.candidates``), out of all its columns;
 * ``peak_mb``: the ``tracemalloc`` peak of one sweep above what was traced
   before it, the results consumed one at a time as a command's loop does.
   A peak above ``BUDGET_MB`` is flagged ``over``, and the script then exits
@@ -46,7 +54,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from dea_mpss import _lockstep, chain, network
+from dea_mpss import _lockstep, chain, lp, network
 from dea_mpss.data import load_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,12 +89,15 @@ SWEEPS = {
 
 
 def _counted():
-    """Patch ``_Lockstep._entering`` to count steps and live units, and ``network.solve_lp``
-    to count units solved alone; return the counts and what restores both."""
-    counts = [0, 0, 0]
-    entering, solve_lp = _lockstep._Lockstep._entering, network.solve_lp
+    """Patch the solver and ``network`` to count, in order: lockstep steps and live units
+    (``_Lockstep._entering``), units solved alone (``network.solve_lp``), full pricing
+    passes (``_Lockstep._priced`` and ``lp._entering`` over every column) and model solves
+    handed on (``network._handed``); return the counts and what restores every patch.
+    A checkout whose ``lp`` has no ``_entering`` prices every column in every scalar step,
+    and its solves alone are not counted among the full passes."""
+    counts = [0] * 5
 
-    def counted(self, red, units):
+    def stepped(self, red, units):
         counts[0] += 1
         counts[1] += len(units[0])
         return entering(self, red, units)
@@ -95,10 +106,35 @@ def _counted():
         counts[2] += 1
         return solve_lp(*args, **kwargs)
 
-    def restore():
-        _lockstep._Lockstep._entering, network.solve_lp = entering, solve_lp
+    def full(self, units, out, *columns):
+        if not columns or columns[0] is None:
+            counts[3] += len(units[0])
+        return priced(self, units, out, *columns)
 
-    _lockstep._Lockstep._entering, network.solve_lp = counted, alone
+    def full_alone(red, columns, *args):
+        if columns is None:
+            counts[3] += 1
+        return scalar(red, columns, *args)
+
+    def solves(dmus, outcomes):
+        counts[4] += len(outcomes)
+        return handed(dmus, outcomes)
+
+    patches = [(_lockstep._Lockstep, "_entering", stepped), (network, "solve_lp", alone),
+               (_lockstep._Lockstep, "_priced", full), (lp, "_entering", full_alone),
+               (network, "_handed", solves)]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches
+                 if hasattr(owner, name)]
+    entering, solve_lp, priced, scalar, handed = (
+        getattr(owner, name, None) for owner, name, _ in patches)
+
+    def restore():
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+    for owner, name, patch in patches:
+        if hasattr(owner, name):
+            setattr(owner, name, patch)
     return counts, restore
 
 
@@ -130,6 +166,8 @@ def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
         _swept(sweep, dataset, topo)
     finally:
         restore()
+    cand = " ".join(f"{getattr(p, '_candidates', p._S[0, :0]).size}/{p._S.shape[1]}"
+                    for p in dataset._compiled.values())
     dataset, topo = load_dataset(data, topology)
     tracemalloc.start()
     try:
@@ -140,6 +178,7 @@ def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
         tracemalloc.stop()
     return {"ms": 1e3 * statistics.median(times), "steps": counts[0],
             "live": counts[1] / counts[0] if counts[0] else 0.0, "alone": counts[2],
+            "full": counts[3] / counts[4] if counts[4] else 0.0, "cand": cand,
             "peak_mb": peak / 1e6}
 
 
@@ -198,7 +237,7 @@ def main() -> None:
             against(inputs, args.against, args.seed, args.repeat, Path(tmp))
         return
     print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'alone':>6} "
-          f"{'peak_mb':>8}")
+          f"{'full':>6} {'peak_mb':>8}  cand")
     over = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload, data, topology, sweeps in _paths(inputs, args.seed, Path(tmp)):
@@ -209,7 +248,8 @@ def main() -> None:
                     flag = "  over"
                     over.append(f"{workload} {name}")
                 print(f"{workload:<18} {name:<10} {got['ms']:>8.1f} {got['steps']:>6} "
-                      f"{got['live']:>6.1f} {got['alone']:>6} {got['peak_mb']:>8.2f}{flag}")
+                      f"{got['live']:>6.1f} {got['alone']:>6} {got['full']:>6.2f} "
+                      f"{got['peak_mb']:>8.2f}  {got['cand']}{flag}")
     if over:
         print(f"traced peak above {BUDGET_MB} MB: {', '.join(over)}")
         sys.exit(1)

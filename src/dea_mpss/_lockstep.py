@@ -11,13 +11,19 @@ basic costs, and a unit that finishes leaves them in place (``_kept``).
 Whatever else is formed per unit is formed a block of units at a time,
 as many as take no more room than the batch's ``[B⁻¹ | B⁻¹b]``
 (``_wide``): the start's factors, a step's heads and reduced costs, and
-the final refactor.  A start is read a unit at a time, or whole when it
-is one array (``_begun``).  A finished unit keeps only its basis and
-pivot count until the stepping ends; it is then refactored and checked
-with its block, by the hold check a lone solve makes (``lp._holding``),
-and the batch keeps its basis, basic values and multipliers, O(rows) a
-unit, for its ``lp.Optimum`` (``run``).  Its solution is formed from
-those when it is asked for, with the others asked for at once
+the final refactor.  A step prices the program's candidate columns
+(``lp.StandardForm.candidates``) first, of as many units at once as the
+block's reduced costs have room for, and every column only of the units
+they leave without an entering column, a block at a time (``_entering``).  A
+start is read a unit at a time, or whole when it is one array
+(``_begun``).  A finished unit keeps only its basis and pivot count until
+the stepping ends; it is then refactored and checked with its block, by
+the hold check a lone solve makes (``lp._holding``), and the batch keeps
+its basis, basic values and multipliers, O(rows) a unit, for its
+``lp.Optimum`` (``run``); a unit optimal at its start takes its start's
+factors instead, left behind the stepping units in the stacked arrays
+(``_fronted``).  Its solution is
+formed from those when it is asked for, with the others asked for at once
 (``solutions``).
 """
 
@@ -40,11 +46,17 @@ class _Lockstep:
         self.programs = programs
         self.S, self.sign, self.slack_col_of_row, self.b = (
             programs.S, programs.sign, programs.slack_col_of_row, programs.b)
-        self.heads, self.held = programs.head[None][:0], None  # _heads' buffer and its units
+        self.heads = programs.head[None][:0]  # _heads' buffer
         self.m, self.cols = self.S.shape
         self.n, self.w = self.c.size, programs.head.shape[1]
         self.cc = np.zeros(self.cols)  # internal objective is always a minimisation
         self.cc[:self.n] = self.c if sense == MINIMIZE else -self.c
+        candidates = programs.candidates
+        self.candidates = candidates if candidates is not None and candidates.size else None
+        if self.candidates is not None:  # their columns, costs and each column's place among them
+            self.S_c, self.cc_c = self.S[:, self.candidates], self.cc[self.candidates]
+            self.place = np.full(self.cols, -1)
+            self.place[self.candidates] = np.arange(self.candidates.size)
 
     def run(self, starts) -> list:
         """Each unit's ``lp.Optimum``, or None when it is handed back, in unit order.
@@ -56,7 +68,7 @@ class _Lockstep:
         self.wide = self._wide(len(starts))
         unit, warm, basis, pivots = self._stepped(starts)
         # no buffer as wide as the batch outlives the steps
-        self.heads, self.held = self.programs.head[None][:0], None
+        self.heads = self.programs.head[None][:0]
         # each optimal unit's final basis, refactored basic values and multipliers, by unit
         self.basis = np.zeros((len(starts), self.m), dtype=int)
         self.rhs, self.y = np.zeros((2, len(starts), self.m))
@@ -67,7 +79,7 @@ class _Lockstep:
             at = slice(lo, lo + self.wide)
             for optimum in self._optima(unit[at], warm[at], basis[at], pivots[at]):
                 out[optimum.unit] = optimum
-        self.x = None
+        self.x = self.start_units = self.start_factors = None
         return out
 
     def _wide(self, k):
@@ -83,17 +95,25 @@ class _Lockstep:
         # its basis, [B⁻¹ | B⁻¹b] and the basic costs
         units, both = self._started(starts)
         optimal = [[a[:0] for a in units] + [np.zeros(0, dtype=int)]]
-        np.maximum(both[:, :, m], 0.0, out=both[:, :, m])  # rounding noise on degenerate basics
         units += [both, cc[units[2]]]
         red = np.empty((min(units[0].size, self.wide), 1, self.cols))  # a block's reduced costs
         limit = min(lp.REFACTOR_EVERY, lp.MAX_ITERATIONS + 1, 3 * (m + self.cols) + 1)
-        pivots = 0
+        pivots, started = 0, [a[:0] for a in (units[0], both)]
         while units[0].size:
             entering, col = self._entering(red, units)
             done = entering < 0
             if done.any():
                 optimal.append([*(a[done] for a in units[:3]), np.full(done.sum(), pivots)])
-            *units, entering, col = _kept(~done, [*units, entering, col])
+            if pivots:
+                *units, entering, col = _kept(~done, [*units, entering, col])
+            else:  # a unit optimal at its start keeps its start's rows, behind the others
+                unit, warm, basis, both, c_B = units
+                k = _fronted(~done, [unit, both])  # the rows _kept moves, moved alike
+                started = [unit[k:], both[k:]]
+                warm, basis, c_B, entering, col = _kept(~done, [warm, basis, c_B, entering, col])
+                units = [unit[:k], warm, basis, both[:k], c_B]
+                # rounding noise on degenerate basics, which pricing does not read
+                np.maximum(units[3][:, :, m], 0.0, out=units[3][:, :, m])
             if not units[0].size:
                 break
             leaving = self._leaving(col, units[3][:, :, m], units[2])
@@ -112,6 +132,9 @@ class _Lockstep:
             pivots += 1
             if pivots == limit:  # what is left would refactor, switch to Bland or stop
                 break
+        # the start's factors of each unit optimal at its start, ordered by unit
+        order = started[0].argsort()
+        self.start_units, self.start_factors = started[0][order], started[1][order]
         done = [np.concatenate(a) for a in zip(*optimal)]
         order = done[0].argsort()
         return [a[order] for a in done]
@@ -161,26 +184,28 @@ class _Lockstep:
         return [unit, np.full(unit.size, kind == WARM), basis[unit]]
 
     def _heads(self, unit):
-        """The heads of units ``unit`` (``Lockstep.heads``), written over the last call's.
+        """The heads of units ``unit`` (``Lockstep.heads``), written over the last call's."""
+        if len(unit) > len(self.heads):
+            self.heads = np.repeat(self.programs.head[None], len(unit), axis=0)
+        return self.programs.heads(unit, out=self.heads)
 
-        No array of unit indices is ever written, so when ``unit`` is the
-        array of the last call its heads are in place already.
-        """
-        if unit is not self.held:
-            if len(unit) > len(self.heads):
-                self.heads = np.repeat(self.programs.head[None], len(unit), axis=0)
-            self.programs.heads(unit, out=self.heads)
-            self.held = unit
-        return self.heads[:len(unit)]
-
-    def _priced(self, units, out):
-        """Each unit's reduced costs, as ``_Simplex._iterate`` prices them, in ``out``."""
+    def _priced(self, units, out, columns=None):
+        """Each unit's reduced costs of ``columns`` (all when None), as ``_Simplex._iterate``
+        prices them, in ``out``; the heads are taken a block of units at a time."""
         unit, _, basis, both, c_B = units
+        S, cc = (self.S, self.cc) if columns is None else (self.S_c, self.cc_c)
         y = c_B[:, None, :] @ both[:, :, :self.m]
-        red = np.matmul(y, self.S, out=out[:len(y)])
-        red[:, :, :self.w] = y @ self._heads(unit)
-        red = np.subtract(self.cc, red, out=red)[:, 0]
-        red[np.arange(basis.shape[0])[:, None], basis] = 0.0
+        red = np.matmul(y, S, out=out[:len(y)])
+        for lo in range(0, len(y), self.wide):  # the heads of a full pass' block at a time
+            at = slice(lo, lo + self.wide)
+            red[at, :, :self.w] = y[at] @ self._heads(unit[at])
+        red = np.subtract(cc, red, out=red)[:, 0]
+        if columns is None:
+            red[np.arange(basis.shape[0])[:, None], basis] = 0.0
+        else:
+            at = self.place[basis]
+            k, i = np.nonzero(at >= 0)
+            red[k, at[k, i]] = 0.0
         return red
 
     def _block(self, unit, basis):
@@ -206,32 +231,59 @@ class _Lockstep:
         return inverse, (inverse @ b[:, :, None])[:, :, 0], ok
 
     def _entering(self, red, units):
-        """Each unit's entering column and its column of the tableau, or -1 when optimal
-        (``_chosen``); the units are priced ``len(red)`` at a time, into ``red``."""
+        """Each unit's entering column and its column of the tableau, or -1 when optimal,
+        as ``_Simplex._iterate`` finds them: the candidates are priced first, and every
+        column of the units they leave without one; a unit is optimal when neither pass
+        finds one.
+
+        The full pass prices ``len(red)`` units at a time, into ``red``, each
+        block of the units the candidates leave without an entering column
+        taken from ``units`` as it is priced.  The candidates' pass prices as
+        many units at a time as ``red`` holds reduced costs of the
+        candidates for, in its front.
+        """
+        if self.candidates is None:
+            return self._pass(red, units)
+        size = len(red) * self.cols // self.candidates.size
+        entering, col = self._pass(red.reshape(-1)[:size * self.candidates.size].reshape(
+            size, 1, -1), units, self.candidates)
+        missed = np.flatnonzero(entering < 0)
+        for lo in range(0, missed.size, len(red)):
+            at = missed[lo:lo + len(red)]
+            entering[at], col[at] = self._pass(red, [a[at] for a in units])
+        return entering, col
+
+    def _pass(self, red, units, columns=None):
+        """``_chosen`` over the units' reduced costs of ``columns`` (all when None), priced
+        ``len(red)`` units at a time into ``red``."""
         if units[0].size <= len(red):
-            return self._chosen(self._priced(units, red), units)
-        chosen = [self._chosen(self._priced(part, red), part)
+            return self._chosen(self._priced(units, red, columns), units, columns)
+        chosen = [self._chosen(self._priced(part, red, columns), part, columns)
                   for lo in range(0, units[0].size, len(red))
                   for part in [[a[lo:lo + len(red)] for a in units]]]
         return tuple(np.concatenate(a) for a in zip(*chosen))
 
-    def _chosen(self, red, units):
-        """Each unit's entering column and its column of the tableau, or -1 when optimal.
+    def _chosen(self, red, units, columns=None):
+        """Each unit's entering column and its column of the tableau, or -1 when none of
+        ``columns`` (all when None), whose reduced costs ``red`` holds, improves.
 
-        As in ``_Simplex._iterate``: the lowest reduced cost enters if it
-        improves and its reduced cost, taken again from its column, still
-        does; if not that, it is set to 0 and the next lowest is tried.
+        As ``lp._entering`` goes for one unit, over the candidates or over
+        every column: the lowest reduced cost enters if it improves and its
+        reduced cost, taken again from its column, still does; if not that,
+        it is set to 0 and the next lowest is tried.
         """
         unit, _, _, both, c_B = units
-        entering = red.argmin(axis=1)
-        improving = ~(red[np.arange(len(red)), entering] >= -lp.PIVOT_TOL)
+        at = red.argmin(axis=1)
+        improving = ~(red[np.arange(len(red)), at] >= -lp.PIVOT_TOL)
+        entering = at if columns is None else columns[at]
         col = self._column(entering, unit, both)
         priced = self.cc[entering] - (c_B[:, None, :] @ col[:, :, None])[:, 0, 0] < -lp.PIVOT_TOL
         for k in (improving & ~priced).nonzero()[0]:  # priced noise: one unit at a time
             while improving[k] and not priced[k]:
-                red[k, entering[k]] = 0.0
-                entering[k] = red[k].argmin()
-                improving[k] = not red[k, entering[k]] >= -lp.PIVOT_TOL
+                red[k, at[k]] = 0.0
+                at[k] = red[k].argmin()
+                entering[k] = at[k] if columns is None else columns[at[k]]
+                improving[k] = not red[k, at[k]] >= -lp.PIVOT_TOL
                 col[k] = self._column(entering[k:k + 1], unit[k:k + 1], both[k:k + 1])[0]
                 priced[k] = self.cc[entering[k]] - c_B[k] @ col[k] < -lp.PIVOT_TOL
         entering[~improving] = -1
@@ -273,11 +325,18 @@ class _Lockstep:
         """The optimum of each unit whose basis holds once refactored (``lp._holding``, the
         check ``_Simplex._holds`` makes), as ``_Simplex._verdict`` values it after
         ``pivots[k]`` pivots; its basis, basic values and multipliers are kept by unit.
-        Without a pivot ``_Simplex`` reuses the start's factors, which the refactor repeats
-        bit for bit."""
+        A unit that made no pivot takes its start's factors, as ``_Simplex`` does."""
         b = self.b[unit]
         block = self._block(unit, basis)
-        inverse, rhs, ok = self._factor(block, b)
+        fresh = pivots == 0
+        if fresh.any():
+            inverse, rhs = np.empty(block.shape), np.empty(b.shape)
+            ok = np.ones(unit.size, dtype=bool)
+            inverse[~fresh], rhs[~fresh], ok[~fresh] = self._factor(block[~fresh], b[~fresh])
+            start = self.start_factors[self.start_units.searchsorted(unit[fresh])]
+            inverse[fresh], rhs[fresh] = start[:, :, :-1], start[:, :, -1]
+        else:
+            inverse, rhs, ok = self._factor(block, b)
         ok &= _holding(block, rhs, b, basis < self.n, self.sign)
         unit, warm, basis, pivots, inverse, rhs = (
             a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
@@ -334,6 +393,17 @@ class _Lockstep:
         x[structural[0], basis[structural]] = rhs[structural]
         np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
         return x
+
+
+def _fronted(first, arrays) -> int:
+    """Move the rows that ``first`` marks to the front of each of ``arrays``, in place, as
+    ``_kept`` moves them, and return how many there are; the rows it drops are left behind
+    them: each swaps with the row that takes its place."""
+    k = np.count_nonzero(first)
+    holes, fill = np.flatnonzero(~first[:k]), k + np.flatnonzero(first[k:])
+    for a in arrays:
+        a[holes], a[fill] = a[fill], a[holes]
+    return k
 
 
 def _kept(keep, arrays) -> list:

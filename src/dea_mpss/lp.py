@@ -9,11 +9,18 @@ which ``LpProblem`` holds in the standard form the solver reads
 inequality row.  A model's compiled ``Program`` builds that once per model
 and hands it over with the problem.  Programs are small (about a dozen
 rows, a few hundred variables), so the solver keeps the m×m basis inverse
-dense.  Each pivot prices every column from the multipliers ``c_B B⁻¹``,
+dense.  Each pivot prices the columns from the multipliers ``c_B B⁻¹``,
 takes the entering column ``B⁻¹ a_q`` and updates the inverse and the
 basic values, kept side by side, by one row operation; every
 ``REFACTOR_EVERY`` pivots the basis is factored afresh.  Both phases run
-the same pivot loop.  Phase two forms only the entering column, from the
+the same pivot loop.  A phase two from a start prices a compiled
+program's candidate columns first (``StandardForm.candidates``): every
+column but the intensity columns of the units its compile did not pick.
+Only a step whose candidates hold no improving column prices every
+column, and an optimum is declared only when that full pass finds none
+either, so it is the whole program's optimum whichever columns are
+candidates.  A problem with no candidate set prices every column at
+every step.  Phase two forms only the entering column, from the
 inverse.  Phase one keeps the whole tableau ``B⁻¹S`` in front of the
 inverse, updated by the same row operation and formed again at each
 refactor, and reads its columns off it: from the exact start
@@ -35,7 +42,8 @@ Phase two starts from a primal feasible basis, found in one of three ways:
 
 Phase one runs when no start is given, when a start's basis is singular or
 infeasible, and when phase two from a start ends unbounded or on a basis
-that is infeasible once refactored from the original rows.  Pivoting uses
+that is infeasible once refactored from the original rows, both over the
+candidates and then again over every column.  Pivoting uses
 Dantzig's rule and falls back to Bland's rule after 3·(rows+columns) pivots
 of a phase, which guarantees termination.
 
@@ -44,8 +52,11 @@ compiled program at once (``Lockstep``: a shared matrix, and per unit its
 own levels in its first columns and its right sides), one numpy call per
 step for every unit not yet done: stacked products price them, stacked
 inverses factor them, and each unit takes the pivots ``solve_lp`` takes.
-It starts, prices, and refactors and checks its optima a block of units
-at a time, as many as take no more room than the batch's ``[B⁻¹ | B⁻¹b]``.
+It starts, prices every column, and refactors and checks its optima a
+block of units at a time, as many as take no more room than the batch's
+``[B⁻¹ | B⁻¹b]``; it prices the candidate columns of as many more units at
+once as that room holds reduced costs of the candidates for, which is
+every unit of a wide program's batch.
 Its starts come one a unit, or whole: a crash array, or the stacked
 final bases of an earlier batch (``Bases``, ``warm_starts``).  An optimal
 unit is checked by the hold check ``solve_lp`` makes on a stack of one
@@ -112,13 +123,17 @@ class StandardForm(NamedTuple):
     ``S`` is ``[A | slacks]``: the rows as written, then one slack column per
     inequality row, in row order, whose entry is the row's ``sign``
     (``_slack_columns``).  ``b`` may hold any sign.  ``slack_col_of_row``
-    is each row's slack column, or -1 for an "=" row.
+    is each row's slack column, or -1 for an "=" row.  ``candidates``, if
+    given, are the columns a started phase two prices first, ascending; any
+    set gives the same optimum value (``_Simplex._iterate``), and an empty
+    one prices every column, as none does.
     """
 
     S: np.ndarray
     b: np.ndarray
     sign: np.ndarray
     slack_col_of_row: np.ndarray
+    candidates: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -277,7 +292,7 @@ def _holding(block, rhs, b, structural, sign) -> np.ndarray:
     its verdict alone is its verdict in any stack.
     """
     block = np.ascontiguousarray(block)  # one layout, so a row sums alike on either path
-    xs =np.where(structural, rhs, 0.0)[:, :, None]
+    xs = np.where(structural, rhs, 0.0)[:, :, None]
     resid = b - (block @ xs)[:, :, 0]
     row_tol = FEASIBILITY_TOL * np.maximum(1.0, (np.abs(block) @ np.abs(xs))[:, :, 0] + np.abs(b))
     met = np.where(sign != 0.0, resid * sign >= -row_tol, np.abs(resid) <= row_tol)
@@ -316,6 +331,34 @@ def _begun(start, n, cols, slack_col_of_row):
                           f"or a Basis, got {kind}")
 
 
+def _entering(red, columns, A, cost, c_B, inverse, bland=False):
+    """The entering column and its column of the tableau, or ``(-1, None)`` when none improves.
+
+    ``red`` holds the reduced costs of ``columns`` of ``A`` (all of them when
+    None).  The lowest enters (Dantzig), or with ``bland`` the first below
+    ``-PIVOT_TOL``, if it improves and its reduced cost, taken again from its
+    column, ``cost[q] - c_B B⁻¹ a_q``, still does: the multipliers carry the
+    explicit inverse's rounding, so a column whose own price does not
+    improve is priced noise, and letting it in can cycle.  Such a column's
+    reduced cost is set to 0 and the next is tried.
+    """
+    while True:
+        if bland:
+            improving = np.flatnonzero(red < -PIVOT_TOL)
+            at = int(improving[0]) if improving.size else -1
+        else:
+            at = int(red.argmin())
+            if red[at] >= -PIVOT_TOL:
+                at = -1
+        if at < 0:
+            return -1, None
+        q = at if columns is None else int(columns[at])
+        col = inverse.column(A, q)
+        if cost[q] - c_B @ col < -PIVOT_TOL:
+            return q, col
+        red[at] = 0.0
+
+
 def _leaving(col, rhs, basis) -> int:
     """The ratio test: the row whose basic variable leaves for the entering column ``col``.
 
@@ -345,7 +388,8 @@ class _Simplex:
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
         self.iterations = 0
         # the rows as written, any rhs sign: phase one's start reads the signs
-        self.S, self.b, self.sign, self.slack_col_of_row = problem.standard_form
+        self.S, self.b, self.sign, self.slack_col_of_row, candidates = problem.standard_form
+        self.candidates = candidates if candidates is not None and candidates.size else None
         self.cols = self.S.shape[1]
         # internal objective is always a minimisation
         self.cc = np.zeros(self.cols)
@@ -357,18 +401,15 @@ class _Simplex:
             self.started, begun = _begun(start, self.n, self.cols, self.slack_col_of_row)
             factored = None if begun is None else self._factor(*begun, self.S)
             if factored is not None and not _negative(factored[1]):
-                (basis, row_keep), (inverse, start_rhs) = begun, factored
-                updated = _Inverse(inverse, start_rhs)
-                # rounding noise on degenerate basics
-                np.maximum(updated.rhs, 0.0, out=updated.rhs)
-                if self._iterate(self.S, self.cc, basis, row_keep, updated) == OPTIMAL:
-                    # the updated inverse carries the pivots' rounding, so
-                    # the optimum stands only if it holds once refactored;
-                    # without a pivot the start's factors are that refactor
-                    final = ((inverse, start_rhs) if self.iterations == 0
-                             else self._factor(basis, row_keep, self.S))
-                    if final is not None and self._holds(basis, final[1]):
-                        return self._verdict(OPTIMAL, final[1], basis, row_keep, final[0])
+                # over the candidates first; if that fails, and they are not every
+                # column, again over every column
+                tries = [self.candidates]
+                if self.candidates is not None and self.candidates.size < self.cols:
+                    tries.append(None)
+                for candidates in tries:
+                    optimum = self._started(*begun, *factored, candidates)
+                    if optimum is not None:
+                        return optimum
         self.started = COLD
         basis, row_keep = self._phase_one()
         if basis is None:
@@ -383,6 +424,23 @@ class _Simplex:
         if final is None:
             raise SolverError("singular basis at the optimum")
         return self._verdict(OPTIMAL, updated.rhs, basis, row_keep, final[0])
+
+    def _started(self, basis, row_keep, inverse, start_rhs, candidates):
+        """The optimum of phase two from a start's factored basis, pricing ``candidates``
+        first (``_iterate``), or None when it ends unbounded or does not hold."""
+        basis, pivots = basis.copy(), self.iterations
+        updated = _Inverse(inverse, start_rhs)
+        np.maximum(updated.rhs, 0.0, out=updated.rhs)  # rounding noise on degenerate basics
+        if self._iterate(self.S, self.cc, basis, row_keep, updated, candidates) != OPTIMAL:
+            return None
+        # the updated inverse carries the pivots' rounding, so the optimum
+        # stands only if it holds once refactored; without a pivot the
+        # start's factors are that refactor
+        final = ((inverse, start_rhs) if self.iterations == pivots
+                 else self._factor(basis, row_keep, self.S))
+        if final is None or not self._holds(basis, final[1]):
+            return None
+        return self._verdict(OPTIMAL, final[1], basis, row_keep, final[0])
 
     def _factor(self, basis, row_keep, S):
         """``(inverse, inverse @ b)`` of the basis columns of ``S`` over the kept rows, or None."""
@@ -442,7 +500,7 @@ class _Simplex:
         row_keep = [i for i in range(m) if i not in drop]
         return basis[row_keep], row_keep
 
-    def _iterate(self, S, cost, basis, row_keep, inverse) -> str:
+    def _iterate(self, S, cost, basis, row_keep, inverse, candidates=None) -> str:
         """Pivot until optimal or unbounded; mutates basis and inverse.
 
         A revised simplex over the kept rows of ``S``: ``inverse`` is the
@@ -451,40 +509,49 @@ class _Simplex:
         copies off the tableau it keeps.  The entering variable is the most
         negative reduced cost (Dantzig) until this call has made
         3·(rows+columns) pivots, and the first negative one (Bland, which
-        cannot cycle) after that.  A candidate enters only if its reduced
-        cost, computed again from its column, still improves.  The ratio
-        test is ``_leaving``.
+        cannot cycle) after that.  A column enters only if its reduced cost,
+        computed again from its column, still improves (``_entering``).  The
+        ratio test is ``_leaving``.
+
+        With ``candidates`` (a started phase two of a compiled program) each
+        Dantzig step prices only those columns, and every column only when
+        none of them improves; the optimum is declared only when that full
+        pass finds none either, so it is the optimum of the whole program
+        whichever columns are candidates.  Bland's steps price every column.
         """
-        tol = PIVOT_TOL
         A = S if len(row_keep) == self.m else S[row_keep]
         bland_after = 3 * (A.shape[0] + A.shape[1])
+        if candidates is not None:  # their columns and costs, and which are basic
+            A_c, cost_c = A[:, candidates], cost[candidates]
+            place = np.full(A.shape[1], -1)  # each column's place among them
+            place[candidates] = np.arange(candidates.size)
+            basic = np.zeros(candidates.size, dtype=bool)
+            at = place[basis]
+            basic[at[at >= 0]] = True
         pivots = 0
         c_B = cost[basis]
         rhs = inverse.rhs
         while True:
-            red = cost - (c_B @ inverse.explicit) @ A
-            red[basis] = 0.0
-            while True:
-                if pivots > bland_after:
-                    improving = np.flatnonzero(red < -tol)
-                    entering = int(improving[0]) if improving.size else -1
-                else:
-                    entering = int(red.argmin())
-                    if red[entering] >= -tol:
-                        entering = -1
+            y = c_B @ inverse.explicit
+            entering = -1
+            if candidates is not None and pivots <= bland_after:
+                red = cost_c - y @ A_c
+                red[basic] = 0.0
+                entering, col = _entering(red, candidates, A, cost, c_B, inverse)
+            if entering < 0:
+                red = cost - y @ A
+                red[basis] = 0.0
+                entering, col = _entering(red, None, A, cost, c_B, inverse, pivots > bland_after)
                 if entering < 0:
                     return OPTIMAL
-                # y carries the explicit inverse's rounding: a column whose
-                # own reduced cost does not improve is priced noise, and
-                # letting it in can cycle
-                col = inverse.column(A, entering)
-                if cost[entering] - c_B @ col < -tol:
-                    break
-                red[entering] = 0.0
             leaving = _leaving(col, rhs, basis)
             if leaving < 0:
                 return UNBOUNDED
             inverse.pivot(leaving, col)
+            if candidates is not None:
+                for q, now in ((basis[leaving], False), (entering, True)):
+                    if place[q] >= 0:
+                        basic[place[q]] = now
             basis[leaving] = entering
             c_B[leaving] = cost[entering]
             pivots += 1
@@ -540,7 +607,9 @@ class Lockstep(NamedTuple):
     columns as the product with the whole row does; the heads are made
     wide enough that it does (``program.HEAD_COLUMNS``), or are the whole
     row, and the tests check every lockstep solution against ``solve_lp``
-    bit for bit.
+    bit for bit.  ``candidates`` are as in ``StandardForm``; the heads'
+    columns come first among them, so the candidate pass prices the heads
+    per unit as the full pass does.
     """
 
     S: np.ndarray
@@ -550,6 +619,7 @@ class Lockstep(NamedTuple):
     own_at: tuple
     own: np.ndarray
     b: np.ndarray
+    candidates: np.ndarray | None = None
 
     def heads(self, unit, out=None) -> np.ndarray:
         """The heads of units ``unit``, one a row: in the first rows of ``out``, whose rows

@@ -32,10 +32,20 @@ at its block and at one factor or target, the column it names.  Which rows
 the basis keeps therefore follows from which column each row names, not
 from the data, so the compile reads it off once and each unit's copy is
 that basis with the unit's own weight columns (``Program.crash_bases``).
+
+The compile also picks, once, each block's candidate units
+(``candidate_units``): the units that best a fixed set of positive
+directions over the block's measures, so units on its frontier, in O(units)
+work a direction.  A started phase two prices their intensity columns and
+every other column but the intensities first (``lp.StandardForm.candidates``),
+for every unit alike, so a lone unit takes the pivots it takes in a
+lockstep batch; the full pricing pass that certifies each optimum makes the
+result exact whichever units were picked.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,6 +58,14 @@ FIXING_BAND = 1e-6
 # leading columns (the factors among them) a lockstep solve takes per unit,
 # or all columns of a narrower program
 HEAD_COLUMNS = 16
+# units below which a program has no candidate set and every phase two step
+# prices every column: the columns a candidate set leaves out then cost less
+# to price than its second pass does.  Measured in-process on the first n
+# units of the seed-1 chain-300 and pinned-stages-300 files, whole-file
+# commands with a candidate set against none, 14 alternations: the sweeps
+# took 1.23 and 1.03 times as long at n = 60, 0.90 and 0.87 at 100, 0.72 and
+# 1.01 at 150, and 0.68 and 0.96 at 200.
+CANDIDATE_UNITS = 100
 
 
 class Program:
@@ -134,15 +152,37 @@ class Program:
         self._shape = [(r, w + sum(map(bool, self.sign[:r])))
                        for r in range(self.fixed, m + 1, 2)]
         self._crash, self._crash_own = self._own_basis()
+        self._candidates = self._candidate_columns()
         for a in self.template():
             a.setflags(write=False)
         self.blocks = self.own_levels = self.names = None  # in the template now
         return self
 
+    def _candidate_columns(self) -> np.ndarray:
+        """The columns a started phase two prices first (``lp.StandardForm.candidates``),
+        ascending: every column but the intensities, the first ``HEAD_COLUMNS``, and each
+        block's candidate units (``candidate_units``).  Below ``CANDIDATE_UNITS`` units
+        there are none, so every step prices every column."""
+        first, n, blocks = len(self.factor), self.n, len(self.block)
+        if n < CANDIDATE_UNITS:
+            return np.zeros(0, dtype=int)
+        # the unpinned rows' intensity entries, by block, row and unit
+        levels = self._S[:self.fixed, first:first + blocks * n].reshape(self.fixed, blocks, n)
+        units = candidate_units(levels.transpose(1, 0, 2), self._sign[:self.fixed])
+        keep = np.ones(self._S.shape[1], dtype=bool)
+        keep[first:first + blocks * n] = False
+        keep[(first + n * np.arange(blocks))[:, None] + units] = True
+        keep[:HEAD_COLUMNS] = True
+        return np.flatnonzero(keep)
+
     def template(self) -> tuple:
         """The compiled arrays, all read-only."""
         return (self._S, self._sign, self._rhs, self._slack_col, *self._own_at, self._own_levels,
-                self._crash, self._crash_own)
+                self._crash, self._crash_own, self._candidates)
+
+    def _candidates_of(self, cols) -> np.ndarray:
+        """The candidate columns of the program of ``cols`` columns, a prefix of the template."""
+        return self._candidates[:self._candidates.searchsorted(cols)]
 
     def _own_basis(self):
         """The crash basis at the own point, with unit 0's weight columns, and 1 at each of those.
@@ -222,7 +262,8 @@ class Program:
         m, cols = self._shape[pins]
         return Lockstep(self._S[:m, :cols], self._sign[:m], self._slack_col[:m],
                         self._S[:m, :min(HEAD_COLUMNS, cols)], self._own_at,
-                        -self._own_levels[:, owns].T, self.right_sides(pinned))
+                        -self._own_levels[:, owns].T, self.right_sides(pinned),
+                        self._candidates_of(cols))
 
     # -- reading a solution by column name --------------------------------
 
@@ -241,6 +282,44 @@ class Program:
                        for k in self.target.values())
 
 
+# positive directions whose best unit in each block is a candidate.  Measured
+# on the seed 1-3 chain-300 and pinned-stages-300 sweeps (scripts/sweep_cost.py
+# counts the same): 3.6, 3.0, 2.6 and 2.4 full pricing passes a chain solve,
+# 2.0, 1.6, 1.6 and 1.3 a stage solve, at 16, 32, 64 and 128 directions.  Past
+# 32 the passes fall slowly while the compile's cost, paid by every --dmu
+# call, grows with the count.
+DIRECTIONS = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _directions(blocks: int, rows: int) -> np.ndarray:
+    """``DIRECTIONS`` fixed positive directions over ``rows`` rows for each of ``blocks``
+    blocks, read-only: the first points of Roberts' additive low-discrepancy sequence in
+    ``rows`` dimensions, each coordinate in [0.01, 1).  No random generator is drawn on,
+    so ``numpy.random`` is never imported."""
+    phi = 2.0  # the positive root of x^(rows + 1) = x + 1
+    for _ in range(60):
+        phi = (1.0 + phi) ** (1.0 / (rows + 1))
+    steps = np.arange(1, blocks * DIRECTIONS + 1)[:, None] * phi ** -np.arange(1.0, rows + 1)
+    return _frozen((0.01 + 0.99 * np.modf(0.5 + steps)[0]).reshape(blocks, DIRECTIONS, rows))
+
+
+def candidate_units(levels: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Each block's candidate units: the unit that bests each of its fixed positive
+    directions (``_directions``), one a direction, so some may repeat.
+
+    ``levels`` holds each block's entries of the rows (blocks × rows ×
+    units) and ``sign`` the rows' slack signs.  A row's measure is better
+    the lower on a "<=" row and the higher on a ">=" row, scaled by its
+    total over the units; an "=" row, and a row with no entry in the
+    block, counts for nothing.  A unit that bests a positive direction is
+    on its block's frontier, whatever the data.
+    """
+    scale = np.abs(np.add.reduce(levels, axis=2))
+    weights = _directions(*scale.shape) * (-sign / np.where(scale > 0.0, scale, 1.0))[:, None]
+    return (weights @ levels).argmax(axis=2)
+
+
 class Unit:
     """One unit's copy of a compiled program; it is never written after it is made."""
 
@@ -257,5 +336,5 @@ class Unit:
         m, cols = p._shape[len(pinned)]
         b = p.right_sides(np.array([pinned], dtype=float))[0]
         form = StandardForm(_frozen(self._S[:m, :cols]), _frozen(b), p._sign[:m],
-                            p._slack_col[:m])
+                            p._slack_col[:m], p._candidates_of(cols))
         return LpProblem(sense, p.objective(objective), standard_form=form)

@@ -19,22 +19,25 @@ from dea_mpss import lp
 from dea_mpss.lp import LpProblem
 
 
-def lp_problem(sense: str, c, rows) -> LpProblem:
+def lp_problem(sense: str, c, rows, candidates=None) -> LpProblem:
     """The program ``sense c'x`` over ``x >= 0`` with ``(coefficients, relation, rhs)`` rows.
 
     Its standard form holds the rows as written, then one slack column per
     inequality row (``lp._slack_columns``), with the rhs and each row's
-    relation as its slack sign (``lp.SLACK_SIGN``).
+    relation as its slack sign (``lp.SLACK_SIGN``), and ``candidates``, the
+    columns phase two prices first, if given.
     """
     c = np.asarray(c, dtype=float)
     A = np.reshape([np.asarray(a, dtype=float) for a, _, _ in rows], (len(rows), c.size))
     sign = np.array([lp.SLACK_SIGN[rel] for _, rel, _ in rows], dtype=float)
     b = np.array([float(rhs) for _, _, rhs in rows])
     slack, slack_col_of_row = lp._slack_columns(sign, c.size)
-    form = lp.StandardForm(np.concatenate((A, slack), axis=1), b, sign, slack_col_of_row)
-    for a in form:
-        a.setflags(write=False)
-    return LpProblem(sense, c, standard_form=form)
+    S = np.concatenate((A, slack), axis=1)
+    arrays = [lp._frozen(a) for a in (S, b, sign, slack_col_of_row)]
+    # a field given only when asked for: scripts/lp_parity.py runs older checkouts too
+    if candidates is not None:
+        arrays.append(lp._frozen(np.array(candidates, dtype=int)))
+    return LpProblem(sense, c, standard_form=lp.StandardForm(*arrays))
 
 
 def crash_start(problem: LpProblem, x):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dea_mpss import _lockstep, lp, network
+from dea_mpss import _lockstep, lp, network, program
 from dea_mpss.errors import SolverError, ValidationError
 from dea_mpss.lp import LpProblem, solve_lp
 from gen import crash_start, lp_problem, random_lp
@@ -242,10 +242,10 @@ def test_singular_basis_at_optimum_raises_solver_error(monkeypatch):
     """A final basis that cannot be factored is a solver failure, not a LinAlgError."""
     iterate = lp._Simplex._iterate
 
-    def repeated_column(self, S, cost, basis, row_keep, inverse):
+    def repeated_column(self, S, cost, basis, row_keep, inverse, *candidates):
         # phase two (the only call: every row is "<=") ends on a basis with
         # one column twice, whose factorisation must fail
-        status = iterate(self, S, cost, basis, row_keep, inverse)
+        status = iterate(self, S, cost, basis, row_keep, inverse, *candidates)
         basis[:] = np.r_[basis[:1], basis[:-1]]
         return status
 
@@ -823,3 +823,133 @@ def test_kept_rows_are_cut_in_place(keep):
     for a, b in zip(got, arrays):
         assert a is b if keep.all() else a.base is b
     assert np.count_nonzero(got[0] != rows[:got[0].size]) <= np.count_nonzero(~keep)
+
+
+# -- candidate pricing (lp.StandardForm.candidates) ---------------------------
+
+
+def _with_candidates(prob, candidates):
+    return lp_problem(prob.objective_sense, prob.objective, prob.constraints, candidates)
+
+
+def _started_c5_problems():
+    """C5's 200 problems (``tests/lp_enum.py`` against ``gen.random_lp``, seed 8132025) that
+    are feasible, each with its enumerated verdict and the crash starts at up to three of
+    its vertices, from which a started phase two pivots to the optimum."""
+    rng = np.random.default_rng(8132025)
+    out = []
+    for _ in range(200):
+        prob = random_lp(rng)
+        status, value, x = enumerate_solve(prob.objective_sense, prob.objective,
+                                           prob.constraints)
+        if status == "infeasible":
+            continue
+        vertices = np.unique(_feasible_vertices(prob).round(9), axis=0)
+        starts = [s for s in (crash_start(prob, v) for v in vertices[:3]) if s is not None]
+        out.append((prob, status, value, x, starts))
+    return out
+
+
+_C5 = _started_c5_problems()
+
+
+def test_candidate_pricing_reaches_the_enumerated_optimum():
+    """With no candidate column, a random half of them or every column priced first, a
+    started phase two ends at the enumerated verdict, and at its optimum to 1e-6."""
+    rng = np.random.default_rng(29)
+    solved = 0
+    for prob, status, value, _, starts in _C5:
+        cols = prob.standard_form.S.shape[1]
+        for candidates in ([], np.flatnonzero(rng.random(cols) < 0.5), np.arange(cols)):
+            problem = _with_candidates(prob, candidates)
+            for start in starts:
+                sol = solve_lp(problem, start=start)
+                assert sol.status == status
+                if status == "optimal":
+                    assert sol.objective_value == pytest.approx(value, abs=1e-6)
+                    _assert_primal_feasible(problem, sol)
+                    solved += sol.started == "crash"
+    assert solved > 300
+
+
+def test_a_candidate_set_without_the_optimal_columns_still_certifies():
+    """The candidates leave out every column of the optimal vertex (its support and the
+    slacks of its loose rows), so only the full pass finds them; the optimum is the
+    enumerated one and certifies: primal feasible, dual feasible, complementary."""
+    entered = 0
+    for prob, status, value, x, starts in _C5:
+        if status != "optimal":
+            continue
+        form = prob.standard_form
+        slack = form.b - form.S[:, :x.size] @ x
+        optimal = [*np.flatnonzero(x > 1e-9),
+                   *form.slack_col_of_row[(form.sign != 0.0) & (np.abs(slack) > 1e-9)]]
+        problem = _with_candidates(prob, np.setdiff1d(np.arange(form.S.shape[1]), optimal))
+        for start in starts:
+            sol = solve_lp(problem, start=start)
+            assert sol.status == "optimal"
+            assert sol.objective_value == pytest.approx(value, abs=1e-6)
+            _assert_primal_feasible(problem, sol)
+            _assert_complementary(problem, sol)
+            entered += sol.started == "crash" and sol.iterations > 0
+    assert entered > 50
+
+
+def test_every_column_as_candidates_solves_as_no_candidates():
+    """Every column priced first takes the very pivots of no candidate set, bit for bit:
+    on C5's problems from each start, and on compiled programs of the log-spread units,
+    crash and warm started."""
+    for prob, _, _, _, starts in _C5:
+        full = _with_candidates(prob, np.arange(prob.standard_form.S.shape[1]))
+        for start in [None, *starts]:
+            assert_same_solution(solve_lp(full, start=start), solve_lp(prob, start=start))
+    dataset, topology = log_spread()
+    prog = network._program(dataset, topology, network.SYSTEM_RADIAL, network._system_program)
+    for own in range(0, dataset.n_dmus, 7):
+        pinned, starts = [], {}
+        for gap in (network.SYSTEM_GAP, *network.STAGE_GAP.values()):
+            problem = prog.unit(own).problem("maximize", gap, pinned)
+            forms = {"all": problem.standard_form._replace(
+                         candidates=np.arange(problem.standard_form.S.shape[1])),
+                     "none": problem.standard_form._replace(candidates=None)}
+            sols = {k: solve_lp(LpProblem("maximize", problem.objective, standard_form=f),
+                                start=starts.get(k, prog.crash_bases([own])[0]))
+                    for k, f in forms.items()}
+            assert_same_solution(sols["all"], sols["none"])
+            if sols["none"].status != "optimal":
+                break
+            starts = sols
+            pinned.append(sols["none"].objective_value)
+
+
+def test_a_started_solve_whose_candidate_optimum_fails_runs_again_over_every_column(
+        monkeypatch):
+    """Log-spread u26's variable system, given a candidate set as a wide program's is
+    (``program.CANDIDATE_UNITS`` at 0): from its crash basis, the candidates' pivots end on
+    a point that does not hold once refactored, so phase two runs again from the same start
+    over every column and ends where it ends with no candidate set, its pivots added to
+    the first run's."""
+    monkeypatch.setattr(program, "CANDIDATE_UNITS", 0)
+    dataset, topology = log_spread()
+    prog = network._program(dataset, topology, network.SYSTEM_VARIABLE, network._system_program)
+    own = dataset.index_of("u26")
+    problem = prog.unit(own).problem("maximize", network.SYSTEM_GAP, ())
+    assert problem.standard_form.candidates.size
+    plain = LpProblem("maximize", problem.objective,
+                      standard_form=problem.standard_form._replace(candidates=None))
+    start = prog.crash_bases([own])[0]
+    held = []
+    holds = lp._Simplex._holds
+
+    def recorded(self, basis, rhs):
+        held.append(holds(self, basis, rhs))
+        return held[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._Simplex, "_holds", recorded)
+        sol = solve_lp(problem, start=start)
+    want = solve_lp(plain, start=start)
+    assert held == [False, True]
+    assert (sol.started, sol._basis) == (want.started, want._basis) == ("crash", want._basis)
+    assert sol.variable_values.tobytes() == want.variable_values.tobytes()
+    assert sol.iterations > want.iterations

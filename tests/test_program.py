@@ -118,9 +118,12 @@ def test_problem_and_readback_by_name():
 
 
 def as_triples(problem):
-    """The same program rebuilt from plain (list, relation, float) triples."""
+    """The same program rebuilt from plain (list, relation, float) triples, with the same
+    candidate columns."""
     rows = [(a.tolist(), rel, float(rhs)) for a, rel, rhs in problem.constraints]
-    return lp_problem(problem.objective_sense, problem.objective.tolist(), rows)
+    candidates = problem.standard_form.candidates
+    return lp_problem(problem.objective_sense, problem.objective.tolist(), rows,
+                      None if candidates is None else candidates.tolist())
 
 
 def assert_same_solution(a, b):

@@ -15,6 +15,7 @@ their solves, and their first failure, with the per-unit calls'.
 import contextlib
 import functools
 import importlib.util
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dea_mpss import _lockstep, chain, cli, lp, network
+from dea_mpss import _lockstep, chain, cli, lp, network, program
 from dea_mpss.chain import ChainWeights
 from dea_mpss.data import Dataset, NetworkTopology, ProcessSpec, load_dataset, parse_data_csv
 from dea_mpss.errors import SolverError, UnsupportedTopologyError, ValidationError
@@ -419,6 +420,26 @@ def test_sweep_solves_as_the_per_unit_calls(source, builder, width, chunk):
         assert outcome == want[dmu], dmu
 
 
+@pytest.mark.parametrize("source,builder", [(source, builder) for source in (
+    "log-spread", "insurers", "log-spread first 3") for builder in SWEEPS])
+def test_a_sweep_priced_over_candidates_solves_as_the_per_unit_calls(monkeypatch, source,
+                                                                      builder):
+    """Small programs, given a candidate set as a wide program's is (``program.CANDIDATE_UNITS``
+    at 0), on freshly loaded data: every solve of the sweep, the units the lockstep hands
+    back and those whose candidates' optimum does not hold included, is the per-unit
+    call's, and a failing sweep raises its first failure."""
+    monkeypatch.setattr(program, "CANDIDATE_UNITS", 0)
+    fresh = loaded.__wrapped__(source)
+    monkeypatch.setattr(sys.modules[__name__], "loaded", lambda _: fresh)
+    want, first = per_unit(source, builder)
+    got, error = swept(source, builder)
+    assert all(p._candidates.size for p in fresh[0]._compiled.values())
+    assert error == first
+    assert got, "the sweep solved nothing"
+    for dmu, outcome in got.items():
+        assert outcome == want[dmu], dmu
+
+
 @pytest.mark.parametrize("source,builder", [
     ("log-spread", "stages"), ("log-spread", "variable"), ("insurers", "stages"),
     ("insurers", "chain-efficiency"), ("pinned-stages-300", "stages"),
@@ -450,7 +471,7 @@ def test_every_pivoting_unit_is_handed_back_at_a_refactor(monkeypatch, source, b
 
 
 @pytest.mark.parametrize("source,builder", [("log-spread", "variable"),
-                                            ("chain-300", "chain-efficiency w3=0")])
+                                            ("insurers", "chain-efficiency w3=0")])
 def test_a_unit_handed_back_inside_a_group_keeps_its_place(monkeypatch, source, builder):
     """A unit the lockstep hands back between two units of its group whose solutions it
     forms is solved alone in its place: every solve is the per-unit call's."""
