@@ -34,18 +34,23 @@ in the sign of zeros alone can be told apart.  The set is:
   start: phase ones of 14 to 117 pivots (median 21) on a 15 × 924
   program, two of which refactor on the way;
 * every model solve of the 60 log-spread units (``tests/fixtures``) under
-  ``evaluate_stages``, ``network_mpss_variable`` and ``network_mpss_radial``;
+  ``evaluate_stages``, ``network_mpss_variable`` and ``network_mpss_radial``,
+  and, on the chain view the tests read those units through
+  (``tests/test_sweep.py::log_spread``), under the four started chain
+  calls above: ill-conditioned chain programs, some of whose optima do
+  not certify, where every ``chain-300`` one does;
 * every outcome ``network._handed`` hands on in whole-file sweeps, batched
   or solved alone: of the ``pinned-stages-300`` units under
   ``stages_sweep``, ``network_variable_sweep`` and ``blackbox_sweep``; of
   the ``chain-300`` units under ``chain_efficiency_sweep`` with weights
   (1, 1, 1) and (1, 1, 0) and ``chain_mpss_sweep``; and of the log-spread
   units under ``network_variable_sweep``, ``network_radial_sweep`` and
-  ``stages_sweep``, which stops at its first failure.  A sweep line's
+  ``stages_sweep``, which stops at its first failure, and on their chain
+  view under the three chain sweeps.  A sweep line's
   label is the per-unit call's with ``sweep`` in front, and a failure is
   recorded with the message the sweep raises for it.
 
-On the seed-1 inputs that is 9,668 solves, 2,549 of them sweep outcomes.
+On the seed-1 inputs that is 10,148 solves, 2,729 of them sweep outcomes.
 
 Per-unit model solves are caught where ``network`` calls ``solve_lp`` (and
 ``chain``, for a checkout whose profitability split calls it there), so a
@@ -92,10 +97,10 @@ from dea_mpss.errors import DeaMpssError
 from dea_mpss.lp import solve_lp
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
 
 from gen import crash_start, lp_problem, random_lp  # noqa: E402
+from test_sweep import log_spread  # noqa: E402
 
 RANDOM_SEED = 2024
 RANDOM_PROBLEMS = 3000
@@ -217,12 +222,12 @@ def random_solves() -> None:
                 emit(f"random {k} {name}", lambda: solve_lp(problem, start=start), problem)
 
 
-def model_solves(data: Path, topology: Path, label: str, calls, cold: bool = False) -> None:
-    """Every solve of each model call in ``calls`` on each unit of the data file.
+def model_solves(load, label: str, calls, cold: bool = False) -> None:
+    """Every solve of each model call in ``calls`` on each unit of the data ``load()`` gives.
 
     With ``cold``, each solve is given no start, so it runs phase one.
     """
-    dataset, topo = load_dataset(data, topology)
+    dataset, topo = load()
 
     def recorder(original):
         def solve(problem, start=None):
@@ -242,13 +247,14 @@ def model_solves(data: Path, topology: Path, label: str, calls, cold: bool = Fal
         network.solve_lp, chain.solve_lp = originals
 
 
-def sweep_solves(data: Path, topology: Path, label: str, sweeps) -> None:
-    """Every outcome ``network._handed`` hands on in each whole-file sweep of ``sweeps``.
+def sweep_solves(load, label: str, sweeps) -> None:
+    """Every outcome ``network._handed`` hands on in each whole-file sweep of ``sweeps`` on
+    the data ``load()`` gives.
 
     A unit's outcomes are numbered in the order they are handed on.  A
     sweep that raises stops there.
     """
-    dataset, topo = load_dataset(data, topology)
+    dataset, topo = load()
     original = network._handed
 
     def recording(dmus, outcomes):
@@ -406,19 +412,26 @@ def main() -> None:
     if args.compare:
         sys.exit(0 if compare(*args.compare) else 1)
     inputs = args.inputs.resolve()
+
+    def files(name):  # each call a fresh load of one input pair
+        return lambda: load_dataset(inputs / name / "data.csv", inputs / name / "topology.json")
+
+    stages, chains = files("pinned-stages-300"), files("chain-300")
+    spread, view = log_spread()
+
+    def spread_chain():  # the log-spread units on their chain view, each call a fresh load
+        return spread()[0], view
+
     random_solves()
-    for name, calls in (("pinned-stages-300", STAGE_CALLS), ("chain-300", CHAIN_CALLS)):
-        d = inputs / name
-        model_solves(d / "data.csv", d / "topology.json", name, calls)
-    d = inputs / "chain-300"
-    model_solves(d / "data.csv", d / "topology.json", "chain-300", COLD_CALLS, cold=True)
-    model_solves(FIXTURES / "log_spread.csv", FIXTURES / "log_spread_topology.json",
-                 "log-spread", SPREAD_CALLS)
-    for name, sweeps in (("pinned-stages-300", STAGE_SWEEPS), ("chain-300", CHAIN_SWEEPS)):
-        d = inputs / name
-        sweep_solves(d / "data.csv", d / "topology.json", name, sweeps)
-    sweep_solves(FIXTURES / "log_spread.csv", FIXTURES / "log_spread_topology.json",
-                 "log-spread", SPREAD_SWEEPS)
+    model_solves(stages, "pinned-stages-300", STAGE_CALLS)
+    model_solves(chains, "chain-300", CHAIN_CALLS)
+    model_solves(chains, "chain-300", COLD_CALLS, cold=True)
+    model_solves(spread, "log-spread", SPREAD_CALLS)
+    model_solves(spread_chain, "log-spread chain", CHAIN_CALLS)
+    sweep_solves(stages, "pinned-stages-300", STAGE_SWEEPS)
+    sweep_solves(chains, "chain-300", CHAIN_SWEEPS)
+    sweep_solves(spread, "log-spread", SPREAD_SWEEPS)
+    sweep_solves(spread_chain, "log-spread chain", CHAIN_SWEEPS)
 
 
 if __name__ == "__main__":

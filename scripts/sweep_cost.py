@@ -31,10 +31,14 @@ writes the seed's inputs once, then runs ``--repeat`` pairs of
 subprocesses, this package's and the one in the ``src`` directory
 ``OTHER_SRC``, in turn, the first of a pair alternating.  Each subprocess
 runs every sweep once to warm it, then times it once on a freshly loaded
-``Dataset``.  For each sweep it prints the median ms of each side and the
-ratio of this side's ms to the other's in the same pair: its median and
-quartiles.  A ratio below 1 means this package is faster.  From the
-repository root::
+``Dataset``.  It also times the ``--dmu`` calls of ``DMU_CALLS``, the
+benchmark's per-unit commands, through ``cli.run`` with the output
+captured, as the benchmark's worker runs them: the first ``DMU_UNITS``
+units of the file each, after one call to warm, and takes the median ms of
+a call.  For each sweep and each such command it prints the median ms of
+each side and the ratio of this side's ms to the other's in the same pair:
+its median and quartiles.  A ratio below 1 means this package is faster.
+From the repository root::
 
     PYTHONPATH=src python3 scripts/sweep_cost.py --seed 1
     PYTHONPATH=src python3 scripts/sweep_cost.py --seed 1 --against ../parent/src
@@ -43,7 +47,9 @@ repository root::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import statistics
@@ -54,7 +60,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from dea_mpss import _lockstep, chain, lp, network
+from dea_mpss import _lockstep, chain, cli, lp, network
 from dea_mpss.data import load_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +92,13 @@ SWEEPS = {
         "stages": network.stages_sweep,
     }),
 }
+# workload -> (name, argv) of the --dmu commands --against times, its data and topology
+# files written in after the subcommand, the unit after --dmu
+DMU_CALLS = {
+    "pinned-stages-300": ("stages", ["network-mpss", "--intermediates", "radial", "--stages"]),
+    "chain-300": ("chain-mpss", ["chain-mpss", "--targets"]),
+}
+DMU_UNITS = 40
 
 
 def _counted():
@@ -182,9 +195,21 @@ def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
             "peak_mb": peak / 1e6}
 
 
+def _called(argv) -> float:
+    """The seconds one CLI call takes, its output captured; a call that fails raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        status = cli.run(argv)
+        seconds = time.perf_counter() - start
+    if status != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {status}")
+    return seconds
+
+
 def times(inputs, seed: int, root: Path) -> dict:
     """The ms of one sweep of each kind, each run once before to warm it, by
-    ``"workload sweep"``."""
+    ``"workload sweep"``, and the median ms of each ``--dmu`` command's call, by
+    ``"workload name --dmu"``."""
     out = {}
     for workload, data, topology, sweeps in _paths(inputs, seed, root):
         for name, sweep in sweeps.items():
@@ -193,6 +218,14 @@ def times(inputs, seed: int, root: Path) -> dict:
             start = time.perf_counter()
             _swept(sweep, dataset, topo)
             out[f"{workload} {name}"] = 1e3 * (time.perf_counter() - start)
+        if workload in DMU_CALLS:
+            name, (command, *options) = DMU_CALLS[workload]
+            argv = [command, "--data", str(data), "--topology", str(topology), *options,
+                    "--format", "csv", "--raw", "--dmu"]
+            units = load_dataset(data, topology)[0].dmu_ids[:DMU_UNITS]
+            _called([*argv, units[0]])
+            calls = [_called([*argv, unit]) for unit in units]
+            out[f"{workload} {name} --dmu"] = 1e3 * statistics.median(calls)
     return out
 
 
@@ -208,14 +241,15 @@ def against(inputs, other: Path, seed: int, pairs: int, root: Path) -> None:
             run = subprocess.run([sys.executable, __file__, "--seed", str(seed), "--times",
                                   str(root)], env=env, capture_output=True, text=True, check=True)
             got[side].append(json.loads(run.stdout))
-    print(f"{'workload':<18} {'sweep':<10} {'this_ms':>8} {'other_ms':>8} {'ratio':>6} "
+    print(f"{'workload':<18} {'sweep':<16} {'this_ms':>8} {'other_ms':>8} {'ratio':>6} "
           f"{'q1':>6} {'q3':>6}")
     for key in got[0][0]:
         mine, theirs = ([t[key] for t in side] for side in got)
         ratio = [a / b for a, b in zip(mine, theirs)]
         q1, _, q3 = statistics.quantiles(ratio, n=4) if pairs > 1 else ratio * 3
-        print(f"{key.split()[0]:<18} {key.split()[1]:<10} {statistics.median(mine):>8.1f} "
-              f"{statistics.median(theirs):>8.1f} {statistics.median(ratio):>6.3f} "
+        workload, name = key.split(" ", 1)
+        print(f"{workload:<18} {name:<16} {statistics.median(mine):>8.2f} "
+              f"{statistics.median(theirs):>8.2f} {statistics.median(ratio):>6.3f} "
               f"{q1:>6.3f} {q3:>6.3f}")
 
 

@@ -17,14 +17,12 @@ block's reduced costs have room for, and every column only of the units
 they leave without an entering column, a block at a time (``_entering``).  A
 start is read a unit at a time, or whole when it is one array
 (``_begun``).  A finished unit keeps only its basis and pivot count until
-the stepping ends; it is then refactored and checked with its block, by
-the hold check a lone solve makes (``lp._holding``), and the batch keeps
-its basis, basic values and multipliers, O(rows) a unit, for its
-``lp.Optimum`` (``run``); a unit optimal at its start takes its start's
-factors instead, left behind the stepping units in the stacked arrays
-(``_fronted``).  Its solution is
-formed from those when it is asked for, with the others asked for at once
-(``solutions``).
+the stepping ends; it is then refactored from its final basis, also when
+it made no pivot, and checked with its block, by the hold check a lone
+solve makes (``lp._holding``), and the batch keeps its basis, basic values
+and multipliers, O(rows) a unit, for its ``lp.Optimum`` (``run``).  Its
+solution is formed from those when it is asked for, with the others asked
+for at once (``solutions``).
 """
 
 from __future__ import annotations
@@ -63,7 +61,8 @@ class _Lockstep:
 
         Every unit steps at once, and an optimal one keeps only its start's
         kind, its basis and its pivot count.  Once every unit is done, the
-        optimal ones are refactored and checked a block at a time.
+        optimal ones, those that made no pivot included, are refactored from
+        their final bases and checked a block at a time.
         """
         self.wide = self._wide(len(starts))
         unit, warm, basis, pivots = self._stepped(starts)
@@ -79,7 +78,7 @@ class _Lockstep:
             at = slice(lo, lo + self.wide)
             for optimum in self._optima(unit[at], warm[at], basis[at], pivots[at]):
                 out[optimum.unit] = optimum
-        self.x = self.start_units = self.start_factors = None
+        self.x = None
         return out
 
     def _wide(self, k):
@@ -95,25 +94,17 @@ class _Lockstep:
         # its basis, [B⁻¹ | B⁻¹b] and the basic costs
         units, both = self._started(starts)
         optimal = [[a[:0] for a in units] + [np.zeros(0, dtype=int)]]
+        np.maximum(both[:, :, m], 0.0, out=both[:, :, m])  # rounding noise on degenerate basics
         units += [both, cc[units[2]]]
         red = np.empty((min(units[0].size, self.wide), 1, self.cols))  # a block's reduced costs
         limit = min(lp.REFACTOR_EVERY, lp.MAX_ITERATIONS + 1, 3 * (m + self.cols) + 1)
-        pivots, started = 0, [a[:0] for a in (units[0], both)]
+        pivots = 0
         while units[0].size:
             entering, col = self._entering(red, units)
             done = entering < 0
             if done.any():
                 optimal.append([*(a[done] for a in units[:3]), np.full(done.sum(), pivots)])
-            if pivots:
-                *units, entering, col = _kept(~done, [*units, entering, col])
-            else:  # a unit optimal at its start keeps its start's rows, behind the others
-                unit, warm, basis, both, c_B = units
-                k = _fronted(~done, [unit, both])  # the rows _kept moves, moved alike
-                started = [unit[k:], both[k:]]
-                warm, basis, c_B, entering, col = _kept(~done, [warm, basis, c_B, entering, col])
-                units = [unit[:k], warm, basis, both[:k], c_B]
-                # rounding noise on degenerate basics, which pricing does not read
-                np.maximum(units[3][:, :, m], 0.0, out=units[3][:, :, m])
+            *units, entering, col = _kept(~done, [*units, entering, col])
             if not units[0].size:
                 break
             leaving = self._leaving(col, units[3][:, :, m], units[2])
@@ -132,9 +123,6 @@ class _Lockstep:
             pivots += 1
             if pivots == limit:  # what is left would refactor, switch to Bland or stop
                 break
-        # the start's factors of each unit optimal at its start, ordered by unit
-        order = started[0].argsort()
-        self.start_units, self.start_factors = started[0][order], started[1][order]
         done = [np.concatenate(a) for a in zip(*optimal)]
         order = done[0].argsort()
         return [a[order] for a in done]
@@ -324,19 +312,10 @@ class _Lockstep:
     def _optima(self, unit, warm, basis, pivots) -> list:
         """The optimum of each unit whose basis holds once refactored (``lp._holding``, the
         check ``_Simplex._holds`` makes), as ``_Simplex._verdict`` values it after
-        ``pivots[k]`` pivots; its basis, basic values and multipliers are kept by unit.
-        A unit that made no pivot takes its start's factors, as ``_Simplex`` does."""
+        ``pivots[k]`` pivots; its basis, basic values and multipliers are kept by unit."""
         b = self.b[unit]
         block = self._block(unit, basis)
-        fresh = pivots == 0
-        if fresh.any():
-            inverse, rhs = np.empty(block.shape), np.empty(b.shape)
-            ok = np.ones(unit.size, dtype=bool)
-            inverse[~fresh], rhs[~fresh], ok[~fresh] = self._factor(block[~fresh], b[~fresh])
-            start = self.start_factors[self.start_units.searchsorted(unit[fresh])]
-            inverse[fresh], rhs[fresh] = start[:, :, :-1], start[:, :, -1]
-        else:
-            inverse, rhs, ok = self._factor(block, b)
+        inverse, rhs, ok = self._factor(block, b)
         ok &= _holding(block, rhs, b, basis < self.n, self.sign)
         unit, warm, basis, pivots, inverse, rhs = (
             a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
@@ -393,17 +372,6 @@ class _Lockstep:
         x[structural[0], basis[structural]] = rhs[structural]
         np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
         return x
-
-
-def _fronted(first, arrays) -> int:
-    """Move the rows that ``first`` marks to the front of each of ``arrays``, in place, as
-    ``_kept`` moves them, and return how many there are; the rows it drops are left behind
-    them: each swaps with the row that takes its place."""
-    k = np.count_nonzero(first)
-    holes, fill = np.flatnonzero(~first[:k]), k + np.flatnonzero(first[k:])
-    for a in arrays:
-        a[holes], a[fill] = a[fill], a[holes]
-    return k
 
 
 def _kept(keep, arrays) -> list:

@@ -428,16 +428,15 @@ class _Simplex:
     def _started(self, basis, row_keep, inverse, start_rhs, candidates):
         """The optimum of phase two from a start's factored basis, pricing ``candidates``
         first (``_iterate``), or None when it ends unbounded or does not hold."""
-        basis, pivots = basis.copy(), self.iterations
+        basis = basis.copy()
         updated = _Inverse(inverse, start_rhs)
         np.maximum(updated.rhs, 0.0, out=updated.rhs)  # rounding noise on degenerate basics
         if self._iterate(self.S, self.cc, basis, row_keep, updated, candidates) != OPTIMAL:
             return None
         # the updated inverse carries the pivots' rounding, so the optimum
-        # stands only if it holds once refactored; without a pivot the
-        # start's factors are that refactor
-        final = ((inverse, start_rhs) if self.iterations == pivots
-                 else self._factor(basis, row_keep, self.S))
+        # stands only if it holds once refactored from its final basis; one
+        # reached without a pivot is refactored too, as in the lockstep
+        final = self._factor(basis, row_keep, self.S)
         if final is None or not self._holds(basis, final[1]):
             return None
         return self._verdict(OPTIMAL, final[1], basis, row_keep, final[0])
@@ -521,13 +520,10 @@ class _Simplex:
         """
         A = S if len(row_keep) == self.m else S[row_keep]
         bland_after = 3 * (A.shape[0] + A.shape[1])
-        if candidates is not None:  # their columns and costs, and which are basic
+        if candidates is not None:  # their columns and costs
             A_c, cost_c = A[:, candidates], cost[candidates]
             place = np.full(A.shape[1], -1)  # each column's place among them
             place[candidates] = np.arange(candidates.size)
-            basic = np.zeros(candidates.size, dtype=bool)
-            at = place[basis]
-            basic[at[at >= 0]] = True
         pivots = 0
         c_B = cost[basis]
         rhs = inverse.rhs
@@ -536,7 +532,8 @@ class _Simplex:
             entering = -1
             if candidates is not None and pivots <= bland_after:
                 red = cost_c - y @ A_c
-                red[basic] = 0.0
+                at = place[basis]
+                red[at[at >= 0]] = 0.0
                 entering, col = _entering(red, candidates, A, cost, c_B, inverse)
             if entering < 0:
                 red = cost - y @ A
@@ -548,10 +545,6 @@ class _Simplex:
             if leaving < 0:
                 return UNBOUNDED
             inverse.pivot(leaving, col)
-            if candidates is not None:
-                for q, now in ((basis[leaving], False), (entering, True)):
-                    if place[q] >= 0:
-                        basic[place[q]] = now
             basis[leaving] = entering
             c_B[leaving] = cost[entering]
             pivots += 1

@@ -733,6 +733,53 @@ def test_holding_verdict_is_the_same_in_any_stack():
         assert got.tolist() == [verdict, alone[j]]
 
 
+def test_a_basis_factors_alike_alone_in_any_stack_and_in_a_lone_solve():
+    """``_Lockstep._factor`` gives each basis the same inverse and basic values, bit for
+    bit, factored alone or in any stack, one holding a singular basis (which factors the
+    stack a basis at a time) included, and ``_Simplex._factor`` gives the same bits.  So
+    a started optimum refactored from the basis it started on, on either path, stands on
+    its start's very factors."""
+    dataset, topology = log_spread()
+    prog = network._program(dataset, topology, network.SYSTEM_RADIAL, network._system_program)
+    owns = list(range(dataset.n_dmus))
+    none = np.zeros((len(owns), 0))
+    system = lp.solve_lockstep("maximize", prog.objective(network.SYSTEM_GAP),
+                               prog.lockstep(owns, none), prog.crash_bases(owns))
+    live = [k for k, o in enumerate(system) if o is not None]
+    pinned = np.array([[system[k].objective_value] for k in live])
+    # the radial system from its crash bases, and stage 1 from the system's optima
+    for gap, units, pins, starts in (
+            (network.SYSTEM_GAP, owns, none, prog.crash_bases(owns)),
+            (network.STAGE_GAP[1], live, pinned, lp.warm_starts([system[k] for k in live]))):
+        lock = _lockstep._Lockstep("maximize", prog.objective(gap), prog.lockstep(units, pins))
+        unit, _, basis = lock._begun(starts)
+        assert unit.size > 40
+
+        def factored(at, singular=()):
+            """The factors of the bases ``at``, those ``singular`` marks with a column zeroed."""
+            block = lock._block(unit[at], basis[at])
+            block[np.isin(at, singular), :, 0] = 0.0
+            inverse, rhs, ok = lock._factor(block, lock.b[unit[at]])
+            return [(i.tobytes(), r.tobytes(), bool(o)) for i, r, o in zip(inverse, rhs, ok)]
+
+        alone = [factored([k])[0] for k in range(unit.size)]
+        assert all(ok for _, _, ok in alone)
+        order = np.random.default_rng(11).permutation(unit.size)
+        assert factored(order) == [alone[k] for k in order]
+        for wide in (7, lock._wide(unit.size)):
+            assert sum((factored(np.arange(lo, min(lo + wide, unit.size)))
+                        for lo in range(0, unit.size, wide)), []) == alone
+        # one singular basis makes the stack fall back to a basis at a time
+        got = factored(np.arange(unit.size), singular=[3])
+        assert got[3][2] is False and factored([3], singular=[3])[0][2] is False
+        assert got[:3] + got[4:] == alone[:3] + alone[4:]
+        for k in range(0, unit.size, 5):
+            problem = prog.unit(units[unit[k]]).problem("maximize", gap, pins[unit[k]].tolist())
+            inverse, rhs = lp._Simplex(problem)._factor(basis[k], range(lock.m),
+                                                        problem.standard_form.S)
+            assert (inverse.tobytes(), rhs.tobytes(), True) == alone[k]
+
+
 def _same_lockstep(prog, owns, pinned, objective, whole, each):
     """``solve_lockstep`` from ``whole`` gives the outcomes it gives from ``each``, the same
     starts one at a time, and so does ``solve_lp`` for each unit handed back."""
