@@ -6,18 +6,18 @@ on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
 * ``ms``: the median wall time of ``--repeat`` sweeps, each on a freshly
   loaded ``Dataset``, so the program is compiled inside the timing as a
   command compiles it;
-* ``steps`` and ``live``: the lockstep steps one sweep makes
-  (``_Lockstep._entering`` runs once a step) and the mean number of units
-  stepping in them;
+* ``steps`` and ``live``: the lockstep steps one sweep makes (a batch
+  calls ``lp._entering`` once a step) and the mean number of units stepping
+  in them;
 * ``alone``: the units of one sweep solved by ``solve_lp`` (``network``
   calls it for a unit the lockstep hands back and for a lone unit), one
   per model solve;
 * ``full``: the pricing passes over every column that one sweep's phase
-  twos make, in the lockstep (a unit priced by ``_Lockstep._priced`` with
-  no candidate columns) and alone (an ``lp._entering`` call over every
-  column), per model solve handed on: one a solve certifies its optimum,
-  and each one more is a step whose candidate columns held no entering
-  column;
+  twos make, in the lockstep and alone (a unit priced by ``lp._priced``
+  with no candidate columns), per model solve handed on: one a solve
+  certifies its optimum, and each one more is a step whose candidate
+  columns held no entering column.  A checkout from before the two solve
+  paths shared these rules is counted by its own names (``_counted``);
 * ``cand``: the columns each of the sweep's programs prices first
   (``lp.StandardForm.candidates``), out of all its columns;
 * ``peak_mb``: the ``tracemalloc`` peak of one sweep above what was traced
@@ -102,51 +102,63 @@ DMU_UNITS = 40
 
 
 def _counted():
-    """Patch the solver and ``network`` to count, in order: lockstep steps and live units
-    (``_Lockstep._entering``), units solved alone (``network.solve_lp``), full pricing
-    passes (``_Lockstep._priced`` and ``lp._entering`` over every column) and model solves
-    handed on (``network._handed``); return the counts and what restores every patch.
-    A checkout whose ``lp`` has no ``_entering`` prices every column in every scalar step,
+    """Patch the solver and ``network`` to count, in order: lockstep steps and live units,
+    units solved alone (``network.solve_lp``), full pricing passes and model solves handed
+    on (``network._handed``); return the counts and what restores every patch.
+
+    A step is a batch's call of the shared ``lp._entering`` (its columns a ``_Lockstep``),
+    and a full pass a unit priced over every column by ``lp._priced``, in a batch or alone.
+    A checkout from before the two solve paths shared their rules has its own names for
+    them: a step is a ``_Lockstep._entering`` call, a full pass a unit priced by
+    ``_Lockstep._priced`` with no candidate columns or an ``lp._entering`` call over every
+    column; one whose ``lp`` has no ``_entering`` prices every column in every scalar step,
     and its solves alone are not counted among the full passes."""
     counts = [0] * 5
+    shared = not hasattr(_lockstep._Lockstep, "_priced")
 
-    def stepped(self, red, units):
-        counts[0] += 1
-        counts[1] += len(units[0])
-        return entering(self, red, units)
+    def stepped(*args):
+        columns, units = (args[3], args[2]) if shared else (args[0], args[2])
+        if isinstance(columns, _lockstep._Lockstep):
+            counts[0] += 1
+            counts[1] += len(units[0])
+        return original["stepped"](*args)
 
     def alone(*args, **kwargs):
         counts[2] += 1
-        return solve_lp(*args, **kwargs)
+        return original["alone"](*args, **kwargs)
 
-    def full(self, units, out, *columns):
+    def full(*args):
+        units, columns = args[1], args[3:]  # lp._priced's, or _Lockstep._priced's with self
         if not columns or columns[0] is None:
-            counts[3] += len(units[0])
-        return priced(self, units, out, *columns)
+            counts[3] += 1 if units[0] is None else len(units[0])
+        return original["full"](*args)
 
     def full_alone(red, columns, *args):
         if columns is None:
             counts[3] += 1
-        return scalar(red, columns, *args)
+        return original["full_alone"](red, columns, *args)
 
     def solves(dmus, outcomes):
         counts[4] += len(outcomes)
-        return handed(dmus, outcomes)
+        return original["solves"](dmus, outcomes)
 
-    patches = [(_lockstep._Lockstep, "_entering", stepped), (network, "solve_lp", alone),
-               (_lockstep._Lockstep, "_priced", full), (lp, "_entering", full_alone),
-               (network, "_handed", solves)]
-    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches
-                 if hasattr(owner, name)]
-    entering, solve_lp, priced, scalar, handed = (
-        getattr(owner, name, None) for owner, name, _ in patches)
+    if shared:
+        patches = {"stepped": (lp, "_entering", stepped), "full": (lp, "_priced", full)}
+    else:
+        patches = {"stepped": (_lockstep._Lockstep, "_entering", stepped),
+                   "full": (_lockstep._Lockstep, "_priced", full),
+                   "full_alone": (lp, "_entering", full_alone)}
+    patches.update(alone=(network, "solve_lp", alone), solves=(network, "_handed", solves))
+    original = {key: getattr(owner, name) for key, (owner, name, _) in patches.items()
+                if hasattr(owner, name)}
 
     def restore():
-        for owner, name, original in originals:
-            setattr(owner, name, original)
+        for key, (owner, name, _) in patches.items():
+            if key in original:
+                setattr(owner, name, original[key])
 
-    for owner, name, patch in patches:
-        if hasattr(owner, name):
+    for key, (owner, name, patch) in patches.items():
+        if key in original:
             setattr(owner, name, patch)
     return counts, restore
 

@@ -50,26 +50,22 @@ of a phase, which guarantees termination.
 ``solve_lockstep`` runs the started phase twos of many units of one
 compiled program at once (``Lockstep``: a shared matrix, and per unit its
 own levels in its first columns and its right sides), one numpy call per
-step for every unit not yet done: stacked products price them, stacked
-inverses factor them, and each unit takes the pivots ``solve_lp`` takes.
-It starts, prices every column, and refactors and checks its optima a
-block of units at a time, as many as take no more room than the batch's
-``[B⁻¹ | B⁻¹b]``; it prices the candidate columns of as many more units at
-once as that room holds reduced costs of the candidates for, which is
-every unit of a wide program's batch.
-Its starts come one a unit, or whole: a crash array, or the stacked
-final bases of an earlier batch (``Bases``, ``warm_starts``).  An optimal
-unit is checked by the hold check ``solve_lp`` makes on a stack of one
-(``_holding``), and kept as an ``Optimum``: its value, its basis and the
-O(rows) values its ``LpSolution`` is formed from.  That solution, bit
-for bit the one ``solve_lp`` gives, is formed only when it is asked for
-(``solutions``), so a wide batch, or a sequence of them each started
-from the optima of the one before, holds no more solutions at once than
-its caller asks for.  A unit that would leave that path (a start that
-fails, an unbounded step, a refactor, the Bland switch, an optimum that
-does not hold) is handed back, for ``solve_lp`` to solve alone from the
-same start.  A batch of one costs more per step than the scalar loop, so
-a single solve stays with ``solve_lp``.
+step for every unit not yet done (``_lockstep``).  Phase two's rules are
+written once, over a stack of units, and a lone solve runs them on its own
+arrays: pricing and the entering choice (``_entering``), the pivot
+(``_pivot``), the factorisation (``_factor``) and the verdict's values
+(``_optimal``), so each unit takes the pivots ``solve_lp`` takes.  The
+ratio test is ``_leaving``'s scan, which the lockstep reaches through a
+vectorised shortcut.  Its starts come one a unit, or whole: a crash array,
+or the stacked final bases of an earlier batch (``Bases``,
+``warm_starts``).  An optimal unit is checked by the hold check
+``solve_lp`` makes (``_holding``) and kept as an ``Optimum``, O(rows)
+values; its ``LpSolution``, bit for bit the one ``solve_lp`` gives, is
+formed only when it is asked for (``solutions``).  A unit that would leave
+that path (a start that fails, an unbounded step, a refactor, the Bland
+switch, an optimum that does not hold) is handed back, for ``solve_lp`` to
+solve alone from the same start.  A batch of one costs more per step than
+the scalar loop, so a single solve stays with ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -125,8 +121,8 @@ class StandardForm(NamedTuple):
     (``_slack_columns``).  ``b`` may hold any sign.  ``slack_col_of_row``
     is each row's slack column, or -1 for an "=" row.  ``candidates``, if
     given, are the columns a started phase two prices first, ascending; any
-    set gives the same optimum value (``_Simplex._iterate``), and an empty
-    one prices every column, as none does.
+    set gives the same optimum value (``_entering``), and an empty one
+    prices every column, as none does.
     """
 
     S: np.ndarray
@@ -280,7 +276,8 @@ def _slack_columns(sign: np.ndarray, n: int):
 
 
 def _holding(block, rhs, b, structural, sign) -> np.ndarray:
-    """Which of a stack of basic points hold: each is nonnegative and meets every row.
+    """Which of a stack of basic points, or a lone one, hold: each is nonnegative and meets
+    every row.
 
     Point ``k`` has basic values ``rhs[k]`` on ``block[k]``, its basis
     columns over every row, a row the basis dropped too; ``structural[k]``
@@ -292,11 +289,11 @@ def _holding(block, rhs, b, structural, sign) -> np.ndarray:
     its verdict alone is its verdict in any stack.
     """
     block = np.ascontiguousarray(block)  # one layout, so a row sums alike on either path
-    xs = np.where(structural, rhs, 0.0)[:, :, None]
-    resid = b - (block @ xs)[:, :, 0]
-    row_tol = FEASIBILITY_TOL * np.maximum(1.0, (np.abs(block) @ np.abs(xs))[:, :, 0] + np.abs(b))
+    xs = np.where(structural, rhs, 0.0)[..., None]
+    resid = b - (block @ xs)[..., 0]
+    row_tol = FEASIBILITY_TOL * np.maximum(1.0, (np.abs(block) @ np.abs(xs))[..., 0] + np.abs(b))
     met = np.where(sign != 0.0, resid * sign >= -row_tol, np.abs(resid) <= row_tol)
-    return (rhs.min(axis=1, initial=math.inf) >= -FEASIBILITY_TOL) & met.all(axis=1)
+    return (rhs.min(axis=-1, initial=math.inf) >= -FEASIBILITY_TOL) & met.all(axis=-1)
 
 
 def _begun(start, n, cols, slack_col_of_row):
@@ -331,34 +328,6 @@ def _begun(start, n, cols, slack_col_of_row):
                           f"or a Basis, got {kind}")
 
 
-def _entering(red, columns, A, cost, c_B, inverse, bland=False):
-    """The entering column and its column of the tableau, or ``(-1, None)`` when none improves.
-
-    ``red`` holds the reduced costs of ``columns`` of ``A`` (all of them when
-    None).  The lowest enters (Dantzig), or with ``bland`` the first below
-    ``-PIVOT_TOL``, if it improves and its reduced cost, taken again from its
-    column, ``cost[q] - c_B B⁻¹ a_q``, still does: the multipliers carry the
-    explicit inverse's rounding, so a column whose own price does not
-    improve is priced noise, and letting it in can cycle.  Such a column's
-    reduced cost is set to 0 and the next is tried.
-    """
-    while True:
-        if bland:
-            improving = np.flatnonzero(red < -PIVOT_TOL)
-            at = int(improving[0]) if improving.size else -1
-        else:
-            at = int(red.argmin())
-            if red[at] >= -PIVOT_TOL:
-                at = -1
-        if at < 0:
-            return -1, None
-        q = at if columns is None else int(columns[at])
-        col = inverse.column(A, q)
-        if cost[q] - c_B @ col < -PIVOT_TOL:
-            return q, col
-        red[at] = 0.0
-
-
 def _leaving(col, rhs, basis) -> int:
     """The ratio test: the row whose basic variable leaves for the entering column ``col``.
 
@@ -379,6 +348,211 @@ def _leaving(col, rhs, basis) -> int:
         elif ratio < best_ratio + tol and j < low:
             leaving, low = i, j
     return leaving
+
+
+# -- phase two's rules, over a stack of units ---------------------------------
+#
+# The lockstep calls each on its batch, one row a unit, and a lone solve on
+# its own arrays, which lack that axis.  Its units are ``(unit, basis,
+# inverse, c_B)``: their indices among the programs of a ``_Columns`` (None
+# for a lone solve), their bases, basis inverses and basic costs, each a row.
+
+def _each(unit, i):
+    """The index of entries ``i``, one row of them a unit: of a stack's array, one row a unit
+    (``unit`` its units), ``i[k]`` in row ``k``; of a lone unit's (``unit`` None), ``i``."""
+    if unit is None:
+        return i
+    k = np.arange(len(unit))
+    return (k if i.ndim == 1 else k[:, None]), i
+
+
+class _Columns:
+    """The columns of a stack of units' programs, with costs ``cost``, as phase two prices them.
+
+    Each unit's are ``S``'s but its first ``w``, its heads, which the
+    lockstep's subclass gives (``heads``, ``own``).  ``candidates``, if any,
+    are priced first (``StandardForm.candidates``).  Phase one's columns are
+    read off its ``tableau``.
+    """
+
+    w = 0
+    wide = 1  # the units whose heads are taken at once
+
+    def __init__(self, S, cost, candidates=None, tableau=None):
+        self.S, self.ST, self.cost, self.cols, self.tableau = S, S.T, cost, S.shape[1], tableau
+        self.candidates = candidates if candidates is not None and candidates.size else None
+        if self.candidates is not None:  # their columns, costs and each column's place among them
+            self.S_c, self.cost_c = S[:, self.candidates], cost[self.candidates]
+            self.place = np.full(self.cols, -1)
+            self.place[self.candidates] = np.arange(self.candidates.size)
+
+    def room(self, width=None) -> tuple:
+        """Room for the reduced costs of ``width`` units of a stack, or of a lone unit (None):
+        every column's, and, in its front, the candidates' of as many units as it holds."""
+        red = np.empty((1, self.cols) if width is None else (width, 1, self.cols))
+        if self.candidates is None:
+            return red, None
+        size = red.size // self.candidates.size
+        front = red.reshape(-1)[:size * self.candidates.size]
+        return red, front.reshape(size, *red.shape[1:-1], -1)
+
+    def column(self, q, unit, inverse) -> np.ndarray:
+        """Each unit's column ``q`` of its tableau, ``B⁻¹ a_q``, as a column (rows × 1)."""
+        if self.tableau is not None:
+            return self.tableau.column(self.S, q)[:, None]
+        a = self.ST[q]
+        if self.w:
+            self.own(a, q, unit)
+        return inverse @ a[..., None]
+
+
+def _entering(red, front, units, columns, bland=False):
+    """Each unit's entering column and its column of the tableau, or -1 when it is optimal.
+
+    The candidates of ``columns`` are priced first, and every column of the
+    units they leave without one, so an optimum is the whole program's
+    whichever columns are candidates.  ``bland`` (a lone solve's, after
+    3·(rows+columns) pivots) prices every column (``_chosen``).  A stack is
+    priced as many units at a time as ``red`` and ``front`` (``columns.room``) hold.
+    """
+    if front is None or bland:
+        return _pass(red, units, columns, None, bland)
+    entering, col = _pass(front, units, columns, columns.candidates)
+    if units[0] is None:
+        return (entering, col) if entering >= 0 else _pass(red, units, columns)
+    missed = (entering < 0).nonzero()[0]
+    for lo in range(0, missed.size, len(red)):
+        at = missed[lo:lo + len(red)]
+        entering[at], col[at] = _pass(red, [a[at] for a in units], columns)
+    return entering, col
+
+
+def _pass(red, units, columns, candidates=None, bland=False):
+    """``_chosen`` over the units' reduced costs of ``candidates`` (every column when None),
+    priced ``len(red)`` units of a stack at a time into ``red``."""
+    if units[0] is None or len(units[0]) <= len(red):
+        return _chosen(_priced(red, units, columns, candidates), units, columns, candidates, bland)
+    chosen = [_chosen(_priced(red, part, columns, candidates), part, columns, candidates, bland)
+              for lo in range(0, len(units[0]), len(red))
+              for part in [[a[lo:lo + len(red)] for a in units]]]
+    return tuple(np.concatenate(a) for a in zip(*chosen))
+
+
+def _priced(red, units, columns, candidates=None) -> np.ndarray:
+    """Each unit's reduced costs of ``candidates`` (every column when None), in ``red``, from
+    its multipliers ``y``; a basic column's is 0."""
+    unit, basis, inverse, c_B = units
+    y = c_B @ inverse
+    red = red[:len(y)]
+    S, cost = (columns.S, columns.cost) if candidates is None else (columns.S_c, columns.cost_c)
+    np.matmul(y, S, out=red)
+    for lo in range(0, len(y), columns.wide) if columns.w else ():
+        at = slice(lo, lo + columns.wide)
+        red[at, :, :columns.w] = y[at] @ columns.heads(unit[at])
+    red = np.subtract(cost, red, out=red)[..., 0, :]
+    if candidates is None:
+        red[_each(unit, basis)] = 0.0
+    else:  # the basic ones among them
+        at = columns.place[basis]
+        hit = np.nonzero(at >= 0)
+        red[(*hit[:-1], at[hit])] = 0.0
+    return red
+
+
+def _chosen(red, units, columns, candidates=None, bland=False):
+    """Each unit's entering column and its column of the tableau, or -1 when none of
+    ``candidates`` (every column when None), whose reduced costs ``red`` holds, improves.
+
+    The lowest reduced cost enters (Dantzig), or with ``bland`` the first
+    below ``-PIVOT_TOL``, if it improves and its reduced cost, taken again
+    from its column, ``cost[q] - c_B B⁻¹ a_q``, still does: the multipliers
+    carry the explicit inverse's rounding, so a column whose own price does
+    not improve is priced noise, and letting it in can cycle.  Such a
+    column's reduced cost is set to 0 and the next is tried.
+    """
+    unit, _, inverse, c_B = units
+    while True:
+        if bland:
+            below = red < -PIVOT_TOL
+            at = below.argmax(axis=-1)
+            optimal = ~below[_each(unit, at)]
+        else:
+            at = red.argmin(axis=-1)
+            optimal = red[_each(unit, at)] >= -PIVOT_TOL
+        q = at if candidates is None else candidates[at]
+        col = columns.column(q, unit, inverse)
+        priced = columns.cost[q] - (c_B @ col)[..., 0, 0] < -PIVOT_TOL
+        noise = ~(optimal | priced)
+        if not np.count_nonzero(noise):
+            return q - (q + 1) * optimal, col[..., 0]  # -1 where optimal
+        i = _each(unit, at)
+        red[i] = np.where(noise, 0.0, red[i])
+
+
+def _pivot(both, leaving, col, block=None) -> None:
+    """Each unit's pivot on its entry ``leaving`` of ``col``, its entering column of the
+    tableau: that row of ``both``, its ``[B⁻¹ | B⁻¹b]``, is divided by the pivot, then ``col``
+    times it, but at that row, is taken from every row.  A stack's product is formed ``block``
+    units at a time (all at once when None).  ``col`` is overwritten."""
+    at = (np.arange(len(both)), leaving) if isinstance(leaving, np.ndarray) else leaving
+    row = both[at]  # a lone unit's row is a view, and is divided in place
+    row /= col[at][..., None]
+    both[at] = row
+    col[at] = 0.0
+    for lo in range(0, len(both), block or len(both)):
+        at = slice(lo, block and lo + block)
+        both[at] -= col[at][..., :, None] * row[at][..., None, :]
+
+
+def _factor(block, b):
+    """Each basis' inverse and basic values, from its matrix ``block`` and right sides ``b``,
+    and which bases are nonsingular.  A stack is inverted at once, and a basis at a time, to
+    find the singular ones, when that fails."""
+    ok = np.ones(block.shape[:-2], dtype=bool)
+    try:
+        inverse = np.linalg.inv(block)
+    except np.linalg.LinAlgError:  # a basis of more or fewer columns than rows has none either
+        inverse = np.zeros(np.swapaxes(block, -1, -2).shape)
+        for k in np.ndindex(ok.shape):
+            try:
+                inverse[k] = np.linalg.inv(block[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    return inverse, (inverse @ b[..., None])[..., 0], ok
+
+
+def _multipliers(inverse, c_B) -> np.ndarray:
+    """Each basis' multipliers ``c_B B⁻¹``, from its inverse."""
+    return (np.swapaxes(inverse, -1, -2) @ c_B[..., None])[..., 0]
+
+
+def _point(basis, rhs, c):
+    """Each optimum's structural values, its basic values ``rhs`` placed, then clipped at 0,
+    and its objective value ``c'x``."""
+    structural = np.nonzero(basis < c.size)
+    x = np.zeros((*basis.shape[:-1], c.size))
+    x[(*structural[:-1], basis[structural])] = rhs[structural]
+    np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
+    return x, (x[..., None, :] @ c[:, None])[..., 0, 0]
+
+
+def _optimal(columns, sense, c, unit, basis, rhs, y):
+    """Each optimum's solution values: x and the objective value (``_point``), the duals, its
+    multipliers ``y`` signed for the problem's sense, the reduced costs ``c - A' duals`` of
+    the structural columns of ``columns`` and which of them are basic."""
+    x, value = _point(basis, rhs, c)
+    duals = (-1.0 if sense == MAXIMIZE else 1.0) * y
+    n = c.size
+    reduced = (columns.S[:, :n].T @ duals[..., None])[..., 0]
+    own = min(columns.w, n)
+    if own:  # the heads' columns, a stack's
+        reduced[:, :own] = (columns.heads(unit)[:, :, :own].transpose(0, 2, 1)
+                            @ duals[:, :, None])[:, :, 0]
+    np.subtract(c, reduced, out=reduced)
+    basic = np.zeros(x.shape, dtype=bool)
+    structural = np.nonzero(basis < n)
+    basic[(*structural[:-1], basis[structural])] = True
+    return x, value, duals, reduced, basic
 
 
 class _Simplex:
@@ -447,16 +621,12 @@ class _Simplex:
             block, b = S[:, basis], self.b
         else:
             block, b = S[np.ix_(row_keep, basis)], self.b[row_keep]
-        try:
-            inverse = np.linalg.inv(block)
-        except np.linalg.LinAlgError:
-            return None
-        return inverse, inverse @ b
+        inverse, rhs, ok = _factor(block, b)
+        return (inverse, rhs) if ok else None
 
     def _holds(self, basis, rhs) -> bool:
-        """Whether the basic point with values ``rhs`` holds (``_holding``, a stack of one)."""
-        return bool(_holding(self.S[:, basis][None], rhs[None], self.b[None],
-                             (basis < self.n)[None], self.sign)[0])
+        """Whether the basic point with values ``rhs`` holds (``_holding``)."""
+        return bool(_holding(self.S[:, basis], rhs, self.b, basis < self.n, self.sign))
 
     # -- phases --------------------------------------------------------
 
@@ -502,45 +672,26 @@ class _Simplex:
     def _iterate(self, S, cost, basis, row_keep, inverse, candidates=None) -> str:
         """Pivot until optimal or unbounded; mutates basis and inverse.
 
-        A revised simplex over the kept rows of ``S``: ``inverse`` is the
-        basis' ``_Inverse``, with the basic values; it gives the entering
-        variable's column of the tableau, which phase one's ``_Tableau``
-        copies off the tableau it keeps.  The entering variable is the most
-        negative reduced cost (Dantzig) until this call has made
-        3·(rows+columns) pivots, and the first negative one (Bland, which
-        cannot cycle) after that.  A column enters only if its reduced cost,
-        computed again from its column, still improves (``_entering``).  The
-        ratio test is ``_leaving``.
-
-        With ``candidates`` (a started phase two of a compiled program) each
-        Dantzig step prices only those columns, and every column only when
-        none of them improves; the optimum is declared only when that full
-        pass finds none either, so it is the optimum of the whole program
-        whichever columns are candidates.  Bland's steps price every column.
+        A revised simplex over the kept rows of ``S``, each step the
+        lockstep's on a lone unit: ``inverse`` is the basis' ``_Inverse``,
+        with the basic values, and phase one's ``_Tableau`` gives its
+        entering columns off its tableau.  ``_entering`` prices
+        ``candidates`` first, by Dantzig's rule until this call has made
+        3·(rows+columns) pivots and by Bland's, which cannot cycle, after
+        that; the ratio test is ``_leaving``.
         """
         A = S if len(row_keep) == self.m else S[row_keep]
         bland_after = 3 * (A.shape[0] + A.shape[1])
-        if candidates is not None:  # their columns and costs
-            A_c, cost_c = A[:, candidates], cost[candidates]
-            place = np.full(A.shape[1], -1)  # each column's place among them
-            place[candidates] = np.arange(candidates.size)
-        pivots = 0
+        columns = _Columns(A, cost, candidates, inverse if isinstance(inverse, _Tableau) else None)
         c_B = cost[basis]
+        units, room = (None, basis, inverse.explicit, c_B[None]), columns.room()
         rhs = inverse.rhs
+        pivots = 0
         while True:
-            y = c_B @ inverse.explicit
-            entering = -1
-            if candidates is not None and pivots <= bland_after:
-                red = cost_c - y @ A_c
-                at = place[basis]
-                red[at[at >= 0]] = 0.0
-                entering, col = _entering(red, candidates, A, cost, c_B, inverse)
+            entering, col = _entering(*room, units, columns, pivots > bland_after)
+            entering = int(entering)
             if entering < 0:
-                red = cost - y @ A
-                red[basis] = 0.0
-                entering, col = _entering(red, None, A, cost, c_B, inverse, pivots > bland_after)
-                if entering < 0:
-                    return OPTIMAL
+                return OPTIMAL
             leaving = _leaving(col, rhs, basis)
             if leaving < 0:
                 return UNBOUNDED
@@ -569,18 +720,13 @@ class _Simplex:
                 _frozen(np.full(n, math.nan)), self.iterations, _frozen(np.zeros(m)),
                 _frozen(np.zeros(n)), _frozen(np.zeros(n, bool)), self.started,
             )
-        x_all = np.zeros(self.cols)
-        x_all[basis] = rhs
-        x = np.maximum(x_all[:n], 0.0)  # a basic value rounded below zero, or -0.0, reads 0.0
-        # multipliers from the final basis' inverse, signed for the problem's sense
-        y_int = np.zeros(m)
-        y_int[row_keep] = inverse.T @ self.cc[basis]
-        duals = (-1.0 if prob.objective_sense == MAXIMIZE else 1.0) * y_int
-        reduced = prob.objective - self.S[:, :n].T @ duals
-        basic = np.zeros(n, dtype=bool)
-        basic[basis[basis < n]] = True
+        # multipliers from the final basis' inverse, 0 on a row phase one dropped
+        y = np.zeros(m)
+        y[row_keep] = _multipliers(inverse, self.cc[basis])
+        x, value, duals, reduced, basic = _optimal(
+            _Columns(self.S, self.cc), prob.objective_sense, prob.objective, None, basis, rhs, y)
         return LpSolution(
-            status, float(prob.objective @ x), _frozen(x), self.iterations,
+            status, float(value), _frozen(x), self.iterations,
             _frozen(duals), _frozen(reduced), _frozen(basic),
             self.started, (tuple(basis.tolist()), tuple(row_keep), m),
         )
@@ -687,12 +833,12 @@ def solutions(optima: Sequence[Optimum]) -> list:
 
 
 class _Inverse:
-    """A basis inverse and the basic values, updated by each pivot; it prices and forms columns.
+    """A lone solve's basis inverse and basic values, updated by each pivot.
 
     Both live in one array, ``[B⁻¹ | B⁻¹b]``, so a pivot is one row
-    operation; ``explicit`` and ``rhs`` are views of it.  A subclass may
-    keep ``ahead`` more columns in front of them, which that operation
-    updates alike.
+    operation (``_pivot``); ``explicit`` and ``rhs`` are views of it.  A
+    subclass may keep ``ahead`` more columns in front of them, which that
+    operation updates alike.
     """
 
     def __init__(self, inverse, rhs, ahead=0):
@@ -705,15 +851,9 @@ class _Inverse:
         self.explicit[:] = inverse
         self.rhs[:] = rhs
 
-    def column(self, A, q):
-        """``B⁻¹ A[:, q]``, the tableau's column ``q``."""
-        return self.explicit @ A[:, q]
-
     def pivot(self, row, col) -> None:
         """Pivot on ``col[row]``, ``col`` being the entering variable's column of the tableau."""
-        factors = col.copy()
-        factors[row] = 0.0
-        _eliminate(self.both, row, col[row], factors)
+        _pivot(self.both, row, col.copy())
 
 
 class _Tableau(_Inverse):
@@ -735,16 +875,10 @@ class _Tableau(_Inverse):
         self.both[:, :self.S.shape[1]] = inverse @ self.S
 
     def column(self, A, q):
+        """The tableau's column ``q``, a copy."""
         return self.both[:, q].copy()
 
 
-def _eliminate(x, row, piv, factors) -> None:
-    """One pivot's row operation on ``x``, a column or a matrix: row ``row`` is divided
-    by the pivot ``piv``, then ``factors`` times it is taken from every row."""
-    x[row] /= piv
-    x -= (factors[:, None] if x.ndim == 2 else factors) * x[row]
-
-
-def _negative(v) -> bool:
-    """Whether some entry of ``v`` lies below ``-FEASIBILITY_TOL``."""
-    return v.min(initial=math.inf) < -FEASIBILITY_TOL
+def _negative(v):
+    """Whether some entry of each unit's ``v`` lies below ``-FEASIBILITY_TOL``."""
+    return v.min(axis=-1, initial=math.inf) < -FEASIBILITY_TOL

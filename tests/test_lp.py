@@ -605,12 +605,14 @@ def test_lockstep_ratio_test_is_the_scan(data):
     assert got.tolist() == [lp._leaving(col[i], rhs[i], basis[i]) for i in range(k)]
 
 
-def _scalar_entering(red, cost, c_B, explicit, A):
-    """``_Simplex._iterate``'s choice of the entering column, as the reference."""
+def _scalar_entering(red, cost, c_B, explicit, A, bland=False):
+    """The scalar loop's choice of the entering column, as the reference: the lowest reduced
+    cost, or with ``bland`` the first below ``-PIVOT_TOL``, if its own price improves too."""
     red = red.copy()
     while True:
-        entering = int(red.argmin())
-        if red[entering] >= -lp.PIVOT_TOL:
+        below = np.flatnonzero(red < -lp.PIVOT_TOL)
+        entering = int(below[0] if bland and below.size else red.argmin())
+        if red[entering] >= -lp.PIVOT_TOL or bland and not below.size:
             return -1, None
         col = explicit @ A[:, entering]
         if cost[entering] - c_B @ col < -lp.PIVOT_TOL:
@@ -618,11 +620,17 @@ def _scalar_entering(red, cost, c_B, explicit, A):
         red[entering] = 0.0
 
 
+def _lone(c_B, inverse):
+    """A lone unit's arrays, as ``lp._entering`` hands them to ``lp._chosen``."""
+    return [None, None, inverse, c_B[None, :]]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_lockstep_entering_column_is_the_scalar_loops(data):
-    """Reduced costs that the entering column's own price contradicts send the lockstep
-    on to the next lowest, unit by unit, as the scalar loop goes."""
+    """Reduced costs that the entering column's own price contradicts send ``lp._chosen`` on
+    to the next lowest, unit by unit in a stack with heads as for a lone unit, as the scalar
+    loop goes; a lone unit under Bland's rule goes on to the next below ``-PIVOT_TOL``."""
     k, m, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)), 8
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     S = rng.integers(-3, 4, (m, cols)).astype(float)
@@ -635,15 +643,37 @@ def test_lockstep_entering_column_is_the_scalar_loops(data):
     programs = lp.Lockstep(S, np.zeros(m), np.full(m, -1), np.zeros((m, 2)), tuple(every),
                            heads.reshape(k, -1), np.zeros((k, m)))
     step = _lockstep._Lockstep(lp.MINIMIZE, cost, programs)
-    units = [np.arange(k), None, None, both, c_B]  # unit k's heads are heads[k]
-    entering, col = step._chosen(red.copy(), units)
+    units = [np.arange(k), None, both[:, :, :m], c_B[:, None, :]]  # unit k's heads: heads[k]
+    entering, col = lp._chosen(red.copy(), units, step)
     for i in range(k):
         A = S.copy()
         A[:, :2] = heads[i]
-        want, want_col = _scalar_entering(red[i], cost, c_B[i], both[i, :, :m], A)
-        assert entering[i] == want
-        if want >= 0:
-            assert col[i].tobytes() == want_col.tobytes()
+        for bland in (False, True):
+            want, want_col = _scalar_entering(red[i], cost, c_B[i], both[i, :, :m], A, bland)
+            alone = lp._chosen(red[i].copy(), _lone(c_B[i], both[i, :, :m]), lp._Columns(A, cost),
+                               None, bland)
+            assert alone[0] == want
+            if want >= 0:
+                assert alone[1].tobytes() == want_col.tobytes()
+            if not bland:
+                assert entering[i] == want
+                if want >= 0:
+                    assert col[i].tobytes() == want_col.tobytes()
+
+
+def test_bland_skips_priced_noise_ahead_of_the_first_improving_column():
+    """Under Bland's rule the first reduced cost below ``-PIVOT_TOL`` enters, not the lowest,
+    and one whose own price does not improve (priced noise) is set to 0 and passed over."""
+    A = np.eye(2)[:, [0, 1, 0, 1, 0]]  # the tableau's columns, with B = I
+    cost = np.array([0.0, 1.0, 0.0, -0.5, -3.0])  # column 1's own price, 1 - 0, does not improve
+    red = np.array([0.5, -1.0, 0.0, -0.5, -3.0])
+    units = _lone(np.zeros(2), np.eye(2))
+    got = red.copy()
+    entering, col = lp._chosen(got, units, lp._Columns(A, cost), None, bland=True)
+    assert (int(entering), col.tolist()) == (3, [0.0, 1.0])
+    assert got[1] == 0.0 and got[4] == -3.0
+    assert int(lp._chosen(red.copy(), units, lp._Columns(A, cost))[0]) == 4  # Dantzig's
+    assert _scalar_entering(red, cost, np.zeros(2), np.eye(2), A, bland=True)[0] == 3
 
 
 # -- the hold check (lp._holding) ---------------------------------------------
@@ -734,10 +764,10 @@ def test_holding_verdict_is_the_same_in_any_stack():
 
 
 def test_a_basis_factors_alike_alone_in_any_stack_and_in_a_lone_solve():
-    """``_Lockstep._factor`` gives each basis the same inverse and basic values, bit for
-    bit, factored alone or in any stack, one holding a singular basis (which factors the
-    stack a basis at a time) included, and ``_Simplex._factor`` gives the same bits.  So
-    a started optimum refactored from the basis it started on, on either path, stands on
+    """``lp._factor`` gives each basis the same inverse and basic values, bit for bit,
+    factored alone or in any stack, one holding a singular basis (which factors the stack a
+    basis at a time) included, and a lone solve's ``_Simplex._factor`` gives the same bits.
+    So a started optimum refactored from the basis it started on, on either path, stands on
     its start's very factors."""
     dataset, topology = log_spread()
     prog = network._program(dataset, topology, network.SYSTEM_RADIAL, network._system_program)
@@ -759,7 +789,7 @@ def test_a_basis_factors_alike_alone_in_any_stack_and_in_a_lone_solve():
             """The factors of the bases ``at``, those ``singular`` marks with a column zeroed."""
             block = lock._block(unit[at], basis[at])
             block[np.isin(at, singular), :, 0] = 0.0
-            inverse, rhs, ok = lock._factor(block, lock.b[unit[at]])
+            inverse, rhs, ok = lp._factor(block, lock.b[unit[at]])
             return [(i.tobytes(), r.tobytes(), bool(o)) for i, r, o in zip(inverse, rhs, ok)]
 
         alone = [factored([k])[0] for k in range(unit.size)]
@@ -778,6 +808,39 @@ def test_a_basis_factors_alike_alone_in_any_stack_and_in_a_lone_solve():
             inverse, rhs = lp._Simplex(problem)._factor(basis[k], range(lock.m),
                                                         problem.standard_form.S)
             assert (inverse.tobytes(), rhs.tobytes(), True) == alone[k]
+
+
+def test_a_verdict_is_the_same_alone_and_in_any_stack():
+    """``lp._optimal`` gives each optimum the same bytes of x, objective value, duals, reduced
+    costs and basic flags alone, as a lone solve forms them from its own columns, and in any
+    stack of the lockstep's, which takes the heads per unit; basic values of -0.0 and -1e-12
+    included, which x reads as 0."""
+    dataset, topology = log_spread()
+    prog = network._program(dataset, topology, network.SYSTEM_RADIAL, network._system_program)
+    owns = list(range(dataset.n_dmus))
+    c = prog.objective(network.SYSTEM_GAP)
+    optima = [o for o in lp.solve_lockstep("maximize", c, prog.lockstep(owns, np.zeros((60, 0))),
+                                           prog.crash_bases(owns)) if o is not None]
+    batch = optima[0].batch
+    unit = np.array([o.unit for o in optima])
+    basis, rhs, y = batch.basis[unit], batch.rhs[unit].copy(), batch.y[unit]
+    k, i = np.nonzero(basis < batch.n)
+    rhs[k[::3], i[::3]] = -0.0
+    rhs[k[1::3], i[1::3]] = -1e-12
+    alone = []
+    for j, u in enumerate(unit.tolist()):
+        S = prog.unit(owns[u]).problem("maximize", network.SYSTEM_GAP, []).standard_form.S
+        got = lp._optimal(lp._Columns(S, batch.cost), "maximize", batch.c, None, basis[j], rhs[j],
+                          y[j])
+        alone.append([a.tobytes() for a in got])
+        x = got[0]
+        clipped = basis[j][(basis[j] < batch.n) & (rhs[j] <= 0.0)]
+        assert not np.signbit(x).any() and (x[clipped] == 0.0).all()
+    for order in (np.arange(unit.size), np.random.default_rng(3).permutation(unit.size)):
+        got = lp._optimal(batch, "maximize", batch.c, unit[order], basis[order], rhs[order],
+                          y[order])
+        assert [[a[j].tobytes() for a in got] for j in range(order.size)] == [
+            alone[j] for j in order]
 
 
 def _same_lockstep(prog, owns, pinned, objective, whole, each):
