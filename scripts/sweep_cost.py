@@ -20,10 +20,11 @@ on the inputs ``perfbench/inputs.py`` writes for ``--seed``, it prints one line:
   paths shared these rules is counted by its own names (``_counted``);
 * ``cand``: the columns each of the sweep's programs prices first
   (``lp.StandardForm.candidates``), out of all its columns;
-* ``peak_mb``: the ``tracemalloc`` peak of one sweep above what was traced
-  before it, the results consumed one at a time as a command's loop does.
-  A peak above ``BUDGET_MB`` is flagged ``over``, and the script then exits
-  1 once every sweep is printed; it exits 0 when every peak is within it.
+* ``peak_bytes``: the ``tracemalloc`` peak of one sweep above what was
+  traced before it, in bytes, the results consumed one at a time as a
+  command's loop does, so two checkouts' peaks compare to the byte.  A peak
+  above ``BUDGET_MB`` is flagged ``over``, and the script then exits 1
+  once every sweep is printed; it exits 0 when every peak is within it.
 
 The package comes from ``PYTHONPATH``, so two checkouts can be compared on
 the same inputs.  ``--against OTHER_SRC`` compares them directly: it
@@ -31,11 +32,15 @@ writes the seed's inputs once, then runs ``--repeat`` pairs of
 subprocesses, this package's and the one in the ``src`` directory
 ``OTHER_SRC``, in turn, the first of a pair alternating.  Each subprocess
 runs every sweep once to warm it, then times it once on a freshly loaded
-``Dataset``.  It also times the ``--dmu`` calls of ``DMU_CALLS``, the
-benchmark's per-unit commands, through ``cli.run`` with the output
-captured, as the benchmark's worker runs them: the first ``DMU_UNITS``
-units of the file each, after one call to warm, and takes the median ms of
-a call.  For each sweep and each such command it prints the median ms of
+``Dataset``.  It also times the ``--dmu`` calls of ``DMU_CALLS``, each
+workload's per-unit command of the benchmark on the data and topology files
+that entry names: the ``pinned-stages-300`` stage command, ``chain-300``'s
+``chain-mpss --targets`` and ``small-cli``'s ``network-mpss`` (variable
+intermediates, the default) on the log-spread units, whose solves start
+cold when a crash start fails.  It runs them through ``cli.run`` with the
+output captured, as the benchmark's worker runs them: the first
+``DMU_UNITS`` units of the file each, after one call to warm, and takes the
+median ms of a call.  For each sweep and each such command it prints the median ms of
 each side and the ratio of this side's ms to the other's in the same pair:
 its median and quartiles.  A ratio below 1 means this package is faster.
 From the repository root::
@@ -92,11 +97,13 @@ SWEEPS = {
         "stages": network.stages_sweep,
     }),
 }
-# workload -> (name, argv) of the --dmu commands --against times, its data and topology
-# files written in after the subcommand, the unit after --dmu
+# workload -> (name, (data file, topology file) under its inputs, argv) of the --dmu
+# command --against times: the files are written in after the subcommand, the unit after --dmu
 DMU_CALLS = {
-    "pinned-stages-300": ("stages", ["network-mpss", "--intermediates", "radial", "--stages"]),
-    "chain-300": ("chain-mpss", ["chain-mpss", "--targets"]),
+    "pinned-stages-300": ("stages", ("data.csv", "topology.json"),
+                          ["network-mpss", "--intermediates", "radial", "--stages"]),
+    "chain-300": ("chain-mpss", ("data.csv", "topology.json"), ["chain-mpss", "--targets"]),
+    "small-cli": ("log-spread", ("log_spread.csv", "log_spread_topology.json"), ["network-mpss"]),
 }
 DMU_UNITS = 40
 
@@ -164,13 +171,13 @@ def _counted():
 
 
 def _paths(inputs, seed: int, root: Path):
-    """Each workload's (data file, topology file) and its sweeps by name, its inputs written
-    under ``root`` if they are not there yet."""
+    """Each workload's inputs directory, (data file, topology file) and its sweeps by name,
+    its inputs written under ``root`` if they are not there yet."""
     for workload, ((data, topology), sweeps) in SWEEPS.items():
         d = root / f"seed-{seed}" / workload
         if not d.is_dir():
             d = inputs.generate(workload, seed, root)
-        yield workload, (inputs.INSURERS if data is None else d / data), d / topology, sweeps
+        yield workload, d, (inputs.INSURERS if data is None else d / data), d / topology, sweeps
 
 
 def _swept(sweep, dataset, topology) -> None:
@@ -204,7 +211,7 @@ def measure(data: Path, topology: Path, sweep, repeat: int) -> dict:
     return {"ms": 1e3 * statistics.median(times), "steps": counts[0],
             "live": counts[1] / counts[0] if counts[0] else 0.0, "alone": counts[2],
             "full": counts[3] / counts[4] if counts[4] else 0.0, "cand": cand,
-            "peak_mb": peak / 1e6}
+            "peak_bytes": peak}
 
 
 def _called(argv) -> float:
@@ -223,7 +230,7 @@ def times(inputs, seed: int, root: Path) -> dict:
     ``"workload sweep"``, and the median ms of each ``--dmu`` command's call, by
     ``"workload name --dmu"``."""
     out = {}
-    for workload, data, topology, sweeps in _paths(inputs, seed, root):
+    for workload, d, data, topology, sweeps in _paths(inputs, seed, root):
         for name, sweep in sweeps.items():
             _swept(sweep, *load_dataset(data, topology))
             dataset, topo = load_dataset(data, topology)
@@ -231,7 +238,8 @@ def times(inputs, seed: int, root: Path) -> dict:
             _swept(sweep, dataset, topo)
             out[f"{workload} {name}"] = 1e3 * (time.perf_counter() - start)
         if workload in DMU_CALLS:
-            name, (command, *options) = DMU_CALLS[workload]
+            name, (data, topology), (command, *options) = DMU_CALLS[workload]
+            data, topology = d / data, d / topology
             argv = [command, "--data", str(data), "--topology", str(topology), *options,
                     "--format", "csv", "--raw", "--dmu"]
             units = load_dataset(data, topology)[0].dmu_ids[:DMU_UNITS]
@@ -283,19 +291,19 @@ def main() -> None:
             against(inputs, args.against, args.seed, args.repeat, Path(tmp))
         return
     print(f"{'workload':<18} {'sweep':<10} {'ms':>8} {'steps':>6} {'live':>6} {'alone':>6} "
-          f"{'full':>6} {'peak_mb':>8}  cand")
+          f"{'full':>6} {'peak_bytes':>10}  cand")
     over = []
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, data, topology, sweeps in _paths(inputs, args.seed, Path(tmp)):
+        for workload, _, data, topology, sweeps in _paths(inputs, args.seed, Path(tmp)):
             for name, sweep in sweeps.items():
                 got = measure(data, topology, sweep, args.repeat)
                 flag = ""
-                if got["peak_mb"] > BUDGET_MB:
+                if got["peak_bytes"] > BUDGET_MB * 1e6:
                     flag = "  over"
                     over.append(f"{workload} {name}")
                 print(f"{workload:<18} {name:<10} {got['ms']:>8.1f} {got['steps']:>6} "
                       f"{got['live']:>6.1f} {got['alone']:>6} {got['full']:>6.2f} "
-                      f"{got['peak_mb']:>8.2f}  {got['cand']}{flag}")
+                      f"{got['peak_bytes']:>10}  {got['cand']}{flag}")
     if over:
         print(f"traced peak above {BUDGET_MB} MB: {', '.join(over)}")
         sys.exit(1)

@@ -214,9 +214,9 @@ class _Lockstep(_Columns):
         ok &= _holding(block, rhs, b, basis < self.n, self.sign)
         unit, warm, basis, pivots, inverse, rhs = (
             a[ok] for a in (unit, warm, basis, pivots, inverse, rhs))
-        _, value = lp._point(basis, rhs, self.c)
+        _, value = lp._point(unit, basis, rhs, self.c, self.cols)
         self.basis[unit], self.rhs[unit] = basis, rhs
-        self.y[unit] = lp._multipliers(inverse, self.cost[basis])
+        self.y[unit] = lp._times(inverse.swapaxes(1, 2), self.cost[basis])  # c_B B⁻¹
         return [Optimum(v, iterations, WARM if w else CRASH, u, self) for u, w, iterations, v in
                 zip(unit.tolist(), warm.tolist(), pivots.tolist(), value.tolist())]
 

@@ -64,8 +64,9 @@ values; its ``LpSolution``, bit for bit the one ``solve_lp`` gives, is
 formed only when it is asked for (``solutions``).  A unit that would leave
 that path (a start that fails, an unbounded step, a refactor, the Bland
 switch, an optimum that does not hold) is handed back, for ``solve_lp`` to
-solve alone from the same start.  A batch of one costs more per step than
-the scalar loop, so a single solve stays with ``solve_lp``.
+solve alone from the same start.  A lone solve runs the rules without the
+stack's axis, in new arrays and dots; a batch of one costs two to three
+times as much a step, so a single solve stays with ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -289,9 +290,9 @@ def _holding(block, rhs, b, structural, sign) -> np.ndarray:
     its verdict alone is its verdict in any stack.
     """
     block = np.ascontiguousarray(block)  # one layout, so a row sums alike on either path
-    xs = np.where(structural, rhs, 0.0)[..., None]
-    resid = b - (block @ xs)[..., 0]
-    row_tol = FEASIBILITY_TOL * np.maximum(1.0, (np.abs(block) @ np.abs(xs))[..., 0] + np.abs(b))
+    xs = np.where(structural, rhs, 0.0)
+    resid = b - _times(block, xs)
+    row_tol = FEASIBILITY_TOL * np.maximum(1.0, _times(np.abs(block), np.abs(xs)) + np.abs(b))
     met = np.where(sign != 0.0, resid * sign >= -row_tol, np.abs(resid) <= row_tol)
     return (rhs.min(axis=-1, initial=math.inf) >= -FEASIBILITY_TOL) & met.all(axis=-1)
 
@@ -320,7 +321,7 @@ def _begun(start, n, cols, slack_col_of_row):
             return WARM, None
         return WARM, (basis, [*row_keep, *range(rows, m)])
     if isinstance(start, np.ndarray) and start.dtype.kind in "iu":
-        if start.shape != (m,) or start.min(initial=0) < 0 or start.max(initial=-1) >= cols:
+        if start.shape != (m,) or not all(0 <= j < cols for j in start.tolist()):
             return CRASH, None
         return CRASH, (start.astype(int), list(range(m)))
     kind = f"ndarray of {start.dtype}" if isinstance(start, np.ndarray) else type(start).__name__
@@ -355,7 +356,13 @@ def _leaving(col, rhs, basis) -> int:
 # The lockstep calls each on its batch, one row a unit, and a lone solve on
 # its own arrays, which lack that axis.  Its units are ``(unit, basis,
 # inverse, c_B)``: their indices among the programs of a ``_Columns`` (None
-# for a lone solve), their bases, basis inverses and basic costs, each a row.
+# for a lone solve), their bases, basis inverses and basic costs, each a row
+# (a stack's basic costs a row of one).  A stack's products are batched
+# matmuls and its reduced costs fill buffers; a lone unit's reduced costs
+# are new arrays and its products dots, cheaper than matmuls here, which round
+# alike (the tests check it) but for one entry, in a sign of zero (which only
+# prices may keep), and for a transposed strided matrix (``_optimal``'s
+# reduced costs keep the matmul, as does a strided ``S``, which a dot copies).
 
 def _each(unit, i):
     """The index of entries ``i``, one row of them a unit: of a stack's array, one row a unit
@@ -364,6 +371,14 @@ def _each(unit, i):
         return i
     k = np.arange(len(unit))
     return (k if i.ndim == 1 else k[:, None]), i
+
+
+def _times(a, v):
+    """Each unit's product ``a v``: a stack's batched (``v`` one row a unit), a lone unit's a
+    dot, but a matmul where ``v`` or ``a v`` has one entry, as a dot's zero may differ in sign."""
+    if v.ndim == 1 and len(v) > 1 < len(a):
+        return a.dot(v)
+    return (a @ v[..., None])[..., 0]
 
 
 class _Columns:
@@ -386,24 +401,25 @@ class _Columns:
             self.place = np.full(self.cols, -1)
             self.place[self.candidates] = np.arange(self.candidates.size)
 
-    def room(self, width=None) -> tuple:
-        """Room for the reduced costs of ``width`` units of a stack, or of a lone unit (None):
-        every column's, and, in its front, the candidates' of as many units as it holds."""
-        red = np.empty((1, self.cols) if width is None else (width, 1, self.cols))
+    def room(self, width) -> tuple:
+        """Room for the reduced costs of ``width`` units of a stack: every column's, and, in
+        its front, the candidates' of as many units as it holds."""
+        red = np.empty((width, 1, self.cols))
         if self.candidates is None:
             return red, None
         size = red.size // self.candidates.size
-        front = red.reshape(-1)[:size * self.candidates.size]
-        return red, front.reshape(size, *red.shape[1:-1], -1)
+        return red, red.reshape(-1)[:size * self.candidates.size].reshape(size, 1, -1)
 
     def column(self, q, unit, inverse) -> np.ndarray:
-        """Each unit's column ``q`` of its tableau, ``B⁻¹ a_q``, as a column (rows × 1)."""
+        """Each unit's column ``q`` of its tableau, ``B⁻¹ a_q``: rows × 1 in a stack, or alone."""
         if self.tableau is not None:
-            return self.tableau.column(self.S, q)[:, None]
+            return self.tableau.column(self.S, q)
         a = self.ST[q]
         if self.w:
             self.own(a, q, unit)
-        return inverse @ a[..., None]
+        if unit is not None:
+            return inverse @ a[:, :, None]
+        return inverse.dot(a) if len(a) > 1 else inverse @ a  # as ``_times``
 
 
 def _entering(red, front, units, columns, bland=False):
@@ -413,9 +429,12 @@ def _entering(red, front, units, columns, bland=False):
     units they leave without one, so an optimum is the whole program's
     whichever columns are candidates.  ``bland`` (a lone solve's, after
     3·(rows+columns) pivots) prices every column (``_chosen``).  A stack is
-    priced as many units at a time as ``red`` and ``front`` (``columns.room``) hold.
+    priced as many units at a time as ``red`` and ``front`` (``columns.room``)
+    hold, a lone unit into new arrays (both None).
     """
-    if front is None or bland:
+    if units[0] is None:  # a lone unit's multipliers, for both passes
+        units = (*units, units[3].dot(units[2]))
+    if columns.candidates is None or bland:
         return _pass(red, units, columns, None, bland)
     entering, col = _pass(front, units, columns, columns.candidates)
     if units[0] is None:
@@ -439,23 +458,33 @@ def _pass(red, units, columns, candidates=None, bland=False):
 
 
 def _priced(red, units, columns, candidates=None) -> np.ndarray:
-    """Each unit's reduced costs of ``candidates`` (every column when None), in ``red``, from
-    its multipliers ``y``; a basic column's is 0."""
-    unit, basis, inverse, c_B = units
-    y = c_B @ inverse
-    red = red[:len(y)]
+    """Each unit's reduced costs of ``candidates`` (every column when None), in ``red`` (a
+    lone unit's new, from the multipliers after its arrays); a basic column's is 0."""
+    unit, basis = units[0], units[1]
+    if unit is None:
+        if candidates is None:
+            S, y = columns.S, units[4]
+            red = columns.cost - (y.dot(S) if S.flags.c_contiguous else y @ S)
+            red[basis] = 0.0
+            return red
+        red = np.empty(candidates.size + 1)  # a basic non-candidate's place, -1, zeroes the last
+        np.subtract(columns.cost_c, units[4].dot(columns.S_c), out=red[:-1])
+        red[columns.place[basis]] = 0.0
+        return red[:-1]
     S, cost = (columns.S, columns.cost) if candidates is None else (columns.S_c, columns.cost_c)
+    y = units[3] @ units[2]  # c_B B⁻¹
+    red = red[:len(y)]
     np.matmul(y, S, out=red)
     for lo in range(0, len(y), columns.wide) if columns.w else ():
         at = slice(lo, lo + columns.wide)
         red[at, :, :columns.w] = y[at] @ columns.heads(unit[at])
-    red = np.subtract(cost, red, out=red)[..., 0, :]
+    red = np.subtract(cost, red, out=red)[:, 0]
     if candidates is None:
         red[_each(unit, basis)] = 0.0
     else:  # the basic ones among them
         at = columns.place[basis]
-        hit = np.nonzero(at >= 0)
-        red[(*hit[:-1], at[hit])] = 0.0
+        hit = (at >= 0).nonzero()
+        red[hit[0], at[hit]] = 0.0
     return red
 
 
@@ -468,9 +497,10 @@ def _chosen(red, units, columns, candidates=None, bland=False):
     from its column, ``cost[q] - c_B B⁻¹ a_q``, still does: the multipliers
     carry the explicit inverse's rounding, so a column whose own price does
     not improve is priced noise, and letting it in can cycle.  Such a
-    column's reduced cost is set to 0 and the next is tried.
+    column's reduced cost is set to 0 and the next is tried.  A lone unit
+    tries one column at a time, and forms none once it is optimal.
     """
-    unit, _, inverse, c_B = units
+    unit, _, inverse, c_B = units[:4]
     while True:
         if bland:
             below = red < -PIVOT_TOL
@@ -479,12 +509,19 @@ def _chosen(red, units, columns, candidates=None, bland=False):
         else:
             at = red.argmin(axis=-1)
             optimal = red[_each(unit, at)] >= -PIVOT_TOL
+        if unit is None and optimal:
+            return -1, None
         q = at if candidates is None else candidates[at]
         col = columns.column(q, unit, inverse)
-        priced = columns.cost[q] - (c_B @ col)[..., 0, 0] < -PIVOT_TOL
+        if unit is None:
+            if columns.cost[q] - c_B.dot(col) < -PIVOT_TOL:
+                return q, col
+            red[at] = 0.0
+            continue
+        priced = columns.cost[q] - (c_B @ col)[:, 0, 0] < -PIVOT_TOL
         noise = ~(optimal | priced)
         if not np.count_nonzero(noise):
-            return q - (q + 1) * optimal, col[..., 0]  # -1 where optimal
+            return q - (q + 1) * optimal, col[:, :, 0]  # -1 where optimal
         i = _each(unit, at)
         red[i] = np.where(noise, 0.0, red[i])
 
@@ -494,53 +531,54 @@ def _pivot(both, leaving, col, block=None) -> None:
     tableau: that row of ``both``, its ``[B⁻¹ | B⁻¹b]``, is divided by the pivot, then ``col``
     times it, but at that row, is taken from every row.  A stack's product is formed ``block``
     units at a time (all at once when None).  ``col`` is overwritten."""
-    at = (np.arange(len(both)), leaving) if isinstance(leaving, np.ndarray) else leaving
-    row = both[at]  # a lone unit's row is a view, and is divided in place
-    row /= col[at][..., None]
+    if not isinstance(leaving, np.ndarray):  # a lone unit's row is a view, divided in place
+        row = both[leaving]
+        row /= col[leaving]
+        col[leaving] = 0.0
+        both -= col[:, None] * row
+        return
+    at = (np.arange(len(both)), leaving)
+    row = both[at] / col[at][:, None]
     both[at] = row
     col[at] = 0.0
     for lo in range(0, len(both), block or len(both)):
         at = slice(lo, block and lo + block)
-        both[at] -= col[at][..., :, None] * row[at][..., None, :]
+        both[at] -= col[at][:, :, None] * row[at][:, None, :]
 
 
 def _factor(block, b):
     """Each basis' inverse and basic values, from its matrix ``block`` and right sides ``b``,
-    and which bases are nonsingular.  A stack is inverted at once, and a basis at a time, to
-    find the singular ones, when that fails."""
-    ok = np.ones(block.shape[:-2], dtype=bool)
+    and which bases are nonsingular (a lone basis' True unless it is singular).  A stack is
+    inverted at once, and a basis at a time, to find the singular ones, when that fails."""
+    ok = True if block.ndim == 2 else np.ones(block.shape[:-2], dtype=bool)
     try:
         inverse = np.linalg.inv(block)
     except np.linalg.LinAlgError:  # a basis of more or fewer columns than rows has none either
+        ok = np.ones(block.shape[:-2], dtype=bool)
         inverse = np.zeros(np.swapaxes(block, -1, -2).shape)
         for k in np.ndindex(ok.shape):
             try:
                 inverse[k] = np.linalg.inv(block[k])
             except np.linalg.LinAlgError:
                 ok[k] = False
-    return inverse, (inverse @ b[..., None])[..., 0], ok
+    return inverse, _times(inverse, b), ok
 
 
-def _multipliers(inverse, c_B) -> np.ndarray:
-    """Each basis' multipliers ``c_B B⁻¹``, from its inverse."""
-    return (np.swapaxes(inverse, -1, -2) @ c_B[..., None])[..., 0]
-
-
-def _point(basis, rhs, c):
-    """Each optimum's structural values, its basic values ``rhs`` placed, then clipped at 0,
-    and its objective value ``c'x``."""
-    structural = np.nonzero(basis < c.size)
-    x = np.zeros((*basis.shape[:-1], c.size))
-    x[(*structural[:-1], basis[structural])] = rhs[structural]
+def _point(unit, basis, rhs, c, cols):
+    """Each optimum's structural values, its basic values ``rhs`` placed among its ``cols``
+    columns, then clipped at 0, and its objective value ``c'x``."""
+    x = np.zeros((*basis.shape[:-1], cols))
+    x[_each(unit, basis)] = rhs
     np.maximum(x, 0.0, out=x)  # a basic value rounded below zero, or -0.0, reads 0.0
-    return x, (x[..., None, :] @ c[:, None])[..., 0, 0]
+    x = x[..., :c.size]
+    return x, x.dot(c) if unit is None and c.size > 1 else np.matmul(x[..., None, :], c)[..., 0]
 
 
 def _optimal(columns, sense, c, unit, basis, rhs, y):
     """Each optimum's solution values: x and the objective value (``_point``), the duals, its
     multipliers ``y`` signed for the problem's sense, the reduced costs ``c - A' duals`` of
     the structural columns of ``columns`` and which of them are basic."""
-    x, value = _point(basis, rhs, c)
+    x, value = _point(unit, basis, rhs, c, columns.cols)
     duals = (-1.0 if sense == MAXIMIZE else 1.0) * y
     n = c.size
     reduced = (columns.S[:, :n].T @ duals[..., None])[..., 0]
@@ -549,14 +587,15 @@ def _optimal(columns, sense, c, unit, basis, rhs, y):
         reduced[:, :own] = (columns.heads(unit)[:, :, :own].transpose(0, 2, 1)
                             @ duals[:, :, None])[:, :, 0]
     np.subtract(c, reduced, out=reduced)
-    basic = np.zeros(x.shape, dtype=bool)
-    structural = np.nonzero(basis < n)
-    basic[(*structural[:-1], basis[structural])] = True
-    return x, value, duals, reduced, basic
+    basic = np.zeros((*basis.shape[:-1], columns.cols), dtype=bool)
+    basic[_each(unit, basis)] = True
+    return np.ascontiguousarray(x), value, duals, reduced, np.ascontiguousarray(basic[..., :n])
 
 
 class _Simplex:
     """One solve over the problem's standard form; walks the two phases."""
+
+    w = 0  # its verdict reads its columns, which have no heads, as ``_Columns``' (``_optimal``)
 
     def __init__(self, problem: LpProblem):
         self.problem, self.n, self.m = problem, problem.n_variables, problem.n_constraints
@@ -684,12 +723,11 @@ class _Simplex:
         bland_after = 3 * (A.shape[0] + A.shape[1])
         columns = _Columns(A, cost, candidates, inverse if isinstance(inverse, _Tableau) else None)
         c_B = cost[basis]
-        units, room = (None, basis, inverse.explicit, c_B[None]), columns.room()
+        units = (None, basis, inverse.explicit, c_B)
         rhs = inverse.rhs
         pivots = 0
         while True:
-            entering, col = _entering(*room, units, columns, pivots > bland_after)
-            entering = int(entering)
+            entering, col = _entering(None, None, units, columns, pivots > bland_after)
             if entering < 0:
                 return OPTIMAL
             leaving = _leaving(col, rhs, basis)
@@ -721,10 +759,12 @@ class _Simplex:
                 _frozen(np.zeros(n)), _frozen(np.zeros(n, bool)), self.started,
             )
         # multipliers from the final basis' inverse, 0 on a row phase one dropped
-        y = np.zeros(m)
-        y[row_keep] = _multipliers(inverse, self.cc[basis])
+        y = _times(inverse.T, self.cc[basis])
+        if len(row_keep) < m:
+            y, kept = np.zeros(m), y
+            y[row_keep] = kept
         x, value, duals, reduced, basic = _optimal(
-            _Columns(self.S, self.cc), prob.objective_sense, prob.objective, None, basis, rhs, y)
+            self, prob.objective_sense, prob.objective, None, basis, rhs, y)
         return LpSolution(
             status, float(value), _frozen(x), self.iterations,
             _frozen(duals), _frozen(reduced), _frozen(basic),

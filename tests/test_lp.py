@@ -622,7 +622,7 @@ def _scalar_entering(red, cost, c_B, explicit, A, bland=False):
 
 def _lone(c_B, inverse):
     """A lone unit's arrays, as ``lp._entering`` hands them to ``lp._chosen``."""
-    return [None, None, inverse, c_B[None, :]]
+    return [None, None, inverse, c_B]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -674,6 +674,68 @@ def test_bland_skips_priced_noise_ahead_of_the_first_improving_column():
     assert got[1] == 0.0 and got[4] == -3.0
     assert int(lp._chosen(red.copy(), units, lp._Columns(A, cost))[0]) == 4  # Dantzig's
     assert _scalar_entering(red, cost, np.zeros(2), np.eye(2), A, bland=True)[0] == 3
+
+
+def test_candidate_reduced_costs_are_the_same_alone_and_in_a_stack():
+    """``lp._priced`` gives each unit alone, over its own columns, the reduced costs it gets
+    in a stack with heads, byte for byte, over the candidates and over every column; a
+    basic column's is 0, the basic candidates' among them and heads' too."""
+    k, m, cols, w = 5, 6, 40, 4
+    rng = np.random.default_rng(17)
+    S = rng.integers(-3, 4, (m, cols)).astype(float)
+    heads = rng.integers(-3, 4, (k, m, w)).astype(float)
+    inverse = rng.integers(-2, 3, (k, m, m)).astype(float)
+    c_B = rng.integers(-2, 3, (k, m)).astype(float)
+    cost = rng.integers(-3, 4, cols).astype(float)
+    candidates = np.concatenate((np.arange(w), np.sort(rng.choice(np.arange(w, cols), 9, False))))
+    # each basis holds a head and another candidate, and four columns that are not candidates
+    others = np.setdiff1d(np.arange(cols), candidates)
+    basis = np.array([rng.permutation(np.concatenate((rng.choice(w, 1), rng.choice(
+        candidates[w:], 1), rng.choice(others, m - 2, False)))) for _ in range(k)])
+    every = np.indices((m, w)).reshape(2, -1)  # each unit's heads are its own entries
+    programs = lp.Lockstep(S, np.zeros(m), np.full(m, -1), np.zeros((m, w)), tuple(every),
+                           heads.reshape(k, -1), np.zeros((k, m)), candidates)
+    step = _lockstep._Lockstep(lp.MINIMIZE, cost, programs)
+    units = [np.arange(k), basis, inverse, c_B[:, None, :]]
+    red, front = step.room(k)
+    for chosen, room in ((candidates, front), (None, red)):
+        stacked = lp._priced(room, units, step, chosen)
+        for i in range(k):
+            A = S.copy()
+            A[:, :w] = heads[i]
+            lone = [None, basis[i], inverse[i], c_B[i], c_B[i] @ inverse[i]]
+            alone = lp._priced(None, lone, lp._Columns(A, cost, candidates), chosen)
+            assert alone.tobytes() == stacked[i].tobytes()
+            basic = basis[i] if chosen is None else np.flatnonzero(np.isin(candidates, basis[i]))
+            assert basic.size == (m if chosen is None else 2) and (alone[basic] == 0.0).all()
+
+
+def test_a_pivot_is_the_same_alone_and_in_a_stack():
+    """``lp._pivot`` gives each unit alone the bytes of ``[B⁻¹ | B⁻¹b]`` and of the zeroed
+    column it gets in a stack of 3 formed 2 units at a time, and the row operation's
+    written out; pivot rows holding -0.0 and entries below ``PIVOT_TOL`` included."""
+    rng = np.random.default_rng(23)
+    k, m = 3, 5
+    both = rng.normal(size=(k, m, m + 1)) * 10.0 ** rng.integers(-3, 4, (k, m, m + 1))
+    col = rng.normal(size=(k, m)) * 10.0 ** rng.integers(-3, 4, (k, m))
+    leaving = np.array([0, 2, 4])
+    both[0, 0, [1, 3, 5]] = -0.0, 0.0, -0.0
+    both[1, 2, [0, 4]] = 0.5 * lp.PIVOT_TOL, -0.2 * lp.PIVOT_TOL
+    both[2, 4, 2] = -0.0
+    col[1, 3], col[2, 1] = -0.0, 0.1 * lp.PIVOT_TOL
+    stacked_both, stacked_col = both.copy(), col.copy()
+    lp._pivot(stacked_both, leaving, stacked_col, 2)
+    for i, row in enumerate(leaving.tolist()):
+        alone_both, alone_col = both[i].copy(), col[i].copy()
+        lp._pivot(alone_both, row, alone_col)
+        assert alone_both.tobytes() == stacked_both[i].tobytes()
+        assert alone_col.tobytes() == stacked_col[i].tobytes()
+        factors = col[i].copy()
+        factors[row] = 0.0
+        want = both[i].copy()
+        want[row] /= col[i, row]
+        want -= factors[:, None] * want[row]
+        assert alone_both.tobytes() == want.tobytes() and alone_col.tobytes() == factors.tobytes()
 
 
 # -- the hold check (lp._holding) ---------------------------------------------
